@@ -1,17 +1,16 @@
-// Benchmark harness: one benchmark per table and figure of the paper
-// (each regenerates and prints the artefact's rows), ablation benchmarks
-// for the design choices called out in DESIGN.md, and micro-benchmarks
-// of the hot mechanisms (buddy allocator, page-table walks, hypercalls).
+// Ablation benchmarks for the design choices the paper argues for
+// (§4.2.4 notification queues, §5.3.2 MCS locks, Carrefour's migration
+// budget), extension benchmarks for what it leaves out (§3.4 page
+// replication, §7 large pages), and micro-benchmarks of the hot
+// mechanisms (buddy allocator, page-table walks, hypercalls).
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 //
-// The experiment benchmarks share one memoized suite, so the full sweep
-// of ~350 simulations runs once regardless of iteration counts.
+// The paper's tables and figures are timed by bench/, not here.
 package xennuma_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	xennuma "repro"
@@ -29,51 +28,10 @@ import (
 	"repro/internal/xen"
 )
 
-var (
-	benchSuite   = exp.NewSuite(64)
-	printedMu    sync.Mutex
-	printedTable = map[string]bool{}
-)
+// benchSuite memoizes the cells the MCS ablation compares.
+var benchSuite = exp.NewSuite(64)
 
-// benchExperiment regenerates one paper artefact; the rendered rows are
-// printed the first time only.
-func benchExperiment(b *testing.B, id string) {
-	fn := exp.ByID(id)
-	if fn == nil {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	var tab *exp.Table
-	for i := 0; i < b.N; i++ {
-		tab = fn(benchSuite)
-	}
-	printedMu.Lock()
-	if !printedTable[id] {
-		printedTable[id] = true
-		fmt.Println(tab.Render())
-	}
-	printedMu.Unlock()
-}
-
-func BenchmarkFig1(b *testing.B)   { benchExperiment(b, "fig1") }
-func BenchmarkFig2(b *testing.B)   { benchExperiment(b, "fig2") }
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-func BenchmarkTable3(b *testing.B) { benchExperiment(b, "table3") }
-func BenchmarkTable4(b *testing.B) { benchExperiment(b, "table4") }
-func BenchmarkFig5(b *testing.B)   { benchExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B)   { benchExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B)   { benchExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)   { benchExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)   { benchExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)  { benchExperiment(b, "fig10") }
-
-// BenchmarkIOPaths regenerates the §2.2.2 DMA-path numbers.
-func BenchmarkIOPaths(b *testing.B) { benchExperiment(b, "io") }
-
-// BenchmarkHypercallBatching regenerates the §4.2.3–4.2.4 analysis.
-func BenchmarkHypercallBatching(b *testing.B) { benchExperiment(b, "hcall") }
-
-// --- Ablations (DESIGN.md §4) ---
+// --- Ablations (paper §4.2.4, §5.3.2) ---
 
 // BenchmarkAblationQueueDesign reports the per-release cost of the three
 // notification designs at wrmem's rate: the strawman hypercall per

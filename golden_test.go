@@ -98,16 +98,16 @@ func TestGoldenEngineResults(t *testing.T) {
 	}
 }
 
-// TestGoldenDriftVsPreRowFold bounds the fixture regeneration that came
-// with folding the stream table into per-thread node rows (the folded
-// accumulation order differs from the per-stream walk, so float sums
-// drift at the last bit). The pre-fold fixture is frozen as
-// golden_engine_prerowfold.json; every numeric field of the live fixture
-// must stay within a 1e-6 relative drift of it, proving the regeneration
-// absorbed rounding noise and not a behaviour change (integer fields —
-// completion times, migration counts — must not move at all by this
-// bound, since their values are ≫ 1e6).
-func TestGoldenDriftVsPreRowFold(t *testing.T) {
+// TestGoldenDriftVsOrigin bounds every regeneration of the fixture that
+// a float accumulation-order change forced: folding the stream table
+// into per-thread node rows, then charging one summed row per
+// identical-row thread group ((Σ units)·share instead of
+// Σ(units·share)). Each moved sums at the last bit only. The fixture as
+// it stood before the first of them is frozen as
+// golden_engine_origin.json, and the live fixture must stay within a
+// 1e-6 relative drift of it. The next reordering re-bounds against the
+// same origin instead of freezing another snapshot.
+func TestGoldenDriftVsOrigin(t *testing.T) {
 	load := func(name string) []goldenResult {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
@@ -119,28 +119,7 @@ func TestGoldenDriftVsPreRowFold(t *testing.T) {
 		}
 		return out
 	}
-	checkGoldenDrift(t, load("golden_engine.json"), load("golden_engine_prerowfold.json"))
-}
-
-// TestGoldenDriftVsPreDedup bounds the regeneration that came with the
-// row-dedup emission: charging one summed row per identical-row thread
-// group reorders the float accumulation ((Σ units)·share instead of
-// Σ(units·share)), so sums drift at the last bit. The pre-dedup fixture
-// is frozen as golden_engine_prededup.json; the live fixture must stay
-// within 1e-6 relative drift of it.
-func TestGoldenDriftVsPreDedup(t *testing.T) {
-	load := func(name string) []goldenResult {
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []goldenResult
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	checkGoldenDrift(t, load("golden_engine.json"), load("golden_engine_prededup.json"))
+	checkGoldenDrift(t, load("golden_engine.json"), load("golden_engine_origin.json"))
 }
 
 // checkGoldenDrift asserts every numeric field of cur stays within a

@@ -46,7 +46,7 @@ func (t Target) String() string {
 const probePolicy = "first-touch"
 
 // DefaultApps is the demonstration set spanning the three imbalance
-// classes, shared by `xnuma advise` and examples/policy-advisor.
+// classes, advised by `xnuma advise` and serve when no app is named.
 var DefaultApps = []string{"facesim", "bt.C", "cg.C", "kmeans", "mg.D"}
 
 // RuleFor maps an imbalance class to the §3.5.2 policy choice. It is

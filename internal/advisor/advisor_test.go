@@ -130,7 +130,7 @@ func TestAdviseEndToEnd(t *testing.T) {
 }
 
 // TestAdviseDefaultAppsUnchanged pins the recommendation for the five
-// applications the policy-advisor example defaults to — the library
+// applications `xnuma advise` defaults to (DefaultApps) — the library
 // must return exactly what the pre-library example printed (§3.5.2
 // probe at the default scale and seed).
 func TestAdviseDefaultAppsUnchanged(t *testing.T) {

@@ -10,16 +10,18 @@ import (
 
 // TestEpochHotPathAnnotated pins the //xnuma:noalloc annotation set to
 // the code it is meant to cover: every function statically reachable
-// from (*runner).epoch — the body of BenchmarkEpoch and the engine's
-// per-quantum hot path — must carry the annotation, so the noalloc
-// analyzer checks the whole path and a new helper slipped into the
-// epoch cannot silently reintroduce per-epoch allocation.
+// from (*runner).epoch — the body of BenchmarkEpoch and
+// TestEpochAllocFree, and the engine's per-quantum hot path — must
+// carry the annotation, so the noalloc analyzer checks the whole path
+// and a new helper slipped into the epoch cannot silently reintroduce
+// per-epoch allocation.
 //
 // The walk is a conservative static one: calls through interfaces
 // (Backend, carrefour.PageSet, sort.Interface) have no static callee
-// and are skipped — their implementations are covered by BenchmarkEpoch
-// itself via the allocs/op gate. Standard-library calls are skipped for
-// the same reason the analyzer allows them case by case.
+// and are skipped — their implementations are covered by
+// TestEpochAllocFree, which counts the whole epoch's allocations.
+// Standard-library calls are skipped for the same reason the analyzer
+// allows them case by case.
 func TestEpochHotPathAnnotated(t *testing.T) {
 	root, err := ModuleRoot(".")
 	if err != nil {

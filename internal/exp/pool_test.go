@@ -8,35 +8,41 @@ import (
 	"repro/internal/engine"
 )
 
-// poolCells runs a representative mix of pool-eligible cells — the full
-// Xen policy sweep for two apps plus a colocated and a consolidated
-// pair — through the suite's scheduler and returns every result in a
-// fixed order, along with the pool's hit count.
-func poolCells(t *testing.T, workers int, noPool bool) ([]engine.Result, uint64) {
+// poolApps and poolModes make up the pool test's cell mix: the full
+// Xen policy sweep for each app plus one swaptions+ep.D pair per mode.
+// That is one machine shape per app and one two-VM shape the pairs
+// share.
+var (
+	poolApps  = []string{"swaptions", "ep.D"}
+	poolModes = []xennuma.PairMode{xennuma.Colocated, xennuma.Consolidated}
+)
+
+// poolCells runs the pool test's cell mix through the suite's scheduler
+// and returns every result in a fixed order, along with the pool's hit
+// and miss counts.
+func poolCells(t *testing.T, workers int, noPool bool) (res []engine.Result, hits, misses uint64) {
 	t.Helper()
 	s := NewSuiteParallel(256, workers)
 	s.Opt.Seed = 7
 	s.Opt.NoPool = noPool
-	apps := []string{"swaptions", "ep.D"}
-	for _, app := range apps {
+	for _, app := range poolApps {
 		s.PrefetchXenSweep(app)
 	}
-	for _, mode := range []xennuma.PairMode{xennuma.Colocated, xennuma.Consolidated} {
+	for _, mode := range poolModes {
 		s.PrefetchXenPair("swaptions", "first-touch", "ep.D", "round-4k", mode, false)
 	}
 	s.Join()
-	var res []engine.Result
-	for _, app := range apps {
+	for _, app := range poolApps {
 		for _, p := range XenPolicies {
 			res = append(res, s.Xen(app, p, true))
 		}
 	}
-	for _, mode := range []xennuma.PairMode{xennuma.Colocated, xennuma.Consolidated} {
+	for _, mode := range poolModes {
 		a, b := s.XenPair("swaptions", "first-touch", "ep.D", "round-4k", mode, false)
 		res = append(res, a, b)
 	}
-	hits, _ := s.PoolStats()
-	return res, hits
+	hits, misses = s.PoolStats()
+	return res, hits, misses
 }
 
 // TestPooledCellsMatchFreshSuites pins the warm-machine pool end to
@@ -44,11 +50,19 @@ func poolCells(t *testing.T, workers int, noPool bool) ([]engine.Result, uint64)
 // results bit-for-bit identical to the Options.NoPool reference path
 // that cold-builds every cell, at one worker and at several (leases are
 // exclusive, so worker count must not matter). The pool must also
-// actually fire, or the comparison is vacuous.
+// actually fire, or the comparison is vacuous. At one worker its work
+// is exact: each shape cold-builds once and every later lease finds
+// that machine released. Several workers may each hold a machine of
+// one shape at once, so there only a hit is required.
 func TestPooledCellsMatchFreshSuites(t *testing.T) {
-	want, _ := poolCells(t, 1, true)
+	want, _, _ := poolCells(t, 1, true)
+	shapes := uint64(len(poolApps) + 1)
+	leases := uint64(len(poolApps)*len(XenPolicies) + len(poolModes))
 	for _, workers := range []int{1, 4} {
-		got, hits := poolCells(t, workers, false)
+		got, hits, misses := poolCells(t, workers, false)
+		if workers == 1 && (hits != leases-shapes || misses != shapes) {
+			t.Errorf("workers=1: pool hits/misses = %d/%d, want %d/%d", hits, misses, leases-shapes, shapes)
+		}
 		if hits == 0 {
 			t.Errorf("workers=%d: pool never hit; test is vacuous", workers)
 		}
