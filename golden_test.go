@@ -98,16 +98,16 @@ func TestGoldenEngineResults(t *testing.T) {
 	}
 }
 
-// TestGoldenDriftVsOrigin bounds every regeneration of the fixture that
-// a float accumulation-order change forced: folding the stream table
-// into per-thread node rows, then charging one summed row per
+// TestGoldenDriftVsPreRowFold bounds every regeneration of the fixture
+// that a float accumulation-order change forced: folding the stream
+// table into per-thread node rows, then charging one summed row per
 // identical-row thread group ((Σ units)·share instead of
 // Σ(units·share)). Each moved sums at the last bit only. The fixture as
-// it stood before the first of them is frozen as
-// golden_engine_origin.json, and the live fixture must stay within a
-// 1e-6 relative drift of it. The next reordering re-bounds against the
-// same origin instead of freezing another snapshot.
-func TestGoldenDriftVsOrigin(t *testing.T) {
+// it stood before the first of them, the row fold, is frozen as the
+// origin, golden_engine_origin.json, and the live fixture must stay
+// within a 1e-6 relative drift of it. The next reordering re-bounds
+// against the same origin instead of freezing another snapshot.
+func TestGoldenDriftVsPreRowFold(t *testing.T) {
 	load := func(name string) []goldenResult {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
