@@ -8,8 +8,8 @@
 // subject" (§7); Validate quantifies exactly that gap against an
 // exhaustive sweep over a candidate set bounded by the policy
 // registry's metadata (never a boot-only layout as a runtime choice,
-// Carrefour only where it stacks, native-capable policies only for
-// native targets).
+// Carrefour only where it stacks). Every kind except boot-only layouts
+// runs natively too, so one candidate set serves both targets.
 package advisor
 
 import (
@@ -29,8 +29,8 @@ const (
 	// TargetXen advises a policy for a VM under Xen+ (selected at run
 	// time through HypercallSetPolicy, so boot-only layouts are out).
 	TargetXen Target = iota
-	// TargetLinux advises a native-Linux policy (only kinds with a
-	// registered native placer exist there).
+	// TargetLinux advises a native-Linux policy (every kind except
+	// boot-only layouts exists there).
 	TargetLinux
 )
 
@@ -64,25 +64,20 @@ func RuleFor(class metrics.ImbalanceClass) string {
 }
 
 // Candidates returns the policies the advisor may propose or validate
-// against for target, bounded by registry metadata instead of a
-// hard-coded list:
+// against, bounded by registry metadata instead of a hard-coded list:
 //
 //   - boot-only layouts (round-1G) are excluded — the advisor's output
 //     is applied to a running VM through the SetPolicy hypercall, which
-//     rejects them (§4.2.1);
+//     rejects them (§4.2.1), and Linux has no such layout;
 //   - Carrefour-stacked variants (including the §7 migration-only and
 //     replication-only knobs) appear only where the descriptor allows
-//     stacking;
-//   - for TargetLinux, only kinds with a native placer qualify.
+//     stacking.
 //
 // Parameterized kinds are instantiated with their default argument.
-func Candidates(target Target) []string {
+func Candidates() []string {
 	var out []string
 	for _, d := range policy.List() {
 		if d.BootOnly {
-			continue
-		}
-		if target == TargetLinux && d.Native == nil {
 			continue
 		}
 		name := d.DefaultSpelling()
@@ -111,28 +106,15 @@ type Recommendation struct {
 }
 
 // Prefetch schedules everything Advise and Validate read for app — the
-// probe cell and the full candidate sweep — on the suite's worker pool.
-// Call it for every application of interest, then let Advise/Validate
-// hit the warmed cache.
+// full candidate sweep and the probe cell — on the suite's worker pool.
+// The probe is normally itself a candidate, and the suite never submits
+// a cell twice. Call it for every application of interest, then let
+// Advise/Validate hit the warmed cache.
 func Prefetch(s *exp.Suite, target Target, app string) {
-	pols := Candidates(target)
-	// The probe is normally itself a candidate (first-touch is
-	// runtime-selectable everywhere); submit it separately only when it
-	// is not, or the duplicate task would idle a worker slot on the
-	// first submission's singleflight completion.
-	probeCovered := false
-	for _, pol := range pols {
-		if pol == probePolicy {
-			probeCovered = true
-			break
-		}
-	}
-	if !probeCovered {
-		prefetchCell(s, target, app, probePolicy)
-	}
-	for _, pol := range pols {
+	for _, pol := range Candidates() {
 		prefetchCell(s, target, app, pol)
 	}
+	prefetchCell(s, target, app, probePolicy)
 }
 
 func prefetchCell(s *exp.Suite, target Target, app, pol string) {
@@ -152,7 +134,7 @@ func cell(s *exp.Suite, target Target, app, pol string) engine.Result {
 
 // Advise runs the probe for app on the suite (a cache hit after
 // Prefetch) and applies the rule. The returned recommendation always
-// proposes a member of Candidates(target).
+// proposes a member of Candidates().
 func Advise(s *exp.Suite, target Target, app string) Recommendation {
 	probe := cell(s, target, app, probePolicy)
 	class := metrics.Classify(probe.Imbalance)
@@ -162,7 +144,7 @@ func Advise(s *exp.Suite, target Target, app string) Recommendation {
 		Imbalance:  probe.Imbalance,
 		Class:      class,
 		Policy:     RuleFor(class),
-		Candidates: Candidates(target),
+		Candidates: Candidates(),
 	}
 }
 
@@ -220,7 +202,7 @@ func Table(s *exp.Suite, target Target, apps []string) *exp.Table {
 			rec.Policy, val.Best, fmt.Sprintf("%+.0f%%", 100*val.Gap)})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("candidate set: %d policies bounded by registry metadata", len(Candidates(target))),
+		fmt.Sprintf("candidate set: %d policies bounded by registry metadata", len(Candidates())),
 		"gap = advised completion vs the sweep's best; the paper measures 1-2% average loss for this rule over its five policies (§3.5.2)")
 	return t
 }

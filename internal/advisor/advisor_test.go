@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/linux"
 	"repro/internal/metrics"
+	"repro/internal/numa"
 	"repro/internal/policy"
 )
 
@@ -26,33 +28,31 @@ func TestRuleMatchesPaper(t *testing.T) {
 // TestCandidatesBoundedByRegistry: the bounded-search property. The
 // advisor must never propose a boot-only policy as a runtime choice,
 // never stack Carrefour (or a variant) on an unstackable policy, and
-// never propose a hypervisor-only policy for the native target.
+// never propose a policy the native backend cannot run.
 func TestCandidatesBoundedByRegistry(t *testing.T) {
-	for _, target := range []Target{TargetXen, TargetLinux} {
-		cands := Candidates(target)
-		if len(cands) == 0 {
-			t.Fatalf("%v: empty candidate set", target)
+	cands := Candidates()
+	if len(cands) == 0 {
+		t.Fatal("empty candidate set")
+	}
+	for _, c := range cands {
+		cfg, err := policy.Parse(c)
+		if err != nil {
+			t.Errorf("candidate %q does not parse: %v", c, err)
+			continue
 		}
-		for _, c := range cands {
-			cfg, err := policy.Parse(c)
-			if err != nil {
-				t.Errorf("%v: candidate %q does not parse: %v", target, c, err)
-				continue
-			}
-			d, _, err := policy.Describe(cfg.Static)
-			if err != nil {
-				t.Errorf("%v: candidate %q unknown to the registry: %v", target, c, err)
-				continue
-			}
-			if d.BootOnly {
-				t.Errorf("%v: candidate %q is a boot-only layout", target, c)
-			}
-			if cfg.Carrefour && !d.Carrefour {
-				t.Errorf("%v: candidate %q stacks carrefour on an unstackable policy", target, c)
-			}
-			if target == TargetLinux && d.Native == nil {
-				t.Errorf("linux: candidate %q has no native placer", c)
-			}
+		d, _, err := policy.Describe(cfg.Static)
+		if err != nil {
+			t.Errorf("candidate %q unknown to the registry: %v", c, err)
+			continue
+		}
+		if d.BootOnly {
+			t.Errorf("candidate %q is a boot-only layout", c)
+		}
+		if cfg.Carrefour && !d.Carrefour {
+			t.Errorf("candidate %q stacks carrefour on an unstackable policy", c)
+		}
+		if _, err := linux.New(numa.AMD48(), cfg); err != nil {
+			t.Errorf("linux: candidate %q does not run natively: %v", c, err)
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestCandidatesIncludeVariantKnobs(t *testing.T) {
 		}
 		return false
 	}
-	cands := Candidates(TargetXen)
+	cands := Candidates()
 	for _, want := range []string{
 		"adaptive", "adaptive/carrefour",
 		"first-touch/carrefour:migration",
@@ -91,7 +91,7 @@ func TestAdviseProposesACandidate(t *testing.T) {
 	} {
 		advice := RuleFor(class)
 		found := false
-		for _, c := range Candidates(TargetXen) {
+		for _, c := range Candidates() {
 			if c == advice {
 				found = true
 				break

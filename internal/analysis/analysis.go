@@ -11,7 +11,7 @@
 //     streams and all time is virtual.
 //   - noalloc: functions annotated //xnuma:noalloc (the epoch hot path)
 //     contain no AST-level allocation forms, giving source-level
-//     attribution that complements the allocs/op bench gate.
+//     attribution that complements TestEpochAllocFree's count.
 //   - aliasretain: results of the documented internal-slice accessors
 //     (Region.Dist/AccessDist/HotDist, stream.distFor, Instance.row)
 //     are not stored into struct fields or globals.
@@ -19,8 +19,8 @@
 // The invariants exist because the repo's claim to reproduce the
 // paper's result tables (Tables 2-3, Figures 5-8) rests on runs being a
 // pure function of the seed: the golden engine fixture and the
-// seed-keyed cell cache both assume bit-for-bit determinism, and the
-// epoch benchmark's allocs/op gate assumes a zero-alloc hot path.
+// seed-keyed cell cache both assume bit-for-bit determinism, and
+// TestEpochAllocFree assumes a zero-alloc hot path.
 //
 // The suite runs via cmd/xnuma-vet, either standalone over package
 // patterns or as a `go vet -vettool` (see driver.go); scripts/vet.sh is

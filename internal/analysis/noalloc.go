@@ -10,10 +10,10 @@ import (
 // path — for AST-level allocation forms: make/new, slice/map/pointer
 // composite literals, growing appends onto non-scratch slices, function
 // literals (closures), fmt calls, string building, and concrete-to-
-// interface conversions (boxing). The allocs/op gate in BenchmarkEpoch
-// already proves the steady state allocates nothing; this analyzer adds
-// source-level attribution — it names the line that would break the
-// gate, before the benchmark runs.
+// interface conversions (boxing). TestEpochAllocFree already proves
+// that (*runner).epoch allocates nothing in the steady state; this
+// analyzer adds source-level attribution — it names the line that
+// would break that test, before it runs.
 //
 // Two growth idioms are deliberately legal, because the hot path
 // amortizes them:

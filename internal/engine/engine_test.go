@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/iosim"
@@ -478,6 +481,36 @@ func TestInvalidConfigs(t *testing.T) {
 	}
 	if _, err := Run(cfg, &Instance{Prof: testProfile(), Backend: newStub(topo, false)}); err == nil {
 		t.Fatal("zero threads accepted")
+	}
+}
+
+// outOfMemoryStub places pages like stubBackend until its budget runs
+// out, then fails every placement as a full machine does.
+type outOfMemoryStub struct {
+	*stubBackend
+	budget int
+}
+
+func (b *outOfMemoryStub) Place(r *Region, n int, toucher numa.NodeID) (sim.Time, error) {
+	if n > b.budget {
+		return 0, fmt.Errorf("stub: placing %d pages: %w", n, mem.ErrNoMemory)
+	}
+	b.budget -= n
+	return b.stubBackend.Place(r, n, toucher)
+}
+
+// TestRunReturnsPlacementError: a placement that fails while the
+// instance's memory materializes surfaces as Run's error, naming the
+// application, instead of a panic.
+func TestRunReturnsPlacementError(t *testing.T) {
+	topo := numa.AMD48Scaled(64)
+	b := &outOfMemoryStub{stubBackend: newStub(topo, false), budget: 64}
+	res, err := Run(testConfig(topo), &Instance{Prof: testProfile(), Backend: b, NThreads: 4})
+	if !errors.Is(err, mem.ErrNoMemory) {
+		t.Fatalf("Run error = %v, want one wrapping mem.ErrNoMemory", err)
+	}
+	if !strings.Contains(err.Error(), "materializing cg.C") || res != nil {
+		t.Fatalf("Run = %v, %q; want no results and an error naming cg.C", res, err)
 	}
 }
 

@@ -224,7 +224,11 @@ func (r *runner) setup() error {
 	}
 	r.initTimes = make([]sim.Time, len(r.insts))
 	for i, in := range r.insts {
-		r.initTimes[i] = r.materialize(in)
+		t, err := r.materialize(in)
+		if err != nil {
+			return fmt.Errorf("engine: materializing %s: %w", in.Prof.Name, err)
+		}
+		r.initTimes[i] = t
 	}
 	return nil
 }
@@ -376,8 +380,9 @@ func (r *runner) buildInstance(in *Instance) error {
 // master thread touches the hot and master regions, each thread its
 // private region and its slice of the distributed region. The time is
 // charged to the touching threads as debt (the application's init
-// phase).
-func (r *runner) materialize(in *Instance) sim.Time {
+// phase). A failed placement (the machine is out of memory) stops it
+// with the backend's error.
+func (r *runner) materialize(in *Instance) (sim.Time, error) {
 	var total sim.Time
 	charge := func(t *Thread, d sim.Time) {
 		t.DebtNs += float64(d)
@@ -414,10 +419,7 @@ func (r *runner) materialize(in *Instance) sim.Time {
 			charge(t, cost)
 		}
 	}
-	if err != nil {
-		panic(fmt.Sprintf("engine: materializing %s: %v", in.Prof.Name, err))
-	}
-	return total
+	return total, err
 }
 
 func (r *runner) loop() {

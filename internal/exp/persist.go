@@ -157,8 +157,8 @@ func (s *Suite) CachedCells() int {
 }
 
 // SchedulerStats reports the scheduler's submitted and completed task
-// counters (prefetched cells, including duplicates filtered before
-// submission).
+// counters: one task per distinct prefetched cell, since a cell already
+// claimed is never resubmitted.
 func (s *Suite) SchedulerStats() (submitted, completed int64) {
 	return s.sched.Stats()
 }

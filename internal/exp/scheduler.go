@@ -65,51 +65,36 @@ type cell struct {
 	err  error
 }
 
-// resultCache is a mutex-sharded singleflight map from cell key to cell,
-// so concurrent workers on disjoint cells do not serialize on one lock.
+// resultCache is a singleflight map from cell key to cell. One mutex
+// guards it: a cell takes it for one map operation and then computes
+// for milliseconds.
 type resultCache struct {
-	shards [cacheShards]cacheShard
-}
-
-const cacheShards = 16
-
-type cacheShard struct {
 	mu sync.Mutex
 	m  map[string]*cell
 }
 
 func newResultCache() *resultCache {
-	c := &resultCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]*cell)
-	}
-	return c
-}
-
-func (c *resultCache) shard(key string) *cacheShard {
-	return &c.shards[fnv1a(key)%cacheShards]
+	return &resultCache{m: make(map[string]*cell)}
 }
 
 // claim returns the cell for key, creating it if absent. created reports
 // whether the caller is the one who must compute it and close done.
 func (c *resultCache) claim(key string) (cl *cell, created bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cl, ok := sh.m[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cl, ok := c.m[key]; ok {
 		return cl, false
 	}
 	cl = &cell{done: make(chan struct{})}
-	sh.m[key] = cl
+	c.m[key] = cl
 	return cl, true
 }
 
 // get returns the cell for key without claiming it.
 func (c *resultCache) get(key string) (*cell, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cl, ok := sh.m[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cl, ok := c.m[key]
 	return cl, ok
 }
 
@@ -129,35 +114,21 @@ func (cl *cell) resolved() bool {
 // its key. A concurrent re-claim that already replaced the entry is
 // left alone.
 func (c *resultCache) evict(key string, cl *cell) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.m[key] == cl {
-		delete(sh.m, key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m[key] == cl {
+		delete(c.m, key)
 	}
-}
-
-// has reports whether key is already claimed (computed or in flight)
-// without claiming it.
-func (c *resultCache) has(key string) bool {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.m[key]
-	return ok
 }
 
 // keys returns the sorted cell keys.
 func (c *resultCache) keys() []string {
-	var out []string
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			out = append(out, k)
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	out := make([]string, 0, len(c.m))
+	for k := range c.m {
+		out = append(out, k)
 	}
+	c.mu.Unlock()
 	sort.Strings(out)
 	return out
 }

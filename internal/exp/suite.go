@@ -127,19 +127,25 @@ func (s *Suite) cellOpts(seed uint64, key string) xennuma.Options {
 	return o
 }
 
-// cell resolves a cell: the first caller computes it (recovering panics
-// into the cell's error so waiters are released), later callers block
-// until it is done. It never panics itself; results panics on error.
-// An errored cell is counted, evicted and not retained: waiters that
-// already hold it observe the failure, but the next read of the key
-// recomputes — one bad execution never poisons the cache.
+// cell resolves a cell: the first caller claims and computes it, later
+// callers block until it is done. It never panics itself; results
+// panics on error.
 func (s *Suite) cell(seed uint64, key string, fn cellFn) *cell {
-	ck := cacheKey(seed, key)
-	cl, created := s.cache.claim(ck)
+	cl, created := s.cache.claim(cacheKey(seed, key))
 	if !created {
 		<-cl.done
 		return cl
 	}
+	s.compute(cl, seed, key, fn)
+	return cl
+}
+
+// compute runs a claimed cell and closes its done channel, recovering
+// panics into the cell's error so waiters are released. An errored cell
+// is counted, evicted and not retained: waiters that already hold it
+// observe the failure, but the next read of the key recomputes — one
+// bad execution never poisons the cache.
+func (s *Suite) compute(cl *cell, seed uint64, key string, fn cellFn) {
 	func() {
 		defer close(cl.done)
 		defer func() {
@@ -156,9 +162,8 @@ func (s *Suite) cell(seed uint64, key string, fn cellFn) *cell {
 	s.computed.Add(1)
 	if cl.err != nil {
 		s.cellErrors.Add(1)
-		s.cache.evict(ck, cl)
+		s.cache.evict(cacheKey(seed, key), cl)
 	}
-	return cl
 }
 
 func (s *Suite) results(seed uint64, key string, fn cellFn) []engine.Result {
@@ -169,17 +174,17 @@ func (s *Suite) results(seed uint64, key string, fn cellFn) []engine.Result {
 	return cl.res
 }
 
-// prefetch schedules a cell on the worker pool, warming the cache. A
-// failing cell is remembered and reported (as a panic) by the serial
-// accessor that reads it, on the caller's goroutine rather than the
-// worker's. Cells already computed or in flight are not resubmitted: a
-// duplicate task would spend its worker slot blocked on the first
-// claimer's completion.
+// prefetch claims a cell and schedules its computation on the worker
+// pool, warming the cache. A failing cell is remembered and reported (as
+// a panic) by the serial accessor that reads it, on the caller's
+// goroutine rather than the worker's. A cell already claimed — computed,
+// running, or prefetched and still queued — is not resubmitted.
 func (s *Suite) prefetch(seed uint64, key string, fn cellFn) {
-	if s.cache.has(cacheKey(seed, key)) {
+	cl, created := s.cache.claim(cacheKey(seed, key))
+	if !created {
 		return
 	}
-	s.sched.Submit(func() { s.cell(seed, key, fn) })
+	s.sched.Submit(func() { s.compute(cl, seed, key, fn) })
 }
 
 // Join blocks until every prefetched cell has completed.

@@ -145,7 +145,9 @@ func flatResult(r engine.Result) [8]float64 {
 
 // TestSeedSweepSharedScheduler: a seed sweep must compute all
 // seeds × policies cells on the caller's own suite — one scheduler, one
-// cache — rather than spinning up fresh per-seed suites.
+// cache — rather than spinning up fresh per-seed suites, and the
+// scheduler runs one task per distinct cell however often it is
+// prefetched.
 func TestSeedSweepSharedScheduler(t *testing.T) {
 	s := NewSuiteParallel(256, 4)
 	s.Opt.Seed = 7
@@ -164,6 +166,24 @@ func TestSeedSweepSharedScheduler(t *testing.T) {
 	SeedSweep(s, "swaptions", seeds)
 	if got := s.CellsComputed(); got != want {
 		t.Fatalf("second sweep recomputed %d cells", got-want)
+	}
+	// A second prefetch wave of the same cells, issued before Join while
+	// most of the first wave still queues for the single worker, must
+	// submit nothing: prefetch claims a cell when it submits it.
+	s2 := NewSuiteParallel(256, 1)
+	for wave := 1; wave <= 2; wave++ {
+		for i := uint64(0); i < seeds; i++ {
+			for _, pol := range sweepPolicies() {
+				s2.PrefetchXenSeeded("swaptions", pol, true, 7+i)
+			}
+		}
+		if submitted, _ := s2.sched.Stats(); submitted != want {
+			t.Fatalf("after prefetch wave %d: %d tasks submitted, want %d", wave, submitted, want)
+		}
+	}
+	s2.Join()
+	if got := s2.CellsComputed(); got != want {
+		t.Fatalf("two prefetch waves computed %d cells, want %d", got, want)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package linux models the native baseline: the same workloads running
-// directly on the machine under Linux's own NUMA policies (any
-// registered policy with a native placer — first-touch, round-4K,
-// interleave, bind:<node>, least-loaded — each optionally with
-// Carrefour). There is no hypervisor layer: "physical" pages are
+// directly on the machine under Linux's own NUMA policies (every
+// registered kind except boot-only layouts — first-touch, round-4K,
+// interleave, bind:<node>, least-loaded, adaptive — each optionally
+// with Carrefour). There is no hypervisor layer: "physical" pages are
 // machine frames, placement happens at guest fault time exactly as
-// Linux's lazy allocator does (§3.1–3.2), and migrations move frames
-// directly.
+// Linux's lazy allocator does (§3.1–3.2), asking the same Placer the
+// hypervisor's fault path asks, and migrations move frames directly.
 package linux
 
 import (
@@ -27,9 +27,11 @@ type Backend struct {
 	Topo  *numa.Topology
 	Alloc *mem.Allocator
 	cfg   policy.Config
-	// placer is the policy's registered native placement hook; rr is
-	// the backend's own fallback rotor for full banks.
-	placer policy.NativePlacer
+	// placer is the policy's registered placement decision and homes
+	// every node, its candidates; rr is the backend's own fallback
+	// rotor for full banks.
+	placer policy.Placer
+	homes  []numa.NodeID
 	rr     int
 	// Threads per node assignment mirrors pinning threads to CPUs in
 	// machine order.
@@ -37,22 +39,31 @@ type Backend struct {
 }
 
 // New builds a native backend on a dedicated machine. The static policy
-// must have a registered native placer (round-1G, a hypervisor boot
-// layout, has none) and any parameter must fit the machine (a bind node
-// out of range is rejected here), so an unsupported configuration fails
-// at construction rather than mid-run.
+// must not be a boot-only layout (round-1G exists only as a hypervisor
+// boot option) and any parameter must fit the machine (a bind node out
+// of range is rejected here), so an unsupported configuration fails at
+// construction rather than mid-run.
 func New(topo *numa.Topology, cfg policy.Config) (*Backend, error) {
 	if err := policy.CheckConfig(cfg); err != nil {
 		return nil, fmt.Errorf("linux: %w", err)
 	}
-	if canon, err := policy.Canonical(cfg.Static); err == nil {
-		cfg.Static = canon
-	}
-	placer, err := policy.NewNative(cfg.Static, topo.NumNodes())
+	desc, arg, canon, err := policy.Resolve(cfg.Static)
 	if err != nil {
 		return nil, fmt.Errorf("linux: %w", err)
 	}
-	return &Backend{Topo: topo, Alloc: mem.NewAllocator(topo), cfg: cfg, placer: placer}, nil
+	if desc.BootOnly {
+		return nil, fmt.Errorf("linux: Linux has no %s policy", canon)
+	}
+	placer, err := desc.New(arg, topo.NumNodes())
+	if err != nil {
+		return nil, fmt.Errorf("linux: %w", err)
+	}
+	cfg.Static = canon
+	homes := make([]numa.NodeID, topo.NumNodes())
+	for i := range homes {
+		homes[i] = numa.NodeID(i)
+	}
+	return &Backend{Topo: topo, Alloc: mem.NewAllocator(topo), cfg: cfg, placer: placer, homes: homes}, nil
 }
 
 // Name reports the platform and policy.
@@ -61,15 +72,14 @@ func (b *Backend) Name() string { return "linux/" + b.cfg.String() }
 // Policy returns the active policy configuration.
 func (b *Backend) Policy() policy.Config { return b.cfg }
 
-// Place allocates n frames, asking the policy's native placer for each
-// page's preferred node (the toucher's node for first-touch, round-robin
-// for round-4K/interleave, …) and falling back round-robin when the
-// bank is full.
+// Place allocates n frames, asking the policy's placer for each page's
+// preferred node (the toucher's node for first-touch, round-robin for
+// round-4K/interleave, …) and falling back round-robin when the bank is
+// full.
 func (b *Backend) Place(r *engine.Region, n int, toucher numa.NodeID) (sim.Time, error) {
 	var total sim.Time
-	free := b.Alloc.FreeBytes // hoisted: one method-value allocation per call, not per page
 	for i := 0; i < n; i++ {
-		node := b.placer.PlaceNode(toucher, free)
+		node := b.placer.PlaceNode(toucher, b.homes, b)
 		mfn, err := b.allocNear(node)
 		if err != nil {
 			return total, err
@@ -79,6 +89,9 @@ func (b *Backend) Place(r *engine.Region, n int, toucher numa.NodeID) (sim.Time,
 	}
 	return total, nil
 }
+
+// NodeFreeBytes reports node's free memory, for load-aware placers.
+func (b *Backend) NodeFreeBytes(node numa.NodeID) int64 { return b.Alloc.FreeBytes(node) }
 
 // allocNear allocates on node, falling back round-robin like Linux.
 func (b *Backend) allocNear(node numa.NodeID) (mem.MFN, error) {
@@ -142,10 +155,4 @@ func (b *Backend) ThreadNode(i int) numa.NodeID {
 func (b *Backend) CPUShare(int) float64 { return 1 }
 
 // HomeNodes is every node.
-func (b *Backend) HomeNodes() []numa.NodeID {
-	out := make([]numa.NodeID, b.Topo.NumNodes())
-	for i := range out {
-		out[i] = numa.NodeID(i)
-	}
-	return out
-}
+func (b *Backend) HomeNodes() []numa.NodeID { return b.homes }

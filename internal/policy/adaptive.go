@@ -3,10 +3,8 @@ package policy
 import (
 	"math"
 
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/numa"
-	"repro/internal/pt"
 )
 
 // The adaptive policy is the in-hypervisor form of the paper's §3.5.2
@@ -50,22 +48,18 @@ func registerAdaptive() {
 		// The first-touch phase consumes release notifications, so the
 		// queue must be active from boot (and passthrough off, §4.4.1).
 		UsesPageQueue: true,
-		New:           func(_ string, nodes int) (Policy, error) { return newAdaptive(nodes), nil },
-		Native: func(_ string, nodes int) (NativePlacer, error) {
-			return &nativeAdaptive{ll: nativeLeastLoaded{nodes: nodes}}, nil
-		},
+		New:           func(_ string, nodes int) (Placer, error) { return newAdaptive(nodes), nil },
 	})
 }
 
-// adaptivePolicy probes with least-loaded placement, measures the
-// imbalance of its own placements every adaptiveWindow faults, and
-// switches the domain to first-touch once two consecutive windows agree
-// (PolicySwitcher). If the domain does not expose the switch hypercall,
-// or the switch is rejected, it degrades to first-touch behaviour in
-// place.
-type adaptivePolicy struct {
-	probe leastLoaded // probe-phase placement
-	ft    firstTouch  // page-queue reconciliation + post-switch fallback
+// adaptive probes with least-loaded placement and histograms the node
+// it chose for each page. Once the imbalance of two consecutive windows
+// agrees it places like first-touch, and successor asks the fault path
+// to switch a Xen domain to first-touch through the SetPolicy
+// hypercall. Natively, or when the domain has no such hypercall or
+// rejects it, the switch stays inside the placer.
+type adaptive struct {
+	probe leastLoaded
 
 	window    int
 	delta     float64
@@ -83,13 +77,16 @@ type adaptivePolicy struct {
 	checks   int
 	prevImb  float64
 	switched bool
+	// handoff is raised with switched and cleared by successor, so the
+	// hypercall is requested exactly once.
+	handoff bool
 }
 
-// newAdaptive builds the policy for a machine with nodes nodes
+// newAdaptive builds the placer for a machine with nodes nodes
 // (<= 0 when unknown: the histogram then grows to the highest node
-// actually touched).
-func newAdaptive(nodes int) *adaptivePolicy {
-	p := &adaptivePolicy{
+// actually chosen).
+func newAdaptive(nodes int) *adaptive {
+	p := &adaptive{
 		window:    adaptiveWindow,
 		delta:     adaptiveStableDelta,
 		minChecks: adaptiveMinChecks,
@@ -100,53 +97,35 @@ func newAdaptive(nodes int) *adaptivePolicy {
 	return p
 }
 
-func (p *adaptivePolicy) Kind() Kind { return Adaptive }
-
-func (p *adaptivePolicy) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
-	if kind == pt.FaultWriteProtected {
-		d.Table().Unprotect(pfn)
-		return
-	}
+func (p *adaptive) PlaceNode(accessor numa.NodeID, homes []numa.NodeID, free FreeMemory) numa.NodeID {
 	if p.switched {
-		// Still installed after deciding to switch: the domain has no
-		// PolicySwitcher (or rejected the hypercall); behave like the
-		// successor.
-		p.ft.HandleFault(d, pfn, accessor, kind)
-		return
+		return accessor
 	}
-	p.probe.HandleFault(d, pfn, accessor, kind)
-	p.recordPlacement(d, pfn)
-	if p.stable() {
-		p.switchToFirstTouch(d)
-	}
-}
-
-// OnPageQueue reconciles exactly like first-touch (§4.2.4) in both
-// phases: releases invalidate, so during the probe a released page
-// refaults into least-loaded placement instead of keeping a stale home.
-func (p *adaptivePolicy) OnPageQueue(d DomainOps, ops []PageOp) int {
-	return p.ft.OnPageQueue(d, ops)
-}
-
-// recordPlacement histograms where the probe's fault landed.
-func (p *adaptivePolicy) recordPlacement(d DomainOps, pfn mem.PFN) {
-	e := d.Table().Lookup(pfn)
-	if !e.Valid {
-		return
-	}
-	node := d.NodeOfFrame(e.MFN)
-	for int(node) >= len(p.placed) {
+	n := p.probe.PlaceNode(accessor, homes, free)
+	for int(n) >= len(p.placed) {
 		p.placed = append(p.placed, 0)
 	}
-	p.placed[node]++
+	p.placed[n]++
 	p.faults++
+	if p.stable() {
+		p.switched, p.handoff = true, true
+	}
+	return n
+}
+
+// successor requests the switch to first-touch once, on the placement
+// that stabilized the probe.
+func (p *adaptive) successor() (Kind, bool) {
+	due := p.handoff
+	p.handoff = false
+	return FirstTouch, due
 }
 
 // stable reports whether the probe phase just completed a window whose
 // placement imbalance moved less than delta percentage points since
 // the previous window's. Each window is measured on its own histogram.
-func (p *adaptivePolicy) stable() bool {
-	if p.faults == 0 || p.faults%p.window != 0 {
+func (p *adaptive) stable() bool {
+	if p.faults%p.window != 0 {
 		return false
 	}
 	imb := metrics.RelStdDev(p.placed)
@@ -157,57 +136,4 @@ func (p *adaptivePolicy) stable() bool {
 	ok := p.checks >= p.minChecks && math.Abs(imb-p.prevImb) <= p.delta
 	p.prevImb = imb
 	return ok
-}
-
-// switchToFirstTouch installs first-touch through the external
-// interface, keeping the domain's Carrefour stacking.
-func (p *adaptivePolicy) switchToFirstTouch(d DomainOps) {
-	p.switched = true
-	sw, ok := d.(PolicySwitcher)
-	if !ok {
-		return
-	}
-	cfg := sw.Policy()
-	cfg.Static = FirstTouch
-	// A rejected switch leaves the domain untouched (the hypercall's
-	// contract); p.switched keeps this policy behaving like first-touch
-	// in place, so the decision still takes effect.
-	_, _ = sw.HypercallSetPolicy(cfg)
-}
-
-// nativeAdaptive mirrors the adaptive policy for the native backend:
-// least-loaded placement while the per-window histogram of its own
-// placements settles, first-touch afterwards. Linux has no
-// policy-switch hypercall, so the phase change is internal.
-type nativeAdaptive struct {
-	ll       nativeLeastLoaded
-	placed   []float64 // current window's placements, reset per check
-	count    int
-	checks   int
-	prevImb  float64
-	switched bool
-}
-
-func (p *nativeAdaptive) PlaceNode(toucher numa.NodeID, free func(numa.NodeID) int64) numa.NodeID {
-	if p.switched {
-		return toucher
-	}
-	n := p.ll.PlaceNode(toucher, free)
-	if p.placed == nil {
-		p.placed = make([]float64, p.ll.nodes)
-	}
-	p.placed[n]++
-	p.count++
-	if p.count%adaptiveWindow == 0 {
-		imb := metrics.RelStdDev(p.placed)
-		for i := range p.placed {
-			p.placed[i] = 0
-		}
-		p.checks++
-		if p.checks >= adaptiveMinChecks && math.Abs(imb-p.prevImb) <= adaptiveStableDelta {
-			p.switched = true
-		}
-		p.prevImb = imb
-	}
-	return n
 }

@@ -25,9 +25,17 @@ func (s *fakeSwitcher) HypercallSetPolicy(cfg Config) (sim.Time, error) {
 	return 0, nil
 }
 
+// newAdaptiveWindow8 builds the adaptive runtime policy for a 4-node
+// machine with an 8-fault window, returning it and its placer.
+func newAdaptiveWindow8() (*Policy, *adaptive) {
+	a := newAdaptive(4)
+	a.window = 8
+	return &Policy{kind: Adaptive, placer: a, pageQueue: true}, a
+}
+
 // fault drives n not-present faults (distinct pages) into p from
 // accessor, continuing the pfn sequence at start.
-func fault(p Policy, d DomainOps, start, n int, accessor numa.NodeID) {
+func fault(p *Policy, d DomainOps, start, n int, accessor numa.NodeID) {
 	for i := start; i < start+n; i++ {
 		p.HandleFault(d, mem.PFN(i), accessor, pt.FaultNotPresent)
 	}
@@ -42,17 +50,16 @@ func TestAdaptiveSwitchesAfterStableWindows(t *testing.T) {
 		fakeDomain: newFakeDomain(0, 1, 2, 3),
 		cfg:        Config{Static: Adaptive, Carrefour: true, CarrefourVariant: CarrefourMigrationOnly},
 	}
-	p := newAdaptive(4)
-	p.window = 8
+	p, a := newAdaptiveWindow8()
 
 	// One window: stable-looking (least-loaded spreads evenly) but below
 	// the minimum number of checks.
-	fault(p, d, 0, p.window, 2)
+	fault(p, d, 0, a.window, 2)
 	if len(d.switches) != 0 {
-		t.Fatalf("switched after one window (min is %d)", p.minChecks)
+		t.Fatalf("switched after one window (min is %d)", a.minChecks)
 	}
 	// Second window: imbalance unchanged → switch.
-	fault(p, d, p.window, p.window, 2)
+	fault(p, d, a.window, a.window, 2)
 	if len(d.switches) != 1 {
 		t.Fatalf("switches = %d, want 1", len(d.switches))
 	}
@@ -61,7 +68,7 @@ func TestAdaptiveSwitchesAfterStableWindows(t *testing.T) {
 		t.Fatalf("switched to %+v, want %+v", d.switches[0], want)
 	}
 	// Further faults must not switch again.
-	fault(p, d, 2*p.window, 2*p.window, 2)
+	fault(p, d, 2*a.window, 2*a.window, 2)
 	if len(d.switches) != 1 {
 		t.Fatalf("switched again: %d switches", len(d.switches))
 	}
@@ -72,10 +79,9 @@ func TestAdaptiveSwitchesAfterStableWindows(t *testing.T) {
 // behaves like first-touch in place.
 func TestAdaptiveDegradesWithoutSwitcher(t *testing.T) {
 	d := newFakeDomain(0, 1, 2, 3)
-	p := newAdaptive(4)
-	p.window = 8
-	fault(p, d, 0, 2*p.window, 0)
-	if !p.switched {
+	p, a := newAdaptiveWindow8()
+	fault(p, d, 0, 2*a.window, 0)
+	if !a.switched {
 		t.Fatal("probe never stabilized")
 	}
 	// The next fault from node 3 must place on the accessor's node
@@ -93,7 +99,7 @@ func TestAdaptiveDegradesWithoutSwitcher(t *testing.T) {
 func TestAdaptiveProbePlacesLeastLoaded(t *testing.T) {
 	d := newFakeDomain(0, 1)
 	d.free[1] = 1 << 20 // node 1 has the most free memory
-	p := newAdaptive(4)
+	p, _ := newAdaptiveWindow8()
 	p.HandleFault(d, 5, 0, pt.FaultNotPresent)
 	e := d.table.Lookup(5)
 	if !e.Valid || d.NodeOfFrame(e.MFN) != 1 {
@@ -111,20 +117,19 @@ func TestAdaptiveComparesWindowsNotCumulative(t *testing.T) {
 		fakeDomain: newFakeDomain(0, 1, 2, 3),
 		cfg:        Config{Static: Adaptive},
 	}
-	p := newAdaptive(4)
-	p.window = 8
+	p, a := newAdaptiveWindow8()
 	// Window 1: balanced free memory → even spread, imbalance ~0.
-	fault(p, d, 0, p.window, 0)
+	fault(p, d, 0, a.window, 0)
 	// Window 2: node 2 overwhelmingly free → every placement lands
 	// there, imbalance ~173. The jump must block the switch.
 	d.free[2] = 1 << 40
-	fault(p, d, p.window, p.window, 0)
+	fault(p, d, a.window, a.window, 0)
 	if len(d.switches) != 0 {
 		t.Fatal("switched across a window whose placement swung")
 	}
 	// Window 3: node 2 still dominates → same imbalance as window 2 →
 	// consecutive windows agree → switch.
-	fault(p, d, 2*p.window, p.window, 0)
+	fault(p, d, 2*a.window, a.window, 0)
 	if len(d.switches) != 1 {
 		t.Fatalf("switches = %d, want 1 after two agreeing windows", len(d.switches))
 	}
@@ -140,15 +145,14 @@ func TestAdaptiveHistogramPresized(t *testing.T) {
 		fakeDomain: newFakeDomain(0, 1, 2, 3),
 		cfg:        Config{Static: Adaptive},
 	}
-	p := newAdaptive(4)
-	p.window = 8
+	p, a := newAdaptiveWindow8()
 	// Window 1: node 0 overwhelmingly free → all placements on node 0.
 	d.free[0] = 1 << 40
-	fault(p, d, 0, p.window, 1)
+	fault(p, d, 0, a.window, 1)
 	// Window 2: free memory balanced again → even spread. The imbalance
 	// swing (265% → 0%) must block the switch.
 	d.free[0] = 0
-	fault(p, d, p.window, p.window, 1)
+	fault(p, d, a.window, a.window, 1)
 	if len(d.switches) != 0 {
 		t.Fatal("single-node window compared as balanced: histogram not presized")
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/numa"
-	"repro/internal/pt"
 )
 
 // The built-in policies. The first three registrations are the paper's
@@ -25,7 +24,7 @@ func init() {
 		BootOnly:   true,
 		Contiguous: true,
 		Boot:       bootRound1G,
-		New:        func(string, int) (Policy, error) { return &roundStatic{kind: Round1G}, nil },
+		New:        newRoundRobin,
 	})
 	Register(Descriptor{
 		Name:      "round-4K",
@@ -34,10 +33,7 @@ func init() {
 		Fault:     "stray faults round-robin over the home nodes",
 		Carrefour: true,
 		Boot:      bootRound4K,
-		New:       func(string, int) (Policy, error) { return &roundStatic{kind: Round4K}, nil },
-		Native: func(_ string, nodes int) (NativePlacer, error) {
-			return &nativeRoundRobin{nodes: nodes}, nil
-		},
+		New:       newRoundRobin,
 	})
 	Register(Descriptor{
 		Name:          "first-touch",
@@ -47,10 +43,7 @@ func init() {
 		Carrefour:     true,
 		RuntimeOnly:   true,
 		UsesPageQueue: true,
-		New:           func(string, int) (Policy, error) { return &firstTouch{}, nil },
-		Native: func(string, int) (NativePlacer, error) {
-			return nativeFirstTouch{}, nil
-		},
+		New:           func(string, int) (Placer, error) { return firstTouch{}, nil },
 	})
 	Register(Descriptor{
 		Name:      "interleave",
@@ -58,10 +51,7 @@ func init() {
 		Abbrev:    "IL",
 		Fault:     "allocates round-robin over the home nodes at fault time",
 		Carrefour: true,
-		New:       func(string, int) (Policy, error) { return &roundStatic{kind: Interleave}, nil },
-		Native: func(_ string, nodes int) (NativePlacer, error) {
-			return &nativeRoundRobin{nodes: nodes}, nil
-		},
+		New:       newRoundRobin,
 	})
 	Register(Descriptor{
 		Name:          "bind",
@@ -70,20 +60,7 @@ func init() {
 		Parameterized: true,
 		DefaultArg:    "0",
 		NormalizeArg:  normalizeBindArg,
-		New: func(arg string, nodes int) (Policy, error) {
-			node, err := bindNode(arg, nodes)
-			if err != nil {
-				return nil, err
-			}
-			return &bindPolicy{node: node}, nil
-		},
-		Native: func(arg string, nodes int) (NativePlacer, error) {
-			node, err := bindNode(arg, nodes)
-			if err != nil {
-				return nil, err
-			}
-			return nativeBind{node: node}, nil
-		},
+		New:           newBind,
 	})
 	Register(Descriptor{
 		Name:      "least-loaded",
@@ -91,10 +68,7 @@ func init() {
 		Abbrev:    "LL",
 		Fault:     "allocates on the home node with the most free memory at fault time",
 		Carrefour: true,
-		New:       func(string, int) (Policy, error) { return &leastLoaded{}, nil },
-		Native: func(_ string, nodes int) (NativePlacer, error) {
-			return nativeLeastLoaded{nodes: nodes}, nil
-		},
+		New:       func(string, int) (Placer, error) { return leastLoaded{}, nil },
 	})
 	registerAdaptive()
 }
@@ -175,180 +149,55 @@ func bootRound1G(b BootOps) error {
 	return nil
 }
 
-// --- runtime policies (hypervisor side) ---
+// --- placers (the fault-time node choice, shared by Xen and Linux) ---
 
-// roundStatic covers round-4K, round-1G and interleave: all three
-// resolve faults round-robin over the home nodes and ignore page
-// queues. For the eager kinds placement happened at domain creation (by
-// the BootPlacer), so only stray faults — pages invalidated by an
-// earlier first-touch phase — reach HandleFault; interleave boots
-// lazily, so every page takes this path on its first access.
-type roundStatic struct {
-	kind Kind
+// roundRobin places pages round-robin over the home nodes (round-4K,
+// round-1G and interleave). Under Xen the eager kinds placed every page
+// at domain creation (the BootPlacer), so only stray faults — pages
+// invalidated by an earlier first-touch phase — reach it; interleave
+// boots lazily, so every page's first access does. Natively both
+// round-4K and interleave are the lazy allocator placing round-robin.
+type roundRobin struct {
 	next int
 }
 
-func (p *roundStatic) Kind() Kind { return p.kind }
+func newRoundRobin(string, int) (Placer, error) { return &roundRobin{}, nil }
 
-func (p *roundStatic) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
-	if kind == pt.FaultWriteProtected {
-		// Migration in flight finished; just unprotect.
-		d.Table().Unprotect(pfn)
-		return
-	}
-	homes := d.HomeNodes()
-	node := homes[p.next%len(homes)]
+func (p *roundRobin) PlaceNode(_ numa.NodeID, homes []numa.NodeID, _ FreeMemory) numa.NodeID {
+	n := homes[p.next%len(homes)]
 	p.next++
-	mfn, err := d.AllocFrameOn(node)
-	if err != nil {
-		panic(fmt.Sprintf("policy: %v fault allocation failed: %v", p.kind, err))
-	}
-	d.MapPage(pfn, mfn)
-}
-
-func (p *roundStatic) OnPageQueue(DomainOps, []PageOp) int { return 0 }
-
-// firstTouch implements §4.2: released pages have their hypervisor
-// page-table entry invalidated so the next access faults, and the fault
-// allocates the backing frame on the accessor's node.
-type firstTouch struct {
-	// seen is OnPageQueue's per-batch dedup scratch, kept across batches
-	// so the free-list flush on a policy switch (thousands of batches)
-	// reuses one map instead of allocating per call. Policies are
-	// per-domain and batches are processed one at a time, so no aliasing.
-	seen map[mem.PFN]struct{}
-}
-
-func (p *firstTouch) Kind() Kind { return FirstTouch }
-
-func (p *firstTouch) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
-	if kind == pt.FaultWriteProtected {
-		d.Table().Unprotect(pfn)
-		return
-	}
-	mfn, err := d.AllocFrameOn(accessor)
-	if err != nil {
-		panic(fmt.Sprintf("policy: first-touch fault allocation failed: %v", err))
-	}
-	d.MapPage(pfn, mfn)
-}
-
-// OnPageQueue implements the reconciliation protocol of §4.2.4: scan the
-// queue from the most recent operation, keep the first (most recent)
-// operation seen for each page, invalidate pages whose latest operation
-// is a release, and leave reallocated pages where they are (copying their
-// content would be too costly in the common case).
-func (p *firstTouch) OnPageQueue(d DomainOps, ops []PageOp) int {
-	if p.seen == nil {
-		p.seen = make(map[mem.PFN]struct{}, len(ops))
-	} else {
-		clear(p.seen)
-	}
-	invalidated := 0
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
-		if _, dup := p.seen[op.PFN]; dup {
-			continue
-		}
-		p.seen[op.PFN] = struct{}{}
-		if op.Kind == OpRelease {
-			d.InvalidatePage(op.PFN)
-			invalidated++
-		}
-	}
-	return invalidated
-}
-
-// bindPolicy allocates every faulted page on one preferred node;
-// AllocFrameOn's round-robin fallback covers the bank filling up.
-type bindPolicy struct {
-	node numa.NodeID
-}
-
-func (p *bindPolicy) Kind() Kind { return Bind(p.node) }
-
-func (p *bindPolicy) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
-	if kind == pt.FaultWriteProtected {
-		d.Table().Unprotect(pfn)
-		return
-	}
-	mfn, err := d.AllocFrameOn(p.node)
-	if err != nil {
-		panic(fmt.Sprintf("policy: bind:%d fault allocation failed: %v", p.node, err))
-	}
-	d.MapPage(pfn, mfn)
-}
-
-func (p *bindPolicy) OnPageQueue(DomainOps, []PageOp) int { return 0 }
-
-// leastLoaded allocates each faulted page on the home node with the
-// most free machine memory at fault time (ties break toward the first
-// home in domain order, keeping runs deterministic).
-type leastLoaded struct{}
-
-func (p *leastLoaded) Kind() Kind { return LeastLoaded }
-
-func (p *leastLoaded) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
-	if kind == pt.FaultWriteProtected {
-		d.Table().Unprotect(pfn)
-		return
-	}
-	homes := d.HomeNodes()
-	best, bestFree := homes[0], d.NodeFreeBytes(homes[0])
-	for _, n := range homes[1:] {
-		if free := d.NodeFreeBytes(n); free > bestFree {
-			best, bestFree = n, free
-		}
-	}
-	mfn, err := d.AllocFrameOn(best)
-	if err != nil {
-		panic(fmt.Sprintf("policy: least-loaded fault allocation failed: %v", err))
-	}
-	d.MapPage(pfn, mfn)
-}
-
-func (p *leastLoaded) OnPageQueue(DomainOps, []PageOp) int { return 0 }
-
-// --- native placers (Linux side) ---
-
-// nativeFirstTouch places on the toucher's node (§3.1).
-type nativeFirstTouch struct{}
-
-func (nativeFirstTouch) PlaceNode(toucher numa.NodeID, _ func(numa.NodeID) int64) numa.NodeID {
-	return toucher
-}
-
-// nativeRoundRobin spreads pages round-robin over every node (round-4K
-// and interleave: natively both are the lazy allocator placing
-// round-robin).
-type nativeRoundRobin struct {
-	nodes int
-	rr    int
-}
-
-func (p *nativeRoundRobin) PlaceNode(numa.NodeID, func(numa.NodeID) int64) numa.NodeID {
-	n := numa.NodeID(p.rr % p.nodes)
-	p.rr++
 	return n
 }
 
-// nativeBind prefers one node; the backend's fallback handles overflow.
-type nativeBind struct {
+// firstTouch places each page on the accessor's node (§3.1). Under Xen
+// the page queue invalidates released pages, so their next access
+// faults into it again (§4.2).
+type firstTouch struct{}
+
+func (firstTouch) PlaceNode(accessor numa.NodeID, _ []numa.NodeID, _ FreeMemory) numa.NodeID {
+	return accessor
+}
+
+// bindTo places every page on one preferred node; the caller's
+// round-robin fallback covers the bank filling up.
+type bindTo struct {
 	node numa.NodeID
 }
 
-func (p nativeBind) PlaceNode(numa.NodeID, func(numa.NodeID) int64) numa.NodeID { return p.node }
-
-// nativeLeastLoaded places on the node with the most free memory.
-type nativeLeastLoaded struct {
-	nodes int
+func (p bindTo) PlaceNode(numa.NodeID, []numa.NodeID, FreeMemory) numa.NodeID {
+	return p.node
 }
 
-func (p nativeLeastLoaded) PlaceNode(_ numa.NodeID, free func(numa.NodeID) int64) numa.NodeID {
-	best, bestFree := numa.NodeID(0), free(0)
-	for i := 1; i < p.nodes; i++ {
-		if f := free(numa.NodeID(i)); f > bestFree {
-			best, bestFree = numa.NodeID(i), f
+// leastLoaded places each page on the home node with the most free
+// machine memory (ties break toward the first home in order, keeping
+// runs deterministic).
+type leastLoaded struct{}
+
+func (leastLoaded) PlaceNode(_ numa.NodeID, homes []numa.NodeID, free FreeMemory) numa.NodeID {
+	best, bestFree := homes[0], free.NodeFreeBytes(homes[0])
+	for _, n := range homes[1:] {
+		if f := free.NodeFreeBytes(n); f > bestFree {
+			best, bestFree = n, f
 		}
 	}
 	return best
@@ -364,13 +213,13 @@ func normalizeBindArg(arg string) (string, error) {
 	return strconv.Itoa(n), nil
 }
 
-func bindNode(arg string, nodes int) (numa.NodeID, error) {
+func newBind(arg string, nodes int) (Placer, error) {
 	n, err := strconv.Atoi(arg)
 	if err != nil || n < 0 {
-		return 0, fmt.Errorf("policy: bad bind node %q", arg)
+		return nil, fmt.Errorf("policy: bad bind node %q", arg)
 	}
 	if nodes > 0 && n >= nodes {
-		return 0, fmt.Errorf("policy: bind node %d out of range (machine has %d nodes)", n, nodes)
+		return nil, fmt.Errorf("policy: bind node %d out of range (machine has %d nodes)", n, nodes)
 	}
-	return numa.NodeID(n), nil
+	return bindTo{node: numa.NodeID(n)}, nil
 }

@@ -22,7 +22,10 @@
 // populates the physical address space before the first instruction
 // (round-4K and round-1G layouts); policies without one boot lazily:
 // every entry starts invalid and the first access faults into the
-// runtime policy.
+// runtime policy. What a policy decides at fault time is one Placer,
+// which the hypervisor's fault path and the native backend's lazy
+// allocator both ask, so each policy is written once for both
+// platforms.
 package policy
 
 import (
@@ -170,11 +173,9 @@ type DomainOps interface {
 	AllocFrameOn(node numa.NodeID) (mem.MFN, error)
 	// FreeFrame returns a machine frame to the machine allocator.
 	FreeFrame(mfn mem.MFN)
-	// NodeOfFrame maps a machine frame to its NUMA node.
-	NodeOfFrame(mfn mem.MFN) numa.NodeID
-	// NodeFreeBytes reports the free machine memory on node, for
-	// load-aware policies such as least-loaded.
-	NodeFreeBytes(node numa.NodeID) int64
+	// FreeMemory reports the free machine memory on a node, for
+	// load-aware placers such as least-loaded.
+	FreeMemory
 	// MapPage installs pfn→mfn and notifies placement observers.
 	// This is the first function of the internal interface.
 	MapPage(pfn mem.PFN, mfn mem.MFN)
@@ -213,12 +214,24 @@ type BootOps interface {
 // for the domain.
 type BootPlacer func(b BootOps) error
 
-// NativePlacer is the native-Linux side of a policy: it picks the node
-// for each page faulted by the native lazy allocator. free reports a
-// node's free memory (for load-aware placers); the backend performs the
-// allocation with Linux's round-robin fallback.
-type NativePlacer interface {
-	PlaceNode(toucher numa.NodeID, free func(numa.NodeID) int64) numa.NodeID
+// Placer is a registered policy's placement decision, shared by both
+// platforms: the hypervisor fault path (Policy.HandleFault) and the
+// native backend's lazy allocator ask it for the node of each faulted
+// page. accessor is the node of the faulting vCPU (natively, of the
+// touching thread); homes are the nodes the memory may use — the
+// domain's home nodes under Xen, every node natively; free reports
+// per-node free machine memory, for load-aware placers. The caller
+// allocates on the chosen node, falling back round-robin when its bank
+// is full.
+type Placer interface {
+	PlaceNode(accessor numa.NodeID, homes []numa.NodeID, free FreeMemory) numa.NodeID
+}
+
+// FreeMemory reports a node's free machine memory. DomainOps embeds
+// it, so the fault path hands the domain itself to the placer instead
+// of allocating a method value per fault.
+type FreeMemory interface {
+	NodeFreeBytes(node numa.NodeID) int64
 }
 
 // PolicySwitcher is the optional DomainOps extension exposing the
@@ -235,43 +248,118 @@ type PolicySwitcher interface {
 	HypercallSetPolicy(cfg Config) (sim.Time, error)
 }
 
-// Policy is a hypervisor-resident NUMA placement policy for one domain.
-type Policy interface {
-	// Kind reports the registered kind this implements.
-	Kind() Kind
-	// HandleFault resolves a hypervisor page fault on pfn caused by a
-	// vCPU running on accessor. It must leave the entry valid.
-	HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind)
-	// OnPageQueue consumes one batched page queue sent by the guest
-	// through HypercallPageQueue. It returns the number of entries whose
-	// hypervisor page-table entry was invalidated (the dominant cost of
-	// the hypercall, §4.2.4).
-	OnPageQueue(d DomainOps, ops []PageOp) int
+// successor is implemented by a Placer that can decide it is no longer
+// the right policy (adaptive). The fault path asks it after every
+// placement and, when due, installs next through the domain's SetPolicy
+// hypercall. The placer must already place like next, so a domain
+// without the hypercall (or one that rejects it) still sees the
+// decision take effect.
+type successor interface {
+	successor() (next Kind, due bool)
+}
+
+// Policy is a hypervisor-resident NUMA placement policy for one domain:
+// the registered Placer behind the fault path of the internal
+// interface, plus first-touch's page-queue reconciliation for kinds
+// that consume the guest's page queue.
+type Policy struct {
+	kind   Kind
+	placer Placer
+	// pageQueue is the descriptor's UsesPageQueue.
+	pageQueue bool
+	// seen is OnPageQueue's per-batch dedup scratch, kept across batches
+	// so the free-list flush on a policy switch (thousands of batches)
+	// reuses one map instead of allocating per call. Policies are
+	// per-domain and batches are processed one at a time, so no aliasing.
+	seen map[mem.PFN]struct{}
 }
 
 // New builds the runtime policy for kind from the default registry.
 // nodes is the machine's node count, used to range-check parameterized
 // kinds ("bind:9" on an 8-node machine); pass nodes <= 0 when the
 // machine is not known yet (syntax checks only).
-func New(kind Kind, nodes int) (Policy, error) {
-	desc, arg, err := Describe(kind)
+func New(kind Kind, nodes int) (*Policy, error) {
+	desc, arg, canon, err := Resolve(kind)
 	if err != nil {
 		return nil, err
 	}
-	return desc.New(arg, nodes)
+	placer, err := desc.New(arg, nodes)
+	if err != nil {
+		return nil, err
+	}
+	return &Policy{kind: canon, placer: placer, pageQueue: desc.UsesPageQueue}, nil
 }
 
-// NewNative builds the native-Linux placer for kind, or an error when
-// the policy has no native equivalent (round-1G).
-func NewNative(kind Kind, nodes int) (NativePlacer, error) {
-	desc, arg, err := Describe(kind)
+// Kind reports the registered kind this implements.
+func (p *Policy) Kind() Kind { return p.kind }
+
+// HandleFault resolves a hypervisor page fault on pfn caused by a vCPU
+// running on accessor, leaving the entry valid. A write-protect fault
+// ends a migration and only unprotects; any other fault allocates the
+// backing frame on the placer's node (AllocFrameOn falls back when that
+// bank is full) and maps it.
+func (p *Policy) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
+	if kind == pt.FaultWriteProtected {
+		d.Table().Unprotect(pfn)
+		return
+	}
+	node := p.placer.PlaceNode(accessor, d.HomeNodes(), d)
+	mfn, err := d.AllocFrameOn(node)
 	if err != nil {
-		return nil, err
+		panic(fmt.Sprintf("policy: %v fault allocation failed: %v", p.kind, err))
 	}
-	if desc.Native == nil {
-		return nil, fmt.Errorf("policy: Linux has no %s policy", kind)
+	d.MapPage(pfn, mfn)
+	if s, ok := p.placer.(successor); ok {
+		if next, due := s.successor(); due {
+			switchTo(d, next)
+		}
 	}
-	return desc.Native(arg, nodes)
+}
+
+// switchTo installs next through the external interface (§4.2.1),
+// keeping the domain's Carrefour stacking. A rejected switch leaves the
+// domain untouched (the hypercall's contract).
+func switchTo(d DomainOps, next Kind) {
+	sw, ok := d.(PolicySwitcher)
+	if !ok {
+		return
+	}
+	cfg := sw.Policy()
+	cfg.Static = next
+	_, _ = sw.HypercallSetPolicy(cfg)
+}
+
+// OnPageQueue consumes one batched page queue sent by the guest through
+// HypercallPageQueue. It returns the number of entries whose hypervisor
+// page-table entry was invalidated (the dominant cost of the hypercall,
+// §4.2.4). Kinds without UsesPageQueue ignore the queue; the others run
+// first-touch's reconciliation protocol: scan the queue from the most
+// recent operation, keep the first (most recent) operation seen for
+// each page, invalidate pages whose latest operation is a release, and
+// leave reallocated pages where they are (copying their content would
+// be too costly in the common case).
+func (p *Policy) OnPageQueue(d DomainOps, ops []PageOp) int {
+	if !p.pageQueue {
+		return 0
+	}
+	if p.seen == nil {
+		p.seen = make(map[mem.PFN]struct{}, len(ops))
+	} else {
+		clear(p.seen)
+	}
+	invalidated := 0
+	for i := len(ops) - 1; i >= 0; i-- {
+		op := ops[i]
+		if _, dup := p.seen[op.PFN]; dup {
+			continue
+		}
+		p.seen[op.PFN] = struct{}{}
+		if op.Kind == OpRelease {
+			d.InvalidatePage(op.PFN)
+			invalidated++
+		}
+	}
+	return invalidated
 }
 
 // BootKind returns the boot layout used when kind is selected at domain

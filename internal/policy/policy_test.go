@@ -53,7 +53,7 @@ func (d *fakeDomain) AllocFrameOn(n numa.NodeID) (mem.MFN, error) {
 
 // mustNew builds a policy through the registry, failing the test on a
 // bad kind.
-func mustNew(t *testing.T, k Kind) Policy {
+func mustNew(t *testing.T, k Kind) *Policy {
 	t.Helper()
 	p, err := New(k, 0)
 	if err != nil {

@@ -6,11 +6,12 @@ import (
 )
 
 // Descriptor describes one registered policy: its names, its behaviour
-// metadata, and the factories for its three faces (runtime Policy, boot
-// placement, native placement). Registering a Descriptor is all it
-// takes to make a policy runnable end-to-end: the hypervisor, guest,
-// native backend, facade, CLI and experiment layers all consult the
-// registry instead of switching on kinds.
+// metadata, and its two faces — the Placer both platforms ask at fault
+// time, and optional eager boot placement. Registering a Descriptor is
+// all it takes to make a policy runnable end-to-end: the hypervisor,
+// guest, native backend, facade, CLI and experiment layers all consult
+// the registry instead of switching on kinds. Every kind runs natively
+// too, except boot-only layouts.
 type Descriptor struct {
 	// Name is the canonical kind ("round-4K"). Lookups are
 	// case-insensitive; Name must not contain ":" or "/".
@@ -32,7 +33,7 @@ type Descriptor struct {
 	// on top ("<name>/carrefour" parses only when true).
 	Carrefour bool
 	// BootOnly kinds are boot layouts that cannot be selected at run
-	// time (round-1G, §4.2.1).
+	// time (round-1G, §4.2.1); they have no native form either.
 	BootOnly bool
 	// RuntimeOnly kinds cannot be booted; domains running them boot
 	// round-4K and switch through the hypercall (first-touch, §4.2.1).
@@ -46,19 +47,17 @@ type Descriptor struct {
 	// huge regions, keeping guest-contiguous DMA buffers on one node.
 	Contiguous bool
 
-	// New builds the runtime policy. arg is the text after ":" for
-	// parameterized kinds ("" otherwise); nodes is the machine's node
-	// count, <= 0 when unknown (syntax checks only).
-	New func(arg string, nodes int) (Policy, error)
+	// New builds the placer: a fresh one each time a domain installs
+	// the policy, and one per native backend. arg is the text after ":"
+	// for parameterized kinds ("" otherwise); nodes is the machine's
+	// node count, <= 0 when unknown (syntax checks only).
+	New func(arg string, nodes int) (Placer, error)
 	// NormalizeArg canonicalizes and syntax-checks arg for
 	// parameterized kinds (nil for plain kinds).
 	NormalizeArg func(arg string) (string, error)
 	// Boot eagerly populates a domain's physical space at build time;
 	// nil boots lazily (see BootPlacer).
 	Boot BootPlacer
-	// Native builds the per-backend native-Linux placer; nil means the
-	// policy does not exist natively.
-	Native func(arg string, nodes int) (NativePlacer, error)
 
 	// index is the registration order, used as the stable numeric id in
 	// trace events.
@@ -212,9 +211,6 @@ func Describe(kind Kind) (Descriptor, string, error) { return Default.Lookup(kin
 // Resolve resolves kind in the default registry, also returning its
 // canonical spelling.
 func Resolve(kind Kind) (Descriptor, string, Kind, error) { return Default.Resolve(kind) }
-
-// Canonical returns kind's canonical spelling in the default registry.
-func Canonical(kind Kind) (Kind, error) { return Default.Canonical(kind) }
 
 // CheckConfig validates a full configuration against the registry: the
 // kind must be registered and Carrefour may only stack where the

@@ -12,7 +12,7 @@ import (
 func stubDescriptor(name string) Descriptor {
 	return Descriptor{
 		Name: name,
-		New:  func(string, int) (Policy, error) { return &roundStatic{kind: Kind(name)}, nil },
+		New:  newRoundRobin,
 	}
 }
 

@@ -3,8 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 // FuzzDecodeRequest hammers the protocol decoder: whatever bytes arrive
@@ -88,4 +92,79 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("ok response breaks line framing for id %q", req.ID)
 		}
 	})
+}
+
+// FuzzLoadCache hammers the cache-file loader: whatever bytes sit in
+// cells.json, LoadCache must not panic and must report exactly the
+// number of cells the suite then holds, and that state must survive
+// SaveCache → LoadCache into a fresh server with no error and the same
+// count. CI runs a short -fuzztime smoke of this target on every push.
+func FuzzLoadCache(f *testing.F) {
+	const model = "fuzz-model"
+	saved := savedCache(f, model, []exp.CellSnapshot{
+		{Key: "seed=1/xen/cg.C/first-touch/plus=true", Results: []exp.ResultSnapshot{
+			{App: "cg.C", Backend: "xen/first-touch", Completion: 1_500_000_000, Imbalance: 12.5, Locality: 0.75},
+		}},
+		{Key: "seed=1/linux/ep.D/round-4k/mcs=true", Results: []exp.ResultSnapshot{
+			{App: "ep.D", Backend: "linux/round-4K", Completion: 900_000_000, TimedOut: true, Migrated: 3},
+		}},
+		{Key: "seed=7/pair/cg.C/sp.C", Results: []exp.ResultSnapshot{
+			{App: "cg.C", Completion: 2_000_000_000, RemoteAccesses: 1e9, TotalAccesses: 4e9},
+			{App: "sp.C", Completion: 2_100_000_000, Hypercalls: 42, HypercallNanos: 1.25e6},
+		}},
+	})
+	lastLine := bytes.LastIndexByte(saved[:len(saved)-1], '\n') + 1
+	flipped := bytes.Clone(saved)
+	digit := bytes.LastIndex(flipped, []byte(`"sum":"`)) + len(`"sum":"`)
+	if flipped[digit] == '0' {
+		flipped[digit] = '1'
+	} else {
+		flipped[digit] = '0'
+	}
+	stale := bytes.Replace(saved, []byte(model), []byte("stale-model"), 1)
+	for _, seed := range [][]byte{
+		saved,
+		saved[:lastLine+(len(saved)-lastLine)/2], // truncated mid-line
+		flipped,                                  // one checksum digit flipped
+		stale,                                    // stale model stamp
+		{},                                       // empty file
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, cacheFileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, suite := persistServer(t, dir, model)
+		n, _ := srv.LoadCache()
+		if held := suite.CachedCells(); n != held {
+			t.Fatalf("LoadCache reported %d cells, the suite holds %d", n, held)
+		}
+		if written, err := srv.SaveCache(); err != nil || written != n {
+			t.Fatalf("SaveCache = %d, %v; want %d", written, err, n)
+		}
+		srv2, suite2 := persistServer(t, dir, model)
+		if n2, err := srv2.LoadCache(); err != nil || n2 != n || suite2.CachedCells() != n {
+			t.Fatalf("reload = %d, %v (suite holds %d); want %d, nil", n2, err, suite2.CachedCells(), n)
+		}
+	})
+}
+
+// savedCache returns the cache file SaveCache writes for cells.
+func savedCache(tb testing.TB, model string, cells []exp.CellSnapshot) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	srv, suite := persistServer(tb, dir, model)
+	if n := suite.Restore(cells); n != len(cells) {
+		tb.Fatalf("restored %d of %d hand-made cells", n, len(cells))
+	}
+	if _, err := srv.SaveCache(); err != nil {
+		tb.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, cacheFileName))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
 }

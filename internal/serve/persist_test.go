@@ -12,7 +12,7 @@ import (
 )
 
 // persistServer builds a server with its own fresh suite over dir.
-func persistServer(t *testing.T, dir, model string) (*Server, *exp.Suite) {
+func persistServer(t testing.TB, dir, model string) (*Server, *exp.Suite) {
 	t.Helper()
 	s := exp.NewSuiteParallel(testScale, 2)
 	srv := New(s, Config{CacheDir: dir, ModelVersion: model})

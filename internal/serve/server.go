@@ -396,7 +396,7 @@ func policiesResult() (json.RawMessage, *ErrorInfo) {
 			Carrefour:     d.Carrefour,
 			BootOnly:      d.BootOnly,
 			RuntimeOnly:   d.RuntimeOnly,
-			Native:        d.Native != nil,
+			Native:        !d.BootOnly,
 			Fault:         d.Fault,
 		})
 	}

@@ -37,7 +37,7 @@ type Domain struct {
 	// access faults into the runtime policy).
 	bootPlacer policy.BootPlacer
 	cfg        policy.Config
-	pol        policy.Policy
+	pol        *policy.Policy
 	// CarrefourHook, when non-nil, receives page-queue batches so the
 	// dynamic policy can track page liveness. Set by package carrefour.
 	CarrefourHook func(ops []policy.PageOp)
@@ -89,7 +89,7 @@ type frameAlloc struct {
 	order int
 }
 
-func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot policy.BootPlacer, pol policy.Policy) *Domain {
+func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot policy.BootPlacer, pol *policy.Policy) *Domain {
 	// A recycled shell (left behind by Hypervisor.Reset) carries the
 	// previous domain's map buckets and slice capacities; refilling it
 	// is bit-for-bit equivalent to a cold build, minus the allocation
@@ -233,9 +233,6 @@ func (d *Domain) AllocFrameOn(node numa.NodeID) (mem.MFN, error) {
 // FreeFrame returns one 4 KiB frame.
 func (d *Domain) FreeFrame(mfn mem.MFN) { d.hv.Alloc.Free(mfn, mem.Order4K) }
 
-// NodeOfFrame maps a frame to its node.
-func (d *Domain) NodeOfFrame(mfn mem.MFN) numa.NodeID { return d.hv.Alloc.NodeOf(mfn) }
-
 // NodeFreeBytes reports the free machine memory on node, for
 // load-aware policies.
 func (d *Domain) NodeFreeBytes(node numa.NodeID) int64 { return d.hv.Alloc.FreeBytes(node) }
@@ -372,7 +369,7 @@ func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 	d.hv.Hypercalls++
 	// Canonicalize so aliases and case variants ("ft", "BIND:03")
 	// compare equal to the stored boot/current kinds.
-	desc, arg, canon, err := policy.Resolve(cfg.Static)
+	desc, _, canon, err := policy.Resolve(cfg.Static)
 	if err != nil {
 		return cost, fmt.Errorf("xen: %w", err)
 	}
@@ -388,9 +385,9 @@ func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 	// Build the new policy before any state changes: a rejected switch
 	// must leave the domain untouched (in particular its passthrough
 	// driver).
-	var pol policy.Policy
+	var pol *policy.Policy
 	if cfg.Static != d.cfg.Static {
-		pol, err = desc.New(arg, d.hv.Topo.NumNodes())
+		pol, err = policy.New(cfg.Static, d.hv.Topo.NumNodes())
 		if err != nil {
 			return cost, fmt.Errorf("xen: %w", err)
 		}

@@ -206,7 +206,7 @@ func (h *Hypervisor) CreateDomain(spec DomainSpec) (*Domain, error) {
 	// Resolve once and keep the canonical kind: bootKind is compared
 	// against runtime policies later, and an alias spelling ("r1g")
 	// must not defeat those checks.
-	bdesc, barg, bootCanon, err := policy.Resolve(spec.Boot)
+	bdesc, _, bootCanon, err := policy.Resolve(spec.Boot)
 	if err != nil {
 		return nil, fmt.Errorf("xen: domain %q: %w", spec.Name, err)
 	}
@@ -214,7 +214,7 @@ func (h *Hypervisor) CreateDomain(spec DomainSpec) (*Domain, error) {
 	if bdesc.RuntimeOnly {
 		return nil, fmt.Errorf("xen: %s is not a boot layout; boot round-4K and switch (§4.2.1)", spec.Boot)
 	}
-	pol, err := bdesc.New(barg, h.Topo.NumNodes())
+	pol, err := policy.New(spec.Boot, h.Topo.NumNodes())
 	if err != nil {
 		return nil, fmt.Errorf("xen: domain %q: %w", spec.Name, err)
 	}
