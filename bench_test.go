@@ -152,7 +152,7 @@ func BenchmarkBuddyAllocFree(b *testing.B) {
 }
 
 func BenchmarkHypervisorTableTranslate(b *testing.B) {
-	t := pt.NewHypervisorTable()
+	t := pt.NewHypervisorTable(1024)
 	for p := mem.PFN(0); p < 1024; p++ {
 		t.Map(p, mem.MFN(p))
 	}

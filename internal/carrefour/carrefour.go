@@ -196,17 +196,9 @@ func New(cfg Config) *Controller {
 	return &Controller{Cfg: cfg}
 }
 
-// Move records one page migration's endpoints, for traffic accounting by
-// the caller.
-type Move struct {
-	From, To numa.NodeID
-}
-
 // Result reports what one tick did.
 type Result struct {
-	Migrated int
-	// Moves[i] pairs source and destination of each migration for
-	// tracing.
+	Migrated        int
 	InterleaveMoves int
 	LocalityMoves   int
 	Replications    int

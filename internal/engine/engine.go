@@ -20,6 +20,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/carrefour"
 	"repro/internal/iosim"
@@ -162,6 +163,13 @@ func (r *Region) AddPage(p mem.PFN, node numa.NodeID) {
 		r.histHead[node]++
 	}
 	r.invalidate()
+}
+
+// grow reserves room for n more pages, so the n AddPage calls that
+// follow append without reallocating.
+func (r *Region) grow(n int) {
+	r.Pages = slices.Grow(r.Pages, n)
+	r.nodes = slices.Grow(r.nodes, n)
 }
 
 // SetNode updates page i's placement after a migration.

@@ -154,8 +154,9 @@ type runner struct {
 
 	// Carrefour-tick scratch: the tick rebuilds the sampler view from
 	// the stream table every interval, so the backing stores are reused.
-	//xnuma:scratch
-	moves    []carrefour.Move   // migrations recorded by pageSet.Migrate
+	// moves[from*nNodes+to] counts the pages pageSet.Migrate moved
+	// between the pair this tick; setup sizes it once.
+	moves    []int
 	shared   []float64          // running-thread node distribution
 	accArena []float64          // per-sample accessor rows, carved per tick
 	pageSets []pageSet          // sample adapter arena
@@ -172,6 +173,7 @@ func (r *runner) setup() error {
 	r.cycles = make([]float64, n*n)
 	r.linkUtil = make([]float64, len(r.cfg.Topo.Links))
 	r.ctrlPen = make([]float64, n)
+	r.moves = make([]int, n*n)
 	r.cost = costModelFor(r.cfg.Topo)
 	r.freqGHz = r.cfg.Topo.Latency.FreqGHz
 	for src := 0; src < n; src++ {
@@ -390,11 +392,17 @@ func (r *runner) materialize(in *Instance) (sim.Time, error) {
 			total = d
 		}
 	}
+	// Each region grows once by its page count before the backend
+	// appends them one by one.
+	place := func(reg *Region, n int, toucher numa.NodeID) (sim.Time, error) {
+		reg.grow(n)
+		return in.Backend.Place(reg, n, toucher)
+	}
 	master := in.Threads[0]
-	cost, err := in.Backend.Place(in.hot, in.sizes.hot, master.Node)
+	cost, err := place(in.hot, in.sizes.hot, master.Node)
 	if err == nil {
 		charge(master, cost)
-		cost, err = in.Backend.Place(in.master, in.sizes.master, master.Node)
+		cost, err = place(in.master, in.sizes.master, master.Node)
 	}
 	if err == nil {
 		charge(master, cost)
@@ -404,7 +412,7 @@ func (r *runner) materialize(in *Instance) (sim.Time, error) {
 			if t.ID == in.NThreads-1 {
 				want = in.sizes.dist - slice*(in.NThreads-1)
 			}
-			if cost, err = in.Backend.Place(in.dist[t.ID], want, t.Node); err != nil {
+			if cost, err = place(in.dist[t.ID], want, t.Node); err != nil {
 				break
 			}
 			charge(t, cost)
@@ -413,7 +421,7 @@ func (r *runner) materialize(in *Instance) (sim.Time, error) {
 	if err == nil {
 		per := in.sizes.priv / in.NThreads
 		for _, t := range in.Threads {
-			if cost, err = in.Backend.Place(in.priv[t.ID], per, t.Node); err != nil {
+			if cost, err = place(in.priv[t.ID], per, t.Node); err != nil {
 				break
 			}
 			charge(t, cost)
@@ -878,7 +886,7 @@ func (r *runner) carrefourTick(i int, in *Instance) {
 			in.burstLeft = r.cfg.CarrefourEvery + 1
 		}
 	}
-	r.moves = r.moves[:0]
+	clear(r.moves)
 	r.tickUtil = append(r.tickUtil[:0], r.ctrlUtil...)
 	tick := carrefour.Tick{
 		CtrlUtil:    r.tickUtil,
@@ -892,9 +900,14 @@ func (r *runner) carrefourTick(i int, in *Instance) {
 	}
 	// Each migration copies one page across the interconnect; charge the
 	// bytes to the next epoch and the CPU cost as debt spread across the
-	// instance's threads.
-	for _, mv := range r.moves {
-		in.pendingMoveBytes[[2]numa.NodeID{mv.From, mv.To}] += 4096
+	// instance's threads. The byte counts are whole multiples of 4096,
+	// exact in float64, so adding a pair's pages at once is bit-identical
+	// to adding them one by one.
+	for k, pages := range r.moves {
+		if pages > 0 {
+			pair := [2]numa.NodeID{numa.NodeID(k / r.nNodes), numa.NodeID(k % r.nNodes)}
+			in.pendingMoveBytes[pair] += float64(pages) * 4096
+		}
 	}
 	costNs := float64(res.Migrated) * 6000 / float64(in.NThreads)
 	for _, t := range in.Threads {
@@ -997,7 +1010,7 @@ func (r *runner) samples(in *Instance) []carrefour.Sample {
 //
 //xnuma:noalloc
 func (r *runner) mkSample(set *pageSet, in *Instance, reg *Region, share float64, accessors []float64, hot bool) carrefour.Sample {
-	set.r, set.b, set.moves = reg, in.Backend, &r.moves
+	set.r, set.b, set.moves, set.nNodes = reg, in.Backend, r.moves, r.nNodes
 	return carrefour.Sample{
 		Set:         set,
 		AccessShare: share,
@@ -1025,14 +1038,15 @@ func sortMovePairs(pairs [][2]numa.NodeID) {
 	}
 }
 
-// pageSet adapts a Region + Backend to carrefour.PageSet, recording each
+// pageSet adapts a Region + Backend to carrefour.PageSet, counting each
 // move for traffic accounting.
 type pageSet struct {
 	r *Region
 	b Backend
-	// moves points at the runner's shared migration log, reset each tick.
-	//xnuma:scratch
-	moves *[]carrefour.Move
+	// moves is the runner's per-tick (from, to) count matrix, nNodes
+	// wide.
+	moves  []int
+	nNodes int
 }
 
 func (s *pageSet) Len() int                 { return s.r.Len() }
@@ -1046,7 +1060,7 @@ func (s *pageSet) Migrate(i int, to numa.NodeID) bool {
 	if !s.b.Migrate(s.r, i, to) {
 		return false
 	}
-	*s.moves = append(*s.moves, carrefour.Move{From: from, To: to})
+	s.moves[int(from)*s.nNodes+int(to)]++
 	return true
 }
 

@@ -34,7 +34,9 @@ type PhysAlloc struct {
 	nextFresh  uint64
 	reserved   uint64 // kernel pages at the bottom of the space
 	freed      []mem.PFN
-	inUse      map[mem.PFN]bool
+	// inUse[p] marks page p allocated; it spans the physical space.
+	inUse []bool
+	used  int
 }
 
 // NewPhysAlloc manages a physical space of totalPages, with the first
@@ -47,7 +49,7 @@ func NewPhysAlloc(totalPages, reserved uint64) *PhysAlloc {
 		totalPages: totalPages,
 		nextFresh:  reserved,
 		reserved:   reserved,
-		inUse:      make(map[mem.PFN]bool),
+		inUse:      make([]bool, totalPages),
 	}
 }
 
@@ -57,6 +59,7 @@ func (a *PhysAlloc) Alloc() (mem.PFN, error) {
 		p := a.freed[n-1]
 		a.freed = a.freed[:n-1]
 		a.inUse[p] = true
+		a.used++
 		return p, nil
 	}
 	if a.nextFresh >= a.totalPages {
@@ -65,24 +68,27 @@ func (a *PhysAlloc) Alloc() (mem.PFN, error) {
 	p := mem.PFN(a.nextFresh)
 	a.nextFresh++
 	a.inUse[p] = true
+	a.used++
 	return p, nil
 }
 
 // Free returns a page to the free list.
 func (a *PhysAlloc) Free(p mem.PFN) {
-	if !a.inUse[p] {
+	if uint64(p) >= a.totalPages || !a.inUse[p] {
 		panic(fmt.Sprintf("guest: freeing page %d not in use", p))
 	}
-	delete(a.inUse, p)
+	a.inUse[p] = false
+	a.used--
 	a.freed = append(a.freed, p)
 }
 
 // InUse reports the number of allocated pages.
-func (a *PhysAlloc) InUse() int { return len(a.inUse) }
+func (a *PhysAlloc) InUse() int { return a.used }
 
 // Reset returns the allocator to its just-constructed state for a new
 // physical space of totalPages with the given kernel reservation,
-// keeping the freed-list capacity and in-use map buckets.
+// keeping the freed-list capacity and zeroing the in-use set in place
+// (reallocated only when the new space outgrows it).
 func (a *PhysAlloc) Reset(totalPages, reserved uint64) {
 	if reserved >= totalPages {
 		panic("guest: reserved pages exceed physical space")
@@ -91,7 +97,13 @@ func (a *PhysAlloc) Reset(totalPages, reserved uint64) {
 	a.nextFresh = reserved
 	a.reserved = reserved
 	a.freed = a.freed[:0]
-	clear(a.inUse)
+	if totalPages > uint64(cap(a.inUse)) {
+		a.inUse = make([]bool, totalPages)
+	} else {
+		a.inUse = a.inUse[:totalPages]
+		clear(a.inUse)
+	}
+	a.used = 0
 }
 
 // FreePages returns every currently-free page: the freed list plus all

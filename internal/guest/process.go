@@ -38,7 +38,7 @@ func (g *OS) NewProcess(pid int) *Process {
 }
 
 // reset rebinds the process to a rebooted guest with an empty address
-// space, keeping the page-table buckets and mapping-map storage.
+// space, keeping the page-table array and mapping-map storage.
 func (p *Process) reset(g *OS) {
 	p.os = g
 	p.table.Reset()
@@ -54,6 +54,7 @@ func (p *Process) Mmap(pages int) (pt.VPN, sim.Time, error) {
 	}
 	start := p.nextVPN
 	p.nextVPN += pt.VPN(pages)
+	p.table.Grow(uint64(p.nextVPN))
 	p.mappings[start] = pages
 	// Setting up VMAs is cheap and O(1) in this model.
 	return start, 200 * sim.Nanosecond, nil

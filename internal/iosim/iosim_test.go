@@ -102,7 +102,7 @@ func TestDeliveredZeroDemand(t *testing.T) {
 }
 
 func TestIOMMUTranslateAbortsOnInvalid(t *testing.T) {
-	table := pt.NewHypervisorTable()
+	table := pt.NewHypervisorTable(8)
 	table.SetFaultHandler(func(p mem.PFN, w bool, k pt.FaultKind) {
 		t.Fatal("IOMMU translation must never fault into software (§4.4.1)")
 	})
@@ -123,7 +123,7 @@ func TestIOMMUTranslateAbortsOnInvalid(t *testing.T) {
 func TestFirstTouchIOMMUConflict(t *testing.T) {
 	// A DMA buffer straddling a released (invalidated) page aborts —
 	// the structural incompatibility of §4.4.1.
-	table := pt.NewHypervisorTable()
+	table := pt.NewHypervisorTable(8)
 	table.Map(1, 11)
 	table.Map(2, 22)
 	table.Map(3, 33)

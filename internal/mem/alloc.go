@@ -39,7 +39,9 @@ const (
 func FramesOf(order int) uint64 { return 1 << uint(order) }
 
 // ErrNoMemory is returned when a node (or the machine) cannot satisfy an
-// allocation at the requested order.
+// allocation at the requested order. Alloc returns it bare: fallback
+// paths try node after node and discard each failure, so it carries no
+// node or order, and callers that surface it add their own context.
 var ErrNoMemory = errors.New("mem: out of memory")
 
 // Allocator owns the machine memory of a Topology.
@@ -162,7 +164,7 @@ func (a *Allocator) Alloc(node numa.NodeID, order int) (MFN, error) {
 		from++
 	}
 	if from > maxOrder {
-		return NoMFN, fmt.Errorf("%w: node %d order %d", ErrNoMemory, node, order)
+		return NoMFN, ErrNoMemory
 	}
 	// Pop and split down to the requested order.
 	block := na.pop(from)

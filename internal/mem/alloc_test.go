@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +98,27 @@ func TestExhaustion(t *testing.T) {
 	}
 	if a.FreeBytes(0) != 1<<20 {
 		t.Fatal("free bytes not restored after freeing everything")
+	}
+}
+
+// TestFailedAllocIsFree: a full node's Alloc returns the bare
+// ErrNoMemory sentinel without allocating. Fallback paths try node after
+// node and discard every failure, so formatting one would cost a heap
+// allocation per attempt.
+func TestFailedAllocIsFree(t *testing.T) {
+	a := NewAllocator(numa.SmallMachine(1, 1, 1<<20)) // 256 frames
+	if _, err := a.Alloc(0, 8); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		_, err = a.Alloc(0, Order4K)
+	})
+	if !errors.Is(err, ErrNoMemory) {
+		t.Fatalf("Alloc on a full node = %v, want ErrNoMemory", err)
+	}
+	if allocs != 0 {
+		t.Fatalf("failed Alloc made %v allocations, want 0", allocs)
 	}
 }
 

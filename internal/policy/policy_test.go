@@ -25,7 +25,7 @@ type fakeDomain struct {
 func newFakeDomain(homes ...numa.NodeID) *fakeDomain {
 	return &fakeDomain{
 		homes:  homes,
-		table:  pt.NewHypervisorTable(),
+		table:  pt.NewHypervisorTable(1024),
 		nodeOf: make(map[mem.MFN]numa.NodeID),
 		free:   make(map[numa.NodeID]int64),
 	}

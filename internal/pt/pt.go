@@ -8,6 +8,12 @@
 // (§4.1): a NUMA policy places a physical page on a node by choosing
 // which machine frame backs it, and migrates a page by write-protecting
 // the entry, copying, and remapping.
+//
+// Both tables are frame-indexed, as hardware page tables are: entry i
+// describes page i, so a lookup is an index and nothing is hashed. A
+// domain's physical space is dense and fixed at creation, which sizes
+// the hypervisor table once; a process's virtual space grows with its
+// mmap cursor, and its table grows with it.
 package pt
 
 import (
@@ -29,63 +35,100 @@ type GuestEntry struct {
 // of its virtual machine. The guest OS populates it lazily (first-touch
 // faulting happens in the guest, not here).
 type GuestTable struct {
-	entries map[VPN]mem.PFN
+	// entries[v] is VPN v's entry. Every element past len, up to cap,
+	// is zero: Reset clears before truncating and growth copies into
+	// fresh (zeroed) storage, so Grow may re-slice without clearing.
+	entries []GuestEntry
+	present int
 }
 
-// NewGuestTable returns an empty table.
-func NewGuestTable() *GuestTable {
-	return &GuestTable{entries: make(map[VPN]mem.PFN)}
+// NewGuestTable returns an empty table covering no pages; Grow extends
+// it as the process reserves address space.
+func NewGuestTable() *GuestTable { return &GuestTable{} }
+
+// Grow extends the table to cover the first pages virtual pages; the new
+// entries are not present. A table never shrinks except by Reset. The
+// backing array doubles when it must grow, so a table grown region by
+// region still allocates O(pages) bytes in total.
+func (g *GuestTable) Grow(pages uint64) {
+	if pages <= uint64(len(g.entries)) {
+		return
+	}
+	if pages > uint64(cap(g.entries)) {
+		grown := make([]GuestEntry, pages, max(pages, 2*uint64(cap(g.entries))))
+		copy(grown, g.entries)
+		g.entries = grown
+		return
+	}
+	g.entries = g.entries[:pages]
 }
 
-// Lookup translates a virtual page; ok is false on a guest page fault.
+// Lookup translates a virtual page; ok is false on a guest page fault,
+// including for a page the table does not cover.
+//
+//xnuma:noalloc
 func (g *GuestTable) Lookup(v VPN) (mem.PFN, bool) {
-	p, ok := g.entries[v]
-	return p, ok
+	if uint64(v) >= uint64(len(g.entries)) {
+		return 0, false
+	}
+	e := g.entries[v]
+	return e.PFN, e.Present
 }
 
 // Map installs a translation. Mapping an already-present entry panics:
-// the guest OS must unmap first (it indicates an allocator bug).
+// the guest OS must unmap first (it indicates an allocator bug). So does
+// mapping a page the table does not cover: the process never reserved
+// it.
+//
+//xnuma:noalloc
 func (g *GuestTable) Map(v VPN, p mem.PFN) {
-	if old, ok := g.entries[v]; ok {
-		panic(fmt.Sprintf("pt: VPN %d already mapped to PFN %d", v, old))
+	if uint64(v) >= uint64(len(g.entries)) {
+		panic(fmt.Sprintf("pt: VPN %d beyond the %d-page address space", v, len(g.entries)))
 	}
-	g.entries[v] = p
+	if old := g.entries[v]; old.Present {
+		panic(fmt.Sprintf("pt: VPN %d already mapped to PFN %d", v, old.PFN))
+	}
+	g.entries[v] = GuestEntry{PFN: p, Present: true}
+	g.present++
 }
 
 // Unmap removes a translation and returns the physical page it pointed
 // to. Unmapping an absent entry panics.
+//
+//xnuma:noalloc
 func (g *GuestTable) Unmap(v VPN) mem.PFN {
-	p, ok := g.entries[v]
+	p, ok := g.Lookup(v)
 	if !ok {
 		panic(fmt.Sprintf("pt: VPN %d not mapped", v))
 	}
-	delete(g.entries, v)
+	g.entries[v] = GuestEntry{}
+	g.present--
 	return p
 }
 
-// Reset returns the table to its freshly constructed state. The entry
-// storage is kept: clearing a Go map retains its buckets, so a recycled
-// table refilled to a similar size allocates nothing — the point of
-// reusing tables across warm-pool leases instead of rebuilding them.
+// Reset returns the table to the state NewGuestTable builds. The
+// entry array is zeroed in place and kept, so a recycled table grown
+// back to a similar size allocates nothing — the point of reusing
+// tables across warm-pool leases instead of rebuilding them.
 func (g *GuestTable) Reset() {
 	clear(g.entries)
+	g.entries = g.entries[:0]
+	g.present = 0
 }
 
 // Len reports the number of present entries.
-func (g *GuestTable) Len() int { return len(g.entries) }
-
-// Walk calls fn for every present entry. Iteration order is unspecified.
-func (g *GuestTable) Walk(fn func(VPN, mem.PFN)) {
-	for v, p := range g.entries {
-		fn(v, p)
-	}
-}
+func (g *GuestTable) Len() int { return g.present }
 
 // HypervisorEntry is one hypervisor page-table entry for a physical page.
 type HypervisorEntry struct {
 	MFN          mem.MFN
 	Valid        bool
 	WriteProtect bool
+	// Owned is a software bit for the table's owner, as Xen keeps page
+	// types in the entry's software-available bits: the frame was
+	// allocated for this page alone (MapOwned), not carved out of a
+	// block mapped with Map, so the owner frees it with the page.
+	Owned bool
 }
 
 // FaultKind distinguishes hypervisor page faults.
@@ -118,7 +161,10 @@ type FaultHandler func(pfn mem.PFN, write bool, kind FaultKind)
 
 // HypervisorTable maps one domain's physical pages to machine frames.
 type HypervisorTable struct {
-	entries map[mem.PFN]HypervisorEntry
+	// entries[pfn] is pfn's entry; the slice spans the domain's whole
+	// physical space.
+	entries []HypervisorEntry
+	valid   int
 	handler FaultHandler
 
 	// Counters for the evaluation.
@@ -126,68 +172,98 @@ type HypervisorTable struct {
 	WriteProtFaults uint64
 }
 
-// NewHypervisorTable returns an empty table with no fault handler; every
-// entry is invalid until mapped.
-func NewHypervisorTable() *HypervisorTable {
-	return &HypervisorTable{entries: make(map[mem.PFN]HypervisorEntry)}
+// NewHypervisorTable returns a table for a physical space of pages pages
+// with no fault handler; every entry is invalid until mapped.
+func NewHypervisorTable(pages uint64) *HypervisorTable {
+	return &HypervisorTable{entries: make([]HypervisorEntry, pages)}
 }
 
 // SetFaultHandler installs the fault resolution hook (the active NUMA
 // policy registers itself here).
 func (h *HypervisorTable) SetFaultHandler(fn FaultHandler) { h.handler = fn }
 
-// Lookup returns the entry for pfn (zero entry when absent).
+// Lookup returns the entry for pfn: the zero (invalid) entry when absent
+// or beyond the physical space, so guest-supplied frame numbers are safe
+// to look up.
+//
+//xnuma:noalloc
 func (h *HypervisorTable) Lookup(pfn mem.PFN) HypervisorEntry {
+	if uint64(pfn) >= uint64(len(h.entries)) {
+		return HypervisorEntry{}
+	}
 	return h.entries[pfn]
 }
 
 // Map installs pfn→mfn, overwriting any previous entry. The entry becomes
-// valid and writable.
+// valid and writable, and not owned. Mapping beyond the physical space
+// panics.
+//
+//xnuma:noalloc
 func (h *HypervisorTable) Map(pfn mem.PFN, mfn mem.MFN) {
+	if uint64(pfn) >= uint64(len(h.entries)) {
+		panic(fmt.Sprintf("pt: mapping PFN %d beyond the %d-page physical space", pfn, len(h.entries)))
+	}
+	if !h.entries[pfn].Valid {
+		h.valid++
+	}
 	h.entries[pfn] = HypervisorEntry{MFN: mfn, Valid: true}
+}
+
+// MapOwned is Map for a frame allocated for pfn alone: the entry is
+// marked Owned.
+//
+//xnuma:noalloc
+func (h *HypervisorTable) MapOwned(pfn mem.PFN, mfn mem.MFN) {
+	h.Map(pfn, mfn)
+	h.entries[pfn].Owned = true
 }
 
 // Invalidate clears the entry for pfn and returns the machine frame it
 // held (NoMFN when it was already invalid). Subsequent accesses fault.
+//
+//xnuma:noalloc
 func (h *HypervisorTable) Invalidate(pfn mem.PFN) mem.MFN {
-	e, ok := h.entries[pfn]
-	if !ok || !e.Valid {
+	e := h.Lookup(pfn)
+	if !e.Valid {
 		return mem.NoMFN
 	}
-	delete(h.entries, pfn)
+	h.valid--
+	h.entries[pfn] = HypervisorEntry{}
 	return e.MFN
 }
 
 // WriteProtect marks pfn's entry read-only. It panics on invalid entries:
 // migration must only target mapped pages.
+//
+//xnuma:noalloc
 func (h *HypervisorTable) WriteProtect(pfn mem.PFN) {
-	e, ok := h.entries[pfn]
-	if !ok || !e.Valid {
+	if !h.Lookup(pfn).Valid {
 		panic(fmt.Sprintf("pt: write-protecting invalid PFN %d", pfn))
 	}
-	e.WriteProtect = true
-	h.entries[pfn] = e
+	h.entries[pfn].WriteProtect = true
 }
 
 // Unprotect clears the write-protect bit.
+//
+//xnuma:noalloc
 func (h *HypervisorTable) Unprotect(pfn mem.PFN) {
-	e, ok := h.entries[pfn]
-	if !ok || !e.Valid {
+	if !h.Lookup(pfn).Valid {
 		panic(fmt.Sprintf("pt: unprotecting invalid PFN %d", pfn))
 	}
-	e.WriteProtect = false
-	h.entries[pfn] = e
+	h.entries[pfn].WriteProtect = false
 }
 
 // Translate resolves pfn for an access, delivering hypervisor page faults
 // to the handler until the entry permits the access. It returns the
 // backing machine frame.
+//
+//xnuma:noalloc
 func (h *HypervisorTable) Translate(pfn mem.PFN, write bool) mem.MFN {
 	for attempt := 0; ; attempt++ {
 		if attempt > 2 {
 			panic(fmt.Sprintf("pt: fault handler did not resolve PFN %d", pfn))
 		}
-		e := h.entries[pfn]
+		e := h.Lookup(pfn)
 		if !e.Valid {
 			h.Faults++
 			if h.handler == nil {
@@ -211,30 +287,40 @@ func (h *HypervisorTable) Translate(pfn mem.PFN, write bool) mem.MFN {
 // TranslateNoFault resolves pfn without delivering faults, as the IOMMU
 // does: devices cannot wait for software fault resolution (§4.4.1).
 // ok is false on an invalid entry, which aborts the DMA.
+//
+//xnuma:noalloc
 func (h *HypervisorTable) TranslateNoFault(pfn mem.PFN) (mem.MFN, bool) {
-	e := h.entries[pfn]
+	e := h.Lookup(pfn)
 	if !e.Valid {
 		return mem.NoMFN, false
 	}
 	return e.MFN, true
 }
 
-// Reset returns the table to its freshly constructed state — no
-// entries, no fault handler, zeroed counters — keeping the entry
-// storage (map buckets) so a recycled domain's table refills without
-// rehashing.
-func (h *HypervisorTable) Reset() {
-	clear(h.entries)
+// Reset returns the table to the state NewHypervisorTable(pages) builds
+// — every entry invalid, no fault handler, zeroed counters. The entry
+// array is zeroed in place and kept whenever its capacity covers pages,
+// so a recycled domain's table refills without allocating.
+func (h *HypervisorTable) Reset(pages uint64) {
+	if pages > uint64(cap(h.entries)) {
+		h.entries = make([]HypervisorEntry, pages)
+	} else {
+		h.entries = h.entries[:pages]
+		clear(h.entries)
+	}
+	h.valid = 0
 	h.handler = nil
 	h.Faults, h.WriteProtFaults = 0, 0
 }
 
 // Len reports the number of valid entries.
-func (h *HypervisorTable) Len() int { return len(h.entries) }
+func (h *HypervisorTable) Len() int { return h.valid }
 
-// Walk calls fn for every valid entry. Iteration order is unspecified.
+// Walk calls fn for every valid entry, in ascending PFN order.
 func (h *HypervisorTable) Walk(fn func(mem.PFN, HypervisorEntry)) {
 	for p, e := range h.entries {
-		fn(p, e)
+		if e.Valid {
+			fn(mem.PFN(p), e)
+		}
 	}
 }

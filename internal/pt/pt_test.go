@@ -9,6 +9,7 @@ import (
 
 func TestGuestTableMapUnmap(t *testing.T) {
 	g := NewGuestTable()
+	g.Grow(8)
 	g.Map(5, 100)
 	if p, ok := g.Lookup(5); !ok || p != 100 {
 		t.Fatalf("Lookup(5) = %d,%v", p, ok)
@@ -26,6 +27,7 @@ func TestGuestTableMapUnmap(t *testing.T) {
 
 func TestGuestTableDoubleMapPanics(t *testing.T) {
 	g := NewGuestTable()
+	g.Grow(8)
 	g.Map(1, 10)
 	defer func() {
 		if recover() == nil {
@@ -37,6 +39,7 @@ func TestGuestTableDoubleMapPanics(t *testing.T) {
 
 func TestGuestTableUnmapAbsentPanics(t *testing.T) {
 	g := NewGuestTable()
+	g.Grow(16)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unmapping absent entry did not panic")
@@ -46,7 +49,7 @@ func TestGuestTableUnmapAbsentPanics(t *testing.T) {
 }
 
 func TestHypervisorTableFaultResolution(t *testing.T) {
-	h := NewHypervisorTable()
+	h := NewHypervisorTable(64)
 	faults := 0
 	h.SetFaultHandler(func(pfn mem.PFN, write bool, kind FaultKind) {
 		faults++
@@ -70,7 +73,7 @@ func TestHypervisorTableFaultResolution(t *testing.T) {
 }
 
 func TestHypervisorTableWriteProtect(t *testing.T) {
-	h := NewHypervisorTable()
+	h := NewHypervisorTable(64)
 	h.Map(3, 300)
 	h.WriteProtect(3)
 	// Reads pass through.
@@ -98,7 +101,7 @@ func TestHypervisorTableWriteProtect(t *testing.T) {
 }
 
 func TestHypervisorTableInvalidate(t *testing.T) {
-	h := NewHypervisorTable()
+	h := NewHypervisorTable(64)
 	h.Map(1, 11)
 	if got := h.Invalidate(1); got != 11 {
 		t.Fatalf("Invalidate returned %d", got)
@@ -112,7 +115,7 @@ func TestHypervisorTableInvalidate(t *testing.T) {
 }
 
 func TestTranslateNoFaultNeverCallsHandler(t *testing.T) {
-	h := NewHypervisorTable()
+	h := NewHypervisorTable(64)
 	h.SetFaultHandler(func(mem.PFN, bool, FaultKind) {
 		t.Fatal("IOMMU-style translation must not fault into software (§4.4.1)")
 	})
@@ -127,7 +130,7 @@ func TestTranslateNoFaultNeverCallsHandler(t *testing.T) {
 }
 
 func TestUnresolvedFaultPanics(t *testing.T) {
-	h := NewHypervisorTable()
+	h := NewHypervisorTable(64)
 	h.SetFaultHandler(func(mem.PFN, bool, FaultKind) {}) // never resolves
 	defer func() {
 		if recover() == nil {
@@ -138,7 +141,7 @@ func TestUnresolvedFaultPanics(t *testing.T) {
 }
 
 func TestWriteProtectInvalidPanics(t *testing.T) {
-	h := NewHypervisorTable()
+	h := NewHypervisorTable(64)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("write-protecting invalid entry did not panic")
@@ -148,7 +151,7 @@ func TestWriteProtectInvalidPanics(t *testing.T) {
 }
 
 func TestWalkVisitsAll(t *testing.T) {
-	h := NewHypervisorTable()
+	h := NewHypervisorTable(100)
 	for p := mem.PFN(0); p < 100; p++ {
 		h.Map(p, mem.MFN(p*2))
 	}
@@ -164,31 +167,77 @@ func TestWalkVisitsAll(t *testing.T) {
 	}
 }
 
-// TestQuickMapInvalidate property-tests that map/invalidate keeps the
-// table consistent: an entry translates iff it was mapped after its last
-// invalidation.
+// TestQuickMapInvalidate property-tests the table against a map model.
+// Random map / owned-map / invalidate / write-protect / unprotect
+// sequences over a 64-page table, plus lookups and invalidations of
+// frames past its end, must leave every frame reading as the model says:
+// an entry translates iff it was mapped after its last invalidation,
+// carries the write-protect and owned bits last set on it, and frames
+// beyond the physical space read as invalid without panicking. Walk
+// must visit exactly the valid entries in ascending PFN order.
 func TestQuickMapInvalidate(t *testing.T) {
+	const pages, span = 64, 80 // frames 64..79 lie beyond the table
 	check := func(ops []uint16) bool {
-		h := NewHypervisorTable()
-		expect := make(map[mem.PFN]mem.MFN)
+		h := NewHypervisorTable(pages)
+		expect := make(map[mem.PFN]HypervisorEntry)
 		for i, op := range ops {
-			pfn := mem.PFN(op % 64)
-			if op%3 == 0 {
-				h.Invalidate(pfn)
+			pfn := mem.PFN(op % span)
+			valid := expect[pfn].Valid
+			switch op % 6 {
+			case 0:
+				want := mem.NoMFN
+				if valid {
+					want = expect[pfn].MFN
+				}
+				if h.Invalidate(pfn) != want {
+					return false
+				}
 				delete(expect, pfn)
-			} else {
-				mfn := mem.MFN(i)
-				h.Map(pfn, mfn)
-				expect[pfn] = mfn
+			case 1:
+				if valid {
+					h.WriteProtect(pfn)
+					e := expect[pfn]
+					e.WriteProtect = true
+					expect[pfn] = e
+				}
+			case 2:
+				if valid {
+					h.Unprotect(pfn)
+					e := expect[pfn]
+					e.WriteProtect = false
+					expect[pfn] = e
+				}
+			case 3:
+				if pfn < pages {
+					h.MapOwned(pfn, mem.MFN(i))
+					expect[pfn] = HypervisorEntry{MFN: mem.MFN(i), Valid: true, Owned: true}
+				}
+			default:
+				if pfn < pages {
+					h.Map(pfn, mem.MFN(i))
+					expect[pfn] = HypervisorEntry{MFN: mem.MFN(i), Valid: true}
+				}
 			}
 		}
-		for pfn, want := range expect {
+		for pfn := mem.PFN(0); pfn < span; pfn++ {
+			want := expect[pfn]
+			if h.Lookup(pfn) != want {
+				return false
+			}
 			got, ok := h.TranslateNoFault(pfn)
-			if !ok || got != want {
+			if ok != want.Valid || (ok && got != want.MFN) || (!ok && got != mem.NoMFN) {
 				return false
 			}
 		}
-		return h.Len() == len(expect)
+		walked, ascending := 0, true
+		last := mem.PFN(0)
+		h.Walk(func(p mem.PFN, e HypervisorEntry) {
+			if e != expect[p] || (walked > 0 && p <= last) {
+				ascending = false
+			}
+			walked, last = walked+1, p
+		})
+		return ascending && walked == len(expect) && h.Len() == len(expect)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 // 4K-mapped domain, then records the machine-frame sequence the buddy
 // allocator hands out afterwards. Destroying the domain frees every
 // owned page, and each Free reshapes the buddy free lists — so the
-// recorded sequence is a fingerprint of the order releaseFrames walked
-// ownedPages in.
+// recorded sequence is a fingerprint of the order releaseFrames freed
+// the owned pages in.
 func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 	t.Helper()
 	topo := numa.SmallMachine(4, 4, 64<<20)
@@ -47,10 +47,10 @@ func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 
 // TestDestroyDomainDeterministic is the regression test for the
 // releaseFrames map-order bug found by the maporder analyzer: freeing
-// ownedPages in map iteration order left the buddy allocator in a
-// run-dependent state, so every allocation after a domain destroy was
-// nondeterministic. Two identical runs must now hand out identical
-// frame sequences.
+// owned pages in map iteration order (ownership was then a map) left
+// the buddy allocator in a run-dependent state, so every allocation
+// after a domain destroy was nondeterministic. Two identical runs must
+// now hand out identical frame sequences.
 func TestDestroyDomainDeterministic(t *testing.T) {
 	a := postDestroyAllocSequence(t)
 	b := postDestroyAllocSequence(t)

@@ -2,7 +2,6 @@ package xen
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 	"repro/internal/numa"
@@ -48,14 +47,12 @@ type Domain struct {
 	grants *GrantTable
 	pinned map[mem.PFN]int
 
-	// frames tracks every machine allocation backing this domain so the
-	// memory can be returned on destroy. Blocks allocated at order > 0
-	// (round-1G regions) are recorded once.
+	// frames tracks the block allocations backing this domain (boot
+	// regions, recorded once each) so the memory can be returned on
+	// destroy. Frames allocated page by page — by a fault, a migration
+	// or round-4K boot — are instead marked Owned in their hypervisor
+	// entry, so releaseFrames frees each exactly once.
 	frames []frameAlloc
-	// frameOf mirrors the hypervisor table for 4 KiB-grained ownership:
-	// pages individually invalidated/remapped by first-touch or
-	// migration are tracked here so releaseFrames does not double-free.
-	ownedPages map[mem.PFN]mem.MFN
 
 	// Observers used by the workload engine to keep per-region node
 	// histograms in sync with the hypervisor page table.
@@ -91,21 +88,23 @@ type frameAlloc struct {
 
 func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot policy.BootPlacer, pol *policy.Policy) *Domain {
 	// A recycled shell (left behind by Hypervisor.Reset) carries the
-	// previous domain's map buckets and slice capacities; refilling it
-	// is bit-for-bit equivalent to a cold build, minus the allocation
-	// and rehash work.
+	// previous domain's page-table array and slice capacities; refilling
+	// it is bit-for-bit equivalent to a cold build, minus the
+	// allocation.
+	physPages := uint64(spec.MemBytes) / mem.PageSize
 	d := h.takeShell()
 	if d == nil {
 		d = &Domain{
-			table:      pt.NewHypervisorTable(),
-			ownedPages: make(map[mem.PFN]mem.MFN),
-			pinned:     make(map[mem.PFN]int),
+			table:  pt.NewHypervisorTable(physPages),
+			pinned: make(map[mem.PFN]int),
 		}
+	} else {
+		d.table.Reset(physPages)
 	}
 	d.ID = id
 	d.Name = spec.Name
 	d.hv = h
-	d.physPages = uint64(spec.MemBytes) / mem.PageSize
+	d.physPages = physPages
 	d.bootKind = spec.Boot
 	d.bootPlacer = boot
 	d.cfg = policy.Config{Static: spec.Boot}
@@ -136,15 +135,14 @@ func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot
 	return d
 }
 
-// recycleShell strips a domain down to its reusable storage — page-table
-// buckets, ownership maps, slice capacities — and clears everything
-// else, so newDomain can refill it exactly as it fills a zero literal.
-// The domain's frames are NOT returned to the allocator: recycling
-// happens only from Hypervisor.Reset, which restores the whole
-// allocator to pristine shape wholesale.
+// recycleShell strips a domain down to its reusable storage — the
+// page-table array, slice capacities — and clears everything else, so
+// newDomain can refill it exactly as it fills a zero literal. The page
+// table is left for newDomain to reset, once the next domain's size is
+// known. The domain's frames are NOT returned to the allocator:
+// recycling happens only from Hypervisor.Reset, which restores the
+// whole allocator to pristine shape wholesale.
 func (d *Domain) recycleShell() {
-	d.table.Reset()
-	clear(d.ownedPages)
 	clear(d.pinned)
 	d.frames = d.frames[:0]
 	d.VCPUs = d.VCPUs[:0]
@@ -175,25 +173,21 @@ func (d *Domain) populate() error {
 	return d.bootPlacer(d)
 }
 
-// releaseFrames returns all machine memory to the allocator. Frames are
-// freed in ascending PFN order: each Free reshapes the buddy free
-// lists, so freeing in map order would leave the allocator in a
-// run-dependent state and make every allocation after a domain destroy
-// nondeterministic.
+// releaseFrames returns all machine memory to the allocator: the block
+// records, then every owned page in one ascending PFN scan of the
+// table. The order is fixed because each Free reshapes the buddy free
+// lists, and every allocation after a domain destroy must be
+// deterministic.
 func (d *Domain) releaseFrames() {
 	for _, f := range d.frames {
 		d.hv.Alloc.Free(f.mfn, f.order)
 	}
 	d.frames = nil
-	pfns := make([]mem.PFN, 0, len(d.ownedPages))
-	for pfn := range d.ownedPages {
-		pfns = append(pfns, pfn)
-	}
-	sort.Slice(pfns, func(i, j int) bool { return pfns[i] < pfns[j] })
-	for _, pfn := range pfns {
-		d.hv.Alloc.Free(d.ownedPages[pfn], mem.Order4K)
-		delete(d.ownedPages, pfn)
-	}
+	d.table.Walk(func(_ mem.PFN, e pt.HypervisorEntry) {
+		if e.Owned {
+			d.hv.Alloc.Free(e.MFN, mem.Order4K)
+		}
+	})
 }
 
 // --- policy.DomainOps (the internal interface, §4.1) ---
@@ -259,11 +253,10 @@ func (d *Domain) MapRegion(base mem.PFN, block mem.MFN, order int) {
 	}
 }
 
-// MapPage installs pfn→mfn, records ownership at page granularity and
-// notifies the placement observer.
+// MapPage installs pfn→mfn, marks the entry Owned (the frame is freed
+// with the page) and notifies the placement observer.
 func (d *Domain) MapPage(pfn mem.PFN, mfn mem.MFN) {
-	d.table.Map(pfn, mfn)
-	d.ownedPages[pfn] = mfn
+	d.table.MapOwned(pfn, mfn)
 	if d.OnPlace != nil {
 		d.OnPlace(pfn, d.hv.Alloc.NodeOf(mfn))
 	}
@@ -278,15 +271,15 @@ func (d *Domain) InvalidatePage(pfn mem.PFN) {
 		// IOMMU (§4.4.1). Leave it mapped.
 		return
 	}
-	old := d.table.Invalidate(pfn)
-	if old == mem.NoMFN {
+	e := d.table.Lookup(pfn)
+	if !e.Valid {
 		return
 	}
+	d.table.Invalidate(pfn)
 	d.Invalidated++
 	d.hv.EntriesFlushed++
-	if _, owned := d.ownedPages[pfn]; owned {
-		delete(d.ownedPages, pfn)
-		d.hv.Alloc.Free(old, mem.Order4K)
+	if e.Owned {
+		d.hv.Alloc.Free(e.MFN, mem.Order4K)
 	}
 	// Frames inside eager blocks (round-1G/round-4K boot regions) stay
 	// owned by the block record; they are reused only after the block is
@@ -318,11 +311,10 @@ func (d *Domain) MigratePage(pfn mem.PFN, to numa.NodeID) bool {
 	d.table.WriteProtect(pfn)
 	// Copy happens here; the time cost is charged by the caller through
 	// CostMigratePage, the traffic through the load accumulator.
-	d.table.Map(pfn, newMFN)
-	if old, owned := d.ownedPages[pfn]; owned {
-		d.hv.Alloc.Free(old, mem.Order4K)
+	d.table.MapOwned(pfn, newMFN)
+	if e.Owned {
+		d.hv.Alloc.Free(e.MFN, mem.Order4K)
 	}
-	d.ownedPages[pfn] = newMFN
 	d.Migrated++
 	d.hv.PagesMigrated++
 	d.hv.MigrationTime += CostMigratePage

@@ -156,3 +156,17 @@ func TestGrantUnpopulatedPageRejected(t *testing.T) {
 		t.Fatal("granted an invalidated page (the IOMMU conflict, §4.4.1)")
 	}
 }
+
+// TestGrantBeyondPhysicalSpaceRejected: a guest-supplied PFN past the
+// end of the domain's physical space is refused like an unpopulated
+// page. The frame-indexed table reports it invalid instead of indexing
+// past its end.
+func TestGrantBeyondPhysicalSpaceRejected(t *testing.T) {
+	_, d := extTestDomain(t)
+	gt := NewGrantTable(d)
+	for _, pfn := range []mem.PFN{mem.PFN(d.PhysPages()), 1 << 40} {
+		if _, err := gt.GrantAccess(0, pfn, false); err == nil {
+			t.Fatalf("granted PFN %d beyond the %d-page physical space", pfn, d.PhysPages())
+		}
+	}
+}

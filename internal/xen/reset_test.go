@@ -137,3 +137,18 @@ func TestResetReplayDivergenceReturnsError(t *testing.T) {
 		t.Fatalf("second Reset: %v", err)
 	}
 }
+
+// TestResetRejectsPageOwnedDom0 pins Reset's precondition: a dom0 entry
+// marked Owned (here, a page migrated off its boot block) is an
+// allocation the frame replay cannot reproduce, so Reset must refuse
+// with an error instead of restoring a machine that differs from a
+// cold boot.
+func TestResetRejectsPageOwnedDom0(t *testing.T) {
+	hv := testHV(t)
+	if !hv.Dom0().MigratePage(0, 1) {
+		t.Fatal("dom0 page 0 did not migrate to node 1")
+	}
+	if err := hv.Reset(); err == nil || !strings.Contains(err.Error(), "page-grained") {
+		t.Fatalf("Reset with a page-owned dom0 entry = %v, want the page-grained error", err)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/numa"
 	"repro/internal/policy"
+	"repro/internal/pt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -115,9 +116,9 @@ type Hypervisor struct {
 	cpuUse []int
 
 	// shells holds stripped domain carcasses left behind by Reset;
-	// newDomain pops one instead of allocating fresh page tables and
-	// ownership maps. Empty outside warm-pool use, so cold-build paths
-	// are untouched.
+	// newDomain pops one and resets its page table in place instead of
+	// allocating a fresh one. Empty outside warm-pool use, so cold-build
+	// paths are untouched.
 	shells []*Domain
 
 	// Counters.
@@ -333,7 +334,7 @@ func (h *Hypervisor) takeShell() *Domain {
 // bit-identical to a freshly booted hypervisor's. All counters reset.
 //
 // Reset requires that dom0 holds only block allocations from boot (no
-// page-grained ownership), which is true in every cell: nothing runs a
+// entry marked Owned), which is true in every cell: nothing runs a
 // policy on dom0. It returns an error — rather than reconstruct an
 // unknowable allocation order, or kill the process — when that
 // precondition fails or the frame replay diverges; a hypervisor whose
@@ -360,7 +361,11 @@ func (h *Hypervisor) Reset() error {
 	h.PassthroughOffs = 0
 
 	dom0 := h.domains[0]
-	if len(dom0.ownedPages) != 0 {
+	pageOwned := false
+	dom0.table.Walk(func(_ mem.PFN, e pt.HypervisorEntry) {
+		pageOwned = pageOwned || e.Owned
+	})
+	if pageOwned {
 		return fmt.Errorf("xen: Reset with page-grained dom0 allocations")
 	}
 	// Restore the allocator to pristine shape, then replay dom0's boot

@@ -22,8 +22,8 @@ var fiPoolReset = faultinject.Register("pool.reset")
 // topology, the hypervisor configuration that varies per run (IOMMU),
 // the VM count and each VM's memory size. Cells of the same shape reuse
 // each other's machines; the key is purely a performance choice (reset
-// machines are pristine, so a collision would still be correct — the
-// recycled buckets would just be the wrong size).
+// machines are pristine, so a collision would still be correct — a
+// recycled table of the wrong size is just reallocated).
 type poolKey struct {
 	scale   int
 	xenplus bool
