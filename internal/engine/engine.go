@@ -287,7 +287,7 @@ func (r *Region) HotDist() []float64 {
 	return r.hotCache
 }
 
-// Backend materializes, frees and migrates region pages on a concrete
+// Backend materializes and migrates region pages on a concrete
 // platform, and reports the platform's fixed characteristics.
 type Backend interface {
 	// Name identifies the platform and policy for reporting.
@@ -298,8 +298,6 @@ type Backend interface {
 	Place(r *Region, n int, toucher numa.NodeID) (sim.Time, error)
 	// Migrate moves page i of r to node, updating r on success.
 	Migrate(r *Region, i int, to numa.NodeID) bool
-	// Release frees every page of r.
-	Release(r *Region) sim.Time
 	// ChurnOverhead is the fraction of a core's time lost to the
 	// page-release notification path at the given per-core release rate.
 	ChurnOverhead(releasesPerSec float64, threads int) float64

@@ -52,7 +52,6 @@ func (b *stubBackend) Migrate(r *Region, i int, to numa.NodeID) bool {
 	return true
 }
 
-func (b *stubBackend) Release(*Region) sim.Time           { return 0 }
 func (b *stubBackend) ChurnOverhead(float64, int) float64 { return 0 }
 func (b *stubBackend) IO() (iosim.Path, iosim.BufferPlacement) {
 	return iosim.PathNative, iosim.BufferScattered

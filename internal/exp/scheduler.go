@@ -10,13 +10,24 @@ import (
 )
 
 // Scheduler fans simulation cells out across a bounded pool of workers.
-// Submitted tasks start immediately (each in its own goroutine) but at
-// most Workers of them run at a time; the rest queue on the semaphore.
-// Submit and Wait must not be called concurrently from different
-// goroutines (and tasks must not submit further tasks): the WaitGroup
-// forbids an Add racing a Wait whose counter has reached zero.
+// Submitted tasks wait in one FIFO queue, which at most Workers
+// goroutines drain: a worker starts when a task arrives and fewer than
+// Workers are running, and exits once the queue is empty. Tasks
+// therefore start in submission order, and at one worker they also run
+// in it. Results never depend on that order (each cell derives its own
+// random stream), but which pooled machine a lease finds, and so how
+// much its storage must grow, does. Submit and Wait must not be called
+// concurrently from different goroutines (and tasks must not submit
+// further tasks): the WaitGroup forbids an Add racing a Wait whose
+// counter has reached zero.
 type Scheduler struct {
-	sem       chan struct{}
+	workers int
+
+	mu      sync.Mutex
+	queue   []func() // queue[head:] waits to run
+	head    int
+	running int // draining goroutines
+
 	wg        sync.WaitGroup
 	submitted atomic.Int64
 	completed atomic.Int64
@@ -28,23 +39,52 @@ func NewScheduler(workers int) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Scheduler{sem: make(chan struct{}, workers)}
+	return &Scheduler{workers: workers}
 }
 
 // Workers returns the pool's concurrency bound.
-func (s *Scheduler) Workers() int { return cap(s.sem) }
+func (s *Scheduler) Workers() int { return s.workers }
 
 // Submit queues fn for execution and returns immediately.
 func (s *Scheduler) Submit(fn func()) {
 	s.wg.Add(1)
 	s.submitted.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer s.completed.Add(1)
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
+	s.mu.Lock()
+	s.queue = append(s.queue, fn)
+	start := s.running < s.workers
+	if start {
+		s.running++
+	}
+	s.mu.Unlock()
+	if start {
+		go s.drain()
+	}
+}
+
+// drain runs queued tasks, oldest first, until the queue is empty.
+func (s *Scheduler) drain() {
+	for fn := s.next(); fn != nil; fn = s.next() {
 		fn()
-	}()
+		s.completed.Add(1)
+		s.wg.Done()
+	}
+}
+
+// next pops the oldest queued task, or retires the calling worker and
+// returns nil when none is left. The emptied queue keeps its storage
+// for the next batch.
+func (s *Scheduler) next() func() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+		s.running--
+		return nil
+	}
+	fn := s.queue[s.head]
+	s.queue[s.head] = nil
+	s.head++
+	return fn
 }
 
 // Wait blocks until every submitted task has finished.

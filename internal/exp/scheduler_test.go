@@ -36,6 +36,32 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// TestSchedulerRunsInSubmissionOrder pins the FIFO queue: at one worker
+// tasks run one at a time in the order they were submitted, so a
+// suite's pooled machines see the same lease sequence on every run.
+func TestSchedulerRunsInSubmissionOrder(t *testing.T) {
+	const tasks = 200
+	s := NewScheduler(1)
+	var mu sync.Mutex
+	var order []int
+	for i := 0; i < tasks; i++ {
+		s.Submit(func() {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+		})
+	}
+	s.Wait()
+	if len(order) != tasks {
+		t.Fatalf("ran %d tasks, want %d", len(order), tasks)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("task %d ran at position %d; order %v", got, i, order)
+		}
+	}
+}
+
 func TestSchedulerDefaultWorkers(t *testing.T) {
 	if NewScheduler(0).Workers() <= 0 {
 		t.Fatal("default worker count not positive")

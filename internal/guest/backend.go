@@ -24,10 +24,7 @@ type Backend struct {
 	// every region: Place goes through mmap plus guest-level first-touch
 	// faulting, then through the hypervisor page table.
 	proc *Process
-	// regionVPN remembers each region's mmap starts for Release (one
-	// per Place call).
-	regionVPN map[*engine.Region][]pt.VPN
-	cfg       policy.Config
+	cfg  policy.Config
 	// contiguous caches the policy descriptor's huge-region flag: IO()
 	// sits on the engine's per-epoch path and must not pay a registry
 	// lookup (nor its lowercasing allocation) per call.
@@ -69,7 +66,6 @@ func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, qcfg Que
 		b.Dom = dom
 		b.OS.reset(dom, kernelPages)
 		b.proc.reset(b.OS)
-		clear(b.regionVPN)
 		b.cfg = cfg
 		b.contiguous = desc.Contiguous
 	} else {
@@ -77,7 +73,6 @@ func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, qcfg Que
 			HV:         hv,
 			Dom:        dom,
 			OS:         NewOS(dom, kernelPages, qcfg),
-			regionVPN:  make(map[*engine.Region][]pt.VPN),
 			cfg:        cfg,
 			contiguous: desc.Contiguous,
 		}
@@ -114,7 +109,6 @@ func (b *Backend) Place(r *engine.Region, n int, toucher numa.NodeID) (sim.Time,
 	if err != nil {
 		return total, fmt.Errorf("guest: placing region %s: %w", r.Name, err)
 	}
-	b.regionVPN[r] = append(b.regionVPN[r], start)
 	for v := start; v < start+pt.VPN(n); v++ {
 		pfn, cost, err := b.proc.Touch(v)
 		if err != nil {
@@ -134,22 +128,6 @@ func (b *Backend) Migrate(r *engine.Region, i int, to numa.NodeID) bool {
 	}
 	r.SetNode(i, to)
 	return true
-}
-
-// Release unmaps every mmap region backing r: the physical pages return
-// to the guest free list (zeroed), and the hypervisor is notified when
-// the first-touch queue is active.
-func (b *Backend) Release(r *engine.Region) sim.Time {
-	var total sim.Time
-	for _, start := range b.regionVPN[r] {
-		cost, err := b.proc.Munmap(start)
-		if err != nil {
-			panic(fmt.Sprintf("guest: releasing region %s: %v", r.Name, err))
-		}
-		total += cost
-	}
-	delete(b.regionVPN, r)
-	return total
 }
 
 // ChurnOverhead derives the analytic steady-state cost of the release

@@ -106,22 +106,10 @@ func (a *PhysAlloc) Reset(totalPages, reserved uint64) {
 	a.used = 0
 }
 
-// FreePages returns every currently-free page: the freed list plus all
-// never-touched pages. Used to prime the hypervisor when switching to
-// first-touch.
-func (a *PhysAlloc) FreePages() []mem.PFN {
-	out := make([]mem.PFN, 0, len(a.freed)+int(a.totalPages-a.nextFresh))
-	out = append(out, a.freed...)
-	for p := a.nextFresh; p < a.totalPages; p++ {
-		out = append(out, mem.PFN(p))
-	}
-	return out
-}
-
-// ForEachFree visits every currently-free page in the same deterministic
-// order FreePages returns them, without materializing the slice — the
-// free-list flush on a policy switch covers the whole physical space, a
-// multi-megabyte allocation when done by value.
+// ForEachFree visits every currently-free page, the freed list (oldest
+// first) and then every never-touched page in ascending order, without
+// materializing them: the free-list flush that primes the hypervisor on
+// a switch to first-touch covers the whole physical space.
 func (a *PhysAlloc) ForEachFree(fn func(mem.PFN)) {
 	for _, p := range a.freed {
 		fn(p)

@@ -75,7 +75,8 @@ func TestPhysAllocFreePages(t *testing.T) {
 	p, _ := a.Alloc()
 	q, _ := a.Alloc()
 	a.Free(p)
-	free := a.FreePages()
+	var free []mem.PFN
+	a.ForEachFree(func(f mem.PFN) { free = append(free, f) })
 	// One freed page + 14 never-touched pages.
 	if len(free) != 15 {
 		t.Fatalf("free pages = %d, want 15", len(free))

@@ -44,6 +44,14 @@ type Backend struct {
 // of range is rejected here), so an unsupported configuration fails at
 // construction rather than mid-run.
 func New(topo *numa.Topology, cfg policy.Config) (*Backend, error) {
+	return Rebuild(nil, topo, cfg)
+}
+
+// Rebuild is New with recycling: a non-nil prev, the backend of an
+// earlier lease of a pooled machine on topo whose allocator has since
+// been Reset, is rebound to cfg in place, keeping its allocator and
+// node list. The result behaves bit for bit like a newly built backend.
+func Rebuild(prev *Backend, topo *numa.Topology, cfg policy.Config) (*Backend, error) {
 	if err := policy.CheckConfig(cfg); err != nil {
 		return nil, fmt.Errorf("linux: %w", err)
 	}
@@ -59,11 +67,16 @@ func New(topo *numa.Topology, cfg policy.Config) (*Backend, error) {
 		return nil, fmt.Errorf("linux: %w", err)
 	}
 	cfg.Static = canon
-	homes := make([]numa.NodeID, topo.NumNodes())
-	for i := range homes {
-		homes[i] = numa.NodeID(i)
+	b := prev
+	if b == nil {
+		homes := make([]numa.NodeID, topo.NumNodes())
+		for i := range homes {
+			homes[i] = numa.NodeID(i)
+		}
+		b = &Backend{Topo: topo, Alloc: mem.NewAllocator(topo), homes: homes}
 	}
-	return &Backend{Topo: topo, Alloc: mem.NewAllocator(topo), cfg: cfg, placer: placer, homes: homes}, nil
+	b.cfg, b.placer, b.rr, b.Migrated = cfg, placer, 0, 0
+	return b, nil
 }
 
 // Name reports the platform and policy.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/guest"
+	"repro/internal/linux"
 	"repro/internal/workload"
 	"repro/internal/xen"
 )
@@ -17,37 +18,36 @@ import (
 // divergence.
 var fiPoolReset = faultinject.Register("pool.reset")
 
-// poolKey is the run-constant shape of a machine: everything that
-// determines the sizes of the allocations a cell builds — the scaled
-// topology, the hypervisor configuration that varies per run (IOMMU),
-// the VM count and each VM's memory size. Cells of the same shape reuse
-// each other's machines; the key is purely a performance choice (reset
-// machines are pristine, so a collision would still be correct — a
-// recycled table of the wrong size is just reallocated).
+// poolKey is a machine's identity: what newHypervisor builds a Xen
+// machine from — the scale and the IOMMU setting XenPlus selects — or,
+// for a native machine, the scale alone. The VMs a run creates are not
+// part of it: as on the paper's one evaluation machine, any VM count
+// and size fits, and a lease for VMs of another size resizes the reset
+// machine's storage in place.
 type poolKey struct {
 	scale   int
+	native  bool
 	xenplus bool
-	vms     int
-	mem0    int64
-	mem1    int64
 }
 
 // machine is one poolable world: a hypervisor plus the per-VM guest
-// backends and engine instances of its previous lease, kept so the next
-// lease of the same shape rebuilds them in place.
+// backends and engine instances of its previous lease, or a native
+// backend plus its engine instance. The next lease rebuilds them in
+// place.
 type machine struct {
-	hv    *xen.Hypervisor
-	backs [2]*guest.Backend
-	insts [2]*engine.Instance
+	hv     *xen.Hypervisor
+	native *linux.Backend
+	backs  [2]*guest.Backend
+	insts  [2]*engine.Instance
 }
 
-// Pool is a deterministic warm-machine pool: Xen runs with Options.Pool
-// set lease a pre-built machine of matching shape instead of
-// cold-building one, reset it to its just-booted state, and return it
-// when the run completes. Leases are exclusive, so a pool is safe at
-// any worker count; results are bit-for-bit identical with or without
-// one (pinned by TestPooledCellsMatchFreshSuites). Sweeps attach one
-// pool per suite.
+// Pool is a deterministic warm-machine pool: runs with Options.Pool set,
+// on Xen or native Linux, lease a pre-built machine of their platform
+// instead of cold-building one, reset it to its just-booted state, and
+// return it when the run completes. Leases are exclusive, so a pool is
+// safe at any worker count; results are bit-for-bit identical with or
+// without one (pinned by TestPooledCellsMatchFreshSuites). Sweeps
+// attach one pool per suite.
 type Pool struct {
 	mu     sync.Mutex
 	free   map[poolKey][]*machine
@@ -85,9 +85,9 @@ func (p *Pool) count(c *uint64) {
 	p.mu.Unlock()
 }
 
-// lease pops a free machine of the given shape, or returns nil when the
-// caller must cold-build one. Counters are the caller's job: a popped
-// machine only becomes a hit once its reset succeeds.
+// lease pops a free machine with the given identity, or returns nil
+// when the caller must cold-build one. Counters are the caller's job: a
+// popped machine only becomes a hit once its reset succeeds.
 func (p *Pool) lease(key poolKey) *machine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -118,37 +118,43 @@ func (o Options) pool() *Pool {
 }
 
 // acquire produces the run's machine: a reset warm one when the pool
-// has a matching shape, a cold-built one otherwise. A leased machine
-// whose reset fails — a replay divergence, a panic anywhere in the
-// reset protocol, or an injected fault — is dropped (counted in
-// ResetDrops) and the run degrades to a cold build; the divergence
-// never reaches the caller, and results stay bit-identical because a
-// cold-built machine is the reference the reset protocol reproduces.
+// holds one with the key's identity, a cold-built one otherwise (a
+// native machine's backend is built by its run, which knows the
+// policy). A leased machine whose reset fails — a replay divergence, a
+// panic anywhere in the reset protocol, or an injected fault — is
+// dropped (counted in ResetDrops) and the run degrades to a cold build;
+// the divergence never reaches the caller, and results stay
+// bit-identical because a cold-built machine is the reference the
+// reset protocol reproduces.
 func acquire(o Options, key poolKey) (*machine, error) {
 	p := o.pool()
 	if p != nil {
 		if m := p.lease(key); m != nil {
-			if err := resetMachine(m); err == nil {
+			if err := m.reset(); err == nil {
 				p.count(&p.hits)
 				return m, nil
 			}
 			p.count(&p.drops)
 		}
 	}
-	hv, err := newHypervisor(scaledTopo(o.Scale), o)
-	if err != nil {
-		return nil, err
+	m := &machine{}
+	if !key.native {
+		hv, err := newHypervisor(scaledTopo(o.Scale), o)
+		if err != nil {
+			return nil, err
+		}
+		m.hv = hv
 	}
 	if p != nil {
 		p.count(&p.misses)
 	}
-	return &machine{hv: hv}, nil
+	return m, nil
 }
 
-// resetMachine returns a leased machine to its just-booted state,
-// degrading panics from the reset protocol into errors so a corrupt
-// machine costs the pool one drop, never the process.
-func resetMachine(m *machine) (err error) {
+// reset returns a leased machine to its just-booted state, degrading
+// panics from the reset protocol into errors so a corrupt machine costs
+// the pool one drop, never the process.
+func (m *machine) reset() (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("pool: reset panicked: %v", p)
@@ -157,7 +163,34 @@ func resetMachine(m *machine) (err error) {
 	if err := fiPoolReset.Fire(); err != nil {
 		return err
 	}
-	return m.hv.Reset()
+	if m.hv != nil {
+		return m.hv.Reset()
+	}
+	m.native.Alloc.Reset()
+	return nil
+}
+
+// instance readies the engine instance in slot for a run of prof on b:
+// the slot's instance from the previous lease, recycled, or a new one.
+// mcs selects the MCS-lock mitigation, which applies to the profile's
+// pthread-blocking apps only. Every entry point fills its instances
+// here, so a warm and a cold run start from the same fields.
+func (m *machine) instance(slot int, prof workload.Profile, b engine.Backend, pol Policy, o Options, mcs bool) *engine.Instance {
+	in := m.insts[slot]
+	if in == nil {
+		in = &engine.Instance{}
+		m.insts[slot] = in
+	} else {
+		in.Recycle()
+	}
+	in.Prof = prof
+	in.Backend = b
+	in.NThreads = o.Threads
+	in.Carrefour = pol.Carrefour
+	in.CarrefourMode = carrefourMode(pol)
+	in.MCS = mcs && prof.UsesPthreadSync
+	in.LargePages = o.LargePages
+	return in
 }
 
 // releaseMachine hands the machine back to the pool, if any. Machines

@@ -21,31 +21,38 @@ func installPlan(t *testing.T, spec string) *faultinject.Plan {
 
 // TestPoolResetFaultDegrades pins the warm pool's core robustness
 // invariant: a lease whose reset fails — via the pool.reset site
-// (error and panic) and via the xen.replay site inside Reset itself —
-// is dropped and cold-built, the result stays bit-identical to the
-// fault-free run, ResetDrops counts exactly the injected faults, and
-// the process never dies.
+// (error and panic, on Xen and native machines) and via the xen.replay
+// site inside Reset itself — is dropped and cold-built, the result
+// stays bit-identical to the fault-free run, ResetDrops counts exactly
+// the injected faults, and the process never dies.
 func TestPoolResetFaultDegrades(t *testing.T) {
 	const app, pol = "swaptions", "first-touch"
 	o := Options{Scale: 256}
 	p := MustPolicy(pol)
-	ref, err := RunXen(app, p, o) // no pool: the reference result
-	if err != nil {
-		t.Fatal(err)
-	}
+	xenRun := func(o Options) (Result, error) { return RunXen(app, p, o) }
+	nativeRun := func(o Options) (Result, error) { return RunLinux(app, p, o) }
 
-	for _, tc := range []struct{ name, spec string }{
-		{"reset error", "pool.reset:hit=1:action=error"},
-		{"reset panic", "pool.reset:hit=1:action=panic"},
-		{"replay error", "xen.replay:hit=1:action=error"},
-		{"replay panic", "xen.replay:hit=1:action=panic"},
+	for _, tc := range []struct {
+		name, spec string
+		run        func(Options) (Result, error)
+	}{
+		{"reset error", "pool.reset:hit=1:action=error", xenRun},
+		{"reset panic", "pool.reset:hit=1:action=panic", xenRun},
+		{"replay error", "xen.replay:hit=1:action=error", xenRun},
+		{"replay panic", "xen.replay:hit=1:action=panic", xenRun},
+		{"native reset error", "pool.reset:hit=1:action=error", nativeRun},
+		{"native reset panic", "pool.reset:hit=1:action=panic", nativeRun},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			ref, err := tc.run(o) // no pool: the reference result
+			if err != nil {
+				t.Fatal(err)
+			}
 			po := o
 			po.Pool = NewPool()
 			// First run cold-builds (empty pool: no reset, no fault hit)
 			// and releases the machine warm.
-			first, err := RunXen(app, p, po)
+			first, err := tc.run(po)
 			if err != nil {
 				t.Fatalf("cold run: %v", err)
 			}
@@ -53,7 +60,7 @@ func TestPoolResetFaultDegrades(t *testing.T) {
 			// Second run leases warm; the injected fault kills the reset
 			// and the run must degrade to a cold build with identical
 			// results.
-			second, err := RunXen(app, p, po)
+			second, err := tc.run(po)
 			if err != nil {
 				t.Fatalf("faulted run: %v", err)
 			}
@@ -73,7 +80,7 @@ func TestPoolResetFaultDegrades(t *testing.T) {
 			// With the fault exhausted, the next lease resets and serves
 			// warm again: degradation is per-lease, not sticky.
 			faultinject.Install(nil)
-			third, err := RunXen(app, p, po)
+			third, err := tc.run(po)
 			if err != nil {
 				t.Fatalf("recovered run: %v", err)
 			}

@@ -97,15 +97,15 @@ type Options struct {
 	// Replication enables Carrefour's replication heuristic, which the
 	// paper deliberately leaves out (§3.4); off by default.
 	Replication bool
-	// Pool, when non-nil, lends warm machines to Xen runs: the run
-	// leases a pre-built machine of matching shape, resets it and
+	// Pool, when non-nil, lends warm machines to Xen and native runs:
+	// the run leases a pre-built machine of its platform, resets it and
 	// rebuilds only the seed/app/policy-dependent state, returning it on
 	// completion. Results are bit-for-bit identical with or without a
 	// pool. Sweeps attach one per suite.
 	Pool *Pool
-	// NoPool forces cold-built machines even when Pool is set — the
-	// always-fresh reference path the pooled-vs-fresh equivalence tests
-	// pin against, mirroring noBatch.
+	// NoPool forces cold-built machines even when Pool is set, on both
+	// platforms — the always-fresh reference path the pooled-vs-fresh
+	// equivalence tests pin against, mirroring noBatch.
 	NoPool bool
 	// noBatch selects the engine's per-instance reference kernel, for
 	// the batched-kernel equivalence tests. Unexported on purpose: it is
@@ -158,7 +158,7 @@ func RunXen(app string, pol Policy, o Options) (Result, error) {
 		return Result{}, err
 	}
 	topo := scaledTopo(o.Scale)
-	key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: 1, mem0: shape.memBytes}
+	key := poolKey{scale: o.Scale, xenplus: o.XenPlus}
 	m, err := acquire(o, key)
 	if err != nil {
 		return Result{}, err
@@ -191,7 +191,8 @@ func engineConfig(topo *numa.Topology, o Options) engine.Config {
 }
 
 // RunLinux runs one application natively under a Linux NUMA policy
-// (first-touch or round-4K, optionally with Carrefour).
+// (first-touch or round-4K, optionally with Carrefour). With a pool it
+// leases the scale's native machine like RunXen leases a hypervisor.
 func RunLinux(app string, pol Policy, o Options) (Result, error) {
 	o = o.normalized()
 	prof, err := workload.Get(app)
@@ -199,24 +200,22 @@ func RunLinux(app string, pol Policy, o Options) (Result, error) {
 		return Result{}, err
 	}
 	topo := scaledTopo(o.Scale)
-	b, err := linux.New(topo, pol)
+	key := poolKey{scale: o.Scale, native: true}
+	m, err := acquire(o, key)
 	if err != nil {
 		return Result{}, err
 	}
-	inst := &engine.Instance{
-		Prof:          prof,
-		Backend:       b,
-		NThreads:      o.Threads,
-		Carrefour:     pol.Carrefour,
-		CarrefourMode: carrefourMode(pol),
-		MCS:           o.MCS && prof.UsesPthreadSync,
-		LargePages:    o.LargePages,
-	}
-	cfg := engineConfig(topo, o)
-	res, err := engine.Run(cfg, inst)
+	b, err := linux.Rebuild(m.native, topo, pol)
 	if err != nil {
 		return Result{}, err
 	}
+	m.native = b
+	inst := m.instance(0, prof, b, pol, o, o.MCS)
+	res, err := engine.Run(engineConfig(topo, o), inst)
+	if err != nil {
+		return Result{}, err
+	}
+	releaseMachine(o, key, m)
 	return res[0], nil
 }
 
@@ -253,7 +252,7 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 		return Result{}, Result{}, err
 	}
 	topo := scaledTopo(o.Scale)
-	key := poolKey{scale: o.Scale, xenplus: o.XenPlus, vms: 2, mem0: shape1.memBytes, mem1: shape2.memBytes}
+	key := poolKey{scale: o.Scale, xenplus: o.XenPlus}
 	m, err := acquire(o, key)
 	if err != nil {
 		return Result{}, Result{}, err
@@ -360,21 +359,7 @@ func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o
 		return nil, err
 	}
 	m.backs[slot] = b
-	in := m.insts[slot]
-	if in == nil {
-		in = &engine.Instance{}
-		m.insts[slot] = in
-	} else {
-		in.Recycle()
-	}
-	in.Prof = prof
-	in.Backend = b
-	in.NThreads = o.Threads
-	in.Carrefour = pol.Carrefour
-	in.CarrefourMode = carrefourMode(pol)
-	in.MCS = o.XenPlus && prof.UsesPthreadSync
-	in.LargePages = o.LargePages
-	return in, nil
+	return m.instance(slot, prof, b, pol, o, o.XenPlus), nil
 }
 
 // Apps returns the 29 application names of the paper's evaluation.
