@@ -21,7 +21,8 @@
 //
 // Flags:
 //
-//	-scale N        machine/footprint scale divisor (default 64)
+//	-scale N        machine/footprint scale divisor, a power of two in
+//	                [1, 512] (default 64)
 //	-seed N         simulation seed (default 1)
 //	-parallel N     worker count for the experiment scheduler (default: all CPUs)
 //	-progress       report per-experiment timing on stderr; sweeps also
@@ -70,7 +71,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 func runIO(argv []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("xnuma", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	scale := fs.Int("scale", 64, "machine and footprint scale divisor (power of two)")
+	scale := fs.Int("scale", 64, "machine and footprint scale divisor (a power of two in [1, 512])")
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	markdown := fs.Bool("md", false, "render tables as Markdown instead of ASCII")
 	parallel := fs.Int("parallel", 0, "max concurrent simulations (0 = one per CPU)")
@@ -94,6 +95,10 @@ usage:
 	args := fs.Args()
 	if len(args) == 0 {
 		fs.Usage()
+		return 2
+	}
+	if err := xennuma.CheckScale(*scale); err != nil {
+		fmt.Fprintln(stderr, "xnuma:", err)
 		return 2
 	}
 

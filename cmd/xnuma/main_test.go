@@ -94,6 +94,21 @@ func TestMarkdownRender(t *testing.T) {
 	}
 }
 
+// TestBadScale: a scale the machine cannot be built at is a usage error
+// on every command, reported before anything runs — no topology dump,
+// no cell, no served request, and no silent fall-back to the default.
+func TestBadScale(t *testing.T) {
+	for _, scale := range []string{"3", "1024", "-4", "0"} {
+		for _, cmd := range [][]string{{"topo"}, {"run", "swaptions", "round-4k"}, {"all"}, {"serve"}} {
+			code, out, errb := runCLI(t, append([]string{"-scale", scale}, cmd...)...)
+			if code != 2 || out != "" || !strings.Contains(errb, "power of two") {
+				t.Errorf("-scale %s %s: exit %d, stdout %q, stderr %q; want exit 2 and a scale error only",
+					scale, cmd[0], code, out, errb)
+			}
+		}
+	}
+}
+
 func TestTopo(t *testing.T) {
 	code, out, _ := runCLI(t, "-scale", "256", "topo")
 	if code != 0 {

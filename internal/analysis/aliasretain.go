@@ -9,8 +9,8 @@ import (
 // Aliasretain polices the documented internal-slice accessors in
 // internal/engine: Region.Dist/AccessDist/HotDist hand out the region's
 // cached distribution buffers, stream.distFor and Instance.row hand out
-// rows of the flattened row table (itself aliasing the runner's packed
-// row arena), and runner.cycRow hands out rows of the per-iteration
+// rows of the folded row buffer the instance owns (refilled in place by
+// foldRows), and runner.cycRow hands out rows of the per-iteration
 // cost-matrix scratch. Callers may read them within the current epoch
 // (cycRow: within the current iteration), but storing one into a
 // struct field, a composite literal field or a package-level variable

@@ -8,21 +8,20 @@ import (
 	"repro/internal/sim"
 )
 
-// runConverge executes one run with the given NoConverge setting through
+// runConverge executes one run with the given noConverge setting through
 // a hand-built runner (Run hides it) and returns the results plus the
 // number of epochs the fast path skipped.
 func runConverge(t *testing.T, noConverge, carrefour bool) ([]Result, uint64) {
 	t.Helper()
 	topo := numa.AMD48Scaled(64)
 	cfg := testConfig(topo)
-	cfg.NoConverge = noConverge
 	in := &Instance{
 		Prof:      testProfile(),
 		Backend:   newStub(topo, true),
 		NThreads:  48,
 		Carrefour: carrefour,
 	}
-	r := &runner{cfg: cfg, insts: []*Instance{in}, rand: sim.NewRand(cfg.Seed)}
+	r := &runner{cfg: cfg, insts: []*Instance{in}, rand: sim.NewRand(cfg.Seed), noConverge: noConverge}
 	if err := r.setup(); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func runConverge(t *testing.T, noConverge, carrefour bool) ([]Result, uint64) {
 
 // TestConvergedFastPathMatchesFullKernel pins the converged-epoch fast
 // path: a run with the fast path enabled must produce results
-// bit-for-bit identical to the full computation (Config.NoConverge),
+// bit-for-bit identical to the full computation (runner.noConverge),
 // and the fast path must actually fire — otherwise the test is vacuous
 // and the optimization dead.
 func TestConvergedFastPathMatchesFullKernel(t *testing.T) {
@@ -44,7 +43,7 @@ func TestConvergedFastPathMatchesFullKernel(t *testing.T) {
 		full, skippedFull := runConverge(t, true, carrefour)
 		fast, skippedFast := runConverge(t, false, carrefour)
 		if skippedFull != 0 {
-			t.Fatalf("carrefour=%v: NoConverge run skipped %d epochs", carrefour, skippedFull)
+			t.Fatalf("carrefour=%v: noConverge run skipped %d epochs", carrefour, skippedFull)
 		}
 		if skippedFast == 0 {
 			t.Errorf("carrefour=%v: fast path never fired; optimization is dead", carrefour)
@@ -68,9 +67,8 @@ func TestConvergedFastPathMatchesFullKernel(t *testing.T) {
 }
 
 // TestRecycledInstanceMatchesFresh pins the engine half of the warm-pool
-// protocol: an instance recycled through Instance.Recycle and re-run
-// must produce results bit-for-bit identical to a freshly constructed
-// instance of the same shape.
+// protocol: an instance run again must produce results bit-for-bit
+// identical to a freshly constructed instance of the same shape.
 func TestRecycledInstanceMatchesFresh(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	build := func() *Instance {
@@ -93,7 +91,6 @@ func TestRecycledInstanceMatchesFresh(t *testing.T) {
 
 	recycled := build()
 	run(recycled) // first run dirties every piece of private state
-	recycled.Recycle()
 	got := run(recycled)
 	want := run(build())
 
@@ -111,14 +108,17 @@ func TestRecycledInstanceMatchesFresh(t *testing.T) {
 	compare("recycled instance", got[0], want[0])
 
 	// Reshaped recycle: a pooled machine can be re-leased by a cell with
-	// a different thread count. The in-place reuse check fails, the
-	// storage is rebuilt — and the dynamic state (done, Completion, burst
-	// and fold fields) must still reset, or the run replays the previous
-	// lease's outcome.
-	recycled.Recycle()
+	// a different thread count. The storage shrinks in place — and the
+	// dynamic state (done, Completion, burst and fold fields) must still
+	// reset, or the run replays the previous lease's outcome.
 	recycled.NThreads = 24
 	reshaped := run(recycled)
 	fresh := build()
 	fresh.NThreads = 24
 	compare("reshaped recycled instance", reshaped[0], run(fresh)[0])
+
+	// Regrown: back at 48 threads, the threads and regions the shrink
+	// left past the slices' length are reused and must reset as well.
+	recycled.NThreads = 48
+	compare("regrown recycled instance", run(recycled)[0], want[0])
 }

@@ -20,7 +20,7 @@ package engine
 
 import (
 	"fmt"
-	"slices"
+	"strconv"
 
 	"repro/internal/carrefour"
 	"repro/internal/iosim"
@@ -138,8 +138,8 @@ func (r *Region) SetAccessHead(limit int) {
 }
 
 // reset empties the region for a new run, keeping its identity (Name,
-// Kind, Owner) and every backing buffer, so a recycled instance's
-// regions refill without allocating.
+// Kind, Owner) and every backing buffer, so a rerun instance's regions
+// refill without allocating.
 func (r *Region) reset() {
 	r.Pages = r.Pages[:0]
 	r.nodes = r.nodes[:0]
@@ -154,6 +154,20 @@ func (r *Region) reset() {
 	r.invalidate()
 }
 
+// resetRegion readies a region for a new run: reg itself, emptied in
+// place, when it spans nNodes nodes, otherwise a new region. Per-thread
+// regions (dist and private slices) are named after their owner.
+func resetRegion(reg *Region, name string, kind RegionKind, owner, nNodes int) *Region {
+	if reg != nil && reg.nNodes == nNodes {
+		reg.reset()
+		return reg
+	}
+	if kind == RegionDist || kind == RegionPrivate {
+		name += strconv.Itoa(owner)
+	}
+	return NewRegion(name, kind, owner, nNodes)
+}
+
 // AddPage records a materialized page and its placement.
 func (r *Region) AddPage(p mem.PFN, node numa.NodeID) {
 	r.Pages = append(r.Pages, p)
@@ -163,13 +177,6 @@ func (r *Region) AddPage(p mem.PFN, node numa.NodeID) {
 		r.histHead[node]++
 	}
 	r.invalidate()
-}
-
-// grow reserves room for n more pages, so the n AddPage calls that
-// follow append without reallocating.
-func (r *Region) grow(n int) {
-	r.Pages = slices.Grow(r.Pages, n)
-	r.nodes = slices.Grow(r.nodes, n)
 }
 
 // SetNode updates page i's placement after a migration.
@@ -329,7 +336,11 @@ type Thread struct {
 }
 
 // Instance is one running application on one backend (one VM, or one
-// native process).
+// native process). An instance may be run again, as a warm-pool lease
+// does: the caller sets the public fields (Prof, Backend, NThreads,
+// Carrefour, ...) exactly as on a fresh instance, and Run resets the
+// private run state in place, reusing its storage, so the run is
+// bit-for-bit that of a freshly constructed instance.
 type Instance struct {
 	Prof      workload.Profile
 	Backend   Backend
@@ -356,6 +367,12 @@ type Instance struct {
 	dist  []*Region
 	priv  []*Region
 	sizes regionSizes
+	// pageBuf and nodeBuf back every region's Pages and nodes:
+	// materialize hands each region a capacity-capped window of them, so
+	// however the thread count splits the footprint, a rerun refills the
+	// same two buffers.
+	pageBuf []mem.PFN
+	nodeBuf []numa.NodeID
 
 	workPerThread  float64
 	footprintBytes float64
@@ -413,20 +430,7 @@ type Instance struct {
 	// pending migration traffic (bytes between node pairs) charged to
 	// the next epoch's load.
 	pendingMoveBytes map[[2]numa.NodeID]float64
-
-	// recycled marks an instance handed back by a warm-pool lease:
-	// Run's setup rebuilds its threads and regions in place, keeping
-	// their storage, instead of requiring a fresh struct.
-	recycled bool
 }
-
-// Recycle marks the instance for in-place rebuild by the next Run. The
-// caller sets the public fields (Prof, Backend, NThreads, Carrefour,
-// ...) exactly as on a fresh instance; setup then resets the private
-// run state — threads, regions, burst and fold state, pending traffic —
-// while reusing the existing allocations. A recycled instance behaves
-// bit-for-bit like a freshly constructed one.
-func (in *Instance) Recycle() { in.recycled = true }
 
 // regionSizes records the page budget of each region class.
 type regionSizes struct {

@@ -56,8 +56,7 @@ func steadyRunner(tb testing.TB, backend Backend, noConverge bool) *runner {
 	prof.BaselineSeconds = 1e9 // never finishes
 	in := &Instance{Prof: prof, Backend: backend, NThreads: 48}
 	cfg := testConfig(topo)
-	cfg.NoConverge = noConverge
-	r := &runner{cfg: cfg, insts: []*Instance{in}, rand: sim.NewRand(cfg.Seed)}
+	r := &runner{cfg: cfg, insts: []*Instance{in}, rand: sim.NewRand(cfg.Seed), noConverge: noConverge}
 	if err := r.setup(); err != nil {
 		tb.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func steadyRunner(tb testing.TB, backend Backend, noConverge bool) *runner {
 }
 
 // TestEpochAllocFree requires a steady-state epoch to allocate nothing,
-// on the full kernel (NoConverge) and on the converged fast path, for
+// on the full kernel (noConverge) and on the converged fast path, for
 // BenchmarkEpoch's backend (threads spread over every node) and
 // BenchmarkEpochUniqueRows' (threads pinned to one node). An allocation
 // count does not depend on the host, so this runs on every go test,
@@ -90,7 +89,7 @@ func TestEpochAllocFree(t *testing.T) {
 				r.epoch(step)
 			})
 			if allocs != 0 {
-				t.Errorf("%s, NoConverge=%v: %v allocs per epoch, want 0", be.name, noConverge, allocs)
+				t.Errorf("%s, noConverge=%v: %v allocs per epoch, want 0", be.name, noConverge, allocs)
 			}
 			if !noConverge && r.convergedEpochs == 0 {
 				t.Errorf("%s: converged fast path never fired; its case is vacuous", be.name)

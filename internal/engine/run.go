@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/carrefour"
@@ -35,20 +36,6 @@ type Config struct {
 	// access (the paper's §7 large-page extension). Nil preserves the
 	// paper's baseline, which does not model TLBs.
 	TLB *numa.TLBModel
-	// NoBatch selects the per-instance reference kernel: direct
-	// AccessCycles/PathLinkUtil calls for every cost-matrix cell,
-	// per-instance row buffers instead of the runner arena, and a full
-	// stream-table rebuild every epoch. Results are bit-for-bit
-	// identical to the batched kernel — it exists so the equivalence
-	// tests can pin that, not for production sweeps.
-	NoBatch bool
-	// NoConverge disables the converged-epoch fast path, forcing the
-	// full fixed-point computation every epoch. Results are bit-for-bit
-	// identical either way (the fast path only skips epochs whose full
-	// recomputation would reproduce the previous epoch's state exactly);
-	// the flag exists for the equivalence tests and for benchmarks that
-	// must measure the full kernel.
-	NoConverge bool
 }
 
 // DefaultConfig returns the standard configuration for a machine scaled
@@ -114,15 +101,13 @@ type runner struct {
 	units [][]float64
 
 	// Run-constant node geometry, hoisted out of the fixed-point loop:
-	// nNodes is the node count and hops[src*nNodes+dst] the interconnect
-	// hop count (Topo.Distance never changes during a run). cost is the
-	// shared pair cost model for cfg.Topo (base cycles and contention
-	// coefficients), fetched from a process-wide cache so every runner
-	// on the same topology — the whole sweep batch — reuses one;
-	// freqGHz mirrors the latency model's frequency so the hot loop
-	// converts cycles to nanoseconds without copying the model.
+	// nNodes is the node count and cost the shared pair cost model for
+	// cfg.Topo (hop counts, base cycles and contention coefficients),
+	// fetched from a process-wide cache so every runner on the same
+	// topology — the whole sweep batch — reuses one; freqGHz mirrors the
+	// latency model's frequency so the hot loop converts cycles to
+	// nanoseconds without copying the model.
 	nNodes  int
-	hops    []int
 	cost    *numa.AccessCostModel
 	freqGHz float64
 
@@ -130,17 +115,13 @@ type runner struct {
 	// epoch proved itself a fixed point (see epoch); latChanged is the
 	// epoch-scoped flag updateLatencies raises on any bitwise latency
 	// movement; convergedEpochs counts skipped epochs for the white-box
-	// tests.
+	// tests. noConverge, set only by engine tests, disables the fast path
+	// so they can compare it with, or time, the full kernel; results are
+	// bit-for-bit identical either way.
 	converged       bool
 	latChanged      bool
 	convergedEpochs uint64
-
-	// rowArena packs every instance's folded per-thread node rows into
-	// one contiguous block (in.rows slices alias it), so the fixed-point
-	// walk over a whole cell is one linear pass instead of per-instance
-	// pointer chasing. The reference kernel (Config.NoBatch) leaves
-	// instances on private buffers instead.
-	rowArena []float64
+	noConverge      bool
 
 	// Scratch buffers, reused so steady-state epochs allocate nothing.
 	//xnuma:scratch
@@ -169,18 +150,12 @@ func (r *runner) setup() error {
 	r.load = metrics.NewEpochLoad(r.cfg.Topo, epochSec, r.cfg.CtrlBWBps)
 	r.ctrlUtil = make([]float64, n)
 	r.nNodes = n
-	r.hops = make([]int, n*n)
 	r.cycles = make([]float64, n*n)
 	r.linkUtil = make([]float64, len(r.cfg.Topo.Links))
 	r.ctrlPen = make([]float64, n)
 	r.moves = make([]int, n*n)
 	r.cost = costModelFor(r.cfg.Topo)
 	r.freqGHz = r.cfg.Topo.Latency.FreqGHz
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			r.hops[src*n+dst] = r.cfg.Topo.Distance(numa.NodeID(src), numa.NodeID(dst))
-		}
-	}
 	for _, in := range r.insts {
 		if err := in.Prof.Validate(); err != nil {
 			return err
@@ -211,19 +186,6 @@ func (r *runner) setup() error {
 	}
 	r.groupUnits = make([]float64, maxThreads)
 	r.groupCyc = make([]float64, maxThreads)
-	if !r.cfg.NoBatch {
-		total := 0
-		for _, in := range r.insts {
-			total += in.NThreads * n
-		}
-		r.rowArena = make([]float64, total)
-		off := 0
-		for _, in := range r.insts {
-			sz := in.NThreads * n
-			in.rows = r.rowArena[off : off+sz : off+sz]
-			off += sz
-		}
-	}
 	r.initTimes = make([]sim.Time, len(r.insts))
 	for i, in := range r.insts {
 		t, err := r.materialize(in)
@@ -262,54 +224,36 @@ func (r *runner) hoistRunConstants(in *Instance, epochSec float64) {
 	}
 }
 
-// buildInstance creates threads and sizes regions. A recycled instance
-// whose shape (thread count, node count) matches its previous run is
-// rebuilt in place: threads and regions are reset to their
-// just-constructed values while keeping their storage, so a pooled
-// cell's instances allocate nothing here.
+// buildInstance creates threads and sizes regions. Storage a previous
+// run left on the instance is reset in place and grown or shrunk to
+// NThreads, so rerunning a pooled instance allocates only for threads
+// and regions it never had.
 func (r *runner) buildInstance(in *Instance) error {
 	nNodes := r.cfg.Topo.NumNodes()
 	idealNs := in.Prof.CPUNsPerUnit() + 71.0
 	in.workPerThread = in.Prof.BaselineSeconds * 1e9 / idealNs
-	reuse := in.recycled && len(in.Threads) == in.NThreads &&
-		len(in.dist) == in.NThreads && len(in.priv) == in.NThreads &&
-		in.hot != nil && in.hot.nNodes == nNodes
-	in.recycled = false
-	if reuse {
-		for i, t := range in.Threads {
-			*t = Thread{
-				ID:       i,
-				Node:     in.Backend.ThreadNode(i),
-				CPUShare: in.Backend.CPUShare(i),
-				WorkLeft: in.workPerThread,
-				latNs:    100,
-			}
+	in.Threads = resized(in.Threads, in.NThreads)
+	for i, t := range in.Threads {
+		if t == nil {
+			t = new(Thread)
+			in.Threads[i] = t
 		}
-		in.hot.reset()
-		in.master.reset()
-		for i := 0; i < in.NThreads; i++ {
-			in.dist[i].reset()
-			in.priv[i].reset()
-		}
-	} else {
-		in.Threads = in.Threads[:0]
-		in.dist = in.dist[:0]
-		in.priv = in.priv[:0]
-		for i := 0; i < in.NThreads; i++ {
-			in.Threads = append(in.Threads, &Thread{
-				ID:       i,
-				Node:     in.Backend.ThreadNode(i),
-				CPUShare: in.Backend.CPUShare(i),
-				WorkLeft: in.workPerThread,
-				latNs:    100,
-			})
+		*t = Thread{
+			ID:       i,
+			Node:     in.Backend.ThreadNode(i),
+			CPUShare: in.Backend.CPUShare(i),
+			WorkLeft: in.workPerThread,
+			latNs:    100,
 		}
 	}
-	// Dynamic run state resets on BOTH paths: a recycled instance whose
-	// shape check failed (e.g. a pooled machine re-leased with a
-	// different thread count) rebuilds its storage above but would
-	// otherwise keep done/Completion/burst state from its previous run.
-	// For never-run instances this is a no-op.
+	in.hot = resetRegion(in.hot, "hot", RegionHot, 0, nNodes)
+	in.master = resetRegion(in.master, "master", RegionMaster, 0, nNodes)
+	in.dist = resized(in.dist, in.NThreads)
+	in.priv = resized(in.priv, in.NThreads)
+	for i := range in.dist {
+		in.dist[i] = resetRegion(in.dist[i], "dist", RegionDist, i, nNodes)
+		in.priv[i] = resetRegion(in.priv[i], "priv", RegionPrivate, i, nNodes)
+	}
 	clear(in.pendingMoveBytes)
 	in.burstLeft, in.burstNode, in.burstRegion = 0, 0, nil
 	in.done, in.Completion = false, 0
@@ -338,15 +282,6 @@ func (r *runner) buildInstance(in *Instance) error {
 	masterPages := int(float64(rest) * wM / denom)
 	privPages := int(float64(rest) * wP / denom)
 	distPages := rest - masterPages - privPages
-
-	if !reuse {
-		in.hot = NewRegion("hot", RegionHot, 0, nNodes)
-		in.master = NewRegion("master", RegionMaster, 0, nNodes)
-		for i := 0; i < in.NThreads; i++ {
-			in.dist = append(in.dist, NewRegion(fmt.Sprintf("dist%d", i), RegionDist, i, nNodes))
-			in.priv = append(in.priv, NewRegion(fmt.Sprintf("priv%d", i), RegionPrivate, i, nNodes))
-		}
-	}
 	in.sizes = regionSizes{hot: hotPages, master: masterPages, priv: privPages, dist: distPages}
 	if ws := in.Prof.WorkingSet; ws > 0 && ws < 1 {
 		head := func(n int) int {
@@ -378,6 +313,16 @@ func (r *runner) buildInstance(in *Instance) error {
 	return nil
 }
 
+// resized returns s with length n. Elements it keeps, including those a
+// previous shrink left past its length, stay; slots it never held are
+// nil.
+func resized[T any](s []*T, n int) []*T {
+	if n > cap(s) {
+		s = slices.Grow(s, n-len(s))
+	}
+	return s[:n]
+}
+
 // materialize first-touches every region with its natural toucher: the
 // master thread touches the hot and master regions, each thread its
 // private region and its slice of the distributed region. The time is
@@ -392,10 +337,16 @@ func (r *runner) materialize(in *Instance) (sim.Time, error) {
 			total = d
 		}
 	}
-	// Each region grows once by its page count before the backend
-	// appends them one by one.
+	// Each region takes the next window of the instance's page storage,
+	// sized here for the whole footprint, before the backend appends its
+	// pages one by one.
+	size := in.sizes.hot + in.sizes.master + in.sizes.dist + in.sizes.priv
+	in.pageBuf = slices.Grow(in.pageBuf[:0], size)
+	in.nodeBuf = slices.Grow(in.nodeBuf[:0], size)
+	off := 0
 	place := func(reg *Region, n int, toucher numa.NodeID) (sim.Time, error) {
-		reg.grow(n)
+		reg.Pages, reg.nodes = in.pageBuf[off:off:off+n], in.nodeBuf[off:off:off+n]
+		off += n
 		return in.Backend.Place(reg, n, toucher)
 	}
 	master := in.Threads[0]
@@ -465,12 +416,11 @@ func (r *runner) loop() {
 // so their outputs (r.units, the per-instance loads, the latencies)
 // would be reproduced exactly. Subsequent epochs skip straight to
 // progress and statistics on the stale-but-identical state, until a
-// completion or a tick perturbs the fixed point. Config.NoConverge
-// (and the NoBatch reference kernel) force the full computation.
+// completion or a tick perturbs the fixed point.
 //
 //xnuma:noalloc
 func (r *runner) epoch(step int) {
-	if r.converged && !r.cfg.NoBatch && !r.cfg.NoConverge {
+	if r.converged && !r.noConverge {
 		r.convergedEpochs++
 		completed := r.progress()
 		for i := range r.insts {
@@ -505,7 +455,7 @@ func (r *runner) epoch(step int) {
 	}
 	for _, in := range r.insts {
 		if !in.done {
-			in.refreshStreams(r.cfg.NoBatch)
+			in.refreshStreams()
 		}
 	}
 	// Damped fixed-point iterations couple access rates and latency
@@ -699,11 +649,7 @@ func (r *runner) overheadFrac(in *Instance) float64 {
 //
 //xnuma:noalloc
 func (r *runner) updateLatencies() {
-	if r.cfg.NoBatch {
-		r.fillCyclesReference()
-	} else {
-		r.fillCycles()
-	}
+	r.fillCycles()
 	nn := r.nNodes
 	for _, in := range r.insts {
 		if in.done {
@@ -743,7 +689,8 @@ func (r *runner) updateLatencies() {
 // per pair-route-link), the controller penalty computed once per
 // destination node, and each pair reduces to a max over its route's
 // snapshot entries plus the model's two coefficient terms. Bit-for-bit
-// identical to fillCyclesReference.
+// identical to direct AccessCycles/PathLinkUtil calls per pair
+// (TestFillCyclesMatchesReference).
 //
 //xnuma:noalloc
 func (r *runner) fillCycles() {
@@ -764,24 +711,6 @@ func (r *runner) fillCycles() {
 				}
 			}
 			row[dst] = r.cost.PairCycles(numa.NodeID(src), numa.NodeID(dst), r.ctrlPen[dst], link)
-		}
-	}
-}
-
-// fillCyclesReference is the per-pair reference fill: direct
-// AccessCycles and PathLinkUtil calls, nothing factored or shared.
-// Config.NoBatch selects it so the equivalence tests can pin the
-// batched kernel's output against it bit-for-bit.
-//
-//xnuma:noalloc
-func (r *runner) fillCyclesReference() {
-	lm := r.cfg.Topo.Latency
-	r.load.FillCtrlUtil(r.ctrlUtil)
-	nn := r.nNodes
-	for src := 0; src < nn; src++ {
-		for dst := 0; dst < nn; dst++ {
-			link := r.load.PathLinkUtil(numa.NodeID(src), numa.NodeID(dst))
-			r.cycles[src*nn+dst] = lm.AccessCycles(r.hops[src*nn+dst], r.ctrlUtil[dst], link)
 		}
 	}
 }

@@ -100,11 +100,10 @@ func (t *streamTable) find(k streamKind) *stream {
 // fold input — cached distributions, thread homes, profile weights —
 // is value-stable, so the table and rows already hold exactly what the
 // rebuild would recompute. Steady-state epochs between Carrefour ticks
-// hit this path. force (the NoBatch reference kernel) disables the
-// skip.
+// hit this path.
 //
 //xnuma:noalloc
-func (in *Instance) refreshStreams(force bool) {
+func (in *Instance) refreshStreams() {
 	sum := in.hot.gen + in.master.gen
 	for _, reg := range in.dist {
 		sum += reg.gen
@@ -118,7 +117,7 @@ func (in *Instance) refreshStreams(force bool) {
 			live++
 		}
 	}
-	if !force && in.foldValid && sum == in.foldSum && live == in.foldLive {
+	if in.foldValid && sum == in.foldSum && live == in.foldLive {
 		return
 	}
 	in.foldSum, in.foldLive, in.foldValid = sum, live, true

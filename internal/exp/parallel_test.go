@@ -57,9 +57,9 @@ func TestPairFigureDeterministicAcrossWorkers(t *testing.T) {
 // TestFullPairTablesDeterministicAcrossWorkers is the acceptance check:
 // exp.NewSuite driving both Fig8 and Fig9 produces byte-identical tables
 // for a fixed seed with 1 worker and with many. It recomputes the full
-// pair evaluation twice (~1 min on one core), so it is skipped in short
-// mode and under the race detector, where the mini variant above covers
-// the same property.
+// pair evaluation twice (~5 s on a 2-vCPU Xeon), so it is skipped in
+// short mode and under the race detector, where the mini variant above
+// covers the same property.
 func TestFullPairTablesDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pair tables are expensive; run without -short")

@@ -171,17 +171,16 @@ func (m *machine) reset() (err error) {
 }
 
 // instance readies the engine instance in slot for a run of prof on b:
-// the slot's instance from the previous lease, recycled, or a new one.
-// mcs selects the MCS-lock mitigation, which applies to the profile's
-// pthread-blocking apps only. Every entry point fills its instances
-// here, so a warm and a cold run start from the same fields.
+// the slot's instance from the previous lease, which engine.Run rebuilds
+// in place, or a new one. mcs selects the MCS-lock mitigation, which
+// applies to the profile's pthread-blocking apps only. Every entry point
+// fills its instances here, so a warm and a cold run start from the same
+// fields.
 func (m *machine) instance(slot int, prof workload.Profile, b engine.Backend, pol Policy, o Options, mcs bool) *engine.Instance {
 	in := m.insts[slot]
 	if in == nil {
 		in = &engine.Instance{}
 		m.insts[slot] = in
-	} else {
-		in.Recycle()
 	}
 	in.Prof = prof
 	in.Backend = b

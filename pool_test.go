@@ -11,9 +11,11 @@ import (
 // left behind. A bfs machine at scale 32 is cold-built under round-1G,
 // which maps the guest's memory in blocks; a round-4K run on the same
 // machine then maps every page individually on the reset machine and
-// must allocate under 1 MB in total. Natively, a second round-4K bfs
-// run on the scale's native machine must match a cold-built run and
-// allocate under 256 KB.
+// must allocate under 1 MB in total. A 24-thread round-4K lease that
+// follows on the same pool must match a cold-built run and, with the
+// engine instance's thread and region storage shrunk in place, allocate
+// under 256 KB. Natively, a second round-4K bfs run on the scale's
+// native machine must match a cold-built run and allocate under 256 KB.
 func TestWarmLeaseAllocatesLittle(t *testing.T) {
 	o := Options{Scale: 32, Pool: NewPool()}
 	if _, err := RunXen("bfs", MustPolicy("round-1g"), o); err != nil {
@@ -33,6 +35,29 @@ func TestWarmLeaseAllocatesLittle(t *testing.T) {
 	}
 
 	pol := MustPolicy("round-4k")
+	// Reshaped: 24 threads on the machine last leased with 48.
+	half := o
+	half.Threads = 24
+	halfRef, err := RunXen("bfs", pol, Options{Scale: 32, Threads: 24, NoPool: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&before)
+	reshaped, err := RunXen("bfs", pol, half)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := o.Pool.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("pool hits/misses = %d/%d, want 2/1", hits, misses)
+	}
+	if !reflect.DeepEqual(reshaped, halfRef) {
+		t.Fatalf("24-thread lease after a 48-thread one diverges from a cold-built run:\nwarm: %+v\ncold: %+v", reshaped, halfRef)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Fatalf("24-thread lease after a 48-thread one allocated %d bytes, want under 256 KB", got)
+	}
+
 	ref, err := RunLinux("bfs", pol, Options{Scale: 32, NoPool: true})
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,8 @@ func MustPolicy(s string) Policy {
 // locks).
 type Options struct {
 	// Scale divides node memory banks and application footprints
-	// (power of two; default 64). Scale 1 is the full-size machine.
+	// (a power of two in [1, 512]; default 64). Scale 1 is the
+	// full-size machine.
 	Scale int
 	// Seed makes runs reproducible (default 1).
 	Seed uint64
@@ -105,12 +106,8 @@ type Options struct {
 	Pool *Pool
 	// NoPool forces cold-built machines even when Pool is set, on both
 	// platforms — the always-fresh reference path the pooled-vs-fresh
-	// equivalence tests pin against, mirroring noBatch.
+	// equivalence tests pin against.
 	NoPool bool
-	// noBatch selects the engine's per-instance reference kernel, for
-	// the batched-kernel equivalence tests. Unexported on purpose: it is
-	// bit-for-bit identical to the default, just slower.
-	noBatch bool
 }
 
 // topoCache shares one immutable AMD48 topology per scale: every sweep
@@ -129,7 +126,23 @@ func scaledTopo(scale int) *numa.Topology {
 	return t.(*numa.Topology)
 }
 
-func (o Options) normalized() Options {
+// maxScale is the largest scale divisor: the hypervisor shrinks its
+// "1 GiB" and "2 MiB" region orders by log2(scale), and at 1/512 a
+// "2 MiB" region is down to one page.
+const maxScale = 512
+
+// CheckScale returns an error unless scale is a machine scale the
+// simulated stack builds: a power of two in [1, 512].
+func CheckScale(scale int) error {
+	if scale < 1 || scale > maxScale || scale&(scale-1) != 0 {
+		return fmt.Errorf("scale %d is not a power of two in [1, %d]", scale, maxScale)
+	}
+	return nil
+}
+
+// normalized fills in the defaults and rejects a scale the machine
+// cannot be built at.
+func (o Options) normalized() (Options, error) {
 	if o.Scale == 0 {
 		o.Scale = 64
 	}
@@ -145,14 +158,20 @@ func (o Options) normalized() Options {
 	if o.MaxTime == 0 {
 		o.MaxTime = 300 * sim.Second
 	}
-	return o
+	if err := CheckScale(o.Scale); err != nil {
+		return o, fmt.Errorf("xennuma: %w", err)
+	}
+	return o, nil
 }
 
 // RunXen runs one application alone in one virtual machine spanning the
 // whole machine (the paper's single-VM setting, §5.4.1) under the given
 // NUMA policy, and returns its completion time and placement statistics.
 func RunXen(app string, pol Policy, o Options) (Result, error) {
-	o = o.normalized()
+	o, err := o.normalized()
+	if err != nil {
+		return Result{}, err
+	}
 	shape, err := cellShape(o, app, 1)
 	if err != nil {
 		return Result{}, err
@@ -182,7 +201,6 @@ func engineConfig(topo *numa.Topology, o Options) engine.Config {
 	cfg.Seed = o.Seed
 	cfg.MaxTime = o.MaxTime
 	cfg.Carrefour.EnableReplication = o.Replication
-	cfg.NoBatch = o.noBatch
 	if o.TLB {
 		tlb := numa.DefaultTLB()
 		cfg.TLB = &tlb
@@ -194,7 +212,10 @@ func engineConfig(topo *numa.Topology, o Options) engine.Config {
 // (first-touch or round-4K, optionally with Carrefour). With a pool it
 // leases the scale's native machine like RunXen leases a hypervisor.
 func RunLinux(app string, pol Policy, o Options) (Result, error) {
-	o = o.normalized()
+	o, err := o.normalized()
+	if err != nil {
+		return Result{}, err
+	}
 	prof, err := workload.Get(app)
 	if err != nil {
 		return Result{}, err
@@ -235,7 +256,10 @@ const (
 // VM. For the colocated mode the paper averages two runs with the node
 // halves swapped; pass swap=true for the second run.
 func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMode, swap bool, o Options) (Result, Result, error) {
-	o = o.normalized()
+	o, err := o.normalized()
+	if err != nil {
+		return Result{}, Result{}, err
+	}
 	// Memory sizing counts VMs per memory partition: colocated VMs split
 	// the machine (each sized as one of two), consolidated VMs each span
 	// all of it (each sized as if alone), matching the paper's setups.
@@ -330,7 +354,7 @@ func vmMemBytes(topo *numa.Topology, prof workload.Profile, o Options, vms int) 
 
 // buildXenInstance creates the VM for one instance slot of m's machine
 // and (re)builds its guest backend and engine instance. On a warm lease
-// the slot's previous backend and instance are recycled in place; the
+// the slot's previous backend and instance are rebuilt in place; the
 // result is bit-for-bit identical to a cold build either way.
 func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o Options, pins []numa.CPUID, memBytes int64) (*engine.Instance, error) {
 	boot, err := policy.BootKind(pol.Static)

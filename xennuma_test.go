@@ -1,6 +1,7 @@
 package xennuma
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -240,8 +241,32 @@ func TestRunXenPairConsolidatedSlower(t *testing.T) {
 }
 
 func TestOptionsNormalization(t *testing.T) {
-	o := Options{}.normalized()
-	if o.Scale != 64 || o.Seed != 1 || o.Threads != 48 || o.Queue.Queues != 4 {
-		t.Fatalf("defaults wrong: %+v", o)
+	o, err := Options{}.normalized()
+	if err != nil || o.Scale != 64 || o.Seed != 1 || o.Threads != 48 || o.Queue.Queues != 4 {
+		t.Fatalf("defaults wrong: %+v, %v", o, err)
+	}
+}
+
+// TestBadScaleReturnsError: every entry point rejects a scale the
+// machine cannot be built at — not a power of two, too large, negative
+// — with an error before it builds anything, on both platforms.
+func TestBadScaleReturnsError(t *testing.T) {
+	pol := MustPolicy("round-4k")
+	for _, scale := range []int{3, 1024, -4} {
+		o := Options{Scale: scale}
+		if _, err := RunXen("swaptions", pol, o); err == nil || !strings.Contains(err.Error(), "power of two") {
+			t.Errorf("RunXen at scale %d: err = %v, want a scale error", scale, err)
+		}
+		if _, err := RunLinux("swaptions", pol, o); err == nil || !strings.Contains(err.Error(), "power of two") {
+			t.Errorf("RunLinux at scale %d: err = %v, want a scale error", scale, err)
+		}
+		if _, _, err := RunXenPair("swaptions", pol, "swaptions", pol, Colocated, false, o); err == nil || !strings.Contains(err.Error(), "power of two") {
+			t.Errorf("RunXenPair at scale %d: err = %v, want a scale error", scale, err)
+		}
+	}
+	for _, scale := range []int{1, 2, 512} {
+		if err := CheckScale(scale); err != nil {
+			t.Errorf("CheckScale(%d) = %v", scale, err)
+		}
 	}
 }
