@@ -164,7 +164,7 @@ func BenchmarkHypervisorTableTranslate(b *testing.B) {
 
 func BenchmarkDomainTouchFastPath(b *testing.B) {
 	topo := numa.SmallMachine(4, 4, 64<<20)
-	hv, err := xen.New(topo, sim.NewEngine(), xen.Config{HugeOrder: 10, MidOrder: 3}, 4<<20)
+	hv, err := xen.New(topo, xen.Config{HugeOrder: 10, MidOrder: 3}, 4<<20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func BenchmarkDomainTouchFastPath(b *testing.B) {
 
 func BenchmarkFirstTouchFaultPath(b *testing.B) {
 	topo := numa.SmallMachine(4, 4, 256<<20)
-	hv, err := xen.New(topo, sim.NewEngine(), xen.Config{HugeOrder: 10, MidOrder: 3}, 4<<20)
+	hv, err := xen.New(topo, xen.Config{HugeOrder: 10, MidOrder: 3}, 4<<20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func BenchmarkFirstTouchFaultPath(b *testing.B) {
 
 func BenchmarkPageQueueAdd(b *testing.B) {
 	topo := numa.SmallMachine(4, 4, 64<<20)
-	hv, err := xen.New(topo, sim.NewEngine(), xen.Config{HugeOrder: 10, MidOrder: 3}, 4<<20)
+	hv, err := xen.New(topo, xen.Config{HugeOrder: 10, MidOrder: 3}, 4<<20)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -101,6 +101,10 @@ usage:
 		fmt.Fprintln(stderr, "xnuma:", err)
 		return 2
 	}
+	if *parallel < 0 {
+		fmt.Fprintf(stderr, "xnuma: -parallel %d is negative (0 = one per CPU)\n", *parallel)
+		return 2
+	}
 
 	// Profiles bracket everything after flag parsing, so the hot loop is
 	// measurable on any command without editing code. Deferred: the CPU
@@ -309,6 +313,9 @@ func runSweep(s *exp.Suite, stdout, stderr io.Writer, render func(*exp.Table) st
 		fmt.Fprintln(stderr, "xnuma:", err)
 		return 2
 	}
+	if *seeds < 0 {
+		return fail(fmt.Errorf("sweep: -seeds %d is negative (0 = one seed)", *seeds))
+	}
 	var apps []string
 	switch {
 	case *appsFlag == "":
@@ -408,7 +415,13 @@ func sweepProgress(s *exp.Suite, stderr io.Writer, progress bool, fn func()) {
 }
 
 func runOne(s *exp.Suite, stdout io.Writer, app, pol string) error {
-	if _, err := xennuma.ParsePolicy(pol); err != nil {
+	cfg, err := xennuma.ParsePolicy(pol)
+	if err != nil {
+		return err
+	}
+	// Parsing checks syntax only; building the placer for the evaluation
+	// machine's nodes also rejects an out-of-range bind:<node>.
+	if _, err := policy.New(cfg.Static, numa.AMD48Nodes); err != nil {
 		return err
 	}
 	if err := knownApp(app); err != nil {

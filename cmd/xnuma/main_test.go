@@ -59,8 +59,13 @@ func TestNoArgsUsage(t *testing.T) {
 }
 
 func TestBadFlag(t *testing.T) {
-	if code, _, _ := runCLI(t, "-nosuchflag", "list"); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+	for _, args := range [][]string{
+		{"-nosuchflag", "list"},
+		{"-parallel", "-3", "list"},
+	} {
+		if code, out, _ := runCLI(t, args...); code != 2 || out != "" {
+			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no output", args, code, out)
+		}
 	}
 }
 
@@ -152,6 +157,11 @@ func TestRunUnknownApp(t *testing.T) {
 func TestRunBadPolicy(t *testing.T) {
 	if code, _, _ := runCLI(t, "run", "swaptions", "nosuch-policy"); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
+	}
+	// The machine has 8 nodes: bind:9 is a usage error, not a failing cell.
+	code, out, errb := runCLI(t, "run", "swaptions", "bind:9")
+	if code != 2 || out != "" || !strings.Contains(errb, "out of range") {
+		t.Fatalf("bind:9: exit %d, stdout %q, stderr %q; want exit 2 with the range message", code, out, errb)
 	}
 }
 
@@ -261,6 +271,9 @@ func TestSweepUsage(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "sweep", "-apps", ","); code != 2 {
 		t.Fatalf("-apps with empty list: exit %d, want 2", code)
+	}
+	if code, out, _ := runCLI(t, "sweep", "-seeds", "-2", "swaptions"); code != 2 || out != "" {
+		t.Fatalf("negative -seeds: exit %d, stdout %q; want exit 2 and no output", code, out)
 	}
 }
 

@@ -22,13 +22,12 @@ import (
 	"repro/internal/mem"
 	"repro/internal/numa"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/xen"
 )
 
 func main() {
 	topo := numa.AMD48Scaled(64)
-	hv, err := xen.New(topo, sim.NewEngine(), xen.ScaledConfig(64), 32<<20)
+	hv, err := xen.New(topo, xen.ScaledConfig(64), 32<<20)
 	if err != nil {
 		log.Fatal(err)
 	}

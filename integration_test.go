@@ -1,13 +1,6 @@
 package xennuma
 
-import (
-	"testing"
-
-	"repro/internal/numa"
-	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/xen"
-)
+import "testing"
 
 // TestTLBExtensionEndToEnd: enabling the translation model slows a
 // big-working-set application down, and large pages win most of it back
@@ -59,48 +52,6 @@ func TestReplicationExtensionEndToEnd(t *testing.T) {
 	}
 	if rep.Completion > off.Completion {
 		t.Fatalf("replication hurt a read-mostly hot set: %v vs %v", rep.Completion, off.Completion)
-	}
-}
-
-// TestHypervisorTraceIntegration: attaching a ring records the policy
-// switch, the free-list flush hypercalls and first-touch faults.
-func TestHypervisorTraceIntegration(t *testing.T) {
-	topo := numa.AMD48Scaled(256)
-	hv, err := xen.New(topo, sim.NewEngine(), xen.ScaledConfig(256), 8<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hv.Trace = trace.NewRing(4096)
-	var pins []numa.CPUID
-	for c := 0; c < 8; c++ {
-		pins = append(pins, numa.CPUID(c))
-	}
-	dom, err := hv.CreateDomain(xen.DomainSpec{
-		Name: "traced", VCPUs: 8, MemBytes: 16 << 20, PinCPUs: pins,
-		Boot: MustPolicy("round-4k").Static,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dom.HypercallSetPolicy(MustPolicy("first-touch")); err != nil {
-		t.Fatal(err)
-	}
-	dom.HypercallPageQueue(nil)
-	dom.InvalidatePage(77)
-	dom.Touch(77, 2, true)
-	if hv.Trace.Count(trace.KindPolicySwitch) != 1 {
-		t.Fatalf("policy switches traced: %d", hv.Trace.Count(trace.KindPolicySwitch))
-	}
-	if hv.Trace.Count(trace.KindHypercall) == 0 {
-		t.Fatal("no hypercalls traced")
-	}
-	if hv.Trace.Count(trace.KindFault) == 0 {
-		t.Fatal("no faults traced")
-	}
-	faults := hv.Trace.Filter(trace.KindFault)
-	last := faults[len(faults)-1]
-	if last.Arg0 != 77 || last.Arg1 != 2 {
-		t.Fatalf("fault event = %+v", last)
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 // Detrand bans ambient nondeterminism in the simulation packages: every
 // package under internal/ models the simulated machine, so randomness
 // must come from internal/sim's seeded xorshift streams and time from
-// the virtual clock. Importing math/rand (or crypto/rand), reading
-// time.Now, or consulting the environment mid-simulation would make
-// results depend on the host instead of the seed.
+// virtual time (sim.Time), which only the engine's epoch loop advances.
+// Importing math/rand (or crypto/rand), reading time.Now, or consulting
+// the environment mid-simulation would make results depend on the host
+// instead of the seed.
 var Detrand = &Analyzer{
 	Name:  "detrand",
 	Doc:   "ban math/rand, time.Now and os.Getenv in simulation packages",
@@ -29,9 +30,9 @@ var bannedImports = map[string]string{
 // bannedCalls maps package path -> function name -> why it is banned.
 var bannedCalls = map[string]map[string]string{
 	"time": {
-		"Now":   "the virtual clock (sim.Clock)",
-		"Since": "the virtual clock (sim.Clock)",
-		"Until": "the virtual clock (sim.Clock)",
+		"Now":   "virtual time (sim.Time, advanced by the engine's epoch loop)",
+		"Since": "virtual time (sim.Time, advanced by the engine's epoch loop)",
+		"Until": "virtual time (sim.Time, advanced by the engine's epoch loop)",
 	},
 	"os": {
 		"Getenv":    "explicit configuration threaded from cmd/",

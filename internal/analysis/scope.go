@@ -18,8 +18,9 @@ var DetCriticalPackages = []string{
 
 // simPackagePrefix scopes detrand: every package under internal/ models
 // the simulated machine and must take randomness and time only from
-// internal/sim's seeded streams and virtual clock. The cmd/ layer (CLI
-// progress timing, profiling) legitimately reads the wall clock.
+// internal/sim: its seeded streams and virtual time (sim.Time), which
+// the engine's epoch loop advances. The cmd/ layer (CLI progress
+// timing, profiling) legitimately reads the wall clock.
 const simPackagePrefix = "repro/internal/"
 
 // detCritical reports whether pkgPath is determinism-critical.

@@ -14,7 +14,7 @@ func hostRandom() int {
 }
 
 func seedFromClock() int64 {
-	return time.Now().UnixNano() // want `time\.Now in a simulation package`
+	return time.Now().UnixNano() // want `time\.Now in a simulation package; use virtual time \(sim\.Time, advanced by the engine's epoch loop\) instead`
 }
 
 func elapsed(start time.Time) time.Duration {

@@ -286,3 +286,83 @@ func TestFullModeRespectsEnableReplication(t *testing.T) {
 		t.Fatal("replicated with EnableReplication off")
 	}
 }
+
+// replicaSet extends fakeSet with replication.
+type replicaSet struct {
+	fakeSet
+	replicated bool
+}
+
+func (r *replicaSet) Replicate() bool {
+	if r.replicated {
+		return false
+	}
+	r.replicated = true
+	return true
+}
+
+func TestReplicationHeuristic(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.EnableReplication = true
+	c := New(cfg)
+	set := &replicaSet{fakeSet: *newFakeSet(0, 0)}
+	tick := Tick{
+		CtrlUtil:    []float64{0.1, 0.1, 0.1, 0.1},
+		MaxLinkUtil: 0.5,
+		Samples: []Sample{{
+			Set: set, AccessShare: 0.5, Accessors: uniform(4),
+			Hot: true, ReadOnly: true,
+		}},
+		Rand: sim.NewRand(1),
+	}
+	res := c.Step(tick)
+	if res.Replications != 1 || !set.replicated {
+		t.Fatalf("read-only hot set not replicated: %+v", res)
+	}
+	// Idempotent on the next tick.
+	if res := c.Step(tick); res.Replications != 0 {
+		t.Fatal("set replicated twice")
+	}
+}
+
+func TestReplicationRequiresReadOnlyAndMultiAccessor(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.EnableReplication = true
+	c := New(cfg)
+	mk := func(readonly bool, acc []float64) Tick {
+		return Tick{
+			CtrlUtil:    []float64{0, 0, 0, 0},
+			MaxLinkUtil: 0.5,
+			Samples: []Sample{{
+				Set: &replicaSet{fakeSet: *newFakeSet(3, 3)}, AccessShare: 0.5,
+				Accessors: acc, Hot: true, ReadOnly: readonly,
+			}},
+			Rand: sim.NewRand(1),
+		}
+	}
+	if res := c.Step(mk(false, uniform(4))); res.Replications != 0 {
+		t.Fatal("replicated a writable set")
+	}
+	if res := c.Step(mk(true, accessors(4, 2, 0.95))); res.Replications != 0 {
+		t.Fatal("replicated a single-accessor set (migration is cheaper)")
+	}
+}
+
+func TestReplicationOffByDefault(t *testing.T) {
+	// The paper discards the heuristic; the default configuration must
+	// not replicate.
+	c := New(DefaultConfig())
+	set := &replicaSet{fakeSet: *newFakeSet(0)}
+	tick := Tick{
+		CtrlUtil:    []float64{0, 0, 0, 0},
+		MaxLinkUtil: 0.9,
+		Samples: []Sample{{
+			Set: set, AccessShare: 0.9, Accessors: uniform(4), Hot: true, ReadOnly: true,
+		}},
+		Rand: sim.NewRand(1),
+	}
+	if res := c.Step(tick); res.Replications != 0 || set.replicated {
+		t.Fatal("default configuration replicated (§3.4 discards it)")
+	}
+	_ = numa.NodeID(0)
+}

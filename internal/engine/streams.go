@@ -1,11 +1,9 @@
 package engine
 
 // The access-stream layer: one canonical enumeration of an instance's
-// memory-access streams, consumed by everything that used to hand-roll
-// it (fillLoads' traffic emission, updateLatencies' cost accumulation,
-// and the Carrefour sampler's region view). Adding a new stream kind
-// means adding one table entry here, not editing three loops in
-// lockstep.
+// memory-access streams, read by foldRows and by the Carrefour tick's
+// region view (runner.samples). Adding a new stream kind means adding
+// one table entry here, not editing several loops in lockstep.
 //
 // Because placement only mutates between epochs, the table is also
 // folded once per epoch into per-thread node rows (foldRows): the

@@ -17,7 +17,7 @@ import (
 // placements, and once that imbalance is stable across consecutive
 // fault windows it replaces itself with first-touch through the same
 // HypercallSetPolicy entry point a guest would use, so the switch is
-// observable (trace event, hypercall counters) like any external one.
+// observable (configuration, hypercall counters) like any external one.
 
 const (
 	// adaptiveWindow is the number of resolved faults between imbalance
@@ -34,8 +34,8 @@ const (
 )
 
 // registerAdaptive is called from builtin.go's init so the adaptive
-// policy registers after the paper's three static policies (their
-// registration indices are the stable trace ids 0/1/2).
+// policy registers after the paper's three static policies (listings
+// and sweeps follow registration order).
 func registerAdaptive() {
 	Register(Descriptor{
 		Name:    "adaptive",

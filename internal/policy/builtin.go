@@ -9,8 +9,8 @@ import (
 )
 
 // The built-in policies. The first three registrations are the paper's
-// static policies and keep registration indices 0/1/2 (the ids recorded
-// in policy-switch trace events); the later registrations prove the
+// static policies, so listings and sweeps, which follow registration
+// order, lead with them; the later registrations prove the
 // registry is open: interleave, bind:<node>, least-loaded and adaptive
 // run end-to-end under both Xen and native Linux without any layer
 // outside this package switching on their kinds.

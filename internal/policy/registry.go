@@ -58,10 +58,6 @@ type Descriptor struct {
 	// Boot eagerly populates a domain's physical space at build time;
 	// nil boots lazily (see BootPlacer).
 	Boot BootPlacer
-
-	// index is the registration order, used as the stable numeric id in
-	// trace events.
-	index int
 }
 
 // DefaultSpelling returns the descriptor's suite-ready lowercase
@@ -111,8 +107,6 @@ func (r *Registry) Register(d Descriptor) {
 	if d.Parameterized && d.NormalizeArg == nil {
 		panic(fmt.Sprintf("policy: parameterized descriptor %q needs a NormalizeArg", d.Name))
 	}
-	dd := d
-	dd.index = len(r.order)
 	keys := append([]string{strings.ToLower(d.Name)}, d.Aliases...)
 	for _, k := range keys {
 		key := strings.ToLower(k)
@@ -122,9 +116,9 @@ func (r *Registry) Register(d Descriptor) {
 		if prev, dup := r.byName[key]; dup {
 			panic(fmt.Sprintf("policy: name %q already registered by %q", k, prev.Name))
 		}
-		r.byName[key] = &dd
+		r.byName[key] = &d
 	}
-	r.order = append(r.order, &dd)
+	r.order = append(r.order, &d)
 }
 
 // Lookup resolves kind ("first-touch", "BIND:3") to its descriptor and
@@ -188,16 +182,6 @@ func (r *Registry) List() []Descriptor {
 	return out
 }
 
-// IndexOf returns kind's stable registration index (the numeric policy
-// id recorded in trace events), or -1 when unknown.
-func (r *Registry) IndexOf(kind Kind) int {
-	d, _, err := r.Lookup(kind)
-	if err != nil {
-		return -1
-	}
-	return d.index
-}
-
 // Default is the process-wide registry holding the built-in policies.
 var Default = NewRegistry()
 
@@ -236,9 +220,6 @@ func CheckConfig(cfg Config) error {
 // List returns the default registry's descriptors in registration
 // order.
 func List() []Descriptor { return Default.List() }
-
-// IndexOf returns kind's registration index in the default registry.
-func IndexOf(kind Kind) int { return Default.IndexOf(kind) }
 
 // Parse parses a policy configuration string: a registered kind in any
 // case or alias spelling, optionally suffixed "/carrefour" (e.g.

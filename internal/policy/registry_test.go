@@ -146,19 +146,6 @@ func TestParseRejectsCarrefourOnBind(t *testing.T) {
 	}
 }
 
-func TestIndexOfStableForOriginals(t *testing.T) {
-	// The trace ids of the paper's three policies match the historical
-	// enum values.
-	for k, want := range map[Kind]int{Round1G: 0, Round4K: 1, FirstTouch: 2} {
-		if got := IndexOf(k); got != want {
-			t.Errorf("IndexOf(%s) = %d, want %d", k, got, want)
-		}
-	}
-	if IndexOf("nosuch") != -1 {
-		t.Error("unknown kind has an index")
-	}
-}
-
 func TestAbbrevs(t *testing.T) {
 	for k, want := range map[Kind]string{
 		Round4K: "R4K", Round1G: "R1G", FirstTouch: "FT",

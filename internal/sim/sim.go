@@ -1,19 +1,15 @@
-// Package sim provides the deterministic discrete-event core shared by
-// every simulated subsystem: a virtual clock, an event queue and a
-// reproducible pseudo-random number generator.
+// Package sim provides the two deterministic primitives every simulated
+// subsystem shares: virtual time and a reproducible pseudo-random number
+// generator.
 //
 // Nothing in this package (or in any package built on it) reads the wall
-// clock; all time is virtual and advances only through Engine.Step or
-// Engine.Run. Two runs with the same seed and the same event sequence are
-// bit-identical — the property that lets the paper's evaluation (§5) be
-// regenerated reproducibly and the golden engine fixture hold
-// bit-for-bit.
+// clock; virtual time advances only as the engine's epoch loop steps it.
+// Two runs with the same seed and the same inputs are bit-identical — the
+// property that lets the paper's evaluation (§5) be regenerated
+// reproducibly and the golden engine fixture hold bit-for-bit.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a virtual timestamp in nanoseconds since the start of the
 // simulation.
@@ -38,140 +34,4 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%dns", int64(t))
 	}
-}
-
-// Event is a scheduled callback. The callback runs with the engine clock
-// set to the event's deadline.
-type Event struct {
-	deadline Time
-	seq      uint64 // tie-breaker: FIFO among equal deadlines
-	fn       func(now Time)
-	index    int // heap index, -1 once popped or cancelled
-}
-
-// Deadline reports when the event fires.
-func (e *Event) Deadline() Time { return e.deadline }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].deadline != h[j].deadline {
-		return h[i].deadline < h[j].deadline
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
-// Engine is a single-threaded discrete-event scheduler.
-// The zero value is ready to use.
-type Engine struct {
-	now    Time
-	nextID uint64
-	queue  eventHeap
-}
-
-// NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{} }
-
-// Now returns the current virtual time.
-func (e *Engine) Now() Time { return e.now }
-
-// Pending reports the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// At schedules fn to run at the absolute virtual time t.
-// Scheduling in the past (t < Now) panics: it indicates a model bug.
-func (e *Engine) At(t Time, fn func(now Time)) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &Event{deadline: t, seq: e.nextID, fn: fn}
-	e.nextID++
-	heap.Push(&e.queue, ev)
-	return ev
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func(now Time)) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op and returns false.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.index < 0 {
-		return false
-	}
-	heap.Remove(&e.queue, ev.index)
-	ev.index = -1
-	return true
-}
-
-// Step fires the next event, advancing the clock to its deadline.
-// It reports whether an event was fired.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.queue).(*Event)
-	e.now = ev.deadline
-	ev.fn(e.now)
-	return true
-}
-
-// Run fires events until the queue drains or the clock would pass limit.
-// Events scheduled exactly at limit still fire. It returns the number of
-// events fired.
-func (e *Engine) Run(limit Time) int {
-	fired := 0
-	for len(e.queue) > 0 && e.queue[0].deadline <= limit {
-		e.Step()
-		fired++
-	}
-	if e.now < limit && len(e.queue) == 0 {
-		e.now = limit
-	}
-	return fired
-}
-
-// RunAll fires events until none remain and returns the number fired.
-func (e *Engine) RunAll() int {
-	fired := 0
-	for e.Step() {
-		fired++
-	}
-	return fired
-}
-
-// Advance moves the clock forward by d without firing events scheduled in
-// the skipped window; it panics if any exist, since silently skipping
-// events is always a model bug.
-func (e *Engine) Advance(d Time) {
-	target := e.now + d
-	if len(e.queue) > 0 && e.queue[0].deadline <= target {
-		panic(fmt.Sprintf("sim: Advance(%v) would skip event at %v", d, e.queue[0].deadline))
-	}
-	e.now = target
 }

@@ -22,118 +22,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.At(30, func(Time) { order = append(order, 3) })
-	e.At(10, func(Time) { order = append(order, 1) })
-	e.At(20, func(Time) { order = append(order, 2) })
-	e.RunAll()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("events fired out of order: %v", order)
-	}
-	if e.Now() != 30 {
-		t.Fatalf("clock = %v, want 30", e.Now())
-	}
-}
-
-func TestEngineFIFOAmongEqualDeadlines(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.At(5, func(Time) { order = append(order, i) })
-	}
-	e.RunAll()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("equal-deadline events not FIFO: %v", order)
-		}
-	}
-}
-
-func TestEngineAfterAndCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.After(100, func(Time) { fired = true })
-	if !e.Cancel(ev) {
-		t.Fatal("Cancel returned false for a pending event")
-	}
-	if e.Cancel(ev) {
-		t.Fatal("Cancel returned true for an already-cancelled event")
-	}
-	e.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestEngineRunLimit(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := Time(10); i <= 100; i += 10 {
-		e.At(i, func(Time) { count++ })
-	}
-	if n := e.Run(50); n != 5 {
-		t.Fatalf("Run(50) fired %d events, want 5", n)
-	}
-	if e.Pending() != 5 {
-		t.Fatalf("Pending() = %d, want 5", e.Pending())
-	}
-	// Clock does not advance past the limit when events remain.
-	if e.Now() != 50 {
-		t.Fatalf("Now() = %v, want 50", e.Now())
-	}
-}
-
-func TestEngineRunAdvancesToLimitWhenEmpty(t *testing.T) {
-	e := NewEngine()
-	e.Run(1000)
-	if e.Now() != 1000 {
-		t.Fatalf("Now() = %v, want 1000 after draining", e.Now())
-	}
-}
-
-func TestEngineSchedulingInPastPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(10, func(Time) {})
-	e.RunAll()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	e.At(5, func(Time) {})
-}
-
-func TestEngineAdvance(t *testing.T) {
-	e := NewEngine()
-	e.Advance(100)
-	if e.Now() != 100 {
-		t.Fatalf("Now() = %v after Advance", e.Now())
-	}
-	e.At(150, func(Time) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance over a pending event did not panic")
-		}
-	}()
-	e.Advance(100)
-}
-
-func TestEventsScheduledDuringEvents(t *testing.T) {
-	e := NewEngine()
-	var log []Time
-	e.At(10, func(now Time) {
-		log = append(log, now)
-		e.After(5, func(now Time) { log = append(log, now) })
-	})
-	e.RunAll()
-	if len(log) != 2 || log[0] != 10 || log[1] != 15 {
-		t.Fatalf("nested scheduling log = %v", log)
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 1000; i++ {

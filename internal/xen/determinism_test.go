@@ -6,7 +6,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/numa"
 	"repro/internal/policy"
-	"repro/internal/sim"
 )
 
 // postDestroyAllocSequence boots a hypervisor, creates and destroys a
@@ -18,7 +17,7 @@ import (
 func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 	t.Helper()
 	topo := numa.SmallMachine(4, 4, 64<<20)
-	hv, err := New(topo, sim.NewEngine(), Config{HugeOrder: 10, MidOrder: 3}, 4<<20)
+	hv, err := New(topo, Config{HugeOrder: 10, MidOrder: 3}, 4<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/pt"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // VCPU is one virtual CPU pinned to a physical CPU. The evaluation pins
@@ -318,10 +317,6 @@ func (d *Domain) MigratePage(pfn mem.PFN, to numa.NodeID) bool {
 	d.Migrated++
 	d.hv.PagesMigrated++
 	d.hv.MigrationTime += CostMigratePage
-	d.hv.Trace.Record(trace.Event{
-		Time: d.hv.Eng.Now(), Kind: trace.KindMigrate, Dom: int(d.ID),
-		Arg0: uint64(pfn), Arg1: uint64(to),
-	})
 	if d.OnPlace != nil {
 		d.OnPlace(pfn, to)
 	}
@@ -354,7 +349,7 @@ func (d *Domain) NodeOfPCPU(v int) numa.NodeID {
 // domain's guest-visible configuration; the simulation's Carrefour
 // controller itself is configured per engine.Instance at build time,
 // so — like toggling Carrefour — changing the variant mid-run updates
-// Policy() and traces but not an already-running engine's sampler.
+// Policy() but not an already-running engine's controller.
 func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 	cost := CostHypercall
 	d.Hypercalls++
@@ -397,10 +392,6 @@ func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 	d.cfg = cfg
 	d.HypercallTime += cost
 	d.hv.HypercallTime += cost
-	d.hv.Trace.Record(trace.Event{
-		Time: d.hv.Eng.Now(), Kind: trace.KindPolicySwitch, Dom: int(d.ID),
-		Arg0: uint64(policy.IndexOf(cfg.Static)),
-	})
 	return cost, nil
 }
 
@@ -418,10 +409,6 @@ func (d *Domain) HypercallPageQueue(ops []policy.PageOp) sim.Time {
 	cost := CostHypercall + CostQueueSend + sim.Time(invalidated)*CostInvalidateEntry
 	d.HypercallTime += cost
 	d.hv.HypercallTime += cost
-	d.hv.Trace.Record(trace.Event{
-		Time: d.hv.Eng.Now(), Kind: trace.KindHypercall, Dom: int(d.ID),
-		Arg0: uint64(len(ops)), Arg1: uint64(invalidated),
-	})
 	return cost
 }
 
@@ -444,10 +431,6 @@ func (d *Domain) Touch(pfn mem.PFN, accessor numa.NodeID, write bool) (numa.Node
 		d.hv.PageFaults += faults
 		d.FaultTime += cost
 		d.hv.FaultTime += cost
-		d.hv.Trace.Record(trace.Event{
-			Time: d.hv.Eng.Now(), Kind: trace.KindFault, Dom: int(d.ID),
-			Arg0: uint64(pfn), Arg1: uint64(accessor),
-		})
 	}
 	return d.hv.Alloc.NodeOf(mfn), cost
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/pt"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // fiReplay is the fault site at the dom0 frame replay of Reset: an
@@ -102,12 +101,7 @@ const (
 type Hypervisor struct {
 	Topo  *numa.Topology
 	Alloc *mem.Allocator
-	Eng   *sim.Engine
 	Cfg   Config
-
-	// Trace, when non-nil, records hypercalls, faults, migrations and
-	// policy switches.
-	Trace *trace.Ring
 
 	domains map[DomID]*Domain
 	nextID  DomID
@@ -135,11 +129,10 @@ type Hypervisor struct {
 // New boots a hypervisor on topo. It creates dom0 pinned to the CPUs of
 // node 0 (the paper's setting, §5.2) holding dom0MemBytes of memory
 // placed on node 0.
-func New(topo *numa.Topology, eng *sim.Engine, cfg Config, dom0MemBytes int64) (*Hypervisor, error) {
+func New(topo *numa.Topology, cfg Config, dom0MemBytes int64) (*Hypervisor, error) {
 	h := &Hypervisor{
 		Topo:    topo,
 		Alloc:   mem.NewAllocator(topo),
-		Eng:     eng,
 		Cfg:     cfg,
 		domains: make(map[DomID]*Domain),
 		cpuUse:  make([]int, topo.NumCPUs()),

@@ -6,7 +6,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/numa"
 	"repro/internal/policy"
-	"repro/internal/sim"
 )
 
 // testHV boots a hypervisor on a small 4-node machine with 64 MiB/node
@@ -15,7 +14,7 @@ func testHV(t *testing.T) *Hypervisor {
 	t.Helper()
 	topo := numa.SmallMachine(4, 4, 64<<20)
 	cfg := Config{HugeOrder: 10, MidOrder: 3, IOMMU: true}
-	hv, err := New(topo, sim.NewEngine(), cfg, 4<<20)
+	hv, err := New(topo, cfg, 4<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -333,7 +333,7 @@ func newHypervisor(topo *numa.Topology, o Options) (*xen.Hypervisor, error) {
 	if dom0Mem < 8<<20 {
 		dom0Mem = 8 << 20
 	}
-	return xen.New(topo, sim.NewEngine(), cfg, dom0Mem)
+	return xen.New(topo, cfg, dom0Mem)
 }
 
 // vmMemBytes sizes a VM: the scaled footprint plus headroom, clamped to
