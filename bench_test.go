@@ -116,7 +116,10 @@ func BenchmarkAblationCarrefourBudget(b *testing.B) {
 	prof.BaselineSeconds = 0.5
 	for _, budget := range []int{0, 256, 1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
-			var completion sim.Time
+			var (
+				runner     engine.Runner
+				completion sim.Time
+			)
 			for i := 0; i < b.N; i++ {
 				lb, err := linux.New(topo, policy.Config{Static: policy.FirstTouch, Carrefour: true})
 				if err != nil {
@@ -124,7 +127,7 @@ func BenchmarkAblationCarrefourBudget(b *testing.B) {
 				}
 				cfg := engine.DefaultConfig(topo, 64)
 				cfg.Carrefour.BudgetPages = budget
-				res, err := engine.Run(cfg, &engine.Instance{
+				res, err := runner.Run(cfg, &engine.Instance{
 					Prof: prof, Backend: lb, NThreads: 48, Carrefour: budget > 0,
 				})
 				if err != nil {

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/carrefour"
 	"repro/internal/numa"
-	"repro/internal/sim"
 )
 
 // set is a trivial in-memory PageSet.
@@ -39,7 +38,6 @@ func main() {
 	cfg := carrefour.DefaultConfig()
 	cfg.BudgetPages = 1024 // migrate at most 1024 pages per interval
 	ctl := carrefour.New(cfg)
-	rng := sim.NewRand(1)
 
 	accessors := make([]float64, nodes)
 	for i := range accessors {
@@ -66,7 +64,6 @@ func main() {
 				Accessors:   accessors,
 				Hot:         true,
 			}},
-			Rand: rng,
 		})
 
 		note := ""

@@ -10,7 +10,7 @@ import (
 // internal/engine: Region.Dist/AccessDist/HotDist hand out the region's
 // cached distribution buffers, stream.distFor and Instance.row hand out
 // rows of the folded row buffer the instance owns (refilled in place by
-// foldRows), and runner.cycRow hands out rows of the per-iteration
+// foldRows), and Runner.cycRow hands out rows of the per-iteration
 // cost-matrix scratch. Callers may read them within the current epoch
 // (cycRow: within the current iteration), but storing one into a
 // struct field, a composite literal field or a package-level variable
@@ -32,7 +32,7 @@ var aliasAccessors = map[string]map[string]bool{
 	"Region":   {"Dist": true, "AccessDist": true, "HotDist": true},
 	"stream":   {"distFor": true},
 	"Instance": {"row": true},
-	"runner":   {"cycRow": true},
+	"Runner":   {"cycRow": true},
 }
 
 // aliasAccessorPkg restricts the receiver types to the engine package

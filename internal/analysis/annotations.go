@@ -10,7 +10,7 @@ import (
 //
 //   //xnuma:noalloc   — on a function's doc comment: the function is on
 //     the epoch hot path and must not contain allocation forms. Checked
-//     by the noalloc analyzer; coverage of the (*runner).epoch call
+//     by the noalloc analyzer; coverage of the (*Runner).epoch call
 //     graph is asserted by TestEpochHotPathAnnotated.
 //   //xnuma:scratch   — on a struct field or variable declaration: the
 //     slice is a reusable scratch buffer, so `append` onto it inside a

@@ -10,7 +10,7 @@ import (
 
 // TestEpochHotPathAnnotated pins the //xnuma:noalloc annotation set to
 // the code it is meant to cover: every function statically reachable
-// from (*runner).epoch — the body of BenchmarkEpoch and
+// from (*Runner).epoch — the body of BenchmarkEpoch and
 // TestEpochAllocFree, and the engine's per-quantum hot path — must
 // carry the annotation, so the noalloc analyzer checks the whole path
 // and a new helper slipped into the epoch cannot silently reintroduce
@@ -59,7 +59,7 @@ func TestEpochHotPathAnnotated(t *testing.T) {
 		}
 	}
 
-	const rootFn = "(*repro/internal/engine.runner).epoch"
+	const rootFn = "(*repro/internal/engine.Runner).epoch"
 	if _, ok := decls[rootFn]; !ok {
 		t.Fatalf("hot-path root %s not found; did the runner change shape?", rootFn)
 	}

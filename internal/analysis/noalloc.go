@@ -11,7 +11,7 @@ import (
 // composite literals, growing appends onto non-scratch slices, function
 // literals (closures), fmt calls, string building, and concrete-to-
 // interface conversions (boxing). TestEpochAllocFree already proves
-// that (*runner).epoch allocates nothing in the steady state; this
+// that (*Runner).epoch allocates nothing in the steady state; this
 // analyzer adds source-level attribution — it names the line that
 // would break that test, before it runs.
 //

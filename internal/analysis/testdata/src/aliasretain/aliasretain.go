@@ -13,9 +13,9 @@ type Instance struct{ rows []float64 }
 
 func (in *Instance) row(i int) []float64 { return in.rows[i : i+1] }
 
-type runner struct{ cycles []float64 }
+type Runner struct{ cycles []float64 }
 
-func (r *runner) cycRow(src int) []float64 { return r.cycles[src : src+1] }
+func (r *Runner) cycRow(src int) []float64 { return r.cycles[src : src+1] }
 
 type holder struct {
 	cached []float64
@@ -42,8 +42,8 @@ func retainInElement(h *holder, in *Instance, i int) {
 	h.all[i] = in.row(i) // want `result of Instance\.row stored in element of field h\.all`
 }
 
-func retainCostRow(h *holder, r *runner) {
-	h.cached = r.cycRow(0) // want `result of runner\.cycRow stored in field h\.cached`
+func retainCostRow(h *holder, r *Runner) {
+	h.cached = r.cycRow(0) // want `result of Runner\.cycRow stored in field h\.cached`
 }
 
 // Reading within the frame is the intended use: the view dies with the

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"repro/internal/numa"
-	"repro/internal/sim"
 )
 
 // PageSet is the per-region view the decision loop manipulates: the
@@ -72,7 +71,6 @@ type Tick struct {
 	// link in [0,1].
 	MaxLinkUtil float64
 	Samples     []Sample
-	Rand        *sim.Rand
 }
 
 // Mode selects which of Carrefour's heuristics may run, the ablation
@@ -186,14 +184,27 @@ type Controller struct {
 	ordered []Sample
 }
 
-// New returns a controller with cfg, applying the mode's implications
-// (ModeReplicationOnly turns EnableReplication on — the variant is
-// meaningless without it).
+// New returns a controller with cfg (see Reset).
 func New(cfg Config) *Controller {
+	c := new(Controller)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset readies c for a new run with cfg, applying the mode's
+// implications (ModeReplicationOnly turns EnableReplication on — the
+// variant is meaningless without it). The counters and the interleave
+// cursor restart from zero; the scratch buffers keep their storage, so a
+// reset controller decides exactly as a new one does without
+// reallocating them.
+func (c *Controller) Reset(cfg Config) {
 	if cfg.Mode == ModeReplicationOnly {
 		cfg.EnableReplication = true
 	}
-	return &Controller{Cfg: cfg}
+	c.Cfg = cfg
+	c.Ticks, c.Interleaved, c.LocalityMoved, c.Replicated = 0, 0, 0, 0
+	c.InterleaveTicks, c.MigrationTicks = 0, 0
+	c.rr = 0
 }
 
 // Result reports what one tick did.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/numa"
-	"repro/internal/sim"
 )
 
 // fakeSet is an in-memory PageSet.
@@ -52,7 +51,6 @@ func TestInterleaveMovesFromOverloadedNode(t *testing.T) {
 	tick := Tick{
 		CtrlUtil: []float64{0.9, 0.05, 0.05, 0.05},
 		Samples:  []Sample{{Set: set, AccessShare: 0.8, Accessors: uniform(4)}},
-		Rand:     sim.NewRand(1),
 	}
 	res := c.Step(tick)
 	if res.InterleaveMoves == 0 {
@@ -84,7 +82,6 @@ func TestInterleaveNeedsImbalance(t *testing.T) {
 		// Uniformly saturated: interleaving gains nothing.
 		CtrlUtil: []float64{0.9, 0.9, 0.9, 0.9},
 		Samples:  []Sample{{Set: set, AccessShare: 1, Accessors: uniform(4)}},
-		Rand:     sim.NewRand(1),
 	}
 	if res := c.Step(tick); res.InterleaveMoves != 0 {
 		t.Fatal("interleaved on a balanced machine")
@@ -98,7 +95,6 @@ func TestLocalityMigrationOnLinkSaturation(t *testing.T) {
 		CtrlUtil:    []float64{0.1, 0.1, 0.1, 0.1},
 		MaxLinkUtil: 0.5,
 		Samples:     []Sample{{Set: set, AccessShare: 0.5, Accessors: accessors(4, 0, 0.9)}},
-		Rand:        sim.NewRand(1),
 	}
 	res := c.Step(tick)
 	if res.LocalityMoves != 4 {
@@ -118,7 +114,6 @@ func TestLocalityMigrationNeedsDominantAccessor(t *testing.T) {
 		CtrlUtil:    []float64{0, 0, 0, 0},
 		MaxLinkUtil: 0.5,
 		Samples:     []Sample{{Set: set, AccessShare: 0.5, Accessors: uniform(4)}},
-		Rand:        sim.NewRand(1),
 	}
 	if res := c.Step(tick); res.LocalityMoves != 0 {
 		t.Fatal("migrated a shared set")
@@ -132,7 +127,6 @@ func TestNoActionBelowThresholds(t *testing.T) {
 		CtrlUtil:    []float64{0.1, 0.1, 0.1, 0.1},
 		MaxLinkUtil: 0.1,
 		Samples:     []Sample{{Set: set, AccessShare: 1, Accessors: accessors(4, 0, 1)}},
-		Rand:        sim.NewRand(1),
 	}
 	if res := c.Step(tick); res.Migrated != 0 {
 		t.Fatal("idle machine triggered migrations")
@@ -148,7 +142,6 @@ func TestBudgetCapsMigrations(t *testing.T) {
 	tick := Tick{
 		CtrlUtil: []float64{0.9, 0.05, 0.05, 0.05},
 		Samples:  []Sample{{Set: set, AccessShare: 1, Accessors: uniform(4)}},
-		Rand:     sim.NewRand(1),
 	}
 	if res := c.Step(tick); res.Migrated != 3 {
 		t.Fatalf("migrated %d, want budget 3", res.Migrated)
@@ -167,7 +160,6 @@ func TestHotSetsConsideredFirst(t *testing.T) {
 			{Set: cold, AccessShare: 0.4, Accessors: uniform(4)},
 			{Set: hot, AccessShare: 0.1, Accessors: uniform(4), Hot: true},
 		},
-		Rand: sim.NewRand(1),
 	}
 	c.Step(tick)
 	if hot.moves != 2 || cold.moves != 0 {
@@ -199,7 +191,6 @@ func TestCountersAccumulate(t *testing.T) {
 	tick := Tick{
 		CtrlUtil: []float64{0.9, 0.05, 0.05, 0.05},
 		Samples:  []Sample{{Set: set, AccessShare: 1, Accessors: uniform(4)}},
-		Rand:     sim.NewRand(1),
 	}
 	c.Step(tick)
 	if c.Ticks != 1 || c.InterleaveTicks != 1 || c.Interleaved == 0 {
@@ -252,7 +243,6 @@ func TestModesGateHeuristics(t *testing.T) {
 				{Set: hot, AccessShare: 0.5, Accessors: uniform(4), Hot: true, ReadOnly: true},
 				{Set: remote, AccessShare: 0.4, Accessors: accessors(4, 1, 0.9)},
 			},
-			Rand: sim.NewRand(1),
 		}
 		res := c.Step(tick)
 		if got := res.InterleaveMoves > 0; got != tc.interleave {
@@ -279,7 +269,6 @@ func TestFullModeRespectsEnableReplication(t *testing.T) {
 		CtrlUtil:    []float64{0.1, 0.1, 0.1, 0.1},
 		MaxLinkUtil: 0.5,
 		Samples:     []Sample{{Set: hot, AccessShare: 0.5, Accessors: uniform(4), Hot: true, ReadOnly: true}},
-		Rand:        sim.NewRand(1),
 	}
 	c.Step(tick)
 	if hot.replicated {
@@ -313,7 +302,6 @@ func TestReplicationHeuristic(t *testing.T) {
 			Set: set, AccessShare: 0.5, Accessors: uniform(4),
 			Hot: true, ReadOnly: true,
 		}},
-		Rand: sim.NewRand(1),
 	}
 	res := c.Step(tick)
 	if res.Replications != 1 || !set.replicated {
@@ -337,7 +325,6 @@ func TestReplicationRequiresReadOnlyAndMultiAccessor(t *testing.T) {
 				Set: &replicaSet{fakeSet: *newFakeSet(3, 3)}, AccessShare: 0.5,
 				Accessors: acc, Hot: true, ReadOnly: readonly,
 			}},
-			Rand: sim.NewRand(1),
 		}
 	}
 	if res := c.Step(mk(false, uniform(4))); res.Replications != 0 {
@@ -359,7 +346,6 @@ func TestReplicationOffByDefault(t *testing.T) {
 		Samples: []Sample{{
 			Set: set, AccessShare: 0.9, Accessors: uniform(4), Hot: true, ReadOnly: true,
 		}},
-		Rand: sim.NewRand(1),
 	}
 	if res := c.Step(tick); res.Replications != 0 || set.replicated {
 		t.Fatal("default configuration replicated (§3.4 discards it)")

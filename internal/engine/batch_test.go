@@ -18,8 +18,8 @@ import (
 func TestRefreshStreamsFoldSkip(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	in := &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 4}
-	r := &runner{cfg: testConfig(topo), insts: []*Instance{in}, rand: sim.NewRand(1)}
-	if err := r.setup(); err != nil {
+	r := &Runner{}
+	if err := r.setup(testConfig(topo), in); err != nil {
 		t.Fatal(err)
 	}
 	in.refreshStreams()
@@ -62,8 +62,8 @@ func TestRunnerRowArena(t *testing.T) {
 	nn := topo.NumNodes()
 	a := &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 3}
 	b := &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 5}
-	r := &runner{cfg: testConfig(topo), insts: []*Instance{a, b}, rand: sim.NewRand(1)}
-	if err := r.setup(); err != nil {
+	r := &Runner{}
+	if err := r.setup(testConfig(topo), a, b); err != nil {
 		t.Fatal(err)
 	}
 	a.refreshStreams()
@@ -95,7 +95,7 @@ func TestRunnerRowArena(t *testing.T) {
 	for _, threads := range []int{5, 4} {
 		b.NThreads = threads
 		b.Backend = newStub(topo, false)
-		if _, err := Run(testConfig(topo), b); err != nil {
+		if _, err := new(Runner).Run(testConfig(topo), b); err != nil {
 			t.Fatal(err)
 		}
 		if &b.rows[0] != rowsB || len(b.rows) != threads*nn {
@@ -107,7 +107,7 @@ func TestRunnerRowArena(t *testing.T) {
 // fillCyclesReference fills out with the per-pair reference cost
 // matrix for the runner's current load: AccessCycles over PathLinkUtil
 // for every (src, dst) pair, nothing factored or shared.
-func (r *runner) fillCyclesReference(out []float64) {
+func (r *Runner) fillCyclesReference(out []float64) {
 	topo := r.cfg.Topo
 	nn := r.nNodes
 	ctrl := make([]float64, nn)
@@ -143,8 +143,8 @@ func TestFillCyclesMatchesReference(t *testing.T) {
 		return &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 48, Carrefour: true}
 	}
 	in := build()
-	r := &runner{cfg: cfg, insts: []*Instance{in}, rand: sim.NewRand(cfg.Seed)}
-	if err := r.setup(); err != nil {
+	r := &Runner{}
+	if err := r.setup(cfg, in); err != nil {
 		t.Fatal(err)
 	}
 	if in.ioPerTarget <= 0 || in.tlbCycles <= 0 {
@@ -187,7 +187,7 @@ func TestFillCyclesMatchesReference(t *testing.T) {
 		t.Fatalf("run too quiet: %d pages migrated, %d burst epochs, max link utilization %v",
 			got[0].Migrated, burstEpochs, maxLink)
 	}
-	ref, err := Run(cfg, build())
+	ref, err := new(Runner).Run(cfg, build())
 	if err != nil {
 		t.Fatal(err)
 	}

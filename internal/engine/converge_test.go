@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/numa"
-	"repro/internal/sim"
 )
 
 // runConverge executes one run with the given noConverge setting through
@@ -21,8 +20,8 @@ func runConverge(t *testing.T, noConverge, carrefour bool) ([]Result, uint64) {
 		NThreads:  48,
 		Carrefour: carrefour,
 	}
-	r := &runner{cfg: cfg, insts: []*Instance{in}, rand: sim.NewRand(cfg.Seed), noConverge: noConverge}
-	if err := r.setup(); err != nil {
+	r := &Runner{noConverge: noConverge}
+	if err := r.setup(cfg, in); err != nil {
 		t.Fatal(err)
 	}
 	r.loop()
@@ -82,7 +81,7 @@ func TestRecycledInstanceMatchesFresh(t *testing.T) {
 	run := func(in *Instance) []Result {
 		// Fresh backend per run: the stub accumulates page placements.
 		in.Backend = newStub(topo, true)
-		res, err := Run(testConfig(topo), in)
+		res, err := new(Runner).Run(testConfig(topo), in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -177,8 +177,8 @@ func TestRegionDistCachingInvalidation(t *testing.T) {
 func TestStreamTableRefresh(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	in := &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 4}
-	r := &runner{cfg: testConfig(topo), insts: []*Instance{in}, rand: sim.NewRand(1)}
-	if err := r.setup(); err != nil {
+	r := &Runner{}
+	if err := r.setup(testConfig(topo), in); err != nil {
 		t.Fatal(err)
 	}
 	in.refreshStreams()
@@ -229,8 +229,8 @@ func TestStreamTableRefresh(t *testing.T) {
 func TestFoldRowsMatchesStreams(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	in := &Instance{Prof: testProfile(), Backend: newStub(topo, true), NThreads: 4}
-	r := &runner{cfg: testConfig(topo), insts: []*Instance{in}, rand: sim.NewRand(1)}
-	if err := r.setup(); err != nil {
+	r := &Runner{}
+	if err := r.setup(testConfig(topo), in); err != nil {
 		t.Fatal(err)
 	}
 	check := func() {
@@ -319,7 +319,7 @@ func TestRegionHotDist(t *testing.T) {
 func TestRunCompletes(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	in := &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 48}
-	res, err := Run(testConfig(topo), in)
+	res, err := new(Runner).Run(testConfig(topo), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestRunDeterminism(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	run := func() sim.Time {
 		in := &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 48, Carrefour: true}
-		res, err := Run(testConfig(topo), in)
+		res, err := new(Runner).Run(testConfig(topo), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,11 +357,11 @@ func TestLocalityBeatsSpread(t *testing.T) {
 	local := &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 48}
 	spread := &Instance{Prof: prof, Backend: newStub(topo, true), NThreads: 48}
 	cfg := testConfig(topo)
-	resLocal, err := Run(cfg, local)
+	resLocal, err := new(Runner).Run(cfg, local)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSpread, err := Run(cfg, spread)
+	resSpread, err := new(Runner).Run(cfg, spread)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestMasterSlaveImbalance(t *testing.T) {
 	prof, _ := workload.Get("facesim") // master-heavy
 	prof.BaselineSeconds = 0.3
 	in := &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 48}
-	res, err := Run(testConfig(topo), in)
+	res, err := new(Runner).Run(testConfig(topo), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,8 +396,8 @@ func TestCarrefourMigratesImbalancedWorkload(t *testing.T) {
 	base := &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 48}
 	carr := &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 48, Carrefour: true}
 	cfg := testConfig(topo)
-	resBase, _ := Run(cfg, base)
-	resCarr, _ := Run(cfg, carr)
+	resBase, _ := new(Runner).Run(cfg, base)
+	resCarr, _ := new(Runner).Run(cfg, carr)
 	if resCarr[0].Migrated == 0 {
 		t.Fatal("Carrefour migrated nothing on a master-slave workload")
 	}
@@ -413,8 +413,8 @@ func TestConsolidationSlowsDown(t *testing.T) {
 	half := newStub(topo, false)
 	half.share = 0.5
 	cfg := testConfig(topo)
-	r1, _ := Run(cfg, &Instance{Prof: testProfile(), Backend: full, NThreads: 48})
-	r2, _ := Run(cfg, &Instance{Prof: testProfile(), Backend: half, NThreads: 48})
+	r1, _ := new(Runner).Run(cfg, &Instance{Prof: testProfile(), Backend: full, NThreads: 48})
+	r2, _ := new(Runner).Run(cfg, &Instance{Prof: testProfile(), Backend: half, NThreads: 48})
 	if float64(r2[0].Completion) < 1.5*float64(r1[0].Completion) {
 		t.Fatalf("half CPU share did not roughly double completion: %v vs %v",
 			r2[0].Completion, r1[0].Completion)
@@ -427,11 +427,11 @@ func TestIOBoundThrottling(t *testing.T) {
 	prof.BaselineSeconds = 0.3
 	in := &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 48}
 	cfg := testConfig(topo)
-	res, _ := Run(cfg, in)
+	res, _ := new(Runner).Run(cfg, in)
 	noIO := prof
 	noIO.DiskMBps = 0
 	in2 := &Instance{Prof: noIO, Backend: newStub(topo, false), NThreads: 48}
-	res2, _ := Run(cfg, in2)
+	res2, _ := new(Runner).Run(cfg, in2)
 	if res[0].Completion < res2[0].Completion {
 		t.Fatal("disk demand sped the run up")
 	}
@@ -443,7 +443,7 @@ func TestTimeout(t *testing.T) {
 	prof.BaselineSeconds = 1000
 	cfg := testConfig(topo)
 	cfg.MaxTime = 100 * sim.Millisecond
-	res, err := Run(cfg, &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 4})
+	res, err := new(Runner).Run(cfg, &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,10 +455,10 @@ func TestTimeout(t *testing.T) {
 func TestTwoInstancesContend(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	cfg := testConfig(topo)
-	alone, _ := Run(cfg, &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 24})
+	alone, _ := new(Runner).Run(cfg, &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 24})
 	a := &Instance{Prof: testProfile(), Backend: newStub(topo, true), NThreads: 24}
 	b := &Instance{Prof: testProfile(), Backend: newStub(topo, true), NThreads: 24}
-	both, err := Run(cfg, a, b)
+	both, err := new(Runner).Run(cfg, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,14 +471,14 @@ func TestTwoInstancesContend(t *testing.T) {
 
 func TestInvalidConfigs(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
-	if _, err := Run(Config{}, &Instance{}); err == nil {
+	if _, err := new(Runner).Run(Config{}, &Instance{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
 	cfg := testConfig(topo)
-	if _, err := Run(cfg); err == nil {
+	if _, err := new(Runner).Run(cfg); err == nil {
 		t.Fatal("no instances accepted")
 	}
-	if _, err := Run(cfg, &Instance{Prof: testProfile(), Backend: newStub(topo, false)}); err == nil {
+	if _, err := new(Runner).Run(cfg, &Instance{Prof: testProfile(), Backend: newStub(topo, false)}); err == nil {
 		t.Fatal("zero threads accepted")
 	}
 }
@@ -504,7 +504,7 @@ func (b *outOfMemoryStub) Place(r *Region, n int, toucher numa.NodeID) (sim.Time
 func TestRunReturnsPlacementError(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	b := &outOfMemoryStub{stubBackend: newStub(topo, false), budget: 64}
-	res, err := Run(testConfig(topo), &Instance{Prof: testProfile(), Backend: b, NThreads: 4})
+	res, err := new(Runner).Run(testConfig(topo), &Instance{Prof: testProfile(), Backend: b, NThreads: 4})
 	if !errors.Is(err, mem.ErrNoMemory) {
 		t.Fatalf("Run error = %v, want one wrapping mem.ErrNoMemory", err)
 	}
@@ -522,11 +522,11 @@ func TestBurstsDegradeLowClassUnderCarrefour(t *testing.T) {
 	prof := testProfile() // cg.C: low class
 	prof.Burstiness = 1   // burst at every decision interval
 	cfg := testConfig(topo)
-	plain, err := Run(cfg, &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 48})
+	plain, err := new(Runner).Run(cfg, &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
-	carr, err := Run(cfg, &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 48, Carrefour: true})
+	carr, err := new(Runner).Run(cfg, &Instance{Prof: prof, Backend: newStub(topo, false), NThreads: 48, Carrefour: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,13 +549,13 @@ func TestMCSRemovesIPIOverhead(t *testing.T) {
 	virt := *b
 	virtBackend := &virtualizedStub{stubBackend: &virt}
 	cfg := testConfig(topo)
-	noMCS, err := Run(cfg, &Instance{Prof: prof, Backend: virtBackend, NThreads: 48})
+	noMCS, err := new(Runner).Run(cfg, &Instance{Prof: prof, Backend: virtBackend, NThreads: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b2 := newStub(topo, false)
 	virt2 := *b2
-	withMCS, err := Run(cfg, &Instance{Prof: prof, Backend: &virtualizedStub{stubBackend: &virt2}, NThreads: 48, MCS: true})
+	withMCS, err := new(Runner).Run(cfg, &Instance{Prof: prof, Backend: &virtualizedStub{stubBackend: &virt2}, NThreads: 48, MCS: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,14 +576,14 @@ func TestReplicatedHotRegionGoesLocal(t *testing.T) {
 	prof, _ := workload.Get("streamcluster") // hot share 0.17
 	prof.BaselineSeconds = 0.3
 	cfg := testConfig(topo)
-	base, err := Run(cfg, &Instance{Prof: prof, Backend: newStub(topo, true), NThreads: 48})
+	base, err := new(Runner).Run(cfg, &Instance{Prof: prof, Backend: newStub(topo, true), NThreads: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Pre-replicate by running with Carrefour + replication enabled.
 	cfg2 := cfg
 	cfg2.Carrefour.EnableReplication = true
-	rep, err := Run(cfg2, &Instance{Prof: prof, Backend: newStub(topo, true), NThreads: 48, Carrefour: true})
+	rep, err := new(Runner).Run(cfg2, &Instance{Prof: prof, Backend: newStub(topo, true), NThreads: 48, Carrefour: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,15 +49,15 @@ func benchEpoch(b *testing.B, backend Backend) {
 // by an effectively infinite baseline, so every epoch it runs is a
 // steady-state one. One warm-up epoch populates the lazily allocated
 // caches and scratch buffers.
-func steadyRunner(tb testing.TB, backend Backend, noConverge bool) *runner {
+func steadyRunner(tb testing.TB, backend Backend, noConverge bool) *Runner {
 	tb.Helper()
 	topo := numa.AMD48Scaled(64)
 	prof := testProfile()
 	prof.BaselineSeconds = 1e9 // never finishes
 	in := &Instance{Prof: prof, Backend: backend, NThreads: 48}
 	cfg := testConfig(topo)
-	r := &runner{cfg: cfg, insts: []*Instance{in}, rand: sim.NewRand(cfg.Seed), noConverge: noConverge}
-	if err := r.setup(); err != nil {
+	r := &Runner{noConverge: noConverge}
+	if err := r.setup(cfg, in); err != nil {
 		tb.Fatal(err)
 	}
 	r.epoch(1)

@@ -69,35 +69,31 @@ type Result struct {
 	Stats            *metrics.RunStats
 }
 
-// Run executes the instances to completion and returns one result each.
-// All instances share the machine: their memory traffic contends on the
-// same controllers and links.
-func Run(cfg Config, insts ...*Instance) ([]Result, error) {
-	if cfg.Epoch <= 0 || cfg.Scale <= 0 || len(insts) == 0 {
-		return nil, fmt.Errorf("engine: invalid config or no instances")
-	}
-	r := &runner{cfg: cfg, insts: insts, rand: sim.NewRand(cfg.Seed)}
-	if err := r.setup(); err != nil {
-		return nil, err
-	}
-	r.loop()
-	return r.results()
-}
-
-type runner struct {
+// Runner executes runs. Its zero value is ready to use. A Runner keeps
+// the scratch a run builds — the epoch loads, the Carrefour
+// controllers, the per-thread and per-node buffers and the Carrefour
+// sample arenas — and resets each in place at the start of its next
+// run, so a run on a warm Runner is bit-for-bit that of a zero one
+// (TestRunnerReuseMatchesFresh) and allocates little beyond what its
+// caller keeps: the results and their statistics. A Runner runs one run
+// at a time; the warm pool holds one per machine.
+type Runner struct {
 	cfg   Config
 	insts []*Instance
-	rand  *sim.Rand
+	rand  sim.Rand
 
 	load      *metrics.EpochLoad   // machine-wide, for contention
 	instLoads []*metrics.EpochLoad // per instance, for its statistics
+	// loadShape is what the loads were built for; a run on another
+	// topology, epoch or controller bandwidth rebuilds them.
+	loadShape loadShape
 	stats     []*metrics.RunStats
 	ctrls     []*carrefour.Controller
 	initTimes []sim.Time
 	ctrlUtil  []float64
 	now       sim.Time
-	// unitsScratch[i][t] is thread t of instance i's work units this
-	// epoch, recorded during the final fill.
+	// units[i][t] is thread t of instance i's work units this epoch,
+	// recorded during the final fill.
 	units [][]float64
 
 	// Run-constant node geometry, hoisted out of the fixed-point loop:
@@ -136,7 +132,7 @@ type runner struct {
 	// Carrefour-tick scratch: the tick rebuilds the sampler view from
 	// the stream table every interval, so the backing stores are reused.
 	// moves[from*nNodes+to] counts the pages pageSet.Migrate moved
-	// between the pair this tick; setup sizes it once.
+	// between the pair this tick; setup sizes it once per run.
 	moves    []int
 	shared   []float64          // running-thread node distribution
 	accArena []float64          // per-sample accessor rows, carved per tick
@@ -144,50 +140,88 @@ type runner struct {
 	sampBuf  []carrefour.Sample // sampler view handed to Controller.Step
 }
 
-func (r *runner) setup() error {
-	epochSec := float64(r.cfg.Epoch) / 1e9
-	n := r.cfg.Topo.NumNodes()
-	r.load = metrics.NewEpochLoad(r.cfg.Topo, epochSec, r.cfg.CtrlBWBps)
-	r.ctrlUtil = make([]float64, n)
+// loadShape is the construction input of an EpochLoad.
+type loadShape struct {
+	topo             *numa.Topology
+	epochSec, ctrlBW float64
+}
+
+// Run executes the instances to completion and returns one result each.
+// All instances share the machine: their memory traffic contends on the
+// same controllers and links.
+func (r *Runner) Run(cfg Config, insts ...*Instance) ([]Result, error) {
+	if cfg.Epoch <= 0 || cfg.Scale <= 0 || len(insts) == 0 {
+		return nil, fmt.Errorf("engine: invalid config or no instances")
+	}
+	if err := r.setup(cfg, insts...); err != nil {
+		return nil, err
+	}
+	r.loop()
+	return r.results()
+}
+
+// setup resets the runner for a run of insts under cfg: the run state
+// restarts from zero and the RNG from cfg.Seed, every scratch buffer is
+// resized and zeroed in place, and each instance is rebuilt and
+// materialized.
+func (r *Runner) setup(cfg Config, insts ...*Instance) error {
+	r.cfg = cfg
+	r.insts = append(r.insts[:0], insts...)
+	r.rand = *sim.NewRand(cfg.Seed)
+	r.now, r.converged, r.latChanged, r.convergedEpochs = 0, false, false, 0
+
+	epochSec := float64(cfg.Epoch) / 1e9
+	n := cfg.Topo.NumNodes()
+	shape := loadShape{topo: cfg.Topo, epochSec: epochSec, ctrlBW: cfg.CtrlBWBps}
+	if shape != r.loadShape {
+		r.loadShape = shape
+		r.load = nil
+		clear(r.instLoads[:cap(r.instLoads)])
+	}
+	r.load = resetLoad(r.load, shape)
+	r.instLoads = resized(r.instLoads, len(insts))
+	r.stats = r.stats[:0]
+	r.ctrls = resized(r.ctrls, len(insts))
+	r.units = resized(r.units, len(insts))
 	r.nNodes = n
-	r.cycles = make([]float64, n*n)
-	r.linkUtil = make([]float64, len(r.cfg.Topo.Links))
-	r.ctrlPen = make([]float64, n)
-	r.moves = make([]int, n*n)
-	r.cost = costModelFor(r.cfg.Topo)
-	r.freqGHz = r.cfg.Topo.Latency.FreqGHz
-	for _, in := range r.insts {
+	r.ctrlUtil = zeroed(r.ctrlUtil, n)
+	r.cycles = zeroed(r.cycles, n*n)
+	r.linkUtil = zeroed(r.linkUtil, len(cfg.Topo.Links))
+	r.ctrlPen = zeroed(r.ctrlPen, n)
+	r.moves = zeroed(r.moves, n*n)
+	r.cost = costModelFor(cfg.Topo)
+	r.freqGHz = cfg.Topo.Latency.FreqGHz
+	maxThreads := 0
+	for i, in := range insts {
 		if err := in.Prof.Validate(); err != nil {
 			return err
 		}
 		if in.NThreads <= 0 {
 			return fmt.Errorf("engine: instance %s has no threads", in.Prof.Name)
 		}
-		r.instLoads = append(r.instLoads, metrics.NewEpochLoad(r.cfg.Topo, epochSec, r.cfg.CtrlBWBps))
-		r.stats = append(r.stats, metrics.NewRunStats(r.cfg.Topo))
-		ccfg := r.cfg.Carrefour
+		maxThreads = max(maxThreads, in.NThreads)
+		r.instLoads[i] = resetLoad(r.instLoads[i], shape)
+		r.stats = append(r.stats, metrics.NewRunStats(cfg.Topo))
+		ccfg := cfg.Carrefour
 		if in.CarrefourMode != carrefour.ModeFull {
 			// A per-instance variant overrides the run config's mode;
 			// the zero value defers to it.
 			ccfg.Mode = in.CarrefourMode
 		}
-		r.ctrls = append(r.ctrls, carrefour.New(ccfg))
-		r.units = append(r.units, make([]float64, in.NThreads))
+		if r.ctrls[i] == nil {
+			r.ctrls[i] = new(carrefour.Controller)
+		}
+		r.ctrls[i].Reset(ccfg)
+		r.units[i] = zeroed(r.units[i], in.NThreads)
 		if err := r.buildInstance(in); err != nil {
 			return err
 		}
 		r.hoistRunConstants(in, epochSec)
 	}
-	maxThreads := 0
-	for _, in := range r.insts {
-		if in.NThreads > maxThreads {
-			maxThreads = in.NThreads
-		}
-	}
-	r.groupUnits = make([]float64, maxThreads)
-	r.groupCyc = make([]float64, maxThreads)
-	r.initTimes = make([]sim.Time, len(r.insts))
-	for i, in := range r.insts {
+	r.groupUnits = zeroed(r.groupUnits, maxThreads)
+	r.groupCyc = zeroed(r.groupCyc, maxThreads)
+	r.initTimes = zeroed(r.initTimes, len(insts))
+	for i, in := range insts {
 		t, err := r.materialize(in)
 		if err != nil {
 			return fmt.Errorf("engine: materializing %s: %w", in.Prof.Name, err)
@@ -197,12 +231,33 @@ func (r *runner) setup() error {
 	return nil
 }
 
+// resetLoad returns l zeroed, or a new load of the given shape when l is
+// nil.
+func resetLoad(l *metrics.EpochLoad, s loadShape) *metrics.EpochLoad {
+	if l == nil {
+		return metrics.NewEpochLoad(s.topo, s.epochSec, s.ctrlBW)
+	}
+	l.Reset()
+	return l
+}
+
+// zeroed returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // hoistRunConstants precomputes the per-instance values the fixed-point
 // iterations used to re-derive every pass: they depend only on the
 // profile, the backend and the run configuration, none of which change
 // after setup. Each hoisted expression is kept verbatim so the values
 // are bit-for-bit what the inline computation produced.
-func (r *runner) hoistRunConstants(in *Instance, epochSec float64) {
+func (r *Runner) hoistRunConstants(in *Instance, epochSec float64) {
 	in.cpuNsPerUnit = in.Prof.CPUNsPerUnit()
 	in.overhead = r.overheadFrac(in)
 	if r.cfg.TLB != nil {
@@ -228,7 +283,7 @@ func (r *runner) hoistRunConstants(in *Instance, epochSec float64) {
 // run left on the instance is reset in place and grown or shrunk to
 // NThreads, so rerunning a pooled instance allocates only for threads
 // and regions it never had.
-func (r *runner) buildInstance(in *Instance) error {
+func (r *Runner) buildInstance(in *Instance) error {
 	nNodes := r.cfg.Topo.NumNodes()
 	idealNs := in.Prof.CPUNsPerUnit() + 71.0
 	in.workPerThread = in.Prof.BaselineSeconds * 1e9 / idealNs
@@ -315,8 +370,8 @@ func (r *runner) buildInstance(in *Instance) error {
 
 // resized returns s with length n. Elements it keeps, including those a
 // previous shrink left past its length, stay; slots it never held are
-// nil.
-func resized[T any](s []*T, n int) []*T {
+// zero.
+func resized[S ~[]E, E any](s S, n int) S {
 	if n > cap(s) {
 		s = slices.Grow(s, n-len(s))
 	}
@@ -329,7 +384,7 @@ func resized[T any](s []*T, n int) []*T {
 // charged to the touching threads as debt (the application's init
 // phase). A failed placement (the machine is out of memory) stops it
 // with the backend's error.
-func (r *runner) materialize(in *Instance) (sim.Time, error) {
+func (r *Runner) materialize(in *Instance) (sim.Time, error) {
 	var total sim.Time
 	charge := func(t *Thread, d sim.Time) {
 		t.DebtNs += float64(d)
@@ -381,7 +436,7 @@ func (r *runner) materialize(in *Instance) (sim.Time, error) {
 	return total, err
 }
 
-func (r *runner) loop() {
+func (r *Runner) loop() {
 	maxEpochs := int(r.cfg.MaxTime / r.cfg.Epoch)
 	for step := 0; step < maxEpochs; step++ {
 		r.now = sim.Time(step) * r.cfg.Epoch
@@ -419,7 +474,7 @@ func (r *runner) loop() {
 // completion or a tick perturbs the fixed point.
 //
 //xnuma:noalloc
-func (r *runner) epoch(step int) {
+func (r *Runner) epoch(step int) {
 	if r.converged && !r.noConverge {
 		r.convergedEpochs++
 		completed := r.progress()
@@ -480,7 +535,7 @@ func (r *runner) epoch(step int) {
 // consume the run's deterministic stream at the same points either way.
 //
 //xnuma:noalloc
-func (r *runner) runTicks(step int) bool {
+func (r *Runner) runTicks(step int) bool {
 	if r.cfg.CarrefourEvery <= 0 || step%r.cfg.CarrefourEvery != 0 {
 		return false
 	}
@@ -494,7 +549,7 @@ func (r *runner) runTicks(step int) bool {
 	return ran
 }
 
-func (r *runner) allDone() bool {
+func (r *Runner) allDone() bool {
 	for _, in := range r.insts {
 		if !in.done {
 			return false
@@ -510,7 +565,7 @@ func (r *runner) allDone() bool {
 // per-instance loads are filled.
 //
 //xnuma:noalloc
-func (r *runner) fillLoads(record bool) {
+func (r *Runner) fillLoads(record bool) {
 	r.load.Reset()
 	epochNs := float64(r.cfg.Epoch)
 	nn := r.nNodes
@@ -610,7 +665,7 @@ func (r *runner) fillLoads(record bool) {
 // into setup (hoistRunConstants).
 //
 //xnuma:noalloc
-func (r *runner) ioFactor(in *Instance, record bool, il *metrics.EpochLoad) float64 {
+func (r *Runner) ioFactor(in *Instance, record bool, il *metrics.EpochLoad) float64 {
 	if in.ioStream.DemandBps <= 0 {
 		return 1
 	}
@@ -627,7 +682,7 @@ func (r *runner) ioFactor(in *Instance, record bool, il *metrics.EpochLoad) floa
 // allocator-churn notifications and Carrefour sampling.
 //
 //xnuma:noalloc
-func (r *runner) overheadFrac(in *Instance) float64 {
+func (r *Runner) overheadFrac(in *Instance) float64 {
 	m := ipi.Model{Virtualized: in.Backend.Virtualized(), MCSSpin: in.MCS}
 	f := m.OverheadFraction(in.Prof.CtxSwitchKps*1000, in.Prof.SyncAmplification, in.Prof.UsesPthreadSync)
 	f += in.Backend.ChurnOverhead(in.Prof.ReleasesPerSec, in.NThreads)
@@ -648,7 +703,7 @@ func (r *runner) overheadFrac(in *Instance) float64 {
 // source node's cost row instead of re-deriving the cost per stream.
 //
 //xnuma:noalloc
-func (r *runner) updateLatencies() {
+func (r *Runner) updateLatencies() {
 	r.fillCycles()
 	nn := r.nNodes
 	for _, in := range r.insts {
@@ -693,7 +748,7 @@ func (r *runner) updateLatencies() {
 // (TestFillCyclesMatchesReference).
 //
 //xnuma:noalloc
-func (r *runner) fillCycles() {
+func (r *Runner) fillCycles() {
 	r.load.FillCtrlUtil(r.ctrlUtil)
 	r.load.FillLinkUtil(r.linkUtil)
 	nn := r.nNodes
@@ -721,7 +776,7 @@ func (r *runner) fillCycles() {
 // reduce against it within the iteration, never retain it.
 //
 //xnuma:noalloc
-func (r *runner) cycRow(src numa.NodeID) []float64 {
+func (r *Runner) cycRow(src numa.NodeID) []float64 {
 	nn := r.nNodes
 	return r.cycles[int(src)*nn : (int(src)+1)*nn]
 }
@@ -748,7 +803,7 @@ func costModelFor(t *numa.Topology) *numa.AccessCostModel {
 // converged fast path).
 //
 //xnuma:noalloc
-func (r *runner) progress() bool {
+func (r *Runner) progress() bool {
 	completed := false
 	epochNs := float64(r.cfg.Epoch)
 	for i, in := range r.insts {
@@ -799,7 +854,7 @@ func (r *runner) progress() bool {
 // instance i, charges its costs and schedules its copy traffic.
 //
 //xnuma:noalloc
-func (r *runner) carrefourTick(i int, in *Instance) {
+func (r *Runner) carrefourTick(i int, in *Instance) {
 	// Maybe start a misleading burst (§3.5.2).
 	if in.burstLeft <= 0 && in.Prof.Burstiness > 0 && len(in.priv) > 0 {
 		if r.rand.Float64() < in.Prof.Burstiness {
@@ -821,7 +876,6 @@ func (r *runner) carrefourTick(i int, in *Instance) {
 		CtrlUtil:    r.tickUtil,
 		MaxLinkUtil: r.load.MaxLinkUtil(),
 		Samples:     r.samples(in),
-		Rand:        r.rand,
 	}
 	res := r.ctrls[i].Step(tick)
 	if res.Migrated == 0 {
@@ -855,7 +909,7 @@ func (r *runner) carrefourTick(i int, in *Instance) {
 // arenas are warm; the view stays valid until the next tick rebuilds it.
 //
 //xnuma:noalloc
-func (r *runner) samples(in *Instance) []carrefour.Sample {
+func (r *Runner) samples(in *Instance) []carrefour.Sample {
 	tbl := &in.streamTab
 	nNodes := r.cfg.Topo.NumNodes()
 	// Accessor distribution of shared regions: the running threads.
@@ -938,7 +992,7 @@ func (r *runner) samples(in *Instance) []carrefour.Sample {
 // sampler Sample.
 //
 //xnuma:noalloc
-func (r *runner) mkSample(set *pageSet, in *Instance, reg *Region, share float64, accessors []float64, hot bool) carrefour.Sample {
+func (r *Runner) mkSample(set *pageSet, in *Instance, reg *Region, share float64, accessors []float64, hot bool) carrefour.Sample {
 	set.r, set.b, set.moves, set.nNodes = reg, in.Backend, r.moves, r.nNodes
 	return carrefour.Sample{
 		Set:         set,
@@ -993,7 +1047,7 @@ func (s *pageSet) Migrate(i int, to numa.NodeID) bool {
 	return true
 }
 
-func (r *runner) results() ([]Result, error) {
+func (r *Runner) results() ([]Result, error) {
 	out := make([]Result, 0, len(r.insts))
 	for i, in := range r.insts {
 		st := r.stats[i]

@@ -2,7 +2,7 @@ package engine
 
 // The access-stream layer: one canonical enumeration of an instance's
 // memory-access streams, read by foldRows and by the Carrefour tick's
-// region view (runner.samples). Adding a new stream kind means adding
+// region view (Runner.samples). Adding a new stream kind means adding
 // one table entry here, not editing several loops in lockstep.
 //
 // Because placement only mutates between epochs, the table is also

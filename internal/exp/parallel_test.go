@@ -28,7 +28,8 @@ func renderMiniTables(workers int, seed uint64) (string, []string) {
 // TestPairFigureDeterministicAcrossWorkers: the same seed must produce
 // byte-identical tables (and an identical cell population) no matter how
 // many workers execute the suite. Run with -race to also validate that
-// concurrent engine.Run invocations share no mutable state.
+// concurrent runs, each on its own leased machine and runner, share no
+// mutable state.
 func TestPairFigureDeterministicAcrossWorkers(t *testing.T) {
 	want, wantKeys := renderMiniTables(1, 7)
 	if !strings.Contains(want, "swaptions + ep.D") {

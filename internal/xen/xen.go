@@ -308,7 +308,8 @@ func (h *Hypervisor) packVCPUs(vcpus int, memBytes int64) ([]numa.CPUID, error) 
 func (h *Hypervisor) CPULoad(c numa.CPUID) int { return h.cpuUse[c] }
 
 // takeShell pops a recycled domain shell, or returns nil when none is
-// available (the cold-build case).
+// available (the cold-build case). Reset leaves the lowest domain ID's
+// shell on top.
 func (h *Hypervisor) takeShell() *Domain {
 	if n := len(h.shells); n > 0 {
 		d := h.shells[n-1]
@@ -334,7 +335,10 @@ func (h *Hypervisor) takeShell() *Domain {
 // Reset errored is no longer bit-identical to a cold boot and must be
 // discarded (the warm pool drops it and cold-builds).
 func (h *Hypervisor) Reset() error {
-	for id := DomID(1); id < h.nextID; id++ {
+	// Shells are pushed in descending ID order, so takeShell hands the
+	// next lease's domain n the previous domain n's shell, whose page
+	// table already has that domain's size.
+	for id := h.nextID - 1; id >= 1; id-- {
 		d, ok := h.domains[id]
 		if !ok {
 			continue

@@ -8,6 +8,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/guest"
 	"repro/internal/linux"
+	"repro/internal/numa"
 	"repro/internal/workload"
 	"repro/internal/xen"
 )
@@ -31,14 +32,16 @@ type poolKey struct {
 }
 
 // machine is one poolable world: a hypervisor plus the per-VM guest
-// backends and engine instances of its previous lease, or a native
-// backend plus its engine instance. The next lease rebuilds them in
-// place.
+// backends, engine instances and vCPU pin lists of its previous lease,
+// or a native backend plus its engine instance, and the engine runner
+// that ran them. The next lease rebuilds them in place.
 type machine struct {
 	hv     *xen.Hypervisor
 	native *linux.Backend
 	backs  [2]*guest.Backend
 	insts  [2]*engine.Instance
+	pins   [2][]numa.CPUID
+	runner engine.Runner
 }
 
 // Pool is a deterministic warm-machine pool: runs with Options.Pool set,
@@ -171,11 +174,11 @@ func (m *machine) reset() (err error) {
 }
 
 // instance readies the engine instance in slot for a run of prof on b:
-// the slot's instance from the previous lease, which engine.Run rebuilds
-// in place, or a new one. mcs selects the MCS-lock mitigation, which
-// applies to the profile's pthread-blocking apps only. Every entry point
-// fills its instances here, so a warm and a cold run start from the same
-// fields.
+// the slot's instance from the previous lease, which the machine's
+// runner rebuilds in place, or a new one. mcs selects the MCS-lock
+// mitigation, which applies to the profile's pthread-blocking apps only.
+// Every entry point fills its instances here, so a warm and a cold run
+// start from the same fields.
 func (m *machine) instance(slot int, prof workload.Profile, b engine.Backend, pol Policy, o Options, mcs bool) *engine.Instance {
 	in := m.insts[slot]
 	if in == nil {

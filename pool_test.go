@@ -14,8 +14,12 @@ import (
 // must allocate under 1 MB in total. A 24-thread round-4K lease that
 // follows on the same pool must match a cold-built run and, with the
 // engine instance's thread and region storage shrunk in place, allocate
-// under 256 KB. Natively, a second round-4K bfs run on the scale's
-// native machine must match a cold-built run and allocate under 256 KB.
+// under 256 KB. A second same-shape round-4K/Carrefour lease, its
+// engine scratch kept on the machine's runner, must match a cold-built
+// run and allocate under 8 KB, and so must a second same-shape colocated
+// pair lease, its domains refilling their own shells, under 16 KB.
+// Natively, a second round-4K bfs run on the scale's native machine must
+// match a cold-built run and allocate under 256 KB.
 func TestWarmLeaseAllocatesLittle(t *testing.T) {
 	o := Options{Scale: 32, Pool: NewPool()}
 	if _, err := RunXen("bfs", MustPolicy("round-1g"), o); err != nil {
@@ -56,6 +60,61 @@ func TestWarmLeaseAllocatesLittle(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
 		t.Fatalf("24-thread lease after a 48-thread one allocated %d bytes, want under 256 KB", got)
+	}
+
+	// Same shape twice with Carrefour: the second lease's engine scratch
+	// (epoch loads, controllers, sample arenas) is the machine's runner's,
+	// reset in place, so the lease allocates little beyond its result.
+	carr := MustPolicy("round-4k/carrefour")
+	carrRef, err := RunXen("bfs", carr, Options{Scale: 32, NoPool: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunXen("bfs", carr, o); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&before)
+	warmCarr, err := RunXen("bfs", carr, o)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warmCarr, carrRef) {
+		t.Fatalf("warm Carrefour lease diverges from a cold-built run:\nwarm: %+v\ncold: %+v", warmCarr, carrRef)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<10 {
+		t.Fatalf("same-shape warm Carrefour lease allocated %d bytes, want under 8 KB", got)
+	}
+
+	// Same-shape colocated pair twice, the larger VM first: domain n of
+	// the second lease gets the shell of the first lease's domain n,
+	// whose page table already has its size, and the vCPU pins refill
+	// the machine's buffers.
+	pair := func(o Options) ([2]Result, error) {
+		a, b, err := RunXenPair("wc", pol, "bfs", carr, Colocated, false, o)
+		return [2]Result{a, b}, err
+	}
+	pairRef, err := pair(Options{Scale: 32, NoPool: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pair(o); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&before)
+	warmPair, err := pair(o)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := o.Pool.Stats(); hits != 6 || misses != 1 {
+		t.Fatalf("pool hits/misses = %d/%d, want 6/1", hits, misses)
+	}
+	if !reflect.DeepEqual(warmPair, pairRef) {
+		t.Fatalf("warm colocated pair lease diverges from a cold-built run:\nwarm: %+v\ncold: %+v", warmPair, pairRef)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Fatalf("same-shape warm colocated pair lease allocated %d bytes, want under 16 KB", got)
 	}
 
 	ref, err := RunLinux("bfs", pol, Options{Scale: 32, NoPool: true})

@@ -186,8 +186,7 @@ func RunXen(app string, pol Policy, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := engineConfig(topo, o)
-	res, err := engine.Run(cfg, inst)
+	res, err := m.runner.Run(engineConfig(topo, o), inst)
 	if err != nil {
 		return Result{}, err
 	}
@@ -232,7 +231,7 @@ func RunLinux(app string, pol Policy, o Options) (Result, error) {
 	}
 	m.native = b
 	inst := m.instance(0, prof, b, pol, o, o.MCS)
-	res, err := engine.Run(engineConfig(topo, o), inst)
+	res, err := m.runner.Run(engineConfig(topo, o), inst)
 	if err != nil {
 		return Result{}, err
 	}
@@ -281,7 +280,7 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	var pins1, pins2 []numa.CPUID
+	pins1, pins2 := m.pins[0][:0], m.pins[1][:0]
 	threads := o.Threads
 	switch mode {
 	case Colocated:
@@ -296,9 +295,6 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 				}
 			}
 		}
-		if swap {
-			pins1, pins2 = pins2, pins1
-		}
 	case Consolidated:
 		for c := 0; c < topo.NumCPUs(); c++ {
 			pins1 = append(pins1, numa.CPUID(c))
@@ -306,6 +302,10 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 		}
 	default:
 		return Result{}, Result{}, fmt.Errorf("xennuma: unknown pair mode %d", mode)
+	}
+	m.pins[0], m.pins[1] = pins1, pins2
+	if swap {
+		pins1, pins2 = pins2, pins1
 	}
 	o1, o2 := o, o
 	o1.Threads, o2.Threads = threads, threads
@@ -317,8 +317,7 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	cfg := engineConfig(topo, o)
-	res, err := engine.Run(cfg, inst1, inst2)
+	res, err := m.runner.Run(engineConfig(topo, o), inst1, inst2)
 	if err != nil {
 		return Result{}, Result{}, err
 	}
@@ -363,9 +362,13 @@ func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o
 	}
 	topo := m.hv.Topo
 	if len(pins) == 0 {
+		// The identity pins go into the slot's buffer: CreateDomain
+		// copies them into the domain's vCPUs and keeps nothing.
+		pins = m.pins[slot][:0]
 		for c := 0; c < o.Threads && c < topo.NumCPUs(); c++ {
 			pins = append(pins, numa.CPUID(c))
 		}
+		m.pins[slot] = pins
 	}
 	spec := xen.DomainSpec{
 		Name:     prof.Name,
