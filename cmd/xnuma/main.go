@@ -15,6 +15,7 @@
 //	xnuma sweep -apps cg.C,sp.C        # several apps' sweeps in one batch
 //	xnuma sweep -apps all -seeds 3     # every app × every seed on one pool
 //	xnuma advise               # §3.5.2 advisor vs exhaustive sweep
+//	xnuma advise all           # the advisor over all 29 applications
 //	xnuma topo                 # dump the machine topology
 //	xnuma serve                # resident sweep service on stdin/stdout
 //	xnuma serve -listen :8080 -cache-dir ~/.cache/xnuma  # + HTTP, warm restarts
@@ -48,7 +49,6 @@ import (
 	"time"
 
 	xennuma "repro"
-	"repro/internal/advisor"
 	"repro/internal/exp"
 	"repro/internal/faultinject"
 	"repro/internal/numa"
@@ -82,7 +82,7 @@ func runIO(argv []string, stdin io.Reader, stdout, stderr io.Writer) (code int) 
 		fmt.Fprintln(stderr, `xnuma — regenerate the paper's evaluation on the simulated stack
 usage:
   xnuma [flags] list | policies | all | topo | <experiment-id>... | run <app> <policy>
-  xnuma [flags] sweep [-bind] [-seeds N] (<app> | -apps a,b,…|all) | advise [app...]
+  xnuma [flags] sweep [-bind] [-seeds N] (<app>|all | -apps a,b,…|all) | advise [app...|all]
   xnuma [flags] serve [-listen addr] [-cache-dir dir] [-timeout d] [-max-flights n] [-max-pending n] [-faults plan]`)
 		fs.PrintDefaults()
 	}
@@ -196,26 +196,20 @@ usage:
 			fmt.Fprintln(stderr, "xnuma:", err)
 			return 2
 		}
-	case "sweep":
-		if c := runSweep(s, stdout, stderr, render, *progress, args[1:]); c != 0 {
-			return c
+	case "sweep", "advise":
+		req, code := parseRequest(args[0], args[1:], stderr)
+		if req == nil {
+			return code
 		}
+		sweepProgress(s, stderr, *progress && req.Op == "sweep", func() {
+			for _, t := range req.Tables(s) {
+				fmt.Fprintln(stdout, render(t))
+			}
+		})
 	case "serve":
 		if c := runServe(s, stdin, stdout, stderr, args[1:]); c != 0 {
 			return c
 		}
-	case "advise":
-		apps := args[1:]
-		if len(apps) == 0 {
-			apps = advisor.DefaultApps
-		}
-		for _, app := range apps {
-			if err := knownApp(app); err != nil {
-				fmt.Fprintln(stderr, "xnuma:", err)
-				return 2
-			}
-		}
-		fmt.Fprintln(stdout, render(advisor.Table(s, advisor.TargetXen, apps)))
 	default:
 		for _, id := range args {
 			fn := exp.ByID(id)
@@ -273,99 +267,49 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// knownApp rejects application names the workload set does not contain.
-func knownApp(app string) error {
-	for _, a := range xennuma.Apps() {
-		if a == app {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown application %q (try: xnuma list)", app)
-}
+// sweepUsage is the synopsis of the sweep subcommand.
+const sweepUsage = "usage: xnuma sweep [-bind] [-seeds N] (<app>|all | -apps a,b,…|all)"
 
-// runSweep parses the sweep subcommand's own flags and prints the
-// selected sweep tables: the policy × Carrefour sweep by default, the
-// per-node bind sweep with -bind, the seed-stability sweep with
-// -seeds N. -apps batches several applications (or "all") in a single
-// prefetch wave on the suite's shared pool and composes with -seeds.
-// With the global -progress flag it reports live throughput (the
-// scheduler's CellsComputed counter sampled every two seconds) and a
-// final cells/sec summary on stderr. It reports its errors itself and
-// returns the exit code.
-func runSweep(s *exp.Suite, stdout, stderr io.Writer, render func(*exp.Table) string, progress bool, args []string) int {
-	const usage = "usage: xnuma sweep [-bind] [-seeds N] (<app> | -apps a,b,…|all)"
-	fs := flag.NewFlagSet("xnuma sweep", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	bind := fs.Bool("bind", false, "sweep bind:<node> over every node instead of the policy registry")
-	seeds := fs.Int("seeds", 1, "average the sweep over N consecutive seeds and report best-policy stability")
-	appsFlag := fs.String("apps", "", "comma-separated applications (or 'all') swept in one batch")
-	fs.Usage = func() {
-		fmt.Fprintln(stderr, usage)
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0 // usage printed; asking for help is not a failure
+// parseRequest maps the argv after `xnuma sweep` or `xnuma advise` to
+// the normalized serve.Request the service would decode from the same
+// question: the sweep's -bind, -seeds and -apps flags or its positional
+// app, or advise's app list. Request.Normalize does all the validation.
+// On failure the request is nil and the exit code is 0 for -h and 2
+// otherwise, with the reason already on stderr.
+func parseRequest(cmd string, args []string, stderr io.Writer) (*serve.Request, int) {
+	req := &serve.Request{Op: cmd, Apps: args}
+	if cmd == "sweep" {
+		fs := flag.NewFlagSet("xnuma sweep", flag.ContinueOnError)
+		fs.SetOutput(stderr)
+		fs.BoolVar(&req.Bind, "bind", false, "sweep bind:<node> over every node instead of the policy registry")
+		fs.IntVar(&req.Seeds, "seeds", 1, "average the sweep over N consecutive seeds and report best-policy stability")
+		apps := fs.String("apps", "", "comma-separated applications (or 'all') swept in one batch")
+		fs.Usage = func() {
+			fmt.Fprintln(stderr, sweepUsage)
+			fs.PrintDefaults()
 		}
-		return 2 // the FlagSet already reported the error
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "xnuma:", err)
-		return 2
-	}
-	if *seeds < 0 {
-		return fail(fmt.Errorf("sweep: -seeds %d is negative (0 = one seed)", *seeds))
-	}
-	var apps []string
-	switch {
-	case *appsFlag == "":
-		if fs.NArg() != 1 {
-			return fail(fmt.Errorf("%s", usage))
+		if err := fs.Parse(args); err != nil {
+			if err == flag.ErrHelp {
+				return nil, 0 // usage printed; asking for help is not a failure
+			}
+			return nil, 2 // the FlagSet already reported the error
 		}
-		apps = []string{fs.Arg(0)}
-	case fs.NArg() != 0:
-		return fail(fmt.Errorf("sweep: positional app and -apps are mutually exclusive"))
-	case *appsFlag == "all":
-		apps = exp.Apps()
-	default:
-		for _, app := range strings.Split(*appsFlag, ",") {
+		if fs.NArg() > 1 {
+			fmt.Fprintln(stderr, "xnuma:", sweepUsage)
+			return nil, 2
+		}
+		req.App, req.Apps = fs.Arg(0), nil
+		for _, app := range strings.Split(*apps, ",") {
 			if app = strings.TrimSpace(app); app != "" {
-				apps = append(apps, app)
+				req.Apps = append(req.Apps, app)
 			}
 		}
-		if len(apps) == 0 {
-			return fail(fmt.Errorf("sweep: -apps lists no applications"))
-		}
 	}
-	for _, app := range apps {
-		if err := knownApp(app); err != nil {
-			return fail(err)
-		}
+	if err := req.Normalize(); err != nil {
+		fmt.Fprintf(stderr, "xnuma: %s: %v\n", cmd, err)
+		return nil, 2
 	}
-	printAll := func(tables []*exp.Table) {
-		for _, t := range tables {
-			fmt.Fprintln(stdout, render(t))
-		}
-	}
-	switch {
-	case *bind && *seeds > 1:
-		return fail(fmt.Errorf("sweep: -bind and -seeds are mutually exclusive"))
-	case *bind && *appsFlag != "":
-		return fail(fmt.Errorf("sweep: -bind and -apps are mutually exclusive"))
-	case *bind:
-		sweepProgress(s, stderr, progress, func() {
-			fmt.Fprintln(stdout, render(exp.BindSweep(s, apps[0])))
-		})
-	case *seeds > 1:
-		sweepProgress(s, stderr, progress, func() {
-			printAll(exp.SeedSweepApps(s, apps, *seeds))
-		})
-	default:
-		sweepProgress(s, stderr, progress, func() {
-			printAll(exp.PolicySweepApps(s, apps))
-		})
-	}
-	return 0
+	return req, 0
 }
 
 // sweepProgress runs a sweep under the live-throughput reporter: while
@@ -424,7 +368,7 @@ func runOne(s *exp.Suite, stdout io.Writer, app, pol string) error {
 	if _, err := policy.New(cfg.Static, numa.AMD48Nodes); err != nil {
 		return err
 	}
-	if err := knownApp(app); err != nil {
+	if err := xennuma.CheckApp(app); err != nil {
 		return err
 	}
 	r := s.Xen(app, pol, true)

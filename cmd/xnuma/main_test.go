@@ -275,6 +275,9 @@ func TestSweepUsage(t *testing.T) {
 	if code, out, _ := runCLI(t, "sweep", "-seeds", "-2", "swaptions"); code != 2 || out != "" {
 		t.Fatalf("negative -seeds: exit %d, stdout %q; want exit 2 and no output", code, out)
 	}
+	if code, out, _ := runCLI(t, "sweep", "-seeds", "65", "swaptions"); code != 2 || out != "" {
+		t.Fatalf("-seeds over the cap: exit %d, stdout %q; want exit 2 and no output", code, out)
+	}
 }
 
 // TestProfileFlags: -cpuprofile/-memprofile must produce non-empty

@@ -67,36 +67,59 @@ func TestServeUsageErrors(t *testing.T) {
 }
 
 // TestServedSweepMatchesCLI pins the service path to the batch path:
-// the concatenated table texts of a served sweep response must be
-// byte-identical to what the one-shot `xnuma sweep` CLI prints for the
-// same app, seed, scale and worker count — the resident suite cannot
-// drift from the throwaway one.
+// for every sweep shape and for advise, the concatenated table texts of
+// a served response must be byte-identical to what the one-shot CLI
+// prints for the same question, seed, scale and worker count — the
+// resident suite cannot drift from the throwaway one. The bind case
+// names its one app with -apps on the CLI and with app on the wire.
 func TestServedSweepMatchesCLI(t *testing.T) {
 	global := []string{"-scale", "256", "-seed", "3", "-parallel", "2"}
+	cases := []struct {
+		id   string
+		argv []string
+		line string
+	}{
+		{"plain", []string{"sweep", "swaptions"},
+			`{"id":"plain","op":"sweep","app":"swaptions"}`},
+		{"bind", []string{"sweep", "-bind", "-apps", "swaptions"},
+			`{"id":"bind","op":"sweep","app":"swaptions","bind":true}`},
+		{"seeds", []string{"sweep", "-seeds", "2", "swaptions"},
+			`{"id":"seeds","op":"sweep","app":"swaptions","seeds":2}`},
+		{"multi-app", []string{"sweep", "-apps", "swaptions,ep.D"},
+			`{"id":"multi-app","op":"sweep","apps":["swaptions","ep.D"]}`},
+		{"advise", []string{"advise", "swaptions", "ep.D"},
+			`{"id":"advise","op":"advise","apps":["swaptions","ep.D"]}`},
+	}
+	var stdin strings.Builder
+	for _, c := range cases {
+		stdin.WriteString(c.line + "\n")
+	}
+	byID, _ := serveIO(t, stdin.String(), global, nil)
 
-	var cliOut, cliErr strings.Builder
-	if code := run(append(global, "sweep", "swaptions"), &cliOut, &cliErr); code != 0 {
-		t.Fatalf("cli sweep exit %d: %s", code, cliErr.String())
-	}
-
-	stdin := `{"id":"w","op":"sweep","app":"swaptions"}` + "\n"
-	byID, _ := serveIO(t, stdin, global, nil)
-	var result struct {
-		Tables []struct {
-			Text string `json:"text"`
-		} `json:"tables"`
-	}
-	if err := json.Unmarshal(byID["w"], &result); err != nil {
-		t.Fatal(err)
-	}
-	var served strings.Builder
-	for _, tb := range result.Tables {
-		served.WriteString(tb.Text)
-		served.WriteString("\n")
-	}
-	if served.String() != cliOut.String() {
-		t.Fatalf("served sweep drifted from the CLI:\n--- served ---\n%s\n--- cli ---\n%s",
-			served.String(), cliOut.String())
+	for _, c := range cases {
+		t.Run(c.id, func(t *testing.T) {
+			var cliOut, cliErr strings.Builder
+			if code := run(append(append([]string{}, global...), c.argv...), &cliOut, &cliErr); code != 0 {
+				t.Fatalf("xnuma %s: exit %d: %s", strings.Join(c.argv, " "), code, cliErr.String())
+			}
+			var result struct {
+				Tables []struct {
+					Text string `json:"text"`
+				} `json:"tables"`
+			}
+			if err := json.Unmarshal(byID[c.id], &result); err != nil {
+				t.Fatal(err)
+			}
+			var served strings.Builder
+			for _, tb := range result.Tables {
+				served.WriteString(tb.Text)
+				served.WriteString("\n")
+			}
+			if served.String() != cliOut.String() {
+				t.Fatalf("served %s drifted from the CLI:\n--- served ---\n%s\n--- cli ---\n%s",
+					c.id, served.String(), cliOut.String())
+			}
+		})
 	}
 }
 

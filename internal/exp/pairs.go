@@ -166,29 +166,34 @@ func Fig9(s *Suite) *Table {
 		Fig9Pairs, xennuma.Consolidated)
 }
 
-// AllExperiments runs every driver in paper order. Each driver batches
-// its own cells onto the suite's worker pool.
-func AllExperiments(s *Suite) []*Table {
-	return []*Table{
-		Fig1(s), Fig2(s), Table1(s), Table2(s), Table3(s), Table4(s),
-		Fig5(s), Fig6(s), Fig7(s), Fig8(s), Fig9(s), Fig10(s),
-		IOTable(s), HypercallTable(s),
-	}
+// experiments lists every paper artefact's driver in paper order, keyed
+// by its experiment id. Each driver batches its own cells onto the
+// suite's worker pool.
+var experiments = []struct {
+	id string
+	fn func(*Suite) *Table
+}{
+	{"fig1", Fig1}, {"fig2", Fig2}, {"table1", Table1}, {"table2", Table2},
+	{"table3", Table3}, {"table4", Table4}, {"fig5", Fig5}, {"fig6", Fig6},
+	{"fig7", Fig7}, {"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10},
+	{"io", IOTable}, {"hcall", HypercallTable},
 }
 
 // ByID returns the driver for an experiment id, or nil.
 func ByID(id string) func(*Suite) *Table {
-	m := map[string]func(*Suite) *Table{
-		"fig1": Fig1, "fig2": Fig2, "table1": Table1, "table2": Table2,
-		"table3": Table3, "table4": Table4, "fig5": Fig5, "fig6": Fig6,
-		"fig7": Fig7, "fig8": Fig8, "fig9": Fig9, "fig10": Fig10,
-		"io": IOTable, "hcall": HypercallTable,
+	for _, e := range experiments {
+		if e.id == id {
+			return e.fn
+		}
 	}
-	return m[id]
+	return nil
 }
 
 // IDs lists the experiment ids in paper order.
 func IDs() []string {
-	return []string{"fig1", "fig2", "table1", "table2", "table3", "table4",
-		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "io", "hcall"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }

@@ -16,15 +16,16 @@ import (
 // the paper, a sweep tabulates *every* registered policy for one
 // application — the measurement the paper's §7 says an automatic policy
 // selector would need. Three sweeps exist: the policy × Carrefour table
-// (PolicySweep), the per-node bind sweep mapping placement sensitivity
-// (BindSweep), and the seed-averaged stability report (SeedSweep). All
-// three fan their cells out through the suite's scheduler and are
-// bit-for-bit deterministic for a fixed seed at any worker count.
+// (PolicySweepApps), the per-node bind sweep mapping placement
+// sensitivity (BindSweep), and the seed-averaged stability report
+// (SeedSweepApps). All three fan their cells out through the suite's
+// scheduler and are bit-for-bit deterministic for a fixed seed at any
+// worker count.
 //
 // Because the suite's cache keys carry the seed, one suite serves every
-// (app, seed) combination: the …Apps variants batch several
-// applications' cells — and SeedSweep every seed's — onto the shared
-// pool in a single prefetch wave before any table is read.
+// (app, seed) combination: the …Apps sweeps batch several applications'
+// cells — and SeedSweepApps every seed's — onto the shared pool in a
+// single prefetch wave before any table is read.
 
 // sweepRow is one registered policy as the sweeps run it: the plain
 // suite-ready spelling plus whether a Carrefour-stacked cell exists.
@@ -60,18 +61,12 @@ func sweepPolicies() []string {
 	return pols
 }
 
-// PolicySweep tabulates every registered policy × {plain, Carrefour}
-// for app under Xen+: completion time and improvement over the Xen+
-// default (round-1G), one simulation cell per table cell, all fanned
-// out before any is read.
-func PolicySweep(s *Suite, app string) *Table {
-	return PolicySweepApps(s, []string{app})[0]
-}
-
-// PolicySweepApps is PolicySweep over several applications sharing one
-// prefetch wave: every (app, policy) cell is submitted to the suite's
-// scheduler before any table is read, so the whole batch runs at the
-// pool's full width. One table per app, in input order.
+// PolicySweepApps tabulates every registered policy × {plain,
+// Carrefour} for each app under Xen+: completion time and improvement
+// over the Xen+ default (round-1G), one simulation cell per table cell.
+// Every (app, policy) cell is submitted to the suite's scheduler before
+// any table is read, so the whole batch runs at the pool's full width.
+// One table per app, in input order.
 func PolicySweepApps(s *Suite, apps []string) []*Table {
 	rows := sweepRows()
 	pols := sweepPolicies()
@@ -148,20 +143,14 @@ func BindSweep(s *Suite, app string) *Table {
 	return t
 }
 
-// SeedSweep reports best-policy stability: it repeats the full policy
-// sweep for app across `seeds` consecutive seeds (starting at the
-// suite's seed) and tabulates each policy's mean completion and how
-// often it won. Cache keys carry the seed, so every seed's cells run on
-// s's own scheduler and cache — all seeds × policies are prefetched in
-// one wave before any cell is read, and the first seed's cells are pure
-// hits when a PolicySweep ran before.
-func SeedSweep(s *Suite, app string, seeds int) *Table {
-	return SeedSweepApps(s, []string{app}, seeds)[0]
-}
-
-// SeedSweepApps is SeedSweep over several applications sharing one
-// prefetch wave of seeds × apps × policies cells on the suite's
-// scheduler. One table per app, in input order.
+// SeedSweepApps reports best-policy stability: it repeats the full
+// policy sweep for each app across `seeds` consecutive seeds (starting
+// at the suite's seed) and tabulates each policy's mean completion and
+// how often it won. Cache keys carry the seed, so every seed's cells
+// run on s's own scheduler and cache — all seeds × apps × policies are
+// prefetched in one wave before any cell is read, and the first seed's
+// cells are pure hits when a PolicySweepApps ran before. One table per
+// app, in input order.
 func SeedSweepApps(s *Suite, apps []string, seeds int) []*Table {
 	if seeds < 1 {
 		seeds = 1

@@ -14,9 +14,9 @@ func renderSweeps(workers int, seed uint64) string {
 	s := NewSuiteParallel(256, workers)
 	s.Opt.Seed = seed
 	var b strings.Builder
-	b.WriteString(PolicySweep(s, "swaptions").Render())
+	b.WriteString(PolicySweepApps(s, []string{"swaptions"})[0].Render())
 	b.WriteString(BindSweep(s, "swaptions").Render())
-	b.WriteString(SeedSweep(s, "swaptions", 2).Render())
+	b.WriteString(SeedSweepApps(s, []string{"swaptions"}, 2)[0].Render())
 	return b.String()
 }
 
@@ -36,7 +36,7 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 // allows stacking.
 func TestPolicySweepCoversRegistry(t *testing.T) {
 	s := NewSuiteParallel(256, 0)
-	tab := PolicySweep(s, "swaptions")
+	tab := PolicySweepApps(s, []string{"swaptions"})[0]
 	rows := sweepRows()
 	if len(tab.Rows) != len(rows) {
 		t.Fatalf("sweep has %d rows, registry has %d policies", len(tab.Rows), len(rows))
@@ -71,7 +71,7 @@ func TestBindSweepCoversEveryNode(t *testing.T) {
 func TestSeedSweepWinsSumToSeeds(t *testing.T) {
 	s := NewSuiteParallel(256, 0)
 	const seeds = 3
-	tab := SeedSweep(s, "swaptions", seeds)
+	tab := SeedSweepApps(s, []string{"swaptions"}, seeds)[0]
 	total := 0
 	for _, row := range tab.Rows {
 		n := 0
@@ -103,7 +103,7 @@ func TestMultiAppSweepBatchesOnOnePool(t *testing.T) {
 	for i, app := range apps {
 		single := NewSuiteParallel(256, 1)
 		single.Opt.Seed = 7
-		if got, wantTab := tabs[i].Render(), PolicySweep(single, app).Render(); got != wantTab {
+		if got, wantTab := tabs[i].Render(), PolicySweepApps(single, []string{app})[0].Render(); got != wantTab {
 			t.Errorf("%s: multi-app table differs from single-app sweep:\n--- multi ---\n%s--- single ---\n%s",
 				app, got, wantTab)
 		}
@@ -152,7 +152,7 @@ func TestSeedSweepSharedScheduler(t *testing.T) {
 	s := NewSuiteParallel(256, 4)
 	s.Opt.Seed = 7
 	const seeds = 2
-	SeedSweep(s, "swaptions", seeds)
+	SeedSweepApps(s, []string{"swaptions"}, seeds)
 	want := int64(seeds * len(sweepPolicies()))
 	if got := s.CellsComputed(); got != want {
 		t.Fatalf("shared suite computed %d cells, want %d (seeds × policies)", got, want)
@@ -163,7 +163,7 @@ func TestSeedSweepSharedScheduler(t *testing.T) {
 			submitted, completed, want)
 	}
 	// Re-reading any seed's cells is pure cache hits.
-	SeedSweep(s, "swaptions", seeds)
+	SeedSweepApps(s, []string{"swaptions"}, seeds)
 	if got := s.CellsComputed(); got != want {
 		t.Fatalf("second sweep recomputed %d cells", got-want)
 	}
@@ -197,7 +197,7 @@ func TestSeedKeyedCellsMatchFreshSuites(t *testing.T) {
 	const seeds = 2
 	shared := NewSuiteParallel(256, 4)
 	shared.Opt.Seed = 7
-	SeedSweep(shared, app, seeds)
+	SeedSweepApps(shared, []string{app}, seeds)
 	pols := sweepPolicies()
 	for i := 0; i < seeds; i++ {
 		seed := uint64(7 + i)
@@ -218,16 +218,16 @@ func TestSeedKeyedCellsMatchFreshSuites(t *testing.T) {
 }
 
 // TestSeedSweepReusesCallerSuite: the first seed is the caller's own,
-// so it must be served from the suite's cache — a prior PolicySweep
+// so it must be served from the suite's cache — a prior PolicySweepApps
 // makes its cells pure hits. Seed 0 (the documented default, which
 // cellSeed normalizes to 1) must reuse too.
 func TestSeedSweepReusesCallerSuite(t *testing.T) {
 	for _, seed := range []uint64{7, 0} {
 		s := NewSuiteParallel(256, 0)
 		s.Opt.Seed = seed
-		PolicySweep(s, "swaptions")
+		PolicySweepApps(s, []string{"swaptions"})
 		before := s.CellsComputed()
-		SeedSweep(s, "swaptions", 1)
+		SeedSweepApps(s, []string{"swaptions"}, 1)
 		if got := s.CellsComputed(); got != before {
 			t.Fatalf("seed %d: seed sweep recomputed %d cells the suite already held", seed, got-before)
 		}

@@ -236,8 +236,9 @@ func (p *Plan) Spec() string { return p.spec }
 //
 // where site must be registered (see Sites), N is the 1-based count
 // of Fire calls at that site that triggers the rule, and DURATION
-// (only legal with action=delay, default 1ms) is a Go duration. Rules
-// at the same site must name distinct hits.
+// (only legal with action=delay, default 1ms) is a Go duration. Each
+// key appears at most once in a rule, and rules at the same site must
+// name distinct hits.
 func Parse(spec string) (*Plan, error) {
 	p := &Plan{sites: map[string]*siteState{}}
 	var canon []string
@@ -294,7 +295,8 @@ func parseRule(raw string) (rule, string, error) {
 		return rule{}, "", fmt.Errorf("faultinject: unknown site %q (registered: %s)", site, strings.Join(Sites(), ", "))
 	}
 	r := rule{delay: defaultDelay}
-	sawHit, sawAction := false, false
+	seen := map[string]bool{}
+	repeated := ""
 	for _, kv := range parts[1:] {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
@@ -306,7 +308,7 @@ func parseRule(raw string) (rule, string, error) {
 			if err != nil || n == 0 {
 				return rule{}, "", fmt.Errorf("faultinject: rule %q: hit must be a positive integer", raw)
 			}
-			r.hit, sawHit = n, true
+			r.hit = n
 		case "action":
 			switch v {
 			case ActionError, ActionPanic, ActionDelay:
@@ -314,7 +316,6 @@ func parseRule(raw string) (rule, string, error) {
 			default:
 				return rule{}, "", fmt.Errorf("faultinject: rule %q: unknown action %q (want error, panic or delay)", raw, v)
 			}
-			sawAction = true
 		case "delay":
 			d, err := time.ParseDuration(v)
 			if err != nil || d <= 0 {
@@ -324,11 +325,18 @@ func parseRule(raw string) (rule, string, error) {
 		default:
 			return rule{}, "", fmt.Errorf("faultinject: rule %q: unknown key %q", raw, k)
 		}
+		if seen[k] && repeated == "" {
+			repeated = k
+		}
+		seen[k] = true
 	}
-	if !sawHit || !sawAction {
+	if !seen["hit"] || !seen["action"] {
 		return rule{}, "", fmt.Errorf("faultinject: rule %q: hit and action are required", raw)
 	}
-	if r.delay != defaultDelay && r.action != ActionDelay {
+	if repeated != "" {
+		return rule{}, "", fmt.Errorf("faultinject: rule %q: %s= given twice", raw, repeated)
+	}
+	if seen["delay"] && r.action != ActionDelay {
 		return rule{}, "", fmt.Errorf("faultinject: rule %q: delay= applies to action=delay only", raw)
 	}
 	r.fault = &Fault{Site: site, Hit: r.hit, Action: r.action}

@@ -137,11 +137,56 @@ func TestParseErrors(t *testing.T) {
 		{"test.a:hit=1:action=delay:delay=-1s", "bad delay"},
 		{"test.a:hit=1:action=error,test.a:hit=1:action=panic", "duplicate rule"},
 		{"test.a:hit=1:action=error:bogus=1", "unknown key"},
+		// delay= is legal only with action=delay, whatever its value.
+		{"test.a:hit=1:action=error:delay=1ms", "action=delay only"},
+		// A repeated key is an error, not a silent overwrite.
+		{"test.a:hit=1:hit=2:action=error", "given twice"},
+		{"test.a:hit=1:action=panic:action=error", "given twice"},
 	} {
 		if _, err := Parse(tc.spec); err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("Parse(%q) = %v, want error containing %q", tc.spec, err, tc.frag)
 		}
 	}
+}
+
+// FuzzParsePlan hammers the -faults parser: every spec must yield an
+// error or a plan whose canonical Spec re-parses to the same Spec, and
+// must never panic. CI runs a short -fuzztime smoke of this target on
+// every push.
+func FuzzParsePlan(f *testing.F) {
+	for _, spec := range []string{
+		"test.a:hit=1:action=error",
+		" test.b:hit=2:action=delay:delay=5ms , test.a:hit=1:action=error ",
+		"test.a:hit=5:action=error,test.a:hit=9:action=panic",
+		"test.a:hit=1:action=delay",
+		"test.a:hit=1:action=error:delay=1ms",
+		"test.a:hit=1:hit=2:action=error",
+		"test.a:hit=1:action=panic:action=error",
+		"test.a:hit=1:action=delay:delay=1.5ms:delay=2ms",
+		"test.a:hit=18446744073709551615:action=delay:delay=2562047h",
+		"nope.site:hit=1:action=error",
+		"test.a:hit=01:action=error,,",
+		"test.a:=:",
+		"",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			if p != nil {
+				t.Fatalf("Parse(%q) returned a plan with error %v", spec, err)
+			}
+			return
+		}
+		p2, err := Parse(p.Spec())
+		if err != nil {
+			t.Fatalf("canonical spec %q of %q does not re-parse: %v", p.Spec(), spec, err)
+		}
+		if p2.Spec() != p.Spec() {
+			t.Fatalf("canonical spec of %q is not stable: %q re-parses to %q", spec, p.Spec(), p2.Spec())
+		}
+	})
 }
 
 func TestRegistryLists(t *testing.T) {

@@ -234,18 +234,6 @@ func (na *nodeAlloc) remove(order int, block MFN) {
 	panic(fmt.Sprintf("mem: block %d not on free list at order %d", block, order))
 }
 
-// LargestFree returns the largest order with a free block on node, or -1
-// when the node is exhausted.
-func (a *Allocator) LargestFree(node numa.NodeID) int {
-	na := &a.nodes[node]
-	for o := maxOrder; o >= 0; o-- {
-		if len(na.freeList[o]) > 0 {
-			return o
-		}
-	}
-	return -1
-}
-
 // FreeBlocks returns a sorted snapshot of node's free blocks (start,
 // order) for inspection in tests.
 func (a *Allocator) FreeBlocks(node numa.NodeID) []FreeBlock {

@@ -22,6 +22,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -31,8 +32,9 @@ import (
 	"repro/internal/exp"
 )
 
-// Request is one line of the protocol. Unknown fields are rejected, so
-// a typo fails loudly instead of silently running a default sweep.
+// Request is one line of the protocol, and the request `xnuma sweep`
+// and `xnuma advise` build from argv. Unknown fields are rejected, so a
+// typo fails loudly instead of silently running a default sweep.
 type Request struct {
 	// ID is the caller's opaque correlation token, echoed verbatim in
 	// the response. Optional; at most maxIDLen bytes.
@@ -41,15 +43,17 @@ type Request struct {
 	// "health".
 	Op string `json:"op"`
 	// App / Apps name the applications a sweep or advise covers. App is
-	// shorthand for a single-element Apps; "all" expands to every
+	// shorthand for a single-element Apps; a lone "all" expands to every
 	// workload. Exactly one of the two may be set for sweep.
 	App  string   `json:"app,omitempty"`
 	Apps []string `json:"apps,omitempty"`
 	// Seeds repeats a sweep across N consecutive seeds (the
-	// seed-stability table); 0 and 1 mean a single-seed sweep.
+	// seed-stability table), at most maxSeeds; 0 and 1 mean a
+	// single-seed sweep.
 	Seeds int `json:"seeds,omitempty"`
 	// Bind selects the per-node bind:<n> placement sweep instead of the
-	// policy-registry sweep. Single app only; excludes seeds.
+	// policy-registry sweep. Exactly one app, by App or Apps; excludes
+	// seeds.
 	Bind bool `json:"bind,omitempty"`
 	// Markdown renders the response tables as Markdown instead of ASCII.
 	Markdown bool `json:"md,omitempty"`
@@ -118,9 +122,9 @@ const (
 // structured error — never panics — for malformed JSON, unknown fields
 // or ops, unknown applications and invalid parameter combinations; on
 // error the partially decoded ID (if any) is still usable for the
-// response envelope. The returned request is normalized: App folded
-// into Apps, "all" expanded, defaults applied — two spellings of the
-// same question normalize to the same coalescing key.
+// response envelope. The returned request is normalized (see
+// Normalize), so two spellings of the same question share one
+// coalescing key.
 func decodeRequest(line []byte) (Request, *ErrorInfo) {
 	var req Request
 	dec := json.NewDecoder(bytes.NewReader(line))
@@ -135,41 +139,44 @@ func decodeRequest(line []byte) (Request, *ErrorInfo) {
 		req.ID = ""
 		return req, errorf("bad_request", "id longer than %d bytes", maxIDLen)
 	}
-	if err := req.normalize(); err != nil {
-		return req, err
+	if err := req.Normalize(); err != nil {
+		return req, errorf("bad_request", "%v", err)
 	}
 	return req, nil
 }
 
-// normalize validates op-specific parameters and canonicalizes the
-// request in place.
-func (r *Request) normalize() *ErrorInfo {
+// Normalize validates the op-specific parameters and canonicalizes the
+// request in place: App folded into Apps, a lone "all" expanded to
+// every workload, defaults applied. It is the one rule set for sweep
+// and advise: the protocol decoder and `xnuma sweep`/`advise` both call
+// it, so the CLI and the service accept the same questions.
+func (r *Request) Normalize() error {
 	switch r.Op {
 	case "sweep":
 		if err := r.resolveApps(false); err != nil {
 			return err
 		}
 		if r.Seeds < 0 {
-			return errorf("bad_request", "seeds must be >= 0")
+			return errors.New("seeds must be >= 0")
 		}
 		if r.Seeds > maxSeeds {
-			return errorf("bad_request", "seeds capped at %d", maxSeeds)
+			return fmt.Errorf("seeds capped at %d", maxSeeds)
 		}
 		if r.Seeds == 0 {
 			r.Seeds = 1
 		}
 		if r.Bind && r.Seeds > 1 {
-			return errorf("bad_request", "bind and seeds are mutually exclusive")
+			return errors.New("bind and seeds are mutually exclusive")
 		}
 		if r.Bind && len(r.Apps) != 1 {
-			return errorf("bad_request", "bind sweeps exactly one app")
+			return errors.New("bind sweeps exactly one app")
 		}
 		if r.Target != "" {
-			return errorf("bad_request", "target applies to advise only")
+			return errors.New("target applies to advise only")
 		}
 	case "advise":
 		if r.Bind || r.Seeds != 0 {
-			return errorf("bad_request", "bind/seeds apply to sweep only")
+			return errors.New("bind/seeds apply to sweep only")
 		}
 		r.Seeds = 1
 		if err := r.resolveApps(true); err != nil {
@@ -180,32 +187,32 @@ func (r *Request) normalize() *ErrorInfo {
 			r.Target = "xen"
 		case "xen", "linux":
 		default:
-			return errorf("bad_request", "unknown target %q (want xen or linux)", r.Target)
+			return fmt.Errorf("unknown target %q (want xen or linux)", r.Target)
 		}
 	case "policies", "stats", "health":
 		if r.App != "" || len(r.Apps) > 0 || r.Seeds != 0 || r.Bind || r.Markdown || r.Target != "" {
-			return errorf("bad_request", "%s takes no parameters", r.Op)
+			return fmt.Errorf("%s takes no parameters", r.Op)
 		}
 	case "":
-		return errorf("bad_request", "missing op")
+		return errors.New("missing op")
 	default:
-		return errorf("bad_request", "unknown op %q (want sweep, advise, policies, stats or health)", r.Op)
+		return fmt.Errorf("unknown op %q (want sweep, advise, policies, stats or health)", r.Op)
 	}
 	return nil
 }
 
-// resolveApps folds App into Apps, expands "all", applies the advise
-// default set and rejects unknown names.
-func (r *Request) resolveApps(defaultApps bool) *ErrorInfo {
+// resolveApps folds App into Apps, expands a lone "all", applies the
+// advise default set and rejects unknown names.
+func (r *Request) resolveApps(defaultApps bool) error {
 	switch {
 	case r.App != "" && len(r.Apps) > 0:
-		return errorf("bad_request", "app and apps are mutually exclusive")
+		return errors.New("app and apps are mutually exclusive")
 	case r.App != "":
 		r.Apps = []string{r.App}
 		r.App = ""
 	case len(r.Apps) == 0:
 		if !defaultApps {
-			return errorf("bad_request", "missing app")
+			return errors.New("missing app")
 		}
 		r.Apps = append([]string(nil), advisor.DefaultApps...)
 	}
@@ -214,21 +221,32 @@ func (r *Request) resolveApps(defaultApps bool) *ErrorInfo {
 		return nil
 	}
 	for _, app := range r.Apps {
-		if !knownApps[app] {
-			return errorf("bad_request", "unknown application %q", app)
+		if err := xennuma.CheckApp(app); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// knownApps is the workload set, fixed at process start.
-var knownApps = func() map[string]bool {
-	m := make(map[string]bool)
-	for _, a := range xennuma.Apps() {
-		m[a] = true
+// Tables computes a normalized sweep or advise request on s: the
+// tables `xnuma sweep`/`advise` print and the service renders into its
+// payload, in output order.
+func (r *Request) Tables(s *exp.Suite) []*exp.Table {
+	switch {
+	case r.Op == "advise":
+		target := advisor.TargetXen
+		if r.Target == "linux" {
+			target = advisor.TargetLinux
+		}
+		return []*exp.Table{advisor.Table(s, target, r.Apps)}
+	case r.Bind:
+		return []*exp.Table{exp.BindSweep(s, r.Apps[0])}
+	case r.Seeds > 1:
+		return exp.SeedSweepApps(s, r.Apps, r.Seeds)
+	default:
+		return exp.PolicySweepApps(s, r.Apps)
 	}
-	return m
-}()
+}
 
 // key is the coalescing identity of a normalized request: everything
 // that shapes the result payload except the caller's id. Two requests

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/exp"
 	"repro/internal/faultinject"
 	"repro/internal/policy"
@@ -337,24 +336,7 @@ func (s *Server) finish(key string, fl *flight) {
 func (s *Server) compute(req Request) (json.RawMessage, *ErrorInfo) {
 	s.computeMu.Lock()
 	defer s.computeMu.Unlock()
-	var tables []*exp.Table
-	switch req.Op {
-	case "sweep":
-		switch {
-		case req.Bind:
-			tables = []*exp.Table{exp.BindSweep(s.suite, req.Apps[0])}
-		case req.Seeds > 1:
-			tables = exp.SeedSweepApps(s.suite, req.Apps, req.Seeds)
-		default:
-			tables = exp.PolicySweepApps(s.suite, req.Apps)
-		}
-	case "advise":
-		target := advisor.TargetXen
-		if req.Target == "linux" {
-			target = advisor.TargetLinux
-		}
-		tables = []*exp.Table{advisor.Table(s.suite, target, req.Apps)}
-	}
+	tables := req.Tables(s.suite)
 	payload := struct {
 		Tables []TableJSON `json:"tables"`
 	}{Tables: make([]TableJSON, 0, len(tables))}

@@ -49,11 +49,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative random int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 //
 //xnuma:noalloc
@@ -70,14 +65,6 @@ func (r *Rand) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Exp returns an exponentially distributed value with the given mean.

@@ -140,6 +140,15 @@ func CheckScale(scale int) error {
 	return nil
 }
 
+// CheckApp returns an error unless app names one of the 29
+// applications of the paper's evaluation (see Apps).
+func CheckApp(app string) error {
+	if _, err := workload.Get(app); err != nil {
+		return fmt.Errorf("unknown application %q", app)
+	}
+	return nil
+}
+
 // normalized fills in the defaults and rejects a scale the machine
 // cannot be built at.
 func (o Options) normalized() (Options, error) {
