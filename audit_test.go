@@ -1,0 +1,133 @@
+package xennuma
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/policy"
+)
+
+// audit checks, after a run, that the engine's view of placement agrees
+// with the layers that own it: each region page's engine node (written
+// by Region.AddPage and SetNode) must be the node of the machine frame
+// the hypervisor page table or the native allocator says backs it, and
+// no frame may back two pages. Natively it also checks frame
+// conservation: the allocator's free bytes plus one page per region
+// page are the machine's memory.
+type audit struct {
+	checks, migrated, failed int
+	frames                   map[mem.MFN]bool
+	failures                 []string // the first ten
+}
+
+func (a *audit) fail(format string, args ...any) {
+	a.failed++
+	if len(a.failures) < 10 {
+		a.failures = append(a.failures, fmt.Sprintf(format, args...))
+	}
+}
+
+// xen audits the machine the pool holds under key after a run of vms
+// guests, which it reports as what.
+func (a *audit) xen(p *Pool, key poolKey, vms int, what string) {
+	m := p.free[key][len(p.free[key])-1]
+	clear(a.frames)
+	for slot := 0; slot < vms; slot++ {
+		dom := m.backs[slot].Dom
+		for _, r := range m.insts[slot].Regions() {
+			for i, pfn := range r.Pages {
+				a.checks++
+				node, ok := dom.NodeOfPFN(pfn)
+				if !ok || node != r.NodeOf(i) {
+					a.fail("%s: VM %d %s page %d (PFN %d): engine node %d, hypervisor node %d (valid %v)", what, slot, r.Name, i, pfn, r.NodeOf(i), node, ok)
+					continue
+				}
+				mfn, _ := dom.Table().TranslateNoFault(pfn)
+				if a.frames[mfn] {
+					a.fail("%s: VM %d %s page %d (PFN %d): frame %d backs two pages", what, slot, r.Name, i, pfn, mfn)
+				}
+				a.frames[mfn] = true
+			}
+		}
+	}
+}
+
+// native audits the scale's native machine after a run.
+func (a *audit) native(p *Pool, key poolKey, what string) {
+	m := p.free[key][len(p.free[key])-1]
+	alloc := m.native.Alloc
+	clear(a.frames)
+	for _, r := range m.insts[0].Regions() {
+		for i, pfn := range r.Pages {
+			a.checks++
+			mfn := mem.MFN(pfn)
+			if node := alloc.NodeOf(mfn); node != r.NodeOf(i) {
+				a.fail("%s: %s page %d (frame %d): engine node %d, allocator node %d", what, r.Name, i, mfn, r.NodeOf(i), node)
+			}
+			if a.frames[mfn] {
+				a.fail("%s: %s page %d: frame %d backs two pages", what, r.Name, i, mfn)
+			}
+			a.frames[mfn] = true
+		}
+	}
+	held := int64(len(a.frames)) * mem.PageSize
+	if free, total := alloc.TotalFreeBytes(), m.native.Topo.TotalMemory(); free+held != total {
+		a.fail("%s: %d bytes free plus %d held by region pages, machine has %d", what, free, held, total)
+	}
+}
+
+// TestCrossLayerAudit runs every registered policy, and its Carrefour
+// form where Carrefour stacks, under Xen+ and natively where the policy
+// runs natively, plus a colocated and a consolidated pair, all on one
+// warm pool so every lease but the first audits a reset machine. After
+// each run it audits the machine before the next lease (see audit).
+func TestCrossLayerAudit(t *testing.T) {
+	const scale = 512
+	o := Options{Scale: scale, XenPlus: true, Pool: NewPool()}
+	xenKey := poolKey{scale: scale, xenplus: true}
+	nativeKey := poolKey{scale: scale, native: true}
+	a := audit{frames: map[mem.MFN]bool{}}
+	for _, d := range policy.List() {
+		pols := []string{d.DefaultSpelling()}
+		if d.Carrefour {
+			pols = append(pols, d.DefaultSpelling()+"/carrefour")
+		}
+		for _, spelling := range pols {
+			pol := MustPolicy(spelling)
+			for _, app := range []string{"cg.C", "streamcluster", "wc", "facesim"} {
+				r, err := RunXen(app, pol, o)
+				if err != nil {
+					t.Fatalf("xen %s %s: %v", app, spelling, err)
+				}
+				a.migrated += int(r.Migrated)
+				a.xen(o.Pool, xenKey, 1, "xen "+app+" "+spelling)
+				if d.BootOnly {
+					continue // a boot layout has no native form
+				}
+				if r, err = RunLinux(app, pol, o); err != nil {
+					t.Fatalf("linux %s %s: %v", app, spelling, err)
+				}
+				a.migrated += int(r.Migrated)
+				a.native(o.Pool, nativeKey, "linux "+app+" "+spelling)
+			}
+		}
+	}
+	for _, mode := range []PairMode{Colocated, Consolidated} {
+		r1, r2, err := RunXenPair("wc", MustPolicy("round-4k/carrefour"), "cg.C", MustPolicy("first-touch/carrefour"), mode, false, o)
+		if err != nil {
+			t.Fatalf("pair mode %d: %v", mode, err)
+		}
+		a.migrated += int(r1.Migrated + r2.Migrated)
+		a.xen(o.Pool, xenKey, 2, fmt.Sprintf("pair mode %d", mode))
+	}
+	for _, f := range a.failures {
+		t.Error(f)
+	}
+	t.Logf("%d page checks, %d failed, %d pages migrated", a.checks, a.failed, a.migrated)
+	// Guard against a vacuous audit: it must see a large machine state
+	// that Carrefour has moved pages through.
+	if a.checks < 200_000 || a.migrated == 0 {
+		t.Errorf("audit made %d page checks over runs that migrated %d pages; want at least 200000 checks and some migrations", a.checks, a.migrated)
+	}
+}

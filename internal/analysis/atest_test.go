@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -177,4 +178,22 @@ func fmtDiags(ds []Diagnostic) string {
 		parts = append(parts, fmt.Sprintf("%s: %s", d.Analyzer, d.Message))
 	}
 	return strings.Join(parts, "; ")
+}
+
+// ModuleRoot walks up from dir to the directory containing go.mod.
+func ModuleRoot(dir string) (string, error) {
+	d, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, nil
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return "", fmt.Errorf("no go.mod above %s", dir)
+		}
+		d = parent
+	}
 }

@@ -185,21 +185,3 @@ func (c *cachedImporter) Import(path string) (*types.Package, error) {
 	c.seen[path] = p
 	return p, nil
 }
-
-// ModuleRoot walks up from dir to the directory containing go.mod.
-func ModuleRoot(dir string) (string, error) {
-	d, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d, nil
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", fmt.Errorf("no go.mod above %s", dir)
-		}
-		d = parent
-	}
-}

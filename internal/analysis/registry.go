@@ -4,13 +4,3 @@ package analysis
 func All() []*Analyzer {
 	return []*Analyzer{Maporder, Detrand, Noalloc, Aliasretain}
 }
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

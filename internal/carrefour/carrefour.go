@@ -168,9 +168,7 @@ type Controller struct {
 	Ticks           uint64
 	Interleaved     uint64
 	LocalityMoved   uint64
-	Replicated      uint64
 	InterleaveTicks uint64
-	MigrationTicks  uint64
 	rr              int
 
 	// Scratch buffers reused across ticks so the decision loop allocates
@@ -202,8 +200,7 @@ func (c *Controller) Reset(cfg Config) {
 		cfg.EnableReplication = true
 	}
 	c.Cfg = cfg
-	c.Ticks, c.Interleaved, c.LocalityMoved, c.Replicated = 0, 0, 0, 0
-	c.InterleaveTicks, c.MigrationTicks = 0, 0
+	c.Ticks, c.Interleaved, c.LocalityMoved, c.InterleaveTicks = 0, 0, 0, 0
 	c.rr = 0
 }
 
@@ -234,7 +231,6 @@ func (c *Controller) Step(t Tick) Result {
 			res.Replications += c.replicate(t)
 		}
 		if c.Cfg.Mode.migrates() {
-			c.MigrationTicks++
 			n := c.localityMigrate(t, &budget)
 			res.LocalityMoves += n
 			res.Migrated += n
@@ -259,7 +255,6 @@ func (c *Controller) replicate(t Tick) int {
 		}
 		if rep, ok := s.Set.(Replicator); ok && rep.Replicate() {
 			done++
-			c.Replicated++
 		}
 	}
 	return done

@@ -153,8 +153,8 @@ func TestFillCyclesMatchesReference(t *testing.T) {
 	want := make([]float64, len(r.cycles))
 	const iters = 4
 	checked, burstEpochs, maxLink := 0, 0, 0.0
-	for step := 0; step < int(cfg.MaxTime/cfg.Epoch) && !r.allDone(); step++ {
-		r.now = sim.Time(step) * cfg.Epoch
+	for step := 0; step < int(cfg.MaxTime/Epoch) && !r.allDone(); step++ {
+		r.now = sim.Time(step) * Epoch
 		if in.burstLeft > 0 {
 			burstEpochs++
 		}

@@ -450,6 +450,14 @@ func (in *Instance) weights() (wHot, wMaster, wPriv, wDist float64) {
 	return p.HotShare, p.MasterShare, p.PrivateShare, p.DistShare
 }
 
+// Regions returns the instance's regions, with the placement its last
+// run left them in: hot, master, then each thread's distributed slice
+// and private region.
+func (in *Instance) Regions() []*Region {
+	regs := append([]*Region{in.hot, in.master}, in.dist...)
+	return append(regs, in.priv...)
+}
+
 // AllDone reports whether every thread finished.
 //
 //xnuma:noalloc

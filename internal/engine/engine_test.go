@@ -284,7 +284,7 @@ func TestCombinedDistWeightsByPageCount(t *testing.T) {
 	}
 	b := NewRegion("b", RegionDist, 1, 4)
 	b.AddPage(100, 1)
-	d := combinedDist([]*Region{a, b})
+	d := combinedDistInto(nil, []*Region{a, b})
 	if d[0] != 0.75 || d[1] != 0.25 {
 		t.Fatalf("combined dist = %v, want [0.75 0.25 0 0]", d)
 	}
@@ -296,11 +296,11 @@ func TestCombinedDistWeightsByPageCount(t *testing.T) {
 		t.Fatalf("combined dist sums to %v", sum)
 	}
 	// Empty groups and empty regions are handled.
-	if got := combinedDist(nil); got != nil {
+	if got := combinedDistInto(nil, nil); got != nil {
 		t.Fatalf("empty group dist = %v", got)
 	}
 	empty := NewRegion("e", RegionDist, 2, 4)
-	d = combinedDist([]*Region{a, empty})
+	d = combinedDistInto(nil, []*Region{a, empty})
 	if d[0] != 1 {
 		t.Fatalf("dist with empty member = %v", d)
 	}

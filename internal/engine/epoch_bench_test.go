@@ -40,7 +40,7 @@ func benchEpoch(b *testing.B, backend Backend) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.now = sim.Time(i) * r.cfg.Epoch
+		r.now = sim.Time(i) * Epoch
 		r.epoch(i)
 	}
 }
@@ -85,7 +85,7 @@ func TestEpochAllocFree(t *testing.T) {
 			step := 1
 			allocs := testing.AllocsPerRun(100, func() {
 				step++
-				r.now = sim.Time(step) * r.cfg.Epoch
+				r.now = sim.Time(step) * Epoch
 				r.epoch(step)
 			})
 			if allocs != 0 {

@@ -13,23 +13,30 @@ import (
 	"repro/internal/sim"
 )
 
+// Facts of the modelled machine and its simulation, the same in every
+// run.
+const (
+	// Epoch is the simulation quantum.
+	Epoch = 5 * sim.Millisecond
+	// CarrefourEvery is Carrefour's decision interval in epochs.
+	CarrefourEvery = 20
+	// CtrlBWBps is the per-node memory controller bandwidth (13 GiB/s on
+	// AMD48).
+	CtrlBWBps = 13 * (1 << 30)
+)
+
+// Disk is the machine's disk.
+var Disk = iosim.DefaultDisk()
+
 // Config parameterizes a run.
 type Config struct {
 	Topo *numa.Topology
 	Seed uint64
-	// Epoch is the simulation quantum.
-	Epoch sim.Time
-	// CarrefourEvery is the decision interval in epochs.
-	CarrefourEvery int
 	// MaxTime aborts runaway runs.
 	MaxTime sim.Time
-	// CtrlBWBps is the per-node memory controller bandwidth (13 GiB/s on
-	// AMD48).
-	CtrlBWBps float64
 	// Scale divides application footprints (the machine must be built
 	// with banks divided by the same factor).
 	Scale int
-	Disk  iosim.Disk
 	// Carrefour tunes the dynamic policy's thresholds.
 	Carrefour carrefour.Config
 	// TLB, when non-nil, charges address-translation overhead per
@@ -42,15 +49,11 @@ type Config struct {
 // by scale.
 func DefaultConfig(topo *numa.Topology, scale int) Config {
 	return Config{
-		Topo:           topo,
-		Seed:           1,
-		Epoch:          5 * sim.Millisecond,
-		CarrefourEvery: 20,
-		MaxTime:        300 * sim.Second,
-		CtrlBWBps:      13 * (1 << 30),
-		Scale:          scale,
-		Disk:           iosim.DefaultDisk(),
-		Carrefour:      carrefour.DefaultConfig(),
+		Topo:      topo,
+		Seed:      1,
+		MaxTime:   300 * sim.Second,
+		Scale:     scale,
+		Carrefour: carrefour.DefaultConfig(),
 	}
 }
 
@@ -84,9 +87,9 @@ type Runner struct {
 
 	load      *metrics.EpochLoad   // machine-wide, for contention
 	instLoads []*metrics.EpochLoad // per instance, for its statistics
-	// loadShape is what the loads were built for; a run on another
-	// topology, epoch or controller bandwidth rebuilds them.
-	loadShape loadShape
+	// loadTopo is the topology the loads were built for; a run on
+	// another rebuilds them.
+	loadTopo  *numa.Topology
 	stats     []*metrics.RunStats
 	ctrls     []*carrefour.Controller
 	initTimes []sim.Time
@@ -140,17 +143,11 @@ type Runner struct {
 	sampBuf  []carrefour.Sample // sampler view handed to Controller.Step
 }
 
-// loadShape is the construction input of an EpochLoad.
-type loadShape struct {
-	topo             *numa.Topology
-	epochSec, ctrlBW float64
-}
-
 // Run executes the instances to completion and returns one result each.
 // All instances share the machine: their memory traffic contends on the
 // same controllers and links.
 func (r *Runner) Run(cfg Config, insts ...*Instance) ([]Result, error) {
-	if cfg.Epoch <= 0 || cfg.Scale <= 0 || len(insts) == 0 {
+	if cfg.Scale <= 0 || len(insts) == 0 {
 		return nil, fmt.Errorf("engine: invalid config or no instances")
 	}
 	if err := r.setup(cfg, insts...); err != nil {
@@ -170,15 +167,14 @@ func (r *Runner) setup(cfg Config, insts ...*Instance) error {
 	r.rand = *sim.NewRand(cfg.Seed)
 	r.now, r.converged, r.latChanged, r.convergedEpochs = 0, false, false, 0
 
-	epochSec := float64(cfg.Epoch) / 1e9
+	epochSec := float64(Epoch) / 1e9
 	n := cfg.Topo.NumNodes()
-	shape := loadShape{topo: cfg.Topo, epochSec: epochSec, ctrlBW: cfg.CtrlBWBps}
-	if shape != r.loadShape {
-		r.loadShape = shape
+	if cfg.Topo != r.loadTopo {
+		r.loadTopo = cfg.Topo
 		r.load = nil
 		clear(r.instLoads[:cap(r.instLoads)])
 	}
-	r.load = resetLoad(r.load, shape)
+	r.load = resetLoad(r.load, cfg.Topo, epochSec)
 	r.instLoads = resized(r.instLoads, len(insts))
 	r.stats = r.stats[:0]
 	r.ctrls = resized(r.ctrls, len(insts))
@@ -200,7 +196,7 @@ func (r *Runner) setup(cfg Config, insts ...*Instance) error {
 			return fmt.Errorf("engine: instance %s has no threads", in.Prof.Name)
 		}
 		maxThreads = max(maxThreads, in.NThreads)
-		r.instLoads[i] = resetLoad(r.instLoads[i], shape)
+		r.instLoads[i] = resetLoad(r.instLoads[i], cfg.Topo, epochSec)
 		r.stats = append(r.stats, metrics.NewRunStats(cfg.Topo))
 		ccfg := cfg.Carrefour
 		if in.CarrefourMode != carrefour.ModeFull {
@@ -231,11 +227,10 @@ func (r *Runner) setup(cfg Config, insts ...*Instance) error {
 	return nil
 }
 
-// resetLoad returns l zeroed, or a new load of the given shape when l is
-// nil.
-func resetLoad(l *metrics.EpochLoad, s loadShape) *metrics.EpochLoad {
+// resetLoad returns l zeroed, or a new load for topo when l is nil.
+func resetLoad(l *metrics.EpochLoad, topo *numa.Topology, epochSec float64) *metrics.EpochLoad {
 	if l == nil {
-		return metrics.NewEpochLoad(s.topo, s.epochSec, s.ctrlBW)
+		return metrics.NewEpochLoad(topo, epochSec, CtrlBWBps)
 	}
 	l.Reset()
 	return l
@@ -266,7 +261,7 @@ func (r *Runner) hoistRunConstants(in *Instance, epochSec float64) {
 	}
 	if in.ioStream.DemandBps > 0 {
 		path, _ := in.Backend.IO()
-		delivered, progress := in.ioStream.Delivered(path, r.cfg.Disk)
+		delivered, progress := in.ioStream.Delivered(path, Disk)
 		in.ioProgress = progress
 		bytes := delivered * epochSec
 		targets := in.ioStream.HomeNodes
@@ -358,7 +353,7 @@ func (r *Runner) buildInstance(in *Instance) error {
 		DemandBps:  in.Prof.DiskMBps * 1.06e6,
 		ReqBytes:   in.Prof.DiskReqBytes,
 		Placement:  placement,
-		BufferNode: r.cfg.Disk.Node,
+		BufferNode: Disk.Node,
 		HomeNodes:  in.Backend.HomeNodes(),
 		Penalty:    in.Prof.IOPenalty,
 	}
@@ -437,9 +432,9 @@ func (r *Runner) materialize(in *Instance) (sim.Time, error) {
 }
 
 func (r *Runner) loop() {
-	maxEpochs := int(r.cfg.MaxTime / r.cfg.Epoch)
+	maxEpochs := int(r.cfg.MaxTime / Epoch)
 	for step := 0; step < maxEpochs; step++ {
-		r.now = sim.Time(step) * r.cfg.Epoch
+		r.now = sim.Time(step) * Epoch
 		if r.allDone() {
 			return
 		}
@@ -536,7 +531,7 @@ func (r *Runner) epoch(step int) {
 //
 //xnuma:noalloc
 func (r *Runner) runTicks(step int) bool {
-	if r.cfg.CarrefourEvery <= 0 || step%r.cfg.CarrefourEvery != 0 {
+	if step%CarrefourEvery != 0 {
 		return false
 	}
 	ran := false
@@ -567,7 +562,7 @@ func (r *Runner) allDone() bool {
 //xnuma:noalloc
 func (r *Runner) fillLoads(record bool) {
 	r.load.Reset()
-	epochNs := float64(r.cfg.Epoch)
+	epochNs := float64(Epoch)
 	nn := r.nNodes
 	for i, in := range r.insts {
 		il := r.instLoads[i]
@@ -670,9 +665,9 @@ func (r *Runner) ioFactor(in *Instance, record bool, il *metrics.EpochLoad) floa
 		return 1
 	}
 	for _, n := range in.ioTargets {
-		r.load.AddDMA(r.cfg.Disk.Node, n, in.ioPerTarget)
+		r.load.AddDMA(Disk.Node, n, in.ioPerTarget)
 		if record {
-			il.AddDMA(r.cfg.Disk.Node, n, in.ioPerTarget)
+			il.AddDMA(Disk.Node, n, in.ioPerTarget)
 		}
 	}
 	return in.ioProgress
@@ -805,7 +800,7 @@ func costModelFor(t *numa.Topology) *numa.AccessCostModel {
 //xnuma:noalloc
 func (r *Runner) progress() bool {
 	completed := false
-	epochNs := float64(r.cfg.Epoch)
+	epochNs := float64(Epoch)
 	for i, in := range r.insts {
 		if in.done {
 			continue
@@ -830,7 +825,7 @@ func (r *Runner) progress() bool {
 				frac := t.WorkLeft / units
 				t.WorkLeft = 0
 				t.Done = true
-				t.DoneAt = r.now + sim.Time(frac*float64(r.cfg.Epoch))
+				t.DoneAt = r.now + sim.Time(frac*float64(Epoch))
 				completed = true
 				continue
 			}
@@ -867,7 +862,7 @@ func (r *Runner) carrefourTick(i int, in *Instance) {
 					break
 				}
 			}
-			in.burstLeft = r.cfg.CarrefourEvery + 1
+			in.burstLeft = CarrefourEvery + 1
 		}
 	}
 	clear(r.moves)

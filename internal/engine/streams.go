@@ -239,15 +239,10 @@ func (in *Instance) row(id, nNodes int) []float64 {
 	return in.rows[id*nNodes : (id+1)*nNodes]
 }
 
-// combinedDist averages the placement distributions of a region group,
-// weighting by page count: a thread crossing slice boundaries is more
-// likely to hit a larger slice.
-func combinedDist(regs []*Region) []float64 {
-	return combinedDistInto(nil, regs)
-}
-
-// combinedDistInto is combinedDist writing into dst (grown if needed)
-// so per-epoch callers can reuse one scratch buffer.
+// combinedDistInto averages the placement distributions of a region
+// group, weighting by page count: a thread crossing slice boundaries is
+// more likely to hit a larger slice. It writes into dst (grown if
+// needed) so per-epoch callers can reuse one scratch buffer.
 //
 //xnuma:noalloc
 func combinedDistInto(dst []float64, regs []*Region) []float64 {

@@ -51,9 +51,6 @@ type Site struct {
 	name string
 }
 
-// Name returns the site's registered name.
-func (s *Site) Name() string { return s.name }
-
 // registry holds every registered site; written only during package
 // init (Register), read-only afterwards.
 var (
@@ -138,9 +135,6 @@ var active atomic.Pointer[Plan]
 // swap is atomic: in-flight Fire calls complete against whichever
 // plan they loaded.
 func Install(p *Plan) { active.Store(p) }
-
-// Active returns the installed plan, or nil.
-func Active() *Plan { return active.Load() }
 
 // ActiveSpec returns the installed plan's canonical spec, or "".
 func ActiveSpec() string {

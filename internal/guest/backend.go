@@ -31,24 +31,21 @@ type Backend struct {
 	contiguous bool
 }
 
-// NewBackend boots a guest on dom and selects the policy cfg through the
-// external interface. The policy-switch cost (including the free-list
-// flush when switching to first-touch) is charged once and reported.
+// RebuildBackend boots a guest on dom and selects the policy cfg through
+// the external interface. The policy-switch cost (including the
+// free-list flush when switching to first-touch) is charged once and
+// reported.
 //
 // The guest kernel owns the bottom "GiB" region of the physical space
 // (boot allocations live in low memory), so user allocations start in
 // the whole round-1G regions — which is why small-footprint applications
 // end up concentrated on one node under Xen's default policy.
-func NewBackend(hv *xen.Hypervisor, dom *xen.Domain, qcfg QueueConfig, cfg policy.Config) (*Backend, sim.Time, error) {
-	return RebuildBackend(nil, hv, dom, qcfg, cfg)
-}
-
-// RebuildBackend is NewBackend with recycling: when prev is a backend of
-// the same queue shape (from an earlier lease of the pooled machine), its
-// guest OS, allocator, queue, process and maps are reset in place and
-// rebound to dom instead of rebuilt, producing a backend bit-identical in
-// behavior to a cold-built one. A nil or shape-mismatched prev falls back
-// to a cold build.
+//
+// When prev is a backend of the same queue shape (from an earlier lease
+// of the pooled machine), its guest OS, allocator, queue, process and
+// maps are reset in place and rebound to dom instead of rebuilt,
+// producing a backend bit-identical in behavior to a cold-built one. A
+// nil or shape-mismatched prev falls back to a cold build.
 func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, qcfg QueueConfig, cfg policy.Config) (*Backend, sim.Time, error) {
 	desc, _, canon, err := policy.Resolve(cfg.Static)
 	if err != nil {
@@ -85,14 +82,8 @@ func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, qcfg Que
 	return b, cost, nil
 }
 
-// Proc exposes the backing process (for tests and tools).
-func (b *Backend) Proc() *Process { return b.proc }
-
 // Name reports the platform and policy.
 func (b *Backend) Name() string { return "xen/" + b.cfg.String() }
-
-// Policy returns the active policy configuration.
-func (b *Backend) Policy() policy.Config { return b.cfg }
 
 // Place materializes n pages of r through the full guest path: the
 // process mmaps the region, each first touch takes a guest page fault

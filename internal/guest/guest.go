@@ -150,7 +150,6 @@ type PageQueue struct {
 	// Counters.
 	Ops     uint64
 	Flushes uint64
-	Time    sim.Time
 }
 
 // NewPageQueue builds the driver for dom.
@@ -179,7 +178,6 @@ func (q *PageQueue) Add(kind policy.PageOpKind, p mem.PFN) sim.Time {
 	if q.cfg.Unbatched {
 		cost := q.dom.HypercallPageQueue([]policy.PageOp{{Kind: kind, PFN: p}})
 		q.Flushes++
-		q.Time += cost
 		return cost
 	}
 	qi := q.queueOf(p)
@@ -188,7 +186,6 @@ func (q *PageQueue) Add(kind policy.PageOpKind, p mem.PFN) sim.Time {
 	if len(q.queues[qi]) >= q.cfg.BatchSize {
 		cost += q.flush(qi)
 	}
-	q.Time += cost
 	return cost
 }
 
@@ -200,7 +197,6 @@ func (q *PageQueue) FlushAll() sim.Time {
 			total += q.flush(i)
 		}
 	}
-	q.Time += total
 	return total
 }
 
@@ -220,7 +216,7 @@ func (q *PageQueue) Reset(dom *xen.Domain) {
 	for i := range q.queues {
 		q.queues[i] = q.queues[i][:0]
 	}
-	q.Ops, q.Flushes, q.Time = 0, 0, 0
+	q.Ops, q.Flushes = 0, 0
 }
 
 // Pending reports the total queued, unflushed operations.

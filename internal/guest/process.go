@@ -101,9 +101,6 @@ func (p *Process) Munmap(start pt.VPN) (sim.Time, error) {
 // Resident reports the number of physically backed pages.
 func (p *Process) Resident() int { return p.table.Len() }
 
-// Table exposes the process page table (for tests and tools).
-func (p *Process) Table() *pt.GuestTable { return p.table }
-
 // ChurnOnce models one Streamflow-style allocator cycle: mmap one page,
 // touch it, munmap it. It returns the total guest+hypervisor cost; under
 // first-touch this emits one alloc and one release notification.

@@ -75,33 +75,6 @@ func DefaultDisk() Disk {
 	return Disk{StreamBps: 280e6, Node: 6}
 }
 
-// Throughput returns the streaming throughput the path sustains against
-// disk for the given average request size in bytes. The virtualization
-// penalty is the per-request software overhead (the latency gap versus
-// native), amortized over the request: big requests approach device
-// speed, small ones are dominated by the fixed cost — "the larger the
-// amount of bytes read, the lower the overhead" (§2.2.2).
-func (p Path) Throughput(d Disk, reqBytes float64) float64 {
-	if reqBytes <= 0 {
-		panic("iosim: request size must be positive")
-	}
-	deviceNs := reqBytes / d.StreamBps * 1e9
-	// Per-request software cost: total 4 KiB latency minus the device's
-	// share of a 4 KiB transfer.
-	device4K := 4096 / d.StreamBps * 1e9
-	softNs := float64(p.Read4KLatency()) - device4K
-	if softNs < 0 {
-		softNs = 0
-	}
-	// Requests pipeline against the device, but the software cost
-	// serializes on the submitting CPU / dom0 backend.
-	perReq := deviceNs
-	if softNs > deviceNs {
-		perReq = softNs
-	}
-	return reqBytes / perReq * 1e9
-}
-
 // StreamCap returns the streaming capacity of the path for pipelined
 // sequential I/O. The dom0 path is bounded by the split-driver ring and
 // the copy through dom0; the passthrough path runs close to device

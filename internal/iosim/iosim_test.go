@@ -21,24 +21,6 @@ func TestRead4KLatencies(t *testing.T) {
 	}
 }
 
-func TestThroughputAmortizesWithRequestSize(t *testing.T) {
-	d := DefaultDisk()
-	// "The larger the amount of bytes read, the lower the overhead"
-	// (§2.2.2): dom0-path throughput must grow with the request size.
-	small := PathDom0.Throughput(d, 4096)
-	big := PathDom0.Throughput(d, 1<<20)
-	if small >= big {
-		t.Fatalf("throughput did not amortize: 4K %v, 1M %v", small, big)
-	}
-	// Native always at least matches the virtualized paths.
-	for _, req := range []float64{4096, 65536, 1 << 20} {
-		n := PathNative.Throughput(d, req)
-		if PathDom0.Throughput(d, req) > n || PathPassthrough.Throughput(d, req) > n {
-			t.Fatalf("virtualized path beats native at req %v", req)
-		}
-	}
-}
-
 func TestStreamCapOrdering(t *testing.T) {
 	d := DefaultDisk()
 	if !(PathDom0.StreamCap(d) < PathPassthrough.StreamCap(d)) {

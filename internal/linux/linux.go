@@ -33,9 +33,6 @@ type Backend struct {
 	placer policy.Placer
 	homes  []numa.NodeID
 	rr     int
-	// Threads per node assignment mirrors pinning threads to CPUs in
-	// machine order.
-	Migrated uint64
 }
 
 // New builds a native backend on a dedicated machine. The static policy
@@ -75,15 +72,12 @@ func Rebuild(prev *Backend, topo *numa.Topology, cfg policy.Config) (*Backend, e
 		}
 		b = &Backend{Topo: topo, Alloc: mem.NewAllocator(topo), homes: homes}
 	}
-	b.cfg, b.placer, b.rr, b.Migrated = cfg, placer, 0, 0
+	b.cfg, b.placer, b.rr = cfg, placer, 0
 	return b, nil
 }
 
 // Name reports the platform and policy.
 func (b *Backend) Name() string { return "linux/" + b.cfg.String() }
-
-// Policy returns the active policy configuration.
-func (b *Backend) Policy() policy.Config { return b.cfg }
 
 // Place allocates n frames, asking the policy's placer for each page's
 // preferred node (the toucher's node for first-touch, round-robin for
@@ -135,16 +129,7 @@ func (b *Backend) Migrate(r *engine.Region, i int, to numa.NodeID) bool {
 	b.Alloc.Free(old, mem.Order4K)
 	r.Pages[i] = mem.PFN(mfn)
 	r.SetNode(i, to)
-	b.Migrated++
 	return true
-}
-
-// Release frees a region's frames.
-func (b *Backend) Release(r *engine.Region) sim.Time {
-	for _, p := range r.Pages {
-		b.Alloc.Free(mem.MFN(p), mem.Order4K)
-	}
-	return sim.Time(len(r.Pages)) * 400 * sim.Nanosecond
 }
 
 // ChurnOverhead is zero natively: releases stay inside the kernel.

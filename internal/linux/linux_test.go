@@ -11,7 +11,7 @@ import (
 )
 
 func TestRound1GRejected(t *testing.T) {
-	if _, err := New(numa.AMD48(), policy.Config{Static: policy.Round1G}); err == nil {
+	if _, err := New(numa.AMD48Scaled(1), policy.Config{Static: policy.Round1G}); err == nil {
 		t.Fatal("Linux accepted round-1G")
 	}
 }
@@ -185,21 +185,6 @@ func TestMigrateInvalidatesCachedDist(t *testing.T) {
 	}
 }
 
-func TestReleaseRestoresMemory(t *testing.T) {
-	topo := numa.SmallMachine(2, 2, 64<<20)
-	b, _ := New(topo, policy.Config{Static: policy.Round4K})
-	free := b.Alloc.TotalFreeBytes()
-	r := engine.NewRegion("r", engine.RegionDist, 0, 2)
-	b.Place(r, 1000, 0)
-	if b.Alloc.TotalFreeBytes() != free-1000*mem.PageSize {
-		t.Fatal("allocation not accounted")
-	}
-	b.Release(r)
-	if b.Alloc.TotalFreeBytes() != free {
-		t.Fatal("release leaked")
-	}
-}
-
 func TestFallbackWhenNodeFull(t *testing.T) {
 	topo := numa.SmallMachine(2, 1, 1<<20) // 256 frames per node
 	b, _ := New(topo, policy.Config{Static: policy.FirstTouch})
@@ -216,7 +201,7 @@ func TestFallbackWhenNodeFull(t *testing.T) {
 }
 
 func TestPlatformCharacteristics(t *testing.T) {
-	topo := numa.AMD48()
+	topo := numa.AMD48Scaled(1)
 	b, _ := New(topo, policy.Config{Static: policy.FirstTouch})
 	if b.Virtualized() {
 		t.Fatal("native backend claims virtualization")

@@ -134,9 +134,6 @@ func (a *Allocator) NodeOf(mfn MFN) numa.NodeID {
 	return numa.NodeID(n)
 }
 
-// FramesPerNode returns each node's frame count.
-func (a *Allocator) FramesPerNode() uint64 { return a.framesPerNode }
-
 // FreeBytes returns the free memory on node.
 func (a *Allocator) FreeBytes(node numa.NodeID) int64 { return a.nodes[node].freeBytes }
 

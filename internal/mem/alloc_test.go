@@ -167,7 +167,7 @@ func TestMisalignedFreePanics(t *testing.T) {
 
 func TestNodeOfPartitions(t *testing.T) {
 	a := testAlloc(t)
-	per := a.FramesPerNode()
+	per := a.framesPerNode
 	if a.NodeOf(MFN(0)) != 0 || a.NodeOf(MFN(per-1)) != 0 {
 		t.Fatal("node 0 bank misattributed")
 	}

@@ -10,7 +10,7 @@ import (
 
 func testLoad(t *testing.T) (*numa.Topology, *EpochLoad) {
 	t.Helper()
-	topo := numa.AMD48()
+	topo := numa.AMD48Scaled(1)
 	return topo, NewEpochLoad(topo, 0.005, 13*(1<<30))
 }
 

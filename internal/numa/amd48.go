@@ -2,25 +2,23 @@ package numa
 
 import "fmt"
 
-// AMD48 builds the evaluation machine of the paper: 8 NUMA nodes, 6 CPUs
-// and 16 GiB per node (48 cores, 128 GiB total), four Opteron 6174
-// sockets each holding two nodes, HyperTransport links with a maximum
-// distance of two hops, and PCI buses on nodes 0 and 6.
-//
-// The link graph follows the Opteron 6100 ("Magny-Cours") arrangement:
-// the two nodes of a socket are directly connected, and sockets are
-// cross-connected so that the network diameter is 2.
-func AMD48() *Topology { return AMD48Scaled(1) }
-
 // AMD48Nodes is the node count of the evaluation machine, exposed so
 // callers that only need the count (per-node sweeps, CLI validation) do
 // not have to build and validate a full topology. The count is
 // scale-independent: AMD48Scaled divides memory banks, never nodes.
 const AMD48Nodes = 8
 
-// AMD48Scaled builds AMD48 with each node's memory bank divided by
-// scale, for fast simulations whose footprints are divided by the same
-// factor. The CPU/link structure is unchanged.
+// AMD48Scaled builds the evaluation machine of the paper, with each
+// node's memory bank divided by scale for fast simulations whose
+// footprints are divided by the same factor. At scale 1 it has 8 NUMA
+// nodes, 6 CPUs and 16 GiB per node (48 cores, 128 GiB total), four
+// Opteron 6174 sockets each holding two nodes, HyperTransport links with
+// a maximum distance of two hops, and PCI buses on nodes 0 and 6. The
+// CPU/link structure does not depend on scale.
+//
+// The link graph follows the Opteron 6100 ("Magny-Cours") arrangement:
+// the two nodes of a socket are directly connected, and sockets are
+// cross-connected so that the network diameter is 2.
 func AMD48Scaled(scale int) *Topology {
 	if scale < 1 {
 		panic("numa: scale must be >= 1")

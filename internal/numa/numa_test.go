@@ -6,7 +6,7 @@ import (
 )
 
 func TestAMD48Shape(t *testing.T) {
-	topo := AMD48()
+	topo := AMD48Scaled(1)
 	if got := topo.NumNodes(); got != 8 {
 		t.Fatalf("nodes = %d, want 8", got)
 	}
@@ -30,7 +30,7 @@ func TestAMD48Shape(t *testing.T) {
 }
 
 func TestAMD48Diameter(t *testing.T) {
-	topo := AMD48()
+	topo := AMD48Scaled(1)
 	maxDist := 0
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
@@ -46,7 +46,7 @@ func TestAMD48Diameter(t *testing.T) {
 }
 
 func TestAMD48Routes(t *testing.T) {
-	topo := AMD48()
+	topo := AMD48Scaled(1)
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			links := topo.RouteLinks(NodeID(i), NodeID(j))
@@ -81,7 +81,7 @@ func TestAMD48Scaled(t *testing.T) {
 }
 
 func TestNodeOf(t *testing.T) {
-	topo := AMD48()
+	topo := AMD48Scaled(1)
 	for c := 0; c < 48; c++ {
 		want := NodeID(c / 6)
 		if got := topo.NodeOf(CPUID(c)); got != want {
@@ -175,17 +175,8 @@ func TestLatencyClampsUtilization(t *testing.T) {
 	}
 }
 
-func TestCyclesToNanos(t *testing.T) {
-	lm := DefaultLatency()
-	// 156 cycles at 2.2 GHz ≈ 70.9 ns.
-	ns := lm.CyclesToNanos(156)
-	if ns < 70 || ns > 72 {
-		t.Fatalf("156 cycles = %v ns, want ~70.9", ns)
-	}
-}
-
 func TestLinkBandwidthPositive(t *testing.T) {
-	topo := AMD48()
+	topo := AMD48Scaled(1)
 	if len(topo.Links) == 0 {
 		t.Fatal("no links")
 	}

@@ -57,15 +57,3 @@ func (m TLBModel) WalkPenaltyCycles(workingSetBytes float64, largePages, virtual
 	}
 	return m.MissRate(workingSetBytes, largePages) * walk
 }
-
-// LargePageGain returns the fraction of per-access latency saved by
-// switching a virtualized working set from 4 KiB to 2 MiB mappings,
-// relative to baseAccessCycles.
-func (m TLBModel) LargePageGain(workingSetBytes, baseAccessCycles float64, virtualized bool) float64 {
-	small := m.WalkPenaltyCycles(workingSetBytes, false, virtualized)
-	large := m.WalkPenaltyCycles(workingSetBytes, true, virtualized)
-	if baseAccessCycles <= 0 {
-		return 0
-	}
-	return (small - large) / (baseAccessCycles + small)
-}

@@ -42,23 +42,3 @@ func TestTLBVirtualizedWalkCostsMore(t *testing.T) {
 		t.Fatalf("nested walk (%v) not ≫ native (%v)", guest, native)
 	}
 }
-
-func TestTLBLargePageGain(t *testing.T) {
-	m := DefaultTLB()
-	// A big virtualized working set gains from 2 MiB pages...
-	gain := m.LargePageGain(256<<20, 200, true)
-	if gain <= 0 {
-		t.Fatalf("no large-page gain for a big working set: %v", gain)
-	}
-	// ...a tiny one does not.
-	if got := m.LargePageGain(1<<20, 200, true); got != 0 {
-		t.Fatalf("gain on an in-reach working set: %v", got)
-	}
-	// And the gain grows with the working set until both page sizes
-	// overflow their reach.
-	g1 := m.LargePageGain(16<<20, 200, true)
-	g2 := m.LargePageGain(128<<20, 200, true)
-	if g2 <= g1 {
-		t.Fatalf("gain not growing: %v then %v", g1, g2)
-	}
-}

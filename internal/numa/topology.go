@@ -136,11 +136,6 @@ func (l LatencyModel) AccessCycles(hops int, ctrlUtil, linkUtil float64) float64
 	return base + ctrlPenalty + linkPenalty
 }
 
-// CyclesToNanos converts cycles to nanoseconds under the model frequency.
-//
-//xnuma:noalloc
-func (l LatencyModel) CyclesToNanos(c float64) float64 { return c / l.FreqGHz }
-
 //xnuma:noalloc
 func clamp01(x float64) float64 {
 	if x < 0 {

@@ -171,21 +171,19 @@ type DomainOps interface {
 	// round-robin to the other home nodes (then any node) when the bank
 	// is full, as Linux's first-touch does (§3.1).
 	AllocFrameOn(node numa.NodeID) (mem.MFN, error)
-	// FreeFrame returns a machine frame to the machine allocator.
-	FreeFrame(mfn mem.MFN)
 	// FreeMemory reports the free machine memory on a node, for
 	// load-aware placers such as least-loaded.
 	FreeMemory
-	// MapPage installs pfn→mfn and notifies placement observers.
-	// This is the first function of the internal interface.
+	// MapPage installs pfn→mfn. This is the first function of the
+	// internal interface.
 	MapPage(pfn mem.PFN, mfn mem.MFN)
 	// MigratePage moves pfn's backing frame to node, using the
 	// write-protect → copy → remap mechanism. This is the second
 	// function of the internal interface. It reports whether the page
 	// actually moved (false when already on node or unmapped).
 	MigratePage(pfn mem.PFN, to numa.NodeID) bool
-	// InvalidatePage clears pfn's entry, frees its frame, and notifies
-	// observers; subsequent accesses fault into the policy.
+	// InvalidatePage clears pfn's entry and frees its frame;
+	// subsequent accesses fault into the policy.
 	InvalidatePage(pfn mem.PFN)
 }
 
@@ -289,9 +287,6 @@ func New(kind Kind, nodes int) (*Policy, error) {
 	}
 	return &Policy{kind: canon, placer: placer, pageQueue: desc.UsesPageQueue}, nil
 }
-
-// Kind reports the registered kind this implements.
-func (p *Policy) Kind() Kind { return p.kind }
 
 // HandleFault resolves a hypervisor page fault on pfn caused by a vCPU
 // running on accessor, leaving the entry valid. A write-protect fault

@@ -33,7 +33,6 @@ func newFakeDomain(homes ...numa.NodeID) *fakeDomain {
 
 func (d *fakeDomain) HomeNodes() []numa.NodeID          { return d.homes }
 func (d *fakeDomain) Table() *pt.HypervisorTable        { return d.table }
-func (d *fakeDomain) FreeFrame(m mem.MFN)               { d.freed = append(d.freed, m) }
 func (d *fakeDomain) NodeFreeBytes(n numa.NodeID) int64 { return d.free[n] }
 func (d *fakeDomain) NodeOfFrame(m mem.MFN) numa.NodeID {
 	n, ok := d.nodeOf[m]
@@ -77,7 +76,7 @@ func (d *fakeDomain) MigratePage(p mem.PFN, to numa.NodeID) bool {
 
 func (d *fakeDomain) InvalidatePage(p mem.PFN) {
 	if m := d.table.Invalidate(p); m != mem.NoMFN {
-		d.FreeFrame(m)
+		d.freed = append(d.freed, m)
 	}
 }
 

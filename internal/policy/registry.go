@@ -167,12 +167,6 @@ func (r *Registry) Resolve(kind Kind) (Descriptor, string, Kind, error) {
 	return d, arg, canon, nil
 }
 
-// Canonical returns kind in canonical spelling.
-func (r *Registry) Canonical(kind Kind) (Kind, error) {
-	_, _, canon, err := r.Resolve(kind)
-	return canon, err
-}
-
 // List returns the registered descriptors in registration order.
 func (r *Registry) List() []Descriptor {
 	out := make([]Descriptor, len(r.order))

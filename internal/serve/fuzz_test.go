@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,8 +16,10 @@ import (
 // on a line, the decoder must return either a normalized request or a
 // structured error — never panic, never hang — and the error must
 // marshal into a single well-formed response line (no embedded newline,
-// so the JSON-lines framing survives hostile ids). CI runs a short
-// -fuzztime smoke of this target on every push.
+// so the JSON-lines framing survives hostile ids). Normalization is
+// idempotent: an accepted request, marshaled and sent back, is accepted
+// unchanged. CI runs a short -fuzztime smoke of this target on every
+// push.
 func FuzzDecodeRequest(f *testing.F) {
 	seeds := []string{
 		// Valid requests, every op and parameter.
@@ -84,6 +87,17 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if req.key() != req2.key() {
 			t.Fatalf("unstable key for %q: %q vs %q", line, req.key(), req2.key())
+		}
+		sent, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("marshaling normalized %+v: %v", req, err)
+		}
+		req3, errInfo3 := decodeRequest(sent)
+		if errInfo3 != nil {
+			t.Fatalf("normalized request %s (from %q) rejected when sent back: %+v", sent, line, errInfo3)
+		}
+		if !reflect.DeepEqual(req3, req) || req3.key() != req.key() {
+			t.Fatalf("normalized request %s changed when sent back: %+v vs %+v", sent, req3, req)
 		}
 		if len(req.Apps) == 0 && (req.Op == "sweep" || req.Op == "advise") {
 			t.Fatalf("normalized %s request has no apps: %q", req.Op, line)

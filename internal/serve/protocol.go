@@ -13,7 +13,7 @@
 //
 // Identical concurrent requests coalesce: the first becomes the leader
 // and computes, the rest wait for its bytes, and underneath the suite's
-// sharded singleflight guarantees each simulation cell is computed
+// singleflight result cache guarantees each simulation cell is computed
 // exactly once. Results are bit-for-bit deterministic for the server's
 // (seed, scale), so a coalesced response is byte-identical to what any
 // of the herd would have computed alone.
@@ -178,7 +178,6 @@ func (r *Request) Normalize() error {
 		if r.Bind || r.Seeds != 0 {
 			return errors.New("bind/seeds apply to sweep only")
 		}
-		r.Seeds = 1
 		if err := r.resolveApps(true); err != nil {
 			return err
 		}

@@ -49,22 +49,6 @@ func TestRandZeroSeed(t *testing.T) {
 	}
 }
 
-func TestRandSplitIndependence(t *testing.T) {
-	r := NewRand(7)
-	child := r.Split()
-	// The child stream must differ from the parent's continuation.
-	diff := false
-	for i := 0; i < 100; i++ {
-		if r.Uint64() != child.Uint64() {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Fatal("split stream mirrors the parent")
-	}
-}
-
 func TestRandIntnRange(t *testing.T) {
 	r := NewRand(1)
 	if err := quick.Check(func(nRaw uint16) bool {
@@ -96,51 +80,5 @@ func TestRandFloat64Mean(t *testing.T) {
 	mean := sum / n
 	if mean < 0.49 || mean > 0.51 {
 		t.Fatalf("Float64 mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestRandPerm(t *testing.T) {
-	r := NewRand(5)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestRandExpPositiveWithMean(t *testing.T) {
-	r := NewRand(11)
-	sum := 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.Exp(10)
-		if v < 0 {
-			t.Fatalf("Exp returned negative %v", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if mean < 9.5 || mean > 10.5 {
-		t.Fatalf("Exp mean = %v, want ~10", mean)
-	}
-}
-
-func TestLnAccuracy(t *testing.T) {
-	// Compare against known values.
-	cases := []struct{ x, want float64 }{
-		{1, 0},
-		{2, 0.6931471805599453},
-		{0.5, -0.6931471805599453},
-		{10, 2.302585092994046},
-		{1e-6, -13.815510557964274},
-	}
-	for _, c := range cases {
-		got := ln(c.x)
-		if d := got - c.want; d > 1e-9 || d < -1e-9 {
-			t.Errorf("ln(%v) = %v, want %v", c.x, got, c.want)
-		}
 	}
 }

@@ -8,12 +8,13 @@ import (
 	"repro/internal/policy"
 )
 
-// postDestroyAllocSequence boots a hypervisor, creates and destroys a
-// 4K-mapped domain, then records the machine-frame sequence the buddy
-// allocator hands out afterwards. Destroying the domain frees every
-// owned page, and each Free reshapes the buddy free lists — so the
-// recorded sequence is a fingerprint of the order releaseFrames freed
-// the owned pages in.
+// postDestroyAllocSequence boots a hypervisor, creates a 4K-mapped
+// domain and releases its frames, then records the machine-frame
+// sequence the buddy allocator hands out afterwards. Releasing the
+// domain frees every owned page, and each Free reshapes the buddy free
+// lists — so the recorded sequence is a fingerprint of the order
+// releaseFrames freed the owned pages in. releaseFrames is what
+// CreateDomain runs when populating a domain fails.
 func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 	t.Helper()
 	topo := numa.SmallMachine(4, 4, 64<<20)
@@ -29,7 +30,7 @@ func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hv.DestroyDomain(d.ID)
+	d.releaseFrames()
 
 	var seq []mem.MFN
 	for node := numa.NodeID(0); node < 4; node++ {
@@ -48,7 +49,7 @@ func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 // releaseFrames map-order bug found by the maporder analyzer: freeing
 // owned pages in map iteration order (ownership was then a map) left
 // the buddy allocator in a run-dependent state, so every allocation
-// after a domain destroy was nondeterministic. Two identical runs must
+// after a domain release was nondeterministic. Two identical runs must
 // now hand out identical frame sequences.
 func TestDestroyDomainDeterministic(t *testing.T) {
 	a := postDestroyAllocSequence(t)

@@ -36,35 +36,19 @@ type Domain struct {
 	bootPlacer policy.BootPlacer
 	cfg        policy.Config
 	pol        *policy.Policy
-	// CarrefourHook, when non-nil, receives page-queue batches so the
-	// dynamic policy can track page liveness. Set by package carrefour.
-	CarrefourHook func(ops []policy.PageOp)
-
-	// grants is the domain's grant table (nil until NewGrantTable);
-	// pinned counts outstanding grant mappings per page — pinned pages
-	// cannot be migrated or invalidated while a DMA may target them.
-	grants *GrantTable
-	pinned map[mem.PFN]int
 
 	// frames tracks the block allocations backing this domain (boot
-	// regions, recorded once each) so the memory can be returned on
-	// destroy. Frames allocated page by page — by a fault, a migration
-	// or round-4K boot — are instead marked Owned in their hypervisor
+	// regions, recorded once each): Reset replays dom0's, and
+	// releaseFrames returns them when populating the domain fails.
+	// Frames allocated page by page — by a fault, a migration or
+	// round-4K boot — are instead marked Owned in their hypervisor
 	// entry, so releaseFrames frees each exactly once.
 	frames []frameAlloc
 
-	// Observers used by the workload engine to keep per-region node
-	// histograms in sync with the hypervisor page table.
-	OnPlace      func(pfn mem.PFN, node numa.NodeID)
-	OnInvalidate func(pfn mem.PFN)
-
 	// Per-domain counters.
-	Faults        uint64
-	FaultTime     sim.Time
-	Hypercalls    uint64
-	HypercallTime sim.Time
-	Migrated      uint64
-	Invalidated   uint64
+	Faults     uint64
+	Hypercalls uint64
+	Migrated   uint64
 
 	// nextAllocNode implements the round-robin fallback of first-touch
 	// when the preferred node is full.
@@ -93,10 +77,7 @@ func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot
 	physPages := uint64(spec.MemBytes) / mem.PageSize
 	d := h.takeShell()
 	if d == nil {
-		d = &Domain{
-			table:  pt.NewHypervisorTable(physPages),
-			pinned: make(map[mem.PFN]int),
-		}
+		d = &Domain{table: pt.NewHypervisorTable(physPages)}
 	} else {
 		d.table.Reset(physPages)
 	}
@@ -142,17 +123,11 @@ func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot
 // recycling happens only from Hypervisor.Reset, which restores the
 // whole allocator to pristine shape wholesale.
 func (d *Domain) recycleShell() {
-	clear(d.pinned)
 	d.frames = d.frames[:0]
 	d.VCPUs = d.VCPUs[:0]
 	d.homes = d.homes[:0]
-	d.grants = nil
-	d.CarrefourHook = nil
-	d.OnPlace, d.OnInvalidate = nil, nil
 	d.bootPlacer, d.pol = nil, nil
-	d.Faults, d.FaultTime = 0, 0
-	d.Hypercalls, d.HypercallTime = 0, 0
-	d.Migrated, d.Invalidated = 0, 0
+	d.Faults, d.Hypercalls, d.Migrated = 0, 0, 0
 	d.nextAllocNode = 0
 	d.passthrough = false
 	d.accessor = 0
@@ -175,8 +150,7 @@ func (d *Domain) populate() error {
 // releaseFrames returns all machine memory to the allocator: the block
 // records, then every owned page in one ascending PFN scan of the
 // table. The order is fixed because each Free reshapes the buddy free
-// lists, and every allocation after a domain destroy must be
-// deterministic.
+// lists, and every allocation after a release must be deterministic.
 func (d *Domain) releaseFrames() {
 	for _, f := range d.frames {
 		d.hv.Alloc.Free(f.mfn, f.order)
@@ -223,9 +197,6 @@ func (d *Domain) AllocFrameOn(node numa.NodeID) (mem.MFN, error) {
 	return mem.NoMFN, fmt.Errorf("xen: machine out of memory: %w", mem.ErrNoMemory)
 }
 
-// FreeFrame returns one 4 KiB frame.
-func (d *Domain) FreeFrame(mfn mem.MFN) { d.hv.Alloc.Free(mfn, mem.Order4K) }
-
 // NodeFreeBytes reports the free machine memory on node, for
 // load-aware policies.
 func (d *Domain) NodeFreeBytes(node numa.NodeID) int64 { return d.hv.Alloc.FreeBytes(node) }
@@ -252,31 +223,18 @@ func (d *Domain) MapRegion(base mem.PFN, block mem.MFN, order int) {
 	}
 }
 
-// MapPage installs pfn→mfn, marks the entry Owned (the frame is freed
-// with the page) and notifies the placement observer.
-func (d *Domain) MapPage(pfn mem.PFN, mfn mem.MFN) {
-	d.table.MapOwned(pfn, mfn)
-	if d.OnPlace != nil {
-		d.OnPlace(pfn, d.hv.Alloc.NodeOf(mfn))
-	}
-}
+// MapPage installs pfn→mfn and marks the entry Owned: the frame is
+// freed with the page.
+func (d *Domain) MapPage(pfn mem.PFN, mfn mem.MFN) { d.table.MapOwned(pfn, mfn) }
 
 // InvalidatePage clears pfn's entry and frees its frame; the next access
 // faults into the policy. Part of the first-touch implementation.
 func (d *Domain) InvalidatePage(pfn mem.PFN) {
-	if d.pinned[pfn] > 0 {
-		// A DMA may target this page through an outstanding grant
-		// mapping; invalidating it would abort the transfer through the
-		// IOMMU (§4.4.1). Leave it mapped.
-		return
-	}
 	e := d.table.Lookup(pfn)
 	if !e.Valid {
 		return
 	}
 	d.table.Invalidate(pfn)
-	d.Invalidated++
-	d.hv.EntriesFlushed++
 	if e.Owned {
 		d.hv.Alloc.Free(e.MFN, mem.Order4K)
 	}
@@ -284,18 +242,12 @@ func (d *Domain) InvalidatePage(pfn mem.PFN) {
 	// owned by the block record; they are reused only after the block is
 	// torn down. This wastes the frame but never double-frees — and is
 	// exactly why the paper boots first-touch domains with round-4K.
-	if d.OnInvalidate != nil {
-		d.OnInvalidate(pfn)
-	}
 }
 
 // MigratePage implements the second function of the internal interface:
 // write-protect the entry, copy the page, remap it on the target node and
 // free the old frame (§4.1). It reports whether the page moved.
 func (d *Domain) MigratePage(pfn mem.PFN, to numa.NodeID) bool {
-	if d.pinned[pfn] > 0 {
-		return false // granted I/O buffer: the frame must not move
-	}
 	e := d.table.Lookup(pfn)
 	if !e.Valid {
 		return false
@@ -315,11 +267,6 @@ func (d *Domain) MigratePage(pfn mem.PFN, to numa.NodeID) bool {
 		d.hv.Alloc.Free(e.MFN, mem.Order4K)
 	}
 	d.Migrated++
-	d.hv.PagesMigrated++
-	d.hv.MigrationTime += CostMigratePage
-	if d.OnPlace != nil {
-		d.OnPlace(pfn, to)
-	}
 	return true
 }
 
@@ -353,7 +300,6 @@ func (d *Domain) NodeOfPCPU(v int) numa.NodeID {
 func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 	cost := CostHypercall
 	d.Hypercalls++
-	d.hv.Hypercalls++
 	// Canonicalize so aliases and case variants ("ft", "BIND:03")
 	// compare equal to the stored boot/current kinds.
 	desc, _, canon, err := policy.Resolve(cfg.Static)
@@ -384,14 +330,11 @@ func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 		// passthrough driver must be disabled for entry-invalidating
 		// policies.
 		d.passthrough = false
-		d.hv.PassthroughOffs++
 	}
 	if pol != nil {
 		d.pol = pol
 	}
 	d.cfg = cfg
-	d.HypercallTime += cost
-	d.hv.HypercallTime += cost
 	return cost, nil
 }
 
@@ -401,15 +344,8 @@ func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 // invalidation (§4.2.4).
 func (d *Domain) HypercallPageQueue(ops []policy.PageOp) sim.Time {
 	d.Hypercalls++
-	d.hv.Hypercalls++
 	invalidated := d.pol.OnPageQueue(d, ops)
-	if d.CarrefourHook != nil {
-		d.CarrefourHook(ops)
-	}
-	cost := CostHypercall + CostQueueSend + sim.Time(invalidated)*CostInvalidateEntry
-	d.HypercallTime += cost
-	d.hv.HypercallTime += cost
-	return cost
+	return CostHypercall + CostQueueSend + sim.Time(invalidated)*CostInvalidateEntry
 }
 
 // Touch simulates one guest access to a physical page by a vCPU whose
@@ -428,9 +364,6 @@ func (d *Domain) Touch(pfn mem.PFN, accessor numa.NodeID, write bool) (numa.Node
 	if faults > 0 {
 		cost = sim.Time(faults) * (CostHVFault + CostFrameAlloc)
 		d.Faults += faults
-		d.hv.PageFaults += faults
-		d.FaultTime += cost
-		d.hv.FaultTime += cost
 	}
 	return d.hv.Alloc.NodeOf(mfn), cost
 }

@@ -114,16 +114,6 @@ type Hypervisor struct {
 	// allocating a fresh one. Empty outside warm-pool use, so cold-build
 	// paths are untouched.
 	shells []*Domain
-
-	// Counters.
-	Hypercalls      uint64
-	HypercallTime   sim.Time
-	PageFaults      uint64
-	PagesMigrated   uint64
-	EntriesFlushed  uint64
-	MigrationTime   sim.Time
-	FaultTime       sim.Time
-	PassthroughOffs uint64 // times passthrough was disabled for first-touch
 }
 
 // New boots a hypervisor on topo. It creates dom0 pinned to the CPUs of
@@ -148,22 +138,6 @@ func New(topo *numa.Topology, cfg Config, dom0MemBytes int64) (*Hypervisor, erro
 		return nil, fmt.Errorf("xen: creating dom0: %w", err)
 	}
 	return h, nil
-}
-
-// Dom0 returns the control domain.
-func (h *Hypervisor) Dom0() *Domain { return h.domains[0] }
-
-// Domain returns the domain with the given id, or nil.
-func (h *Hypervisor) Domain(id DomID) *Domain { return h.domains[id] }
-
-// Domains returns all live domains sorted by id.
-func (h *Hypervisor) Domains() []*Domain {
-	out := make([]*Domain, 0, len(h.domains))
-	for _, d := range h.domains { //xnuma:maporder-ok collected set is order-free and fully sorted by unique domain ID below
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // DomainSpec describes a domain to create.
@@ -237,21 +211,6 @@ func (h *Hypervisor) CreateDomain(spec DomainSpec) (*Domain, error) {
 		}
 	}
 	return d, nil
-}
-
-// DestroyDomain tears a domain down and releases its memory and CPUs.
-func (h *Hypervisor) DestroyDomain(id DomID) {
-	d, ok := h.domains[id]
-	if !ok {
-		panic(fmt.Sprintf("xen: destroying unknown domain %d", id))
-	}
-	d.releaseFrames()
-	if d.ID != 0 {
-		for _, v := range d.VCPUs {
-			h.cpuUse[v.PCPU]--
-		}
-	}
-	delete(h.domains, id)
 }
 
 // packVCPUs implements the home-node packing of §3.3: pick the minimal
@@ -351,11 +310,6 @@ func (h *Hypervisor) Reset() error {
 	for i := range h.cpuUse {
 		h.cpuUse[i] = 0
 	}
-	h.Hypercalls, h.HypercallTime = 0, 0
-	h.PageFaults, h.PagesMigrated = 0, 0
-	h.EntriesFlushed = 0
-	h.MigrationTime, h.FaultTime = 0, 0
-	h.PassthroughOffs = 0
 
 	dom0 := h.domains[0]
 	pageOwned := false
@@ -381,9 +335,7 @@ func (h *Hypervisor) Reset() error {
 			return fmt.Errorf("xen: dom0 frame replay diverged: got %v/%v, want %d", mfn, err, f.mfn)
 		}
 	}
-	dom0.Faults, dom0.FaultTime = 0, 0
-	dom0.Hypercalls, dom0.HypercallTime = 0, 0
-	dom0.Migrated, dom0.Invalidated = 0, 0
+	dom0.Faults, dom0.Hypercalls, dom0.Migrated = 0, 0, 0
 	dom0.nextAllocNode = 0
 	return nil
 }

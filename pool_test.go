@@ -150,3 +150,23 @@ func TestWarmLeaseAllocatesLittle(t *testing.T) {
 		t.Fatalf("warm native lease allocated %d bytes, want under 256 KB", got)
 	}
 }
+
+// TestBadPairModeKeepsWarmMachine: RunXenPair rejects an unknown pair
+// mode before it leases a machine, so the pool keeps its warm machine
+// and the next run on it is a hit.
+func TestBadPairModeKeepsWarmMachine(t *testing.T) {
+	o := Options{Scale: 256, Pool: NewPool()}
+	pol := MustPolicy("round-4k")
+	if _, err := RunXen("swaptions", pol, o); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RunXenPair("swaptions", pol, "swaptions", pol, PairMode(7), false, o); err == nil {
+		t.Fatal("RunXenPair accepted pair mode 7")
+	}
+	if _, err := RunXen("swaptions", pol, o); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := o.Pool.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("pool hits/misses = %d/%d, want 1/1: the rejected pair call dropped the warm machine", hits, misses)
+	}
+}

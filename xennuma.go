@@ -86,8 +86,6 @@ type Options struct {
 	// MCS forces the MCS-lock mitigation for pthread applications in
 	// native runs (the paper's LinuxNUMA baseline uses it).
 	MCS bool
-	// Queue overrides the page-queue driver configuration (§4.2.4).
-	Queue guest.QueueConfig
 	// MaxTime bounds a run in virtual time (default 300 s).
 	MaxTime sim.Time
 	// TLB enables the address-translation cost model of the paper's §7
@@ -160,9 +158,6 @@ func (o Options) normalized() (Options, error) {
 	}
 	if o.Threads == 0 {
 		o.Threads = 48
-	}
-	if o.Queue.Queues == 0 {
-		o.Queue = guest.DefaultQueueConfig()
 	}
 	if o.MaxTime == 0 {
 		o.MaxTime = 300 * sim.Second
@@ -271,9 +266,15 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	// Memory sizing counts VMs per memory partition: colocated VMs split
 	// the machine (each sized as one of two), consolidated VMs each span
 	// all of it (each sized as if alone), matching the paper's setups.
-	memVMs := 1
-	if mode == Colocated {
+	// An unknown mode is rejected before a machine is leased.
+	var memVMs int
+	switch mode {
+	case Colocated:
 		memVMs = 2
+	case Consolidated:
+		memVMs = 1
+	default:
+		return Result{}, Result{}, fmt.Errorf("xennuma: unknown pair mode %d", mode)
 	}
 	shape1, err := cellShape(o, app1, memVMs)
 	if err != nil {
@@ -291,8 +292,7 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	}
 	pins1, pins2 := m.pins[0][:0], m.pins[1][:0]
 	threads := o.Threads
-	switch mode {
-	case Colocated:
+	if mode == Colocated {
 		threads = 24
 		half := topo.NumNodes() / 2
 		for n, node := range topo.Nodes {
@@ -304,13 +304,11 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 				}
 			}
 		}
-	case Consolidated:
+	} else {
 		for c := 0; c < topo.NumCPUs(); c++ {
 			pins1 = append(pins1, numa.CPUID(c))
 			pins2 = append(pins2, numa.CPUID(c))
 		}
-	default:
-		return Result{}, Result{}, fmt.Errorf("xennuma: unknown pair mode %d", mode)
 	}
 	m.pins[0], m.pins[1] = pins1, pins2
 	if swap {
@@ -390,7 +388,7 @@ func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o
 	if err != nil {
 		return nil, err
 	}
-	b, _, err := guest.RebuildBackend(m.backs[slot], m.hv, dom, o.Queue, pol)
+	b, _, err := guest.RebuildBackend(m.backs[slot], m.hv, dom, guest.DefaultQueueConfig(), pol)
 	if err != nil {
 		return nil, err
 	}

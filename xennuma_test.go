@@ -242,7 +242,7 @@ func TestRunXenPairConsolidatedSlower(t *testing.T) {
 
 func TestOptionsNormalization(t *testing.T) {
 	o, err := Options{}.normalized()
-	if err != nil || o.Scale != 64 || o.Seed != 1 || o.Threads != 48 || o.Queue.Queues != 4 {
+	if err != nil || o.Scale != 64 || o.Seed != 1 || o.Threads != 48 {
 		t.Fatalf("defaults wrong: %+v, %v", o, err)
 	}
 }
