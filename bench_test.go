@@ -96,8 +96,8 @@ func BenchmarkAblationMCS(b *testing.B) {
 		b.Run(app, func(b *testing.B) {
 			var gain float64
 			for i := 0; i < b.N; i++ {
-				off := benchSuite.Xen(app, "round-4k", false)
-				on := benchSuite.Xen(app, "round-4k", true)
+				off := benchSuite.Xen(app, "round-4k", false).Result()
+				on := benchSuite.Xen(app, "round-4k", true).Result()
 				gain = float64(off.Completion)/float64(on.Completion) - 1
 			}
 			b.ReportMetric(100*gain, "improvement-%")

@@ -371,7 +371,7 @@ func runOne(s *exp.Suite, stdout io.Writer, app, pol string) error {
 	if err := xennuma.CheckApp(app); err != nil {
 		return err
 	}
-	r := s.Xen(app, pol, true)
+	r := s.Xen(app, pol, true).Result()
 	fmt.Fprintf(stdout, "app:          %s\n", r.App)
 	fmt.Fprintf(stdout, "backend:      %s\n", r.Backend)
 	fmt.Fprintf(stdout, "completion:   %v\n", r.Completion)

@@ -8,8 +8,9 @@
 // SetPolicy hypercall. In the colocated setting each VM owns half the
 // NUMA nodes (24 vCPUs each); in the consolidated setting both span all
 // 48 CPUs and every physical CPU runs two vCPUs. All four configurations
-// are submitted to the experiment scheduler up front and simulated
-// concurrently.
+// are named first, which submits them to the experiment scheduler, so
+// they are simulated concurrently; reading a handle then waits for that
+// configuration alone.
 package main
 
 import (
@@ -42,17 +43,17 @@ func main() {
 		{"colocated (24 vCPUs each, split nodes)", xennuma.Colocated},
 		{"consolidated (48 vCPUs each, 2 vCPUs per CPU)", xennuma.Consolidated},
 	}
-	// Warm every cell on the worker pool, then read the cached results.
+	// Name every cell first, then read the results as they complete.
+	var defaults, bests []*exp.Cell
 	for _, mode := range modes {
-		s.PrefetchXenPair("cg.C", def, "sp.C", def, mode.m, false)
-		s.PrefetchXenPair("cg.C", bestA, "sp.C", bestB, mode.m, false)
+		defaults = append(defaults, s.XenPair("cg.C", def, "sp.C", def, mode.m, false))
+		bests = append(bests, s.XenPair("cg.C", bestA, "sp.C", bestB, mode.m, false))
 	}
-	s.Join()
 
-	for _, mode := range modes {
+	for i, mode := range modes {
 		fmt.Printf("== %s ==\n", mode.name)
-		a0, b0 := s.XenPair("cg.C", def, "sp.C", def, mode.m, false)
-		a1, b1 := s.XenPair("cg.C", bestA, "sp.C", bestB, mode.m, false)
+		d, b := defaults[i].Results(), bests[i].Results()
+		a0, b0, a1, b1 := d[0], d[1], b[0], b[1]
 		fmt.Printf("  cg.C: default %8v  best(first-touch)    %8v  → %+.0f%%\n",
 			a0.Completion, a1.Completion,
 			100*(float64(a0.Completion)/float64(a1.Completion)-1))

@@ -105,38 +105,28 @@ type Recommendation struct {
 	Candidates []string
 }
 
-// Prefetch schedules everything Advise and Validate read for app — the
-// full candidate sweep and the probe cell — on the suite's worker pool.
-// The probe is normally itself a candidate, and the suite never submits
-// a cell twice. Call it for every application of interest, then let
-// Advise/Validate hit the warmed cache.
-func Prefetch(s *exp.Suite, target Target, app string) {
-	for _, pol := range Candidates() {
-		prefetchCell(s, target, app, pol)
-	}
-	prefetchCell(s, target, app, probePolicy)
-}
-
-func prefetchCell(s *exp.Suite, target Target, app, pol string) {
-	if target == TargetLinux {
-		s.PrefetchLinux(app, pol, true)
-		return
-	}
-	s.PrefetchXen(app, pol, true)
-}
-
-func cell(s *exp.Suite, target Target, app, pol string) engine.Result {
+// cell names app's cell under pol on the target's platform.
+func cell(s *exp.Suite, target Target, app, pol string) *exp.Cell {
 	if target == TargetLinux {
 		return s.Linux(app, pol, true)
 	}
 	return s.Xen(app, pol, true)
 }
 
-// Advise runs the probe for app on the suite (a cache hit after
-// Prefetch) and applies the rule. The returned recommendation always
-// proposes a member of Candidates().
+// sweep names app's cells under pols, in order, before any is read.
+func sweep(s *exp.Suite, target Target, app string, pols []string) []*exp.Cell {
+	cells := make([]*exp.Cell, len(pols))
+	for i, pol := range pols {
+		cells[i] = cell(s, target, app, pol)
+	}
+	return cells
+}
+
+// Advise runs the probe for app on the suite (a cache hit when the
+// probe already ran) and applies the rule. The returned recommendation
+// always proposes a member of Candidates().
 func Advise(s *exp.Suite, target Target, app string) Recommendation {
-	probe := cell(s, target, app, probePolicy)
+	probe := cell(s, target, app, probePolicy).Result()
 	class := metrics.Classify(probe.Imbalance)
 	return Recommendation{
 		App:        app,
@@ -162,17 +152,18 @@ type Validation struct {
 	Gap float64
 }
 
-// Validate sweeps rec's candidate set (cache hits after Prefetch) and
-// returns the advice gap.
+// Validate sweeps rec's candidate set, naming every candidate before it
+// reads any, and returns the advice gap.
 func Validate(s *exp.Suite, rec Recommendation) Validation {
+	cands := sweep(s, rec.Target, rec.App, rec.Candidates)
 	best, bestRes := "", engine.Result{}
-	for _, pol := range rec.Candidates {
-		r := cell(s, rec.Target, rec.App, pol)
+	for i, pol := range rec.Candidates {
+		r := cands[i].Result()
 		if best == "" || r.Completion < bestRes.Completion {
 			best, bestRes = pol, r
 		}
 	}
-	advised := cell(s, rec.Target, rec.App, rec.Policy)
+	advised := cell(s, rec.Target, rec.App, rec.Policy).Result()
 	return Validation{
 		Best:              best,
 		BestCompletion:    bestRes.Completion,
@@ -183,12 +174,15 @@ func Validate(s *exp.Suite, rec Recommendation) Validation {
 
 // Table renders advisor output for several applications as an
 // experiment-style table: probe, class, advice, sweep best and gap per
-// row. It prefetches every cell up front and joins once.
+// row. It names every app's candidate sweep and probe before it reads
+// any cell, so the whole batch runs at the pool's full width; Advise and
+// Validate then name the same cells again, which only returns their
+// handles.
 func Table(s *exp.Suite, target Target, apps []string) *exp.Table {
 	for _, app := range apps {
-		Prefetch(s, target, app)
+		sweep(s, target, app, Candidates())
+		cell(s, target, app, probePolicy)
 	}
-	s.Join()
 	t := &exp.Table{
 		ID:     "advise",
 		Title:  fmt.Sprintf("Policy advice (§3.5.2 rule) vs exhaustive sweep, %s target", target),

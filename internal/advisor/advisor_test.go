@@ -105,11 +105,10 @@ func TestAdviseProposesACandidate(t *testing.T) {
 
 // TestAdviseEndToEnd runs a real probe on a scaled-down suite and
 // validates the advice against the full bounded sweep; the gap must be
-// finite and the best policy a candidate.
+// finite and the best policy a candidate, and every cell the two calls
+// named must have been computed and read by the time they return.
 func TestAdviseEndToEnd(t *testing.T) {
 	s := exp.NewSuite(256)
-	Prefetch(s, TargetXen, "swaptions")
-	s.Join()
 	rec := Advise(s, TargetXen, "swaptions")
 	if rec.Policy != RuleFor(rec.Class) {
 		t.Fatalf("recommendation %q does not follow the rule for class %v", rec.Policy, rec.Class)
@@ -127,6 +126,11 @@ func TestAdviseEndToEnd(t *testing.T) {
 	if !found {
 		t.Fatalf("sweep best %q is not a candidate", val.Best)
 	}
+	submitted, _ := s.SchedulerStats()
+	if computed, snap := s.CellsComputed(), len(s.Snapshot()); submitted != computed || computed != int64(snap) {
+		t.Errorf("%d tasks submitted, %d cells computed, %d in the snapshot; want all equal",
+			submitted, computed, snap)
+	}
 }
 
 // TestAdviseDefaultAppsUnchanged pins the recommendation for the five
@@ -143,9 +147,8 @@ func TestAdviseDefaultAppsUnchanged(t *testing.T) {
 	}
 	s := exp.NewSuite(64)
 	for app := range want {
-		s.PrefetchXen(app, "first-touch", true)
+		s.Xen(app, "first-touch", true)
 	}
-	s.Join()
 	for app, pol := range want {
 		if rec := Advise(s, TargetXen, app); rec.Policy != pol {
 			t.Errorf("Advise(%s) = %q (class %v, imbalance %.0f%%), want %q",

@@ -95,11 +95,11 @@ func TestHypercallTableShape(t *testing.T) {
 
 func TestSuiteCaching(t *testing.T) {
 	s := NewSuite(256)
-	r1 := s.Xen("swaptions", "round-4k", true)
+	r1 := s.Xen("swaptions", "round-4k", true).Result()
 	if len(s.CacheKeys()) != 1 {
 		t.Fatalf("cache keys = %v", s.CacheKeys())
 	}
-	r2 := s.Xen("swaptions", "round-4k", true)
+	r2 := s.Xen("swaptions", "round-4k", true).Result()
 	if r1.Completion != r2.Completion {
 		t.Fatal("cache returned a different result")
 	}
@@ -107,7 +107,7 @@ func TestSuiteCaching(t *testing.T) {
 		t.Fatal("cache grew on a hit")
 	}
 	// A different configuration is a different key.
-	s.Xen("swaptions", "round-4k", false)
+	s.Xen("swaptions", "round-4k", false).Result()
 	if len(s.CacheKeys()) != 2 {
 		t.Fatal("miss did not populate the cache")
 	}
@@ -115,12 +115,12 @@ func TestSuiteCaching(t *testing.T) {
 
 func TestBestXenPicksMinimum(t *testing.T) {
 	s := NewSuite(256)
-	pol, best := s.BestXen("swaptions")
+	pol, best := s.xenSweep("swaptions").best()
 	found := false
 	for _, p := range XenPolicies {
-		r := s.Xen("swaptions", p, true)
+		r := s.Xen("swaptions", p, true).Result()
 		if r.Completion < best.Completion {
-			t.Fatalf("BestXen(%q) missed %s (%v < %v)", pol, p, r.Completion, best.Completion)
+			t.Fatalf("best %q missed %s (%v < %v)", pol, p, r.Completion, best.Completion)
 		}
 		if p == pol {
 			found = true

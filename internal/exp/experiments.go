@@ -59,15 +59,13 @@ func Fig1(s *Suite) *Table {
 		Title:  "Relative overhead of Xen compared to Linux (lower is better)",
 		Header: []string{"app", "linux", "xen", "overhead"},
 	}
-	for _, app := range Apps() {
-		s.PrefetchLinux(app, "first-touch", false)
-		s.PrefetchXen(app, "round-1g", false)
-	}
-	s.Join()
+	apps := Apps()
+	cells := nameAll(apps, func(app string) [2]*Cell {
+		return [2]*Cell{s.Linux(app, "first-touch", false), s.Xen(app, "round-1g", false)}
+	})
 	over50, over100 := 0, 0
-	for _, app := range Apps() {
-		l := s.Linux(app, "first-touch", false)
-		x := s.Xen(app, "round-1g", false)
+	for i, app := range apps {
+		l, x := cells[i][0].Result(), cells[i][1].Result()
 		ov := float64(x.Completion)/float64(l.Completion) - 1
 		if ov > 0.5 {
 			over50++
@@ -90,16 +88,13 @@ func Fig2(s *Suite) *Table {
 		Title:  "Improvement of Linux NUMA policies vs first-touch (higher is better)",
 		Header: []string{"app", "ft/carrefour", "round-4k", "r4k/carrefour", "best(paper)"},
 	}
-	for _, app := range Apps() {
-		for _, pol := range LinuxPolicies {
-			s.PrefetchLinux(app, pol, false)
-		}
-	}
-	s.Join()
-	for _, app := range Apps() {
-		ft := s.Linux(app, "first-touch", false)
+	apps := Apps()
+	sweeps := nameAll(apps, func(app string) sweep { return s.linuxSweep(app, false) })
+	for i, app := range apps {
+		w := sweeps[i]
+		ft := w.result("first-touch")
 		impr := func(pol string) string {
-			r := s.Linux(app, pol, false)
+			r := w.result(pol)
 			return pct(float64(ft.Completion)/float64(r.Completion) - 1)
 		}
 		prof, _ := workload.Get(app)
@@ -120,16 +115,14 @@ func Table1(s *Suite) *Table {
 			"imb FT", "(paper)", "imb R4K", "(paper)",
 			"link FT", "(paper)", "link R4K", "(paper)", "class", "(paper)"},
 	}
-	for _, app := range Apps() {
-		s.PrefetchLinux(app, "first-touch", false)
-		s.PrefetchLinux(app, "round-4k", false)
-	}
-	s.Join()
+	apps := Apps()
+	cells := nameAll(apps, func(app string) [2]*Cell {
+		return [2]*Cell{s.Linux(app, "first-touch", false), s.Linux(app, "round-4k", false)}
+	})
 	match := 0
-	for _, app := range Apps() {
+	for i, app := range apps {
 		prof, _ := workload.Get(app)
-		ft := s.Linux(app, "first-touch", false)
-		r4 := s.Linux(app, "round-4k", false)
+		ft, r4 := cells[i][0].Result(), cells[i][1].Result()
 		class := metrics.Classify(ft.Imbalance)
 		paperClass := metrics.Classify(prof.PaperFTImb)
 		if class == paperClass {
@@ -142,7 +135,7 @@ func Table1(s *Suite) *Table {
 			f0(r4.InterconnectLoad) + "%", f0(prof.PaperR4KLink) + "%",
 			class.String(), paperClass.String()})
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("imbalance class matches the paper for %d/%d applications", match, len(Apps())))
+	t.Notes = append(t.Notes, fmt.Sprintf("imbalance class matches the paper for %d/%d applications", match, len(apps)))
 	return t
 }
 
@@ -190,16 +183,13 @@ func Table4(s *Suite) *Table {
 		Title:  "Best NUMA policies (measured vs paper)",
 		Header: []string{"app", "LinuxNUMA", "(paper)", "Xen+NUMA", "(paper)"},
 	}
-	for _, app := range Apps() {
-		s.PrefetchLinuxSweep(app)
-		s.PrefetchXenSweep(app)
-	}
-	s.Join()
+	apps := Apps()
+	sweeps := nameAll(apps, s.numaSweeps)
 	matchL, matchX := 0, 0
-	for _, app := range Apps() {
+	for i, app := range apps {
 		prof, _ := workload.Get(app)
-		lp, _ := s.BestLinux(app)
-		xp, _ := s.BestXen(app)
+		lp, _ := sweeps[i].linux.best()
+		xp, _ := sweeps[i].xen.best()
 		if Abbrev(lp) == prof.PaperBestLinux {
 			matchL++
 		}
@@ -235,20 +225,21 @@ func Fig6(s *Suite) *Table {
 		Title:  "Overhead of Linux, Xen and Xen+ vs LinuxNUMA (lower is better)",
 		Header: []string{"app", "linux", "xen", "xen+", "linuxNUMA policy"},
 	}
-	for _, app := range Apps() {
-		s.PrefetchLinuxSweep(app)
-		s.PrefetchLinux(app, "first-touch", false)
-		s.PrefetchXen(app, "round-1g", false)
-		s.PrefetchXen(app, "round-1g", true)
+	type cells struct {
+		linuxNUMA sweep
+		l, x, xp  *Cell
 	}
-	s.Join()
+	apps := Apps()
+	named := nameAll(apps, func(app string) cells {
+		return cells{s.linuxSweep(app, true),
+			s.Linux(app, "first-touch", false), s.Xen(app, "round-1g", false), s.Xen(app, "round-1g", true)}
+	})
 	over25, over50, over100 := 0, 0, 0
-	for _, app := range Apps() {
-		pol, base := s.BestLinux(app)
+	for i, app := range apps {
+		c := named[i]
+		pol, base := c.linuxNUMA.best()
 		ov := func(r float64) string { return pct(r/float64(base.Completion) - 1) }
-		l := s.Linux(app, "first-touch", false)
-		x := s.Xen(app, "round-1g", false)
-		xp := s.Xen(app, "round-1g", true)
+		l, x, xp := c.l.Result(), c.x.Result(), c.xp.Result()
 		o := float64(xp.Completion)/float64(base.Completion) - 1
 		if o > 0.25 {
 			over25++
@@ -275,16 +266,15 @@ func Fig7(s *Suite) *Table {
 		Title:  "Improvement of the NUMA policies in Xen+ vs Xen+ (higher is better)",
 		Header: []string{"app", "round-4k", "first-touch", "r4k/carrefour", "ft/carrefour", "best", "(paper)"},
 	}
-	for _, app := range Apps() {
-		s.PrefetchXenSweep(app)
-	}
-	s.Join()
+	apps := Apps()
+	sweeps := nameAll(apps, s.xenSweep)
 	over100 := 0
-	for _, app := range Apps() {
+	for i, app := range apps {
+		w := sweeps[i]
 		prof, _ := workload.Get(app)
-		base := s.Xen(app, "round-1g", true)
+		base := w.result("round-1g")
 		impr := func(pol string) (string, float64) {
-			r := s.Xen(app, pol, true)
+			r := w.result(pol)
 			v := float64(base.Completion)/float64(r.Completion) - 1
 			return pct(v), v
 		}
@@ -292,7 +282,7 @@ func Fig7(s *Suite) *Table {
 		cf, vf := impr("first-touch")
 		c4c, v4c := impr("round-4k/carrefour")
 		cfc, vfc := impr("first-touch/carrefour")
-		bestPol, _ := s.BestXen(app)
+		bestPol, _ := w.best()
 		if maxf(v4, vf, v4c, vfc) > 1.0 {
 			over100++
 		}
@@ -309,16 +299,13 @@ func Fig10(s *Suite) *Table {
 		Title:  "Overhead of Xen+ and Xen+NUMA vs LinuxNUMA (lower is better)",
 		Header: []string{"app", "xen+", "xen+NUMA", "policy"},
 	}
-	for _, app := range Apps() {
-		s.PrefetchLinuxSweep(app)
-		s.PrefetchXenSweep(app)
-	}
-	s.Join()
+	apps := Apps()
+	sweeps := nameAll(apps, s.numaSweeps)
 	over50 := 0
-	for _, app := range Apps() {
-		_, base := s.BestLinux(app)
-		xp := s.Xen(app, "round-1g", true)
-		pol, xn := s.BestXen(app)
+	for i, app := range apps {
+		_, base := sweeps[i].linux.best()
+		xp := sweeps[i].xen.result("round-1g")
+		pol, xn := sweeps[i].xen.best()
 		o := float64(xn.Completion)/float64(base.Completion) - 1
 		if o > 0.5 {
 			over50++

@@ -35,11 +35,11 @@ var Fig9Pairs = []Pair{
 	{"ft.C", "mg.D"},
 }
 
-// pairCell is one two-VM configuration under Xen+: a single cell whose
-// two results are VM A's and VM B's.
-func (s *Suite) pairCell(a, polA, b, polB string, mode xennuma.PairMode, swap bool) (string, cellFn) {
+// XenPair names a two-VM configuration under Xen+: a single cell whose
+// two Results are VM A's and VM B's.
+func (s *Suite) XenPair(a, polA, b, polB string, mode xennuma.PairMode, swap bool) *Cell {
 	key := fmt.Sprintf("pair/%s=%s/%s=%s/mode=%d/swap=%v", a, polA, b, polB, mode, swap)
-	return key, func(o xennuma.Options) ([]engine.Result, error) {
+	return s.cell(s.baseSeed(), key, func(o xennuma.Options) ([]engine.Result, error) {
 		o.XenPlus = true
 		pa, err := xennuma.ParsePolicy(polA)
 		if err != nil {
@@ -54,20 +54,7 @@ func (s *Suite) pairCell(a, polA, b, polB string, mode xennuma.PairMode, swap bo
 			return nil, err
 		}
 		return []engine.Result{ra, rb}, nil
-	}
-}
-
-// XenPair runs (and memoizes) a two-VM configuration under Xen+.
-func (s *Suite) XenPair(a, polA, b, polB string, mode xennuma.PairMode, swap bool) (engine.Result, engine.Result) {
-	key, fn := s.pairCell(a, polA, b, polB, mode, swap)
-	r := s.results(s.baseSeed(), key, fn)
-	return r[0], r[1]
-}
-
-// PrefetchXenPair schedules one two-VM configuration on the worker pool.
-func (s *Suite) PrefetchXenPair(a, polA, b, polB string, mode xennuma.PairMode, swap bool) {
-	key, fn := s.pairCell(a, polA, b, polB, mode, swap)
-	s.prefetch(s.baseSeed(), key, fn)
+	})
 }
 
 // pairSwaps returns the node-assignment variants one pair configuration
@@ -80,70 +67,61 @@ func pairSwaps(mode xennuma.PairMode) []bool {
 	return []bool{false}
 }
 
-// pairImprovement runs one pair with the default policy (round-1G) and
-// with each VM's best single-VM policy, returning the improvement per
-// VM. Colocated runs average the two node assignments, as the paper does
-// (§5.4.2).
-func (s *Suite) pairImprovement(p Pair, mode xennuma.PairMode) (imprA, imprB float64, polA, polB string) {
-	polA, _ = s.BestXen(p.A)
-	polB, _ = s.BestXen(p.B)
-	avg := func(pa, pb string) (float64, float64) {
-		var ca, cb float64
-		swaps := pairSwaps(mode)
-		for _, sw := range swaps {
-			a, b := s.XenPair(p.A, pa, p.B, pb, mode, sw)
-			ca += float64(a.Completion)
-			cb += float64(b.Completion)
-		}
-		return ca / float64(len(swaps)), cb / float64(len(swaps))
-	}
-	baseA, baseB := avg("round-1g", "round-1g")
-	bestA, bestB := avg(polA, polB)
-	return baseA/bestA - 1, baseB/bestB - 1, polA, polB
+// pairRuns is one pair's two-VM cells: with the default policy
+// (round-1G) and with each VM's best single-VM policy, one cell per
+// node assignment.
+type pairRuns struct {
+	polA, polB string
+	def, best  []*Cell
 }
 
-// prefetchPairFigure warms every cell one pair figure reads, in two
-// batches: first the single-VM policy sweeps that select each VM's best
-// policy, then — once those have joined — every two-VM configuration
-// (default and best, both node assignments). All cells of a batch are
-// submitted up front and execute concurrently on the suite's workers.
-func prefetchPairFigure(s *Suite, pairs []Pair, mode xennuma.PairMode) {
-	seen := map[string]bool{}
-	for _, p := range pairs {
-		for _, app := range []string{p.A, p.B} {
-			if !seen[app] {
-				seen[app] = true
-				s.PrefetchXenSweep(app)
-			}
+// improvement returns the best policies' improvement over the default
+// per VM. Colocated runs average the two node assignments, as the paper
+// does (§5.4.2).
+func (r pairRuns) improvement() (imprA, imprB float64) {
+	mean := func(cells []*Cell) (a, b float64) {
+		for _, c := range cells {
+			res := c.Results()
+			a += float64(res[0].Completion)
+			b += float64(res[1].Completion)
 		}
+		return a / float64(len(cells)), b / float64(len(cells))
 	}
-	s.Join()
-	for _, p := range pairs {
-		polA, _ := s.BestXen(p.A) // cache hits after the joined sweep
-		polB, _ := s.BestXen(p.B)
-		for _, sw := range pairSwaps(mode) {
-			s.PrefetchXenPair(p.A, "round-1g", p.B, "round-1g", mode, sw)
-			s.PrefetchXenPair(p.A, polA, p.B, polB, mode, sw)
-		}
-	}
-	s.Join()
+	baseA, baseB := mean(r.def)
+	bestA, bestB := mean(r.best)
+	return baseA/bestA - 1, baseB/bestB - 1
 }
 
+// pairFigure tabulates one pair figure. It names every pair's
+// single-VM sweeps first (an app shared by two pairs is named twice,
+// which is a no-op), then reads each pair's best policies and names its
+// two-VM cells, then reads those: each phase's cells run concurrently
+// on the suite's workers.
 func pairFigure(s *Suite, id, title string, pairs []Pair, mode xennuma.PairMode) *Table {
-	prefetchPairFigure(s, pairs, mode)
+	sweeps := nameAll(pairs, func(p Pair) [2]sweep { return [2]sweep{s.xenSweep(p.A), s.xenSweep(p.B)} })
+	runs := make([]pairRuns, len(pairs))
+	for i, p := range pairs {
+		r := &runs[i]
+		r.polA, _ = sweeps[i][0].best()
+		r.polB, _ = sweeps[i][1].best()
+		for _, sw := range pairSwaps(mode) {
+			r.def = append(r.def, s.XenPair(p.A, "round-1g", p.B, "round-1g", mode, sw))
+			r.best = append(r.best, s.XenPair(p.A, r.polA, p.B, r.polB, mode, sw))
+		}
+	}
 	t := &Table{
 		ID:     id,
 		Title:  title,
 		Header: []string{"pair", "policy A", "impr A", "policy B", "impr B"},
 	}
 	over50 := 0
-	for _, p := range pairs {
-		ia, ib, pa, pb := s.pairImprovement(p, mode)
+	for i, p := range pairs {
+		ia, ib := runs[i].improvement()
 		if ia > 0.5 || ib > 0.5 {
 			over50++
 		}
 		t.Rows = append(t.Rows, []string{
-			p.A + " + " + p.B, Abbrev(pa), pct(ia), Abbrev(pb), pct(ib)})
+			p.A + " + " + p.B, Abbrev(runs[i].polA), pct(ia), Abbrev(runs[i].polB), pct(ib)})
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d/%d pairs improve at least one VM by more than 50%%", over50, len(pairs)))
@@ -167,8 +145,8 @@ func Fig9(s *Suite) *Table {
 }
 
 // experiments lists every paper artefact's driver in paper order, keyed
-// by its experiment id. Each driver batches its own cells onto the
-// suite's worker pool.
+// by its experiment id. Each driver names all its cells before it reads
+// any, so they run at the suite's full worker width.
 var experiments = []struct {
 	id string
 	fn func(*Suite) *Table

@@ -15,13 +15,16 @@ var miniPairs = []Pair{{"swaptions", "ep.D"}}
 
 // renderMiniTables drives both pair-figure modes through the real
 // pairFigure code path on a fresh suite with the given worker count and
-// returns the concatenated rendered tables plus the cache keys.
-func renderMiniTables(workers int, seed uint64) (string, []string) {
+// returns the concatenated rendered tables plus the cache keys. It
+// checks after each figure that no cell is left in flight.
+func renderMiniTables(t *testing.T, workers int, seed uint64) (string, []string) {
 	s := NewSuiteParallel(256, workers)
 	s.Opt.Seed = seed
 	var b strings.Builder
 	b.WriteString(pairFigure(s, "mini8", "mini colocated", miniPairs, xennuma.Colocated).Render())
+	checkNoneInFlight(t, s, "mini8")
 	b.WriteString(pairFigure(s, "mini9", "mini consolidated", miniPairs, xennuma.Consolidated).Render())
+	checkNoneInFlight(t, s, "mini9")
 	return b.String(), s.CacheKeys()
 }
 
@@ -31,12 +34,12 @@ func renderMiniTables(workers int, seed uint64) (string, []string) {
 // concurrent runs, each on its own leased machine and runner, share no
 // mutable state.
 func TestPairFigureDeterministicAcrossWorkers(t *testing.T) {
-	want, wantKeys := renderMiniTables(1, 7)
+	want, wantKeys := renderMiniTables(t, 1, 7)
 	if !strings.Contains(want, "swaptions + ep.D") {
 		t.Fatalf("unexpected table:\n%s", want)
 	}
 	for _, workers := range []int{3, 8} {
-		got, gotKeys := renderMiniTables(workers, 7)
+		got, gotKeys := renderMiniTables(t, workers, 7)
 		if got != want {
 			t.Errorf("workers=%d rendered different tables:\n--- 1 worker ---\n%s--- %d workers ---\n%s",
 				workers, want, workers, got)
@@ -48,8 +51,8 @@ func TestPairFigureDeterministicAcrossWorkers(t *testing.T) {
 	// A different seed must change at least the cached results' streams
 	// (the rendered improvements generally shift too, but are rounded);
 	// assert the suite at least accepts it and stays deterministic.
-	again, _ := renderMiniTables(4, 11)
-	again2, _ := renderMiniTables(2, 11)
+	again, _ := renderMiniTables(t, 4, 11)
+	again2, _ := renderMiniTables(t, 2, 11)
 	if again != again2 {
 		t.Error("seed 11 not deterministic across worker counts")
 	}
@@ -76,6 +79,26 @@ func TestFullPairTablesDeterministicAcrossWorkers(t *testing.T) {
 	want := render(1)
 	if got := render(8); got != want {
 		t.Fatalf("Fig8+Fig9 differ between 1 and 8 workers:\n--- 1 ---\n%s--- 8 ---\n%s", want, got)
+	}
+}
+
+// TestDriversLeaveNoCellInFlight runs every paper artefact's driver in
+// turn on one shared suite and checks after each that every cell it
+// named was computed and read. It computes the whole evaluation once
+// at scale 512 (~2.7 s at two workers on a 2-vCPU Xeon), so it is
+// skipped in short mode and under the race detector; the sweep and
+// pair-figure tests run the same check on cheaper drivers there.
+func TestDriversLeaveNoCellInFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole evaluation; run without -short")
+	}
+	if raceEnabled {
+		t.Skip("covered by the sweep and pair-figure checks under race")
+	}
+	s := NewSuiteParallel(512, 2)
+	for _, id := range IDs() {
+		ByID(id)(s)
+		checkNoneInFlight(t, s, id)
 	}
 }
 

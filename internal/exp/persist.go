@@ -157,8 +157,9 @@ func (s *Suite) CachedCells() int {
 }
 
 // SchedulerStats reports the scheduler's submitted and completed task
-// counters: one task per distinct prefetched cell, since a cell already
-// claimed is never resubmitted.
+// counters: one task per distinct named cell, since a cell already
+// claimed is never resubmitted. The completed counter may trail what
+// the cells' readers already see; CellsComputed does not.
 func (s *Suite) SchedulerStats() (submitted, completed int64) {
 	return s.sched.Stats()
 }

@@ -14,9 +14,9 @@ import (
 // round trip (the on-disk representation).
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := NewSuiteParallel(256, 2)
-	s.Xen("swaptions", "first-touch", true)
-	s.Linux("swaptions", "round-4k", true)
-	s.XenPair("swaptions", "first-touch", "swaptions", "round-4k", xennuma.Consolidated, false)
+	s.Xen("swaptions", "first-touch", true).Result()
+	s.Linux("swaptions", "round-4k", true).Result()
+	s.XenPair("swaptions", "first-touch", "swaptions", "round-4k", xennuma.Consolidated, false).Results()
 
 	snap := s.Snapshot()
 	if len(snap) != 3 {
@@ -51,8 +51,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// The restored suite serves the same observable results without
 	// computing: snapshots (which capture every field the tables and
 	// golden fixture read) must match exactly.
-	r1 := s.Xen("swaptions", "first-touch", true)
-	r2 := s2.Xen("swaptions", "first-touch", true)
+	r1 := s.Xen("swaptions", "first-touch", true).Result()
+	r2 := s2.Xen("swaptions", "first-touch", true).Result()
 	if !reflect.DeepEqual(toSnapshot(r1), toSnapshot(r2)) {
 		t.Fatalf("restored cell drifted:\n fresh   %+v\n restored %+v", toSnapshot(r1), toSnapshot(r2))
 	}
@@ -68,7 +68,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // keeps the computed cells, and junk records are ignored.
 func TestRestoreSkipsExistingAndMalformed(t *testing.T) {
 	s := NewSuiteParallel(256, 1)
-	r := s.Xen("swaptions", "first-touch", true)
+	r := s.Xen("swaptions", "first-touch", true).Result()
 	snap := s.Snapshot()
 
 	junk := append([]CellSnapshot{
@@ -78,7 +78,7 @@ func TestRestoreSkipsExistingAndMalformed(t *testing.T) {
 	if n := s.Restore(junk); n != 0 {
 		t.Fatalf("restore over a warm cache installed %d cells, want 0", n)
 	}
-	if got := s.Xen("swaptions", "first-touch", true); !reflect.DeepEqual(got, r) {
+	if got := s.Xen("swaptions", "first-touch", true).Result(); !reflect.DeepEqual(got, r) {
 		t.Fatal("restore over a warm cache changed a computed cell")
 	}
 }

@@ -26,25 +26,16 @@ func poolCells(t *testing.T, workers int, noPool bool) (res []engine.Result, hit
 	s := NewSuiteParallel(256, workers)
 	s.Opt.Seed = 7
 	s.Opt.NoPool = noPool
+	var named []*Cell
 	for _, app := range poolApps {
-		s.PrefetchLinuxSweep(app)
-		s.PrefetchXenSweep(app)
+		named = append(named, s.linuxSweep(app, true).cells...)
+		named = append(named, s.xenSweep(app).cells...)
 	}
 	for _, mode := range poolModes {
-		s.PrefetchXenPair("swaptions", "first-touch", "ep.D", "round-4k", mode, false)
+		named = append(named, s.XenPair("swaptions", "first-touch", "ep.D", "round-4k", mode, false))
 	}
-	s.Join()
-	for _, app := range poolApps {
-		for _, p := range LinuxPolicies {
-			res = append(res, s.Linux(app, p, true))
-		}
-		for _, p := range XenPolicies {
-			res = append(res, s.Xen(app, p, true))
-		}
-	}
-	for _, mode := range poolModes {
-		a, b := s.XenPair("swaptions", "first-touch", "ep.D", "round-4k", mode, false)
-		res = append(res, a, b)
+	for _, c := range named {
+		res = append(res, c.Results()...)
 	}
 	hits, misses = s.PoolStats()
 	return res, hits, misses, s.CellsComputed()

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -16,10 +17,9 @@ import (
 // therefore start in submission order, and at one worker they also run
 // in it. Results never depend on that order (each cell derives its own
 // random stream), but which pooled machine a lease finds, and so how
-// much its storage must grow, does. Submit and Wait must not be called
-// concurrently from different goroutines (and tasks must not submit
-// further tasks): the WaitGroup forbids an Add racing a Wait whose
-// counter has reached zero.
+// much its storage must grow, does. Submit is safe for concurrent use,
+// so any number of drivers may share one pool; nothing waits for the
+// queue as a whole, since each reader waits for its own cell.
 type Scheduler struct {
 	workers int
 
@@ -28,7 +28,6 @@ type Scheduler struct {
 	head    int
 	running int // draining goroutines
 
-	wg        sync.WaitGroup
 	submitted atomic.Int64
 	completed atomic.Int64
 }
@@ -47,7 +46,6 @@ func (s *Scheduler) Workers() int { return s.workers }
 
 // Submit queues fn for execution and returns immediately.
 func (s *Scheduler) Submit(fn func()) {
-	s.wg.Add(1)
 	s.submitted.Add(1)
 	s.mu.Lock()
 	s.queue = append(s.queue, fn)
@@ -66,7 +64,6 @@ func (s *Scheduler) drain() {
 	for fn := s.next(); fn != nil; fn = s.next() {
 		fn()
 		s.completed.Add(1)
-		s.wg.Done()
 	}
 }
 
@@ -87,51 +84,67 @@ func (s *Scheduler) next() func() {
 	return fn
 }
 
-// Wait blocks until every submitted task has finished.
-func (s *Scheduler) Wait() { s.wg.Wait() }
-
-// Stats reports how many tasks were submitted and have completed.
+// Stats reports how many tasks were submitted and have completed. A
+// task counts as completed only after it returns, so the count may lag
+// behind what its cell's readers already see.
 func (s *Scheduler) Stats() (submitted, completed int64) {
 	return s.submitted.Load(), s.completed.Load()
 }
 
-// cell is one memoized simulation: a single-VM run (one result) or a
-// two-VM run (two results). The first claimer computes it; everyone else
-// blocks on done. Computation never nests cells, so a claimer always
-// makes progress and waiters cannot deadlock.
-type cell struct {
+// Cell is a handle on one memoized simulation: a single-VM run (one
+// result) or a two-VM run (two results). The suite accessors that name
+// a cell return it; the first naming submits the cell's computation to
+// the scheduler and every later one returns the same handle. Readers
+// block on done for this cell alone. Computation never nests cells, so
+// a queued cell always runs and readers cannot deadlock.
+type Cell struct {
+	key  string // the cache key, "seed=N/<cell key>"
 	done chan struct{}
 	res  []engine.Result
 	err  error
 }
+
+// Results waits for the cell and returns one result per VM. The slice
+// is the cache's own: callers must not modify it. A cell that failed
+// panics with its key and error instead (see Suite.CellErrors).
+func (c *Cell) Results() []engine.Result {
+	<-c.done
+	if c.err != nil {
+		panic(fmt.Sprintf("exp: %s: %v", c.key, c.err))
+	}
+	return c.res
+}
+
+// Result waits for a single-VM cell and returns its result.
+func (c *Cell) Result() engine.Result { return c.Results()[0] }
 
 // resultCache is a singleflight map from cell key to cell. One mutex
 // guards it: a cell takes it for one map operation and then computes
 // for milliseconds.
 type resultCache struct {
 	mu sync.Mutex
-	m  map[string]*cell
+	m  map[string]*Cell
 }
 
 func newResultCache() *resultCache {
-	return &resultCache{m: make(map[string]*cell)}
+	return &resultCache{m: make(map[string]*Cell)}
 }
 
 // claim returns the cell for key, creating it if absent. created reports
 // whether the caller is the one who must compute it and close done.
-func (c *resultCache) claim(key string) (cl *cell, created bool) {
+func (c *resultCache) claim(key string) (cl *Cell, created bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cl, ok := c.m[key]; ok {
 		return cl, false
 	}
-	cl = &cell{done: make(chan struct{})}
+	cl = &Cell{key: key, done: make(chan struct{})}
 	c.m[key] = cl
 	return cl, true
 }
 
 // get returns the cell for key without claiming it.
-func (c *resultCache) get(key string) (*cell, bool) {
+func (c *resultCache) get(key string) (*Cell, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cl, ok := c.m[key]
@@ -140,7 +153,7 @@ func (c *resultCache) get(key string) (*cell, bool) {
 
 // resolved reports whether the cell's computation has finished (its
 // res/err fields are safe to read).
-func (cl *cell) resolved() bool {
+func (cl *Cell) resolved() bool {
 	select {
 	case <-cl.done:
 		return true
@@ -149,15 +162,15 @@ func (cl *cell) resolved() bool {
 	}
 }
 
-// evict removes key from the cache if it still maps to cl (pointer
-// compare), so an errored cell does not poison every future read of
-// its key. A concurrent re-claim that already replaced the entry is
-// left alone.
-func (c *resultCache) evict(key string, cl *cell) {
+// evict removes cl's key from the cache if it still maps to cl
+// (pointer compare), so an errored cell does not poison every future
+// naming of its key. A concurrent re-claim that already replaced the
+// entry is left alone.
+func (c *resultCache) evict(cl *Cell) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.m[key] == cl {
-		delete(c.m, key)
+	if c.m[cl.key] == cl {
+		delete(c.m, cl.key)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,8 +13,11 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 	s := NewScheduler(workers)
 	var cur, peak, ran atomic.Int64
 	var mu sync.Mutex
+	var wg sync.WaitGroup
+	wg.Add(tasks)
 	for i := 0; i < tasks; i++ {
 		s.Submit(func() {
+			defer wg.Done()
 			c := cur.Add(1)
 			mu.Lock()
 			if c > peak.Load() {
@@ -24,12 +28,17 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 			cur.Add(-1)
 		})
 	}
-	s.Wait()
+	wg.Wait()
 	if ran.Load() != tasks {
 		t.Fatalf("ran %d tasks, want %d", ran.Load(), tasks)
 	}
 	if p := peak.Load(); p > workers {
 		t.Fatalf("peak concurrency %d exceeds %d workers", p, workers)
+	}
+	// A task counts as completed only after it returns, so the counter
+	// may trail the tasks' own signal for a moment.
+	for _, done := s.Stats(); done < tasks; _, done = s.Stats() {
+		runtime.Gosched()
 	}
 	if sub, done := s.Stats(); sub != tasks || done != tasks {
 		t.Fatalf("stats = (%d, %d), want (%d, %d)", sub, done, tasks, tasks)
@@ -44,14 +53,17 @@ func TestSchedulerRunsInSubmissionOrder(t *testing.T) {
 	s := NewScheduler(1)
 	var mu sync.Mutex
 	var order []int
+	var wg sync.WaitGroup
+	wg.Add(tasks)
 	for i := 0; i < tasks; i++ {
 		s.Submit(func() {
+			defer wg.Done()
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
 		})
 	}
-	s.Wait()
+	wg.Wait()
 	if len(order) != tasks {
 		t.Fatalf("ran %d tasks, want %d", len(order), tasks)
 	}
@@ -91,39 +103,49 @@ func TestCellSeed(t *testing.T) {
 	}
 }
 
+// TestSingleflightDeduplicates: naming one cell many times returns one
+// handle and submits one task, which computes the cell once.
 func TestSingleflightDeduplicates(t *testing.T) {
 	s := NewSuiteParallel(256, 8)
-	for i := 0; i < 16; i++ {
-		s.PrefetchXen("swaptions", "round-4k", true)
+	first := s.Xen("swaptions", "round-4k", true)
+	for i := 1; i < 16; i++ {
+		if c := s.Xen("swaptions", "round-4k", true); c != first {
+			t.Fatalf("naming %d returned a different handle", i)
+		}
 	}
-	s.Join()
+	first.Result()
 	if n := s.CellsComputed(); n != 1 {
-		t.Fatalf("computed %d cells for 16 identical prefetches, want 1", n)
+		t.Fatalf("computed %d cells for 16 identical namings, want 1", n)
+	}
+	if submitted, _ := s.SchedulerStats(); submitted != 1 {
+		t.Fatalf("submitted %d tasks for 16 identical namings, want 1", submitted)
 	}
 	if keys := s.CacheKeys(); len(keys) != 1 {
 		t.Fatalf("cache keys = %v", keys)
 	}
-	// The serial accessor hits the warmed cell.
-	s.Xen("swaptions", "round-4k", true)
+	// Naming the computed cell again is a cache hit.
+	s.Xen("swaptions", "round-4k", true).Result()
 	if n := s.CellsComputed(); n != 1 {
 		t.Fatalf("cache hit recomputed the cell (computed=%d)", n)
 	}
 }
 
-func TestPrefetchedErrorSurfacesOnAccess(t *testing.T) {
+// TestFailedCellSurfacesOnRead: a cell that fails on a worker does not
+// crash the process; reading its handle panics on the reader's
+// goroutine with a message naming the cell.
+func TestFailedCellSurfacesOnRead(t *testing.T) {
 	s := NewSuiteParallel(256, 2)
-	s.PrefetchXen("no-such-app", "round-4k", true)
-	s.Join() // the worker must not crash the process
+	c := s.Xen("no-such-app", "round-4k", true)
 	defer func() {
 		p := recover()
 		if p == nil {
-			t.Fatal("accessing a failed cell did not panic")
+			t.Fatal("reading a failed cell did not panic")
 		}
 		if msg, ok := p.(string); !ok || !strings.Contains(msg, "no-such-app") {
 			t.Fatalf("panic %v does not name the cell", p)
 		}
 	}()
-	s.Xen("no-such-app", "round-4k", true)
+	c.Result()
 }
 
 func TestCacheShardingCoversKeys(t *testing.T) {

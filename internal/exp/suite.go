@@ -16,15 +16,16 @@ import (
 var fiCell = faultinject.Register("exp.cell")
 
 // Suite runs and memoizes simulations so the experiments can share
-// results (fig6, fig10 and table4 reuse the fig2/fig7 sweeps). Cells are
-// deduplicated with a singleflight cache and can be fanned out across a
-// worker pool with the Prefetch methods. The cell accessors (Linux, Xen,
-// XenPair, Best*) are safe for concurrent use; a Prefetch…/Join batch
-// must be driven from one goroutine at a time (the scheduler's WaitGroup
-// forbids submitting concurrently with a pending Wait). Results are
-// bit-for-bit deterministic for a fixed Opt.Seed regardless of the
-// worker count (each cell derives its own random stream from the cell
-// key).
+// results (fig6, fig10 and table4 reuse the fig2/fig7 sweeps). The cell
+// accessors (Linux, Xen, XenSeeded, XenPair) name a cell and return its
+// *Cell handle: the first naming claims the key in a singleflight cache
+// and submits the computation to the suite's worker pool, later namings
+// return the same handle. A driver names all its cells first, so they
+// run at the pool's full width, and then reads each handle, which waits
+// for that cell alone. Every method is safe for concurrent use, so any
+// number of drivers may share one suite. Results are bit-for-bit
+// deterministic for a fixed Opt.Seed regardless of the worker count
+// (each cell derives its own random stream from the cell key).
 //
 // Cache keys carry the cell's seed, so one suite serves any number of
 // seeds from the same scheduler and cache: the plain accessors read the
@@ -48,7 +49,7 @@ type Suite struct {
 // worker per CPU.
 func NewSuite(scale int) *Suite { return NewSuiteParallel(scale, 0) }
 
-// NewSuiteParallel returns a suite whose prefetched cells run on at most
+// NewSuiteParallel returns a suite whose cells run on at most
 // workers goroutines (<= 0 selects runtime.GOMAXPROCS(0)). Each suite
 // carries its own warm-machine pool: cells lease and reset pre-built
 // machines instead of cold-building one per run (set Opt.NoPool to
@@ -74,14 +75,16 @@ func (s *Suite) PoolStats() (hits, misses uint64) {
 	return s.Opt.Pool.Stats()
 }
 
-// CellsComputed returns how many distinct simulation cells have been
-// executed (cache hits excluded).
+// CellsComputed returns how many cell executions have run, retries
+// included (cache hits excluded). A cell's executions are counted
+// before its readers are released.
 func (s *Suite) CellsComputed() int64 { return s.computed.Load() }
 
 // CellErrors returns how many cell executions ended in an error or a
-// recovered panic — the suite's degraded-mode counter. Each errored
-// cell is evicted from the cache, so a later read of the same key
-// recomputes instead of replaying the failure.
+// recovered panic — the suite's degraded-mode counter. A failed
+// execution is retried once; a cell that fails twice is evicted from
+// the cache, so a later naming of the same key recomputes instead of
+// replaying the failure.
 func (s *Suite) CellErrors() int64 { return s.cellErrors.Load() }
 
 // PoolResetDrops reports the suite pool's reset-failure drops (zero
@@ -127,72 +130,57 @@ func (s *Suite) cellOpts(seed uint64, key string) xennuma.Options {
 	return o
 }
 
-// cell resolves a cell: the first caller claims and computes it, later
-// callers block until it is done. It never panics itself; results
-// panics on error.
-func (s *Suite) cell(seed uint64, key string, fn cellFn) *cell {
+// cell names a cell: the first naming claims the key and submits the
+// computation to the scheduler, later namings return the same handle.
+func (s *Suite) cell(seed uint64, key string, fn cellFn) *Cell {
 	cl, created := s.cache.claim(cacheKey(seed, key))
-	if !created {
-		<-cl.done
-		return cl
+	if created {
+		s.sched.Submit(func() { s.compute(cl, seed, key, fn) })
 	}
-	s.compute(cl, seed, key, fn)
 	return cl
 }
 
-// compute runs a claimed cell and closes its done channel, recovering
-// panics into the cell's error so waiters are released. An errored cell
-// is counted, evicted and not retained: waiters that already hold it
-// observe the failure, but the next read of the key recomputes — one
-// bad execution never poisons the cache.
-func (s *Suite) compute(cl *cell, seed uint64, key string, fn cellFn) {
-	func() {
-		defer close(cl.done)
-		defer func() {
-			if p := recover(); p != nil {
-				cl.err = fmt.Errorf("panic: %v", p)
-			}
-		}()
-		if err := fiCell.Fire(); err != nil {
-			cl.err = err
-			return
+// compute runs a claimed cell on a scheduler worker. A failed execution
+// is counted and retried once, so one fault stays invisible to readers;
+// a second failure evicts the cell, so readers that hold it see the
+// error but the next naming of the key recomputes — one bad execution
+// never poisons the cache. The counters and the eviction settle before
+// done closes, so a reader returning from Result observes them.
+func (s *Suite) compute(cl *Cell, seed uint64, key string, fn cellFn) {
+	o := s.cellOpts(seed, key)
+	for try := 0; try < 2; try++ {
+		cl.res, cl.err = execute(fn, o)
+		s.computed.Add(1)
+		if cl.err == nil {
+			break
 		}
-		cl.res, cl.err = fn(s.cellOpts(seed, key))
-	}()
-	s.computed.Add(1)
-	if cl.err != nil {
 		s.cellErrors.Add(1)
-		s.cache.evict(cacheKey(seed, key), cl)
 	}
-}
-
-func (s *Suite) results(seed uint64, key string, fn cellFn) []engine.Result {
-	cl := s.cell(seed, key, fn)
 	if cl.err != nil {
-		panic(fmt.Sprintf("exp: %s: %v", cacheKey(seed, key), cl.err))
+		s.cache.evict(cl)
 	}
-	return cl.res
+	close(cl.done)
 }
 
-// prefetch claims a cell and schedules its computation on the worker
-// pool, warming the cache. A failing cell is remembered and reported (as
-// a panic) by the serial accessor that reads it, on the caller's
-// goroutine rather than the worker's. A cell already claimed — computed,
-// running, or prefetched and still queued — is not resubmitted.
-func (s *Suite) prefetch(seed uint64, key string, fn cellFn) {
-	cl, created := s.cache.claim(cacheKey(seed, key))
-	if !created {
-		return
+// execute runs fn once, turning an injected fault or a panic into the
+// cell's error.
+func execute(fn cellFn, o xennuma.Options) (res []engine.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	if err := fiCell.Fire(); err != nil {
+		return nil, err
 	}
-	s.sched.Submit(func() { s.compute(cl, seed, key, fn) })
+	return fn(o)
 }
 
-// Join blocks until every prefetched cell has completed.
-func (s *Suite) Join() { s.sched.Wait() }
-
-func (s *Suite) linuxCell(app, pol string, mcs bool) (string, cellFn) {
+// Linux names the native run of app under pol; mcs selects the
+// MCS-lock variant (LinuxNUMA baseline).
+func (s *Suite) Linux(app, pol string, mcs bool) *Cell {
 	key := fmt.Sprintf("linux/%s/%s/mcs=%v", app, pol, mcs)
-	return key, func(o xennuma.Options) ([]engine.Result, error) {
+	return s.cell(s.baseSeed(), key, func(o xennuma.Options) ([]engine.Result, error) {
 		o.MCS = mcs
 		p, err := xennuma.ParsePolicy(pol)
 		if err != nil {
@@ -203,12 +191,24 @@ func (s *Suite) linuxCell(app, pol string, mcs bool) (string, cellFn) {
 			return nil, err
 		}
 		return []engine.Result{r}, nil
-	}
+	})
 }
 
-func (s *Suite) xenCell(app, pol string, xenplus bool) (string, cellFn) {
+// Xen names the run of app in a single 48-vCPU VM under pol; xenplus
+// enables the improved baseline (passthrough + MCS).
+func (s *Suite) Xen(app, pol string, xenplus bool) *Cell {
+	return s.XenSeeded(app, pol, xenplus, s.baseSeed())
+}
+
+// XenSeeded is Xen for an explicit seed, served from the same cache and
+// scheduler: the result is bit-for-bit what a fresh suite with
+// Opt.Seed = seed would compute. Seed 0 means 1, as everywhere else.
+func (s *Suite) XenSeeded(app, pol string, xenplus bool, seed uint64) *Cell {
+	if seed == 0 {
+		seed = 1
+	}
 	key := fmt.Sprintf("xen/%s/%s/plus=%v", app, pol, xenplus)
-	return key, func(o xennuma.Options) ([]engine.Result, error) {
+	return s.cell(seed, key, func(o xennuma.Options) ([]engine.Result, error) {
 		o.XenPlus = xenplus
 		p, err := xennuma.ParsePolicy(pol)
 		if err != nil {
@@ -219,92 +219,72 @@ func (s *Suite) xenCell(app, pol string, xenplus bool) (string, cellFn) {
 			return nil, err
 		}
 		return []engine.Result{r}, nil
+	})
+}
+
+// nameAll names every key's cells through name, in key order, so a
+// driver submits all of them before it reads any.
+func nameAll[K, T any](keys []K, name func(key K) T) []T {
+	out := make([]T, len(keys))
+	for i, k := range keys {
+		out[i] = name(k)
 	}
+	return out
 }
 
-// Linux runs app natively under pol; mcs selects the MCS-lock variant
-// (LinuxNUMA baseline).
-func (s *Suite) Linux(app, pol string, mcs bool) engine.Result {
-	key, fn := s.linuxCell(app, pol, mcs)
-	return s.results(s.baseSeed(), key, fn)[0]
+// sweep is one application's cells under a list of policies, named in
+// list order.
+type sweep struct {
+	pols  []string
+	cells []*Cell
 }
 
-// Xen runs app in a single 48-vCPU VM under pol; xenplus enables the
-// improved baseline (passthrough + MCS).
-func (s *Suite) Xen(app, pol string, xenplus bool) engine.Result {
-	return s.XenSeeded(app, pol, xenplus, s.baseSeed())
+// nameSweep names one cell per policy through name.
+func nameSweep(pols []string, name func(pol string) *Cell) sweep {
+	return sweep{pols, nameAll(pols, name)}
 }
 
-// XenSeeded is Xen for an explicit seed, served from the same cache and
-// scheduler: the result is bit-for-bit what a fresh suite with
-// Opt.Seed = seed would compute. Seed 0 means the suite's own seed.
-func (s *Suite) XenSeeded(app, pol string, xenplus bool, seed uint64) engine.Result {
-	if seed == 0 {
-		seed = s.baseSeed()
+// linuxSweep names app's native runs under the four policies of Figure
+// 2; with mcs it is the LinuxNUMA sweep whose best Table 4 reports.
+func (s *Suite) linuxSweep(app string, mcs bool) sweep {
+	return nameSweep(LinuxPolicies, func(p string) *Cell { return s.Linux(app, p, mcs) })
+}
+
+// xenSweep names app's Xen+NUMA sweep (the five policies of Figure 7).
+func (s *Suite) xenSweep(app string) sweep {
+	return nameSweep(XenPolicies, func(p string) *Cell { return s.Xen(app, p, true) })
+}
+
+// result waits for pol's cell.
+func (w sweep) result(pol string) engine.Result {
+	for i, p := range w.pols {
+		if p == pol {
+			return w.cells[i].Result()
+		}
 	}
-	key, fn := s.xenCell(app, pol, xenplus)
-	return s.results(seed, key, fn)[0]
+	panic(fmt.Sprintf("exp: policy %q is not in the sweep", pol))
 }
 
-// PrefetchLinux schedules one native run on the worker pool.
-func (s *Suite) PrefetchLinux(app, pol string, mcs bool) {
-	key, fn := s.linuxCell(app, pol, mcs)
-	s.prefetch(s.baseSeed(), key, fn)
-}
-
-// PrefetchXen schedules one single-VM Xen run on the worker pool.
-func (s *Suite) PrefetchXen(app, pol string, xenplus bool) {
-	s.PrefetchXenSeeded(app, pol, xenplus, s.baseSeed())
-}
-
-// PrefetchXenSeeded schedules one single-VM Xen run for an explicit
-// seed, so multi-seed sweeps batch every seed's cells on one pool.
-// Seed 0 means the suite's own seed.
-func (s *Suite) PrefetchXenSeeded(app, pol string, xenplus bool, seed uint64) {
-	if seed == 0 {
-		seed = s.baseSeed()
-	}
-	key, fn := s.xenCell(app, pol, xenplus)
-	s.prefetch(seed, key, fn)
-}
-
-// PrefetchLinuxSweep schedules the full LinuxNUMA policy sweep for app
-// (the cells BestLinux reads).
-func (s *Suite) PrefetchLinuxSweep(app string) {
-	for _, p := range LinuxPolicies {
-		s.PrefetchLinux(app, p, true)
-	}
-}
-
-// PrefetchXenSweep schedules the full Xen+NUMA policy sweep for app (the
-// cells BestXen reads).
-func (s *Suite) PrefetchXenSweep(app string) {
-	for _, p := range XenPolicies {
-		s.PrefetchXen(app, p, true)
-	}
-}
-
-// BestLinux returns the policy minimizing completion natively (the
-// LinuxNUMA policy of Table 4) and its result.
-func (s *Suite) BestLinux(app string) (string, engine.Result) {
-	return s.best(LinuxPolicies, func(p string) engine.Result { return s.Linux(app, p, true) })
-}
-
-// BestXen returns the policy minimizing completion under Xen+ (the
-// Xen+NUMA policy of Table 4) and its result.
-func (s *Suite) BestXen(app string) (string, engine.Result) {
-	return s.best(XenPolicies, func(p string) engine.Result { return s.Xen(app, p, true) })
-}
-
-func (s *Suite) best(pols []string, run func(string) engine.Result) (string, engine.Result) {
+// best returns the policy minimizing completion and its result; a tie
+// keeps the earlier policy.
+func (w sweep) best() (string, engine.Result) {
 	bestPol, bestRes := "", engine.Result{}
-	for _, p := range pols {
-		r := run(p)
+	for i, p := range w.pols {
+		r := w.cells[i].Result()
 		if bestPol == "" || r.Completion < bestRes.Completion {
 			bestPol, bestRes = p, r
 		}
 	}
 	return bestPol, bestRes
+}
+
+// numaSweeps is one app's LinuxNUMA and Xen+NUMA sweeps, whose bests
+// Table 4 and Figure 10 compare.
+type numaSweeps struct{ linux, xen sweep }
+
+// numaSweeps names app's LinuxNUMA sweep, then its Xen+NUMA sweep.
+func (s *Suite) numaSweeps(app string) numaSweeps {
+	return numaSweeps{s.linuxSweep(app, true), s.xenSweep(app)}
 }
 
 // Apps returns the evaluation's application list.

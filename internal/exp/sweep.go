@@ -23,9 +23,9 @@ import (
 // worker count.
 //
 // Because the suite's cache keys carry the seed, one suite serves every
-// (app, seed) combination: the …Apps sweeps batch several applications'
-// cells — and SeedSweepApps every seed's — onto the shared pool in a
-// single prefetch wave before any table is read.
+// (app, seed) combination: the …Apps sweeps name several applications'
+// cells — and SeedSweepApps every seed's — on the shared pool before
+// any table is read.
 
 // sweepRow is one registered policy as the sweeps run it: the plain
 // suite-ready spelling plus whether a Carrefour-stacked cell exists.
@@ -64,41 +64,39 @@ func sweepPolicies() []string {
 // PolicySweepApps tabulates every registered policy × {plain,
 // Carrefour} for each app under Xen+: completion time and improvement
 // over the Xen+ default (round-1G), one simulation cell per table cell.
-// Every (app, policy) cell is submitted to the suite's scheduler before
-// any table is read, so the whole batch runs at the pool's full width.
-// One table per app, in input order.
+// Every (app, policy) cell is named before any table is read, so the
+// whole batch runs at the pool's full width. One table per app, in
+// input order.
 func PolicySweepApps(s *Suite, apps []string) []*Table {
 	rows := sweepRows()
 	pols := sweepPolicies()
-	for _, app := range apps {
-		for _, pol := range pols {
-			s.PrefetchXen(app, pol, true)
-		}
-	}
-	s.Join()
+	sweeps := nameAll(apps, func(app string) sweep {
+		return nameSweep(pols, func(p string) *Cell { return s.Xen(app, p, true) })
+	})
 
 	tables := make([]*Table, 0, len(apps))
-	for _, app := range apps {
+	for i, app := range apps {
+		w := sweeps[i]
 		t := &Table{
 			ID:     "sweep",
 			Title:  fmt.Sprintf("Policy sweep for %s under Xen+ (improvement vs round-1G)", app),
 			Header: []string{"policy", "abbrev", "plain", "vs R1G", "carrefour", "vs R1G"},
 		}
-		base := s.Xen(app, "round-1g", true)
+		base := w.result("round-1g")
 		impr := func(r engine.Result) string {
 			return pct(float64(base.Completion)/float64(r.Completion) - 1)
 		}
 		for _, row := range rows {
-			plain := s.Xen(app, row.name, true)
+			plain := w.result(row.name)
 			ccomp, cimpr := "-", "-"
 			if row.carrefour {
-				c := s.Xen(app, row.name+"/carrefour", true)
+				c := w.result(row.name + "/carrefour")
 				ccomp, cimpr = c.Completion.String(), impr(c)
 			}
 			t.Rows = append(t.Rows, []string{
 				row.name, Abbrev(row.name), plain.Completion.String(), impr(plain), ccomp, cimpr})
 		}
-		bestPol, bestRes := s.best(pols, func(p string) engine.Result { return s.Xen(app, p, true) })
+		bestPol, bestRes := w.best()
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("best: %s (%s, %s vs round-1G) over %d cells",
 				bestPol, bestRes.Completion, impr(bestRes), len(pols)))
@@ -113,10 +111,10 @@ func PolicySweepApps(s *Suite, apps []string) []*Table {
 // decision alone is worth.
 func BindSweep(s *Suite, app string) *Table {
 	nodes := numa.AMD48Nodes
-	for n := 0; n < nodes; n++ {
-		s.PrefetchXen(app, fmt.Sprintf("bind:%d", n), true)
+	cells := make([]*Cell, nodes)
+	for n := range cells {
+		cells[n] = s.Xen(app, fmt.Sprintf("bind:%d", n), true)
 	}
-	s.Join()
 
 	t := &Table{
 		ID:     "sweep-bind",
@@ -126,7 +124,7 @@ func BindSweep(s *Suite, app string) *Table {
 	bestNode, worstNode := 0, 0
 	var best, worst engine.Result
 	for n := 0; n < nodes; n++ {
-		r := s.Xen(app, fmt.Sprintf("bind:%d", n), true)
+		r := cells[n].Result()
 		if n == 0 || r.Completion < best.Completion {
 			bestNode, best = n, r
 		}
@@ -145,47 +143,50 @@ func BindSweep(s *Suite, app string) *Table {
 
 // SeedSweepApps reports best-policy stability: it repeats the full
 // policy sweep for each app across `seeds` consecutive seeds (starting
-// at the suite's seed) and tabulates each policy's mean completion and
+// at the suite's seed; a range that wraps skips 0, which means 1, so no
+// seed is swept twice) and tabulates each policy's mean completion and
 // how often it won. Cache keys carry the seed, so every seed's cells
 // run on s's own scheduler and cache — all seeds × apps × policies are
-// prefetched in one wave before any cell is read, and the first seed's
-// cells are pure hits when a PolicySweepApps ran before. One table per
-// app, in input order.
+// named before any cell is read, and the first seed's cells are pure
+// hits when a PolicySweepApps ran before. One table per app, in input
+// order.
 func SeedSweepApps(s *Suite, apps []string, seeds int) []*Table {
 	if seeds < 1 {
 		seeds = 1
 	}
-	baseSeed := s.baseSeed()
 	pols := sweepPolicies()
-	for i := 0; i < seeds; i++ {
-		seed := baseSeed + uint64(i)
-		for _, app := range apps {
-			for _, pol := range pols {
-				s.PrefetchXenSeeded(app, pol, true, seed)
-			}
+	seedList := make([]uint64, seeds)
+	bySeed := make([][]sweep, seeds) // [seed][app]
+	for i, seed := 0, s.baseSeed(); i < seeds; i, seed = i+1, seed+1 {
+		if seed == 0 {
+			seed = 1
 		}
+		seedList[i] = seed
+		bySeed[i] = nameAll(apps, func(app string) sweep {
+			return nameSweep(pols, func(p string) *Cell { return s.XenSeeded(app, p, true, seed) })
+		})
 	}
-	s.Join()
 
 	tables := make([]*Table, 0, len(apps))
-	for _, app := range apps {
-		tables = append(tables, seedSweepTable(s, app, seeds, baseSeed, pols))
+	for a, app := range apps {
+		tables = append(tables, seedSweepTable(app, seedList, pols, bySeed, a))
 	}
 	return tables
 }
 
-// seedSweepTable builds one app's stability table from the already
-// prefetched seeded cells.
-func seedSweepTable(s *Suite, app string, seeds int, baseSeed uint64, pols []string) *Table {
+// seedSweepTable builds one app's stability table from its sweeps
+// bySeed[i][a], one per seed seedList[i].
+func seedSweepTable(app string, seedList []uint64, pols []string, bySeed [][]sweep, a int) *Table {
+	seeds := len(seedList)
 	wins := make(map[string]int, len(pols))
 	mean := make(map[string]float64, len(pols))
 	var perSeed []string
-	for i := 0; i < seeds; i++ {
-		seed := baseSeed + uint64(i)
+	for i, seed := range seedList {
+		w := bySeed[i][a]
 		for _, pol := range pols {
-			mean[pol] += float64(s.XenSeeded(app, pol, true, seed).Completion) / float64(seeds)
+			mean[pol] += float64(w.result(pol).Completion) / float64(seeds)
 		}
-		best, _ := s.best(pols, func(p string) engine.Result { return s.XenSeeded(app, p, true, seed) })
+		best, _ := w.best()
 		wins[best]++
 		perSeed = append(perSeed, fmt.Sprintf("seed %d → %s", seed, Abbrev(best)))
 	}

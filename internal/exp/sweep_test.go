@@ -2,21 +2,41 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
 )
 
+// checkNoneInFlight fails unless every cell named on s so far has been
+// computed and read: the scheduler ran one task per named cell, each
+// cell computed once, and every cell is in the snapshot. A driver that
+// returned with a cell still queued or running fails at least one of
+// those.
+func checkNoneInFlight(t *testing.T, s *Suite, after string) {
+	t.Helper()
+	submitted, _ := s.SchedulerStats()
+	computed, snap := s.CellsComputed(), len(s.Snapshot())
+	if submitted != computed || computed != int64(snap) {
+		t.Errorf("after %s: %d tasks submitted, %d cells computed, %d in the snapshot; want all equal",
+			after, submitted, computed, snap)
+	}
+}
+
 // renderSweeps drives all three sweep tables for one cheap app on a
-// fresh suite with the given worker count.
-func renderSweeps(workers int, seed uint64) string {
+// fresh suite with the given worker count, checking after each that it
+// left no cell in flight.
+func renderSweeps(t *testing.T, workers int, seed uint64) string {
 	s := NewSuiteParallel(256, workers)
 	s.Opt.Seed = seed
 	var b strings.Builder
 	b.WriteString(PolicySweepApps(s, []string{"swaptions"})[0].Render())
+	checkNoneInFlight(t, s, "PolicySweepApps")
 	b.WriteString(BindSweep(s, "swaptions").Render())
+	checkNoneInFlight(t, s, "BindSweep")
 	b.WriteString(SeedSweepApps(s, []string{"swaptions"}, 2)[0].Render())
+	checkNoneInFlight(t, s, "SeedSweepApps")
 	return b.String()
 }
 
@@ -24,8 +44,8 @@ func renderSweeps(workers int, seed uint64) string {
 // byte-identical sweep tables no matter how many workers execute the
 // cells. Run with -race to also validate concurrent cell execution.
 func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
-	want := renderSweeps(1, 7)
-	got := renderSweeps(6, 7)
+	want := renderSweeps(t, 1, 7)
+	got := renderSweeps(t, 6, 7)
 	if got != want {
 		t.Fatalf("sweep tables differ across worker counts:\n--- 1 worker ---\n%s--- 6 workers ---\n%s", want, got)
 	}
@@ -87,7 +107,7 @@ func TestSeedSweepWinsSumToSeeds(t *testing.T) {
 
 // TestMultiAppSweepBatchesOnOnePool: the …Apps variants must produce
 // one table per app (identical to the single-app sweeps) from a single
-// prefetch wave on the shared suite.
+// naming wave on the shared suite.
 func TestMultiAppSweepBatchesOnOnePool(t *testing.T) {
 	apps := []string{"swaptions", "ep.D"}
 	s := NewSuiteParallel(256, 4)
@@ -147,7 +167,7 @@ func flatResult(r engine.Result) [8]float64 {
 // seeds × policies cells on the caller's own suite — one scheduler, one
 // cache — rather than spinning up fresh per-seed suites, and the
 // scheduler runs one task per distinct cell however often it is
-// prefetched.
+// named.
 func TestSeedSweepSharedScheduler(t *testing.T) {
 	s := NewSuiteParallel(256, 4)
 	s.Opt.Seed = 7
@@ -157,33 +177,53 @@ func TestSeedSweepSharedScheduler(t *testing.T) {
 	if got := s.CellsComputed(); got != want {
 		t.Fatalf("shared suite computed %d cells, want %d (seeds × policies)", got, want)
 	}
-	submitted, completed := s.sched.Stats()
-	if submitted != want || completed != want {
-		t.Fatalf("scheduler ran %d/%d tasks, want %d: per-seed cells not batched on the shared pool",
-			submitted, completed, want)
+	if submitted, _ := s.SchedulerStats(); submitted != want {
+		t.Fatalf("scheduler ran %d tasks, want %d: per-seed cells not batched on the shared pool",
+			submitted, want)
 	}
 	// Re-reading any seed's cells is pure cache hits.
 	SeedSweepApps(s, []string{"swaptions"}, seeds)
 	if got := s.CellsComputed(); got != want {
 		t.Fatalf("second sweep recomputed %d cells", got-want)
 	}
-	// A second prefetch wave of the same cells, issued before Join while
-	// most of the first wave still queues for the single worker, must
-	// submit nothing: prefetch claims a cell when it submits it.
+	// A second naming wave of the same cells, issued while most of the
+	// first wave still queues for the single worker, must submit
+	// nothing: naming claims a cell when it submits it.
 	s2 := NewSuiteParallel(256, 1)
+	var named []*Cell
 	for wave := 1; wave <= 2; wave++ {
 		for i := uint64(0); i < seeds; i++ {
 			for _, pol := range sweepPolicies() {
-				s2.PrefetchXenSeeded("swaptions", pol, true, 7+i)
+				named = append(named, s2.XenSeeded("swaptions", pol, true, 7+i))
 			}
 		}
-		if submitted, _ := s2.sched.Stats(); submitted != want {
-			t.Fatalf("after prefetch wave %d: %d tasks submitted, want %d", wave, submitted, want)
+		if submitted, _ := s2.SchedulerStats(); submitted != want {
+			t.Fatalf("after naming wave %d: %d tasks submitted, want %d", wave, submitted, want)
 		}
 	}
-	s2.Join()
+	for _, c := range named {
+		c.Result()
+	}
 	if got := s2.CellsComputed(); got != want {
-		t.Fatalf("two prefetch waves computed %d cells, want %d", got, want)
+		t.Fatalf("two naming waves computed %d cells, want %d", got, want)
+	}
+}
+
+// TestSeedSweepWrapsPastMaxSeed: the seed range of a sweep that starts
+// at the largest seed wraps past 0, which means 1 as everywhere else,
+// so every seed must still read its own cells: one sweep's worth per
+// seed, and a table that names each seed once.
+func TestSeedSweepWrapsPastMaxSeed(t *testing.T) {
+	for _, seeds := range []int{2, 3} {
+		s := NewSuiteParallel(256, 0)
+		s.Opt.Seed = math.MaxUint64
+		tab := SeedSweepApps(s, []string{"swaptions"}, seeds)[0]
+		if got, want := s.CellsComputed(), int64(seeds*len(sweepPolicies())); got != want {
+			t.Errorf("%d-seed sweep from the largest seed computed %d cells, want %d", seeds, got, want)
+		}
+		if note := tab.Notes[1]; strings.Count(note, "seed 1 →") != 1 || strings.Contains(note, "seed 0") {
+			t.Errorf("%d-seed sweep from the largest seed: per-seed note %q", seeds, note)
+		}
 	}
 }
 
@@ -203,13 +243,10 @@ func TestSeedKeyedCellsMatchFreshSuites(t *testing.T) {
 		seed := uint64(7 + i)
 		fresh := NewSuiteParallel(256, 1)
 		fresh.Opt.Seed = seed
+		w := nameSweep(pols, func(p string) *Cell { return fresh.Xen(app, p, true) })
 		for _, pol := range pols {
-			fresh.PrefetchXen(app, pol, true)
-		}
-		fresh.Join()
-		for _, pol := range pols {
-			got := flatResult(shared.XenSeeded(app, pol, true, seed))
-			want := flatResult(fresh.Xen(app, pol, true))
+			got := flatResult(shared.XenSeeded(app, pol, true, seed).Result())
+			want := flatResult(w.result(pol))
 			if got != want {
 				t.Errorf("seed %d %s: shared suite %v != fresh suite %v", seed, pol, got, want)
 			}

@@ -62,11 +62,12 @@ const shedRetryMS = 1000
 
 // Server is a resident sweep service: one warm exp.Suite answering
 // sweep/advise/policies/stats requests. Identical in-flight and past
-// requests coalesce on flights (so a thundering herd computes each
+// requests coalesce on flights, so a thundering herd computes each
 // simulation cell exactly once and every member receives byte-identical
-// payload bytes), and whole-batch computation is serialized — the
-// suite's Prefetch/Join protocol is single-driver — while the cells of
-// each batch still fan out across the scheduler's full worker pool.
+// payload bytes. Different requests compute concurrently: their drivers
+// share the suite's worker pool, a cell two requests both need runs
+// once, and a request whose cells are all cached never waits behind
+// another request's cold cells.
 type Server struct {
 	suite *exp.Suite
 	cfg   Config
@@ -80,9 +81,6 @@ type Server struct {
 	// pending counts active leader computations (for MaxPending
 	// shedding).
 	pending int
-	// computeMu serializes Prefetch/Join batches: the scheduler forbids
-	// submitting concurrently with a pending Wait.
-	computeMu sync.Mutex
 	// flightWG tracks leader compute goroutines; Drain waits for it
 	// after the request sources (stdio loop, HTTP server) have stopped.
 	flightWG sync.WaitGroup
@@ -330,12 +328,9 @@ func (s *Server) finish(key string, fl *flight) {
 	}
 }
 
-// compute runs one sweep/advise batch on the suite and marshals its
-// payload. computeMu makes batches sequential; the cells inside each
-// batch fan out across the scheduler.
+// compute runs one sweep/advise request's drivers on the suite and
+// marshals its payload.
 func (s *Server) compute(req Request) (json.RawMessage, *ErrorInfo) {
-	s.computeMu.Lock()
-	defer s.computeMu.Unlock()
 	tables := req.Tables(s.suite)
 	payload := struct {
 		Tables []TableJSON `json:"tables"`

@@ -176,7 +176,7 @@ func RunXen(app string, pol Policy, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	shape, err := cellShape(o, app, 1)
+	prof, err := workload.Get(app)
 	if err != nil {
 		return Result{}, err
 	}
@@ -186,7 +186,7 @@ func RunXen(app string, pol Policy, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	inst, err := buildXenInstance(m, 0, shape.prof, pol, o, nil, shape.memBytes)
+	inst, err := buildXenInstance(m, 0, prof, pol, o, nil, vmMemBytes(topo, prof, o, 1))
 	if err != nil {
 		return Result{}, err
 	}
@@ -276,11 +276,11 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	default:
 		return Result{}, Result{}, fmt.Errorf("xennuma: unknown pair mode %d", mode)
 	}
-	shape1, err := cellShape(o, app1, memVMs)
+	prof1, err := workload.Get(app1)
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	shape2, err := cellShape(o, app2, memVMs)
+	prof2, err := workload.Get(app2)
 	if err != nil {
 		return Result{}, Result{}, err
 	}
@@ -316,11 +316,11 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	}
 	o1, o2 := o, o
 	o1.Threads, o2.Threads = threads, threads
-	inst1, err := buildXenInstance(m, 0, shape1.prof, pol1, o1, pins1, shape1.memBytes)
+	inst1, err := buildXenInstance(m, 0, prof1, pol1, o1, pins1, vmMemBytes(topo, prof1, o, memVMs))
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	inst2, err := buildXenInstance(m, 1, shape2.prof, pol2, o2, pins2, shape2.memBytes)
+	inst2, err := buildXenInstance(m, 1, prof2, pol2, o2, pins2, vmMemBytes(topo, prof2, o, memVMs))
 	if err != nil {
 		return Result{}, Result{}, err
 	}
