@@ -22,12 +22,12 @@
 // seed-keyed cell cache both assume bit-for-bit determinism, and
 // TestEpochAllocFree assumes a zero-alloc hot path.
 //
-// The suite runs via cmd/xnuma-vet, either standalone over package
-// patterns or as a `go vet -vettool` (see driver.go); scripts/vet.sh is
-// the CI entry point. Findings are suppressed line-by-line with
-// `//xnuma:<analyzer>-ok <reason>` comments; a suppression without a
-// reason, or one that no longer matches a diagnostic, is itself a
-// diagnostic, so suppressions cannot silently accumulate (suppress.go).
+// The suite runs via cmd/xnuma-vet over package patterns loaded through
+// go list (driver.go, loader.go); scripts/vet.sh is the CI entry point.
+// Findings are suppressed line-by-line with `//xnuma:<analyzer>-ok
+// <reason>` comments; a suppression without a reason, or one that no
+// longer matches a diagnostic, is itself a diagnostic, so suppressions
+// cannot silently accumulate (suppress.go).
 package analysis
 
 import (
@@ -48,9 +48,8 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by `xnuma-vet -help`.
 	Doc string
 	// Scope reports whether the analyzer applies to the package with the
-	// given import path. It is consulted by drivers, not by Run, so
-	// tests can exercise analyzers on testdata packages with arbitrary
-	// paths. A nil Scope means every package.
+	// given import path; RunAnalyzers skips the package otherwise. A nil
+	// Scope means every package.
 	Scope func(pkgPath string) bool
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass) error
@@ -105,16 +104,14 @@ type RunResult struct {
 }
 
 // RunAnalyzers runs the given analyzers over one loaded package,
-// honoring each analyzer's Scope unless ignoreScope is set (the test
-// harness sets it to exercise analyzers on testdata packages). It
-// applies the //xnuma:<name>-ok suppression protocol to the raw
-// findings.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, ignoreScope bool) (RunResult, error) {
+// honoring each analyzer's Scope. It applies the //xnuma:<name>-ok
+// suppression protocol to the raw findings.
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) (RunResult, error) {
 	var raw []Diagnostic
 	var active []string
 	for _, a := range analyzers {
 		active = append(active, a.Name)
-		if !ignoreScope && a.Scope != nil && !a.Scope(pkg.Path) {
+		if a.Scope != nil && !a.Scope(pkg.Path) {
 			continue
 		}
 		pass := &Pass{

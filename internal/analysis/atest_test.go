@@ -14,9 +14,9 @@ import (
 // The golden harness mirrors golang.org/x/tools/go/analysis/analysistest:
 // each testdata/src/<analyzer> package annotates the lines that must be
 // flagged with `// want "regex" ["regex" ...]` comments; the harness
-// runs the full suite (scopes ignored — testdata paths are not
-// simulation packages) and diffs diagnostics against expectations both
-// ways. The `// want` marker may ride inside a suppression comment,
+// runs scope-free copies of the full suite (the testdata paths lie
+// outside maporder's scope) and diffs diagnostics against expectations
+// both ways. The `// want` marker may ride inside a suppression comment,
 // because suppression reasons stop at an embedded `//`.
 
 // expectation is one `// want` pattern, anchored to a file:line.
@@ -41,7 +41,13 @@ func loadGolden(t *testing.T, name string) (*Package, RunResult) {
 	if len(pkgs) != 1 {
 		t.Fatalf("loaded %d packages for %s, want 1", len(pkgs), name)
 	}
-	res, err := RunAnalyzers(pkgs[0], All(), true)
+	var unscoped []*Analyzer
+	for _, a := range All() {
+		c := *a
+		c.Scope = nil
+		unscoped = append(unscoped, &c)
+	}
+	res, err := RunAnalyzers(pkgs[0], unscoped)
 	if err != nil {
 		t.Fatal(err)
 	}

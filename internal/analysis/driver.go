@@ -1,70 +1,23 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"sort"
 	"strings"
 )
 
-// This file is the xnuma-vet driver. It speaks two protocols:
-//
-//   - standalone: `xnuma-vet [patterns]` loads packages through go list
-//     (loader.go) and prints findings — the developer loop.
-//   - vettool: `go vet -vettool=$(pwd)/bin/xnuma-vet ./...` invokes the
-//     tool once with -V=full (a version handshake cmd/go uses as a
-//     cache key) and then once per package with the path to a vet.cfg
-//     file describing the type-checked package. This is the CI loop: go
-//     vet hands us exactly the export data the compiler produced, and
-//     caches clean results per package.
-//
-// The vet.cfg schema mirrors the vetConfig struct in
-// cmd/go/internal/work/exec.go; the subset decoded here is what the
-// analyzers need.
-
-// vetConfig is the JSON payload go vet writes for each package.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	GoVersion                 string
-	SucceedOnTypecheckFailure bool
-}
-
-// VetMain is the entry point of cmd/xnuma-vet. It never returns.
+// VetMain is the entry point of cmd/xnuma-vet: `xnuma-vet
+// [-suppressions] [packages]`, with ./... as the default pattern. It
+// loads the packages through go list (loader.go) and runs All() over
+// each, honoring every analyzer's Scope. It never returns: the exit
+// code is 0 when clean, 2 on findings or a usage error, and 1 when the
+// packages fail to load.
 func VetMain() {
-	args := os.Args[1:]
-
-	// Version handshake: output must be `<name> version <id>` with a
-	// non-"devel" id — cmd/go folds the id into its action cache key.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Println("xnuma-vet version v1")
-		os.Exit(0)
-	}
-	// Flag discovery: cmd/go asks which analyzer flags the tool accepts
-	// before forwarding user flags. xnuma-vet takes none.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		os.Exit(0)
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vettoolMode(args[0]))
-	}
-
 	suppressions := false
 	var patterns []string
-	for _, a := range args {
+	for _, a := range os.Args[1:] {
 		switch a {
 		case "-suppressions", "--suppressions":
 			suppressions = true
@@ -83,7 +36,7 @@ func VetMain() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	os.Exit(standaloneMode(patterns, suppressions))
+	os.Exit(vet(patterns, suppressions))
 }
 
 func usage(w io.Writer) {
@@ -98,9 +51,9 @@ func usage(w io.Writer) {
 	fmt.Fprintf(w, "inventory of active suppressions instead of checking.\n")
 }
 
-// standaloneMode loads patterns via go list and reports findings.
-// Returns the process exit code.
-func standaloneMode(patterns []string, suppressions bool) int {
+// vet loads patterns via go list and reports findings, or the
+// suppression inventory. Returns the process exit code.
+func vet(patterns []string, suppressions bool) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xnuma-vet:", err)
@@ -116,7 +69,7 @@ func standaloneMode(patterns []string, suppressions bool) int {
 	perAnalyzer := map[string]int{}
 	var inventory []string
 	for _, pkg := range pkgs {
-		res, err := RunAnalyzers(pkg, All(), false)
+		res, err := RunAnalyzers(pkg, All())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xnuma-vet: %s: %v\n", pkg.Path, err)
 			return 1
@@ -152,86 +105,4 @@ func standaloneMode(patterns []string, suppressions bool) int {
 			len(inventory), strings.Join(parts, ", "), suppressed)
 	}
 	return exit
-}
-
-// vettoolMode handles one `go vet` unit of work. Returns the process
-// exit code: 0 for clean, 2 for findings (any nonzero exit makes go
-// vet report the package).
-func vettoolMode(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xnuma-vet:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "xnuma-vet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-
-	// go vet caches our (empty) per-package output; the file must exist
-	// even when there is nothing to say, and VetxOnly units (dependencies
-	// vetted only for their facts) need nothing else.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "xnuma-vet:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	pkg, err := typeCheckVetUnit(&cfg)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "xnuma-vet:", err)
-		return 1
-	}
-	res, err := RunAnalyzers(pkg, All(), false)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xnuma-vet: %s: %v\n", pkg.Path, err)
-		return 1
-	}
-	exit := 0
-	for _, d := range res.Diagnostics {
-		// file:line:col: message — the shape go vet relays verbatim.
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
-		exit = 2
-	}
-	return exit
-}
-
-// typeCheckVetUnit type-checks the package a vet.cfg describes,
-// resolving imports through the export files go vet listed.
-func typeCheckVetUnit(cfg *vetConfig) (*Package, error) {
-	if cfg.Compiler != "" && cfg.Compiler != "gc" {
-		return nil, fmt.Errorf("unsupported compiler %q", cfg.Compiler)
-	}
-	fset := token.NewFileSet()
-	imp := newCachedImporter(fset, func(path string) (string, bool) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		f, ok := cfg.PackageFile[path]
-		return f, ok
-	})
-	pkg, err := typeCheckWithVersion(fset, imp, cfg.ImportPath, cfg.Dir, cfg.GoFiles, cfg.GoVersion)
-	if err != nil {
-		return nil, err
-	}
-	return pkg, nil
-}
-
-// typeCheckWithVersion is typeCheck with the language version pinned to
-// what go vet reported for the package.
-func typeCheckWithVersion(fset *token.FileSet, imp types.Importer, path, dir string, files []string, goVersion string) (*Package, error) {
-	pkg, err := typeCheckConfig(fset, imp, path, dir, files, func(conf *types.Config) {
-		if goVersion != "" {
-			conf.GoVersion = goVersion
-		}
-	})
-	return pkg, err
 }

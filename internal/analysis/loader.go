@@ -44,9 +44,11 @@ type listedPackage struct {
 
 // LoadPackages loads and type-checks the packages matching patterns,
 // rooted at dir (any directory inside the module). It shells out to
-// `go list -export -deps` so export data comes from the build cache —
-// the same data `go vet` hands a vettool — keeping the loader free of
-// any dependency beyond the standard library and the go tool.
+// `go list -export -deps`, so imports resolve through the export data
+// the compiler produced and the loader needs nothing beyond the
+// standard library and the go tool. Each package is checked over its
+// GoFiles: the non-test files its build constraints select, which is
+// the file set the compiler builds.
 func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Name,Dir,Export,GoFiles,Standard,Match,Incomplete,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -115,12 +117,6 @@ func absFiles(dir string, names []string) []string {
 // typeCheck parses files and type-checks them as package path, resolving
 // imports through imp.
 func typeCheck(fset *token.FileSet, imp types.Importer, path, dir string, files []string) (*Package, error) {
-	return typeCheckConfig(fset, imp, path, dir, files, nil)
-}
-
-// typeCheckConfig is typeCheck with a hook to adjust the types.Config
-// (the vettool driver pins GoVersion from vet.cfg).
-func typeCheckConfig(fset *token.FileSet, imp types.Importer, path, dir string, files []string, tune func(*types.Config)) (*Package, error) {
 	var syntax []*ast.File
 	for _, f := range files {
 		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments)
@@ -138,9 +134,6 @@ func typeCheckConfig(fset *token.FileSet, imp types.Importer, path, dir string, 
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: imp}
-	if tune != nil {
-		tune(&conf)
-	}
 	tpkg, err := conf.Check(path, fset, syntax, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)

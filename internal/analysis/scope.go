@@ -4,9 +4,9 @@ import "strings"
 
 // DetCriticalPackages are the packages whose outputs feed the
 // deterministic result tables: everything the golden engine fixture,
-// the seed-keyed cell cache and the (planned) resident sweep service
-// assume is bit-for-bit reproducible at any worker count. maporder
-// polices these.
+// the seed-keyed cell cache and the resident sweep service (`xnuma
+// serve`) assume is bit-for-bit reproducible at any worker count.
+// maporder polices these.
 var DetCriticalPackages = []string{
 	"repro/internal/engine",
 	"repro/internal/exp",
@@ -24,12 +24,7 @@ var DetCriticalPackages = []string{
 const simPackagePrefix = "repro/internal/"
 
 // detCritical reports whether pkgPath is determinism-critical.
-// go vet hands test variants paths like "repro/internal/engine
-// [repro/internal/engine.test]"; the variant analyses the same source
-// plus test files (which the analyzers skip), so the decoration is
-// stripped before matching.
 func detCritical(pkgPath string) bool {
-	pkgPath = canonicalPath(pkgPath)
 	for _, p := range DetCriticalPackages {
 		if pkgPath == p {
 			return true
@@ -40,14 +35,5 @@ func detCritical(pkgPath string) bool {
 
 // simPackage reports whether pkgPath is a simulation-model package.
 func simPackage(pkgPath string) bool {
-	return strings.HasPrefix(canonicalPath(pkgPath), simPackagePrefix)
-}
-
-// canonicalPath strips the " [pkg.test]" variant decoration and the
-// "_test" external-test suffix go vet uses for test packages.
-func canonicalPath(pkgPath string) string {
-	if i := strings.Index(pkgPath, " ["); i >= 0 {
-		pkgPath = pkgPath[:i]
-	}
-	return strings.TrimSuffix(pkgPath, "_test")
+	return strings.HasPrefix(pkgPath, simPackagePrefix)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -71,9 +72,9 @@ func (s reuseRun) build(t *testing.T) []*Instance {
 // runs — Carrefour off and on in every Mode, 48 and 24 threads, one and
 // two instances, the TLB model on and off, two topology scales and a
 // machine with another node count — must return for each exactly what
-// a zero Runner returns, statistics included. A rerun of the last shape
+// a zero Runner returns, statistics included. Reruns of the last shape
 // on the warm Runner, with its instances recycled, must allocate little
-// more than the results it returns.
+// more than the results they return.
 func TestRunnerReuseMatchesFresh(t *testing.T) {
 	amd64, amd32 := numa.AMD48Scaled(64), numa.AMD48Scaled(32)
 	small := numa.SmallMachine(4, 6, 1<<30)
@@ -126,28 +127,36 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		t.Fatalf("vacuous sequence: a page migrated %v, a run timed out converged %v", migrated, timedOut)
 	}
 
-	// Same-shape rerun: the instances and their stubs are recycled, so
-	// what is left is the run's own output.
+	// Same-shape reruns: the instances and their stubs are recycled, so
+	// what is left is the run's own output, the same in every rerun.
+	// The window also catches the runtime's own allocations: when
+	// ReadMemStats restarts the world under CPU contention, the runtime
+	// may start an OS thread (its m, g stacks and profiling buffer,
+	// ~5 KB). So the smallest of three reruns is held to the bound.
 	s := runs[len(runs)-1]
-	for _, in := range last {
-		b := in.Backend.(*stubBackend)
-		b.nextMFN, b.rr, b.migrated = 0, 0, 0
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		for _, in := range last {
+			b := in.Backend.(*stubBackend)
+			b.nextMFN, b.rr, b.migrated = 0, 0, 0
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := warm.Run(s.config(), last...)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := new(Runner).Run(s.config(), s.build(t)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("same-shape rerun diverges from a zero Runner:\nwarm: %+v\nzero: %+v", got, want)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	got, err := warm.Run(s.config(), last...)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := new(Runner).Run(s.config(), s.build(t)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("same-shape rerun diverges from a zero Runner:\nwarm: %+v\nzero: %+v", got, want)
-	}
-	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 4<<10 {
-		t.Fatalf("same-shape rerun allocated %d bytes, want under 4 KB", bytes)
+	if least >= 4<<10 {
+		t.Fatalf("same-shape reruns allocated at least %d bytes, want under 4 KB", least)
 	}
 }

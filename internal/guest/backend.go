@@ -41,12 +41,12 @@ type Backend struct {
 // the whole round-1G regions — which is why small-footprint applications
 // end up concentrated on one node under Xen's default policy.
 //
-// When prev is a backend of the same queue shape (from an earlier lease
-// of the pooled machine), its guest OS, allocator, queue, process and
-// maps are reset in place and rebound to dom instead of rebuilt,
-// producing a backend bit-identical in behavior to a cold-built one. A
-// nil or shape-mismatched prev falls back to a cold build.
-func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, qcfg QueueConfig, cfg policy.Config) (*Backend, sim.Time, error) {
+// The guest's page queue has the paper's shape (DefaultQueueConfig).
+// When prev is non-nil (a backend from an earlier lease of the pooled
+// machine), its guest OS, allocator, queue, process and maps are reset
+// in place and rebound to dom instead of rebuilt, producing a backend
+// bit-identical in behavior to a cold-built one.
+func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, cfg policy.Config) (*Backend, sim.Time, error) {
 	desc, _, canon, err := policy.Resolve(cfg.Static)
 	if err != nil {
 		return nil, 0, err
@@ -56,25 +56,15 @@ func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, qcfg Que
 	if kernelPages >= dom.PhysPages() {
 		kernelPages = dom.PhysPages() / 4
 	}
-	var b *Backend
-	if prev != nil && prev.OS.Queue.cfg == qcfg {
-		b = prev
-		b.HV = hv
-		b.Dom = dom
+	b := prev
+	if b == nil {
+		b = &Backend{OS: NewOS(dom, kernelPages, DefaultQueueConfig())}
+		b.proc = b.OS.NewProcess(1)
+	} else {
 		b.OS.reset(dom, kernelPages)
 		b.proc.reset(b.OS)
-		b.cfg = cfg
-		b.contiguous = desc.Contiguous
-	} else {
-		b = &Backend{
-			HV:         hv,
-			Dom:        dom,
-			OS:         NewOS(dom, kernelPages, qcfg),
-			cfg:        cfg,
-			contiguous: desc.Contiguous,
-		}
-		b.proc = b.OS.NewProcess(1)
 	}
+	b.HV, b.Dom, b.cfg, b.contiguous = hv, dom, cfg, desc.Contiguous
 	cost, err := b.OS.SetPolicy(cfg)
 	if err != nil {
 		return nil, 0, err

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/exp"
@@ -255,6 +257,23 @@ func TestHTTPHandler(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/rpc", strings.NewReader(strings.Repeat("x", maxLineBytes+10))))
 	if rec.Code != 400 {
 		t.Fatalf("overflow status %d, want 400", rec.Code)
+	}
+}
+
+// TestUnreadableRequestsCount: a request answered before it can be
+// decoded — an oversized stdio line, an over-cap POST body, a body that
+// fails to read — still counts as a request and a failure.
+func TestUnreadableRequestsCount(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	var out syncBuffer
+	if err := srv.Serve(context.Background(), strings.NewReader(strings.Repeat("x", maxLineBytes+10)+"\n"), &out); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	h := srv.Handler()
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/rpc", strings.NewReader(strings.Repeat("x", maxLineBytes+10))))
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/rpc", iotest.ErrReader(errors.New("connection reset"))))
+	if st := srv.Stats(); st.Requests != 3 || st.Failures != 3 {
+		t.Fatalf("requests/failures = %d/%d, want 3/3", st.Requests, st.Failures)
 	}
 }
 

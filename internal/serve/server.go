@@ -162,8 +162,7 @@ loop:
 				break loop
 			}
 			if it.tooLong {
-				out.write(marshalResponse("", nil,
-					errorf("overflow", "request line exceeds %d bytes", maxLineBytes)))
+				out.write(s.reject(errorf("overflow", "request line exceeds %d bytes", maxLineBytes)))
 				continue
 			}
 			handlers.Add(1)
@@ -217,6 +216,14 @@ func (s *Server) HandleLine(ctx context.Context, line []byte) (resp []byte) {
 		s.failures.Add(1)
 	}
 	return marshalResponse(req.ID, result, errInfo)
+}
+
+// reject answers a request that could not be read, so never reached
+// HandleLine, and counts it as a failed request.
+func (s *Server) reject(e *ErrorInfo) []byte {
+	s.requests.Add(1)
+	s.failures.Add(1)
+	return marshalResponse("", nil, e)
 }
 
 // dispatch routes one validated request: cheap ops compute inline,
@@ -501,11 +508,10 @@ func (s *Server) Handler() http.Handler {
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
-				writeHTTP(w, marshalResponse("", nil,
-					errorf("overflow", "request body exceeds %d bytes", maxLineBytes)))
+				writeHTTP(w, s.reject(errorf("overflow", "request body exceeds %d bytes", maxLineBytes)))
 				return
 			}
-			writeHTTP(w, marshalResponse("", nil, errorf("parse", "read body: %v", err)))
+			writeHTTP(w, s.reject(errorf("parse", "read body: %v", err)))
 			return
 		}
 		writeHTTP(w, s.HandleLine(r.Context(), body))

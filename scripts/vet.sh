@@ -1,22 +1,15 @@
 #!/usr/bin/env sh
-# vet.sh — build the xnuma-vet multichecker and run the invariant
-# analyzers (maporder, detrand, noalloc, aliasretain) over the whole
-# module through `go vet -vettool`, so each package is checked with the
-# exact file set and build flags the compiler sees.
+# vet.sh — build xnuma-vet and run the invariant analyzers (maporder,
+# detrand, noalloc, aliasretain) over the whole module. xnuma-vet loads
+# each package through `go list`, so it checks the file set the compiler
+# builds, and exits non-zero on findings.
 #
 #   scripts/vet.sh                  # analyze ./...; exit non-zero on findings
-#   scripts/vet.sh -suppressions    # standalone mode: inventory of
-#                                   # //xnuma:*-ok suppressions instead
+#   scripts/vet.sh -suppressions    # inventory of //xnuma:*-ok suppressions
+#                                   # instead of checking
 set -eu
 cd "$(dirname "$0")/.."
 
 mkdir -p bin
 go build -o bin/xnuma-vet ./cmd/xnuma-vet
-
-if [ "${1:-}" = "-suppressions" ]; then
-	# The unitchecker protocol has no channel for non-diagnostic
-	# output, so the inventory uses the standalone driver.
-	exec ./bin/xnuma-vet -suppressions ./...
-fi
-
-exec go vet -vettool="$(pwd)/bin/xnuma-vet" ./...
+exec ./bin/xnuma-vet "$@" ./...

@@ -388,7 +388,7 @@ func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o
 	if err != nil {
 		return nil, err
 	}
-	b, _, err := guest.RebuildBackend(m.backs[slot], m.hv, dom, guest.DefaultQueueConfig(), pol)
+	b, _, err := guest.RebuildBackend(m.backs[slot], m.hv, dom, pol)
 	if err != nil {
 		return nil, err
 	}
