@@ -36,9 +36,7 @@ type listedPackage struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Standard   bool
 	Match      []string
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
@@ -50,7 +48,7 @@ type listedPackage struct {
 // GoFiles: the non-test files its build constraints select, which is
 // the file set the compiler builds.
 func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Name,Dir,Export,GoFiles,Standard,Match,Incomplete,Error"}, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Name,Dir,Export,GoFiles,Match,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer

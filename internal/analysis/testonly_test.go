@@ -2,16 +2,21 @@ package analysis
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"testing"
 )
 
 // testOnlyAllowed lists the functions and methods that only tests reach
 // but stay, each with the reason. An entry that production code starts
-// to reach, or that no longer exists, fails the test, so the list
-// cannot go stale.
+// to reach, that no longer exists, that no test references, or whose
+// reason names a test that does not reference it, fails the test, so
+// the list cannot go stale.
 var testOnlyAllowed = map[string]string{
 	"(*repro/internal/engine.Instance).Regions":        "read-only view through which the cross-layer audit checks placement",
 	"(*repro/internal/exp.Suite).CacheKeys":            "memoization oracle: the exp tests compare the cached cell keys across worker counts and faults",
@@ -19,17 +24,12 @@ var testOnlyAllowed = map[string]string{
 	"(*repro/internal/faultinject.Plan).Hits":          "hit counter the fault and chaos tests reconcile with the faults they injected",
 	"(*repro/internal/faultinject.Plan).TotalFired":    "hit counter the fault and chaos tests reconcile with the faults they injected",
 	"(*repro/internal/guest.PageQueue).Pending":        "the queue tests' count of queued, unflushed operations",
-	"(*repro/internal/guest.PhysAlloc).InUse":          "the process tests' count of allocated guest pages",
-	"(*repro/internal/guest.Process).ChurnOnce":        "per-page release path: TestChurnModelMatchesEventLevelDriver checks the analytic churn model against it",
-	"(*repro/internal/guest.Process).Munmap":           "per-page release path: TestChurnModelMatchesEventLevelDriver checks the analytic churn model against it",
-	"(*repro/internal/guest.Process).Resident":         "the process tests' count of mapped pages",
 	"repro/internal/linux.New":                         "cold-build constructor of the linux, advisor and root tests; runs lease through Rebuild",
 	"(*repro/internal/mem.Allocator).FreeBlocks":       "sorted free-list snapshot TestFreeBlocksDeterministic compares across identical runs",
 	"(*repro/internal/mem.Allocator).TotalFreeBytes":   "frame-conservation oracle of the leak tests and the cross-layer audit",
 	"(*repro/internal/metrics.EpochLoad).PathLinkUtil": "reference the engine's batched access-cost kernel is checked against",
 	"repro/internal/numa.SmallMachine":                 "builds the small topologies of the unit tests",
 	"repro/internal/policy.Bind":                       "builds bind:N kinds for the bind tests; runs parse them from policy strings",
-	"(*repro/internal/pt.GuestTable).Unmap":            "per-page release path: TestChurnModelMatchesEventLevelDriver checks the analytic churn model against it",
 	"(*repro/internal/pt.HypervisorTable).Len":         "TestQuickMapInvalidate's count of valid entries",
 	"(*repro/internal/xen.Domain).NodeOfPFN":           "placement oracle of the xen tests and the cross-layer audit",
 }
@@ -169,16 +169,42 @@ func TestNoTestOnlyCode(t *testing.T) {
 	}
 	walk()
 
-	var stale []string
+	tests := parseTestFiles(t, append(pkgs, benchPkgs...))
+	allowed := make([]string, 0, len(testOnlyAllowed))
 	for name := range testOnlyAllowed {
-		if _, ok := decls[name]; !ok || reached[name] {
-			stale = append(stale, name)
-		}
-		queue = append(queue, name)
+		allowed = append(allowed, name)
 	}
-	sort.Strings(stale)
-	for _, name := range stale {
-		t.Errorf("allowlist entry %s is stale: production code reaches it, or it is gone", name)
+	sort.Strings(allowed)
+	for _, name := range allowed {
+		queue = append(queue, name)
+		d, ok := decls[name]
+		if !ok || reached[name] {
+			t.Errorf("allowlist entry %s is stale: production code reaches it, or it is gone", name)
+			continue
+		}
+		used := false
+		for _, tf := range tests {
+			used = used || tf.references(tf.file, d.pkg, d.fn)
+		}
+		if !used {
+			t.Errorf("allowlist entry %s is stale: no test file references it", name)
+		}
+		for _, test := range testName.FindAllString(testOnlyAllowed[name], -1) {
+			declared, refers := false, false
+			for _, tf := range tests {
+				for _, fd := range tf.file.Decls {
+					if fn, ok := fd.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == test {
+						declared = true
+						refers = refers || tf.references(fn.Body, d.pkg, d.fn)
+					}
+				}
+			}
+			if !declared {
+				t.Errorf("allowlist entry %s: its reason names %s, which no test file declares", name, test)
+			} else if !refers {
+				t.Errorf("allowlist entry %s: its reason names %s, whose body does not reference it", name, test)
+			}
+		}
 	}
 	// What an allowed entry calls is allowed with it.
 	walk()
@@ -197,6 +223,74 @@ func TestNoTestOnlyCode(t *testing.T) {
 	if len(reached) < 500 {
 		t.Errorf("only %d functions reached from the roots; the walk looks broken", len(reached))
 	}
+}
+
+// testName matches a test function named in an allowlist reason.
+var testName = regexp.MustCompile(`\bTest[A-Z]\w*`)
+
+// testFile is one parsed _test.go file and the directory it is in.
+type testFile struct {
+	dir  string
+	file *ast.File
+}
+
+// parseTestFiles parses the _test.go files in the directories of pkgs.
+func parseTestFiles(t *testing.T, pkgs []*Package) []testFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	var out []testFile
+	for _, pkg := range pkgs {
+		names, err := filepath.Glob(filepath.Join(pkg.Dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, testFile{dir: pkg.Dir, file: f})
+		}
+	}
+	return out
+}
+
+// references reports whether the syntax under n, in tf, names fn of
+// pkg. Test files are parsed, not type-checked, so the match is by
+// name: a method by any selector of its name; a function by its bare
+// name in a file of its own package, or through an import of pkg.
+func (tf testFile) references(n ast.Node, pkg *Package, fn *ast.FuncDecl) bool {
+	name, method := fn.Name.Name, fn.Recv != nil
+	inPkg := tf.dir == pkg.Dir && tf.file.Name.Name == pkg.Name
+	qual := "" // the file's name for pkg, when it imports it
+	for _, imp := range tf.file.Imports {
+		if path, _ := strconv.Unquote(imp.Path.Value); path == pkg.Path {
+			qual = pkg.Name
+			if imp.Name != nil {
+				qual = imp.Name.Name
+			}
+		}
+	}
+	found := false
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			x, ok := n.X.(*ast.Ident)
+			if n.Sel.Name == name && (method || ok && qual != "" && x.Name == qual) {
+				found = true
+			}
+			ast.Inspect(n.X, visit)
+			return false
+		case *ast.Ident:
+			if !method && inPkg && n.Name == name {
+				found = true
+			}
+		}
+		return !found
+	}
+	ast.Inspect(n, visit)
+	return found
 }
 
 // recvBase returns the base type of m's receiver, or nil when m is a

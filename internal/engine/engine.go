@@ -427,9 +427,11 @@ type Instance struct {
 	done       bool
 	Completion sim.Time
 
-	// pending migration traffic (bytes between node pairs) charged to
-	// the next epoch's load.
-	pendingMoveBytes map[[2]numa.NodeID]float64
+	// Carrefour's page-copy traffic, charged to the next full epoch's
+	// load: pendingMoves[src*nNodes+dst] holds the bytes pageSet.Migrate
+	// copied from src to dst, and movesPending marks it non-empty.
+	pendingMoves []float64
+	movesPending bool
 }
 
 // regionSizes records the page budget of each region class.

@@ -124,19 +124,15 @@ type Runner struct {
 
 	// Scratch buffers, reused so steady-state epochs allocate nothing.
 	//xnuma:scratch
-	movePairs  [][2]numa.NodeID // sorted pendingMoveBytes keys
-	tickUtil   []float64        // controller-utilization copy for Carrefour ticks
-	cycles     []float64        // per-(src,dst) access cost, filled each iteration
-	linkUtil   []float64        // per-link utilization snapshot, one per iteration
-	ctrlPen    []float64        // per-destination controller penalty, one per iteration
-	groupUnits []float64        // per-dedup-group work units, summed each fill
-	groupCyc   []float64        // per-dedup-group access cycles, one per iteration
+	tickUtil   []float64 // controller-utilization copy for Carrefour ticks
+	cycles     []float64 // per-(src,dst) access cost, filled each iteration
+	linkUtil   []float64 // per-link utilization snapshot, one per iteration
+	ctrlPen    []float64 // per-destination controller penalty, one per iteration
+	groupUnits []float64 // per-dedup-group work units, summed each fill
+	groupCyc   []float64 // per-dedup-group access cycles, one per iteration
 
 	// Carrefour-tick scratch: the tick rebuilds the sampler view from
 	// the stream table every interval, so the backing stores are reused.
-	// moves[from*nNodes+to] counts the pages pageSet.Migrate moved
-	// between the pair this tick; setup sizes it once per run.
-	moves    []int
 	shared   []float64          // running-thread node distribution
 	accArena []float64          // per-sample accessor rows, carved per tick
 	pageSets []pageSet          // sample adapter arena
@@ -184,7 +180,6 @@ func (r *Runner) setup(cfg Config, insts ...*Instance) error {
 	r.cycles = zeroed(r.cycles, n*n)
 	r.linkUtil = zeroed(r.linkUtil, len(cfg.Topo.Links))
 	r.ctrlPen = zeroed(r.ctrlPen, n)
-	r.moves = zeroed(r.moves, n*n)
 	r.cost = costModelFor(cfg.Topo)
 	r.freqGHz = cfg.Topo.Latency.FreqGHz
 	maxThreads := 0
@@ -304,7 +299,7 @@ func (r *Runner) buildInstance(in *Instance) error {
 		in.dist[i] = resetRegion(in.dist[i], "dist", RegionDist, i, nNodes)
 		in.priv[i] = resetRegion(in.priv[i], "priv", RegionPrivate, i, nNodes)
 	}
-	clear(in.pendingMoveBytes)
+	in.pendingMoves, in.movesPending = zeroed(in.pendingMoves, nNodes*nNodes), false
 	in.burstLeft, in.burstNode, in.burstRegion = 0, 0, nil
 	in.done, in.Completion = false, 0
 	in.foldSum, in.foldLive, in.foldValid = 0, 0, false
@@ -356,9 +351,6 @@ func (r *Runner) buildInstance(in *Instance) error {
 		BufferNode: Disk.Node,
 		HomeNodes:  in.Backend.HomeNodes(),
 		Penalty:    in.Prof.IOPenalty,
-	}
-	if in.pendingMoveBytes == nil {
-		in.pendingMoveBytes = make(map[[2]numa.NodeID]float64)
 	}
 	return nil
 }
@@ -489,7 +481,7 @@ func (r *Runner) epoch(step int) {
 		if in.done {
 			continue
 		}
-		if in.burstLeft > 0 || len(in.pendingMoveBytes) > 0 {
+		if in.burstLeft > 0 || in.movesPending {
 			candidate = false
 			break
 		}
@@ -632,23 +624,23 @@ func (r *Runner) fillLoads(record bool) {
 			}
 		}
 		// Page-migration copy traffic from the previous Carrefour tick,
-		// charged in sorted key order: different pairs share interconnect
-		// links, and float accumulation must not depend on map iteration
-		// order for runs to be bit-for-bit reproducible.
-		if len(in.pendingMoveBytes) > 0 {
-			pairs := r.movePairs[:0] //xnuma:scratch
-			for pair := range in.pendingMoveBytes {
-				pairs = append(pairs, pair)
-			}
-			r.movePairs = pairs
-			sortMovePairs(pairs)
-			for _, pair := range pairs {
-				bytes := in.pendingMoveBytes[pair]
-				r.load.AddDMA(pair[0], pair[1], bytes)
-				if record {
-					il.AddDMA(pair[0], pair[1], bytes)
-					delete(in.pendingMoveBytes, pair)
+		// charged in (src, dst) order: different pairs share interconnect
+		// links, so the float accumulation order must be fixed for runs
+		// to be bit-for-bit reproducible.
+		if in.movesPending {
+			for k, bytes := range in.pendingMoves {
+				if bytes == 0 {
+					continue
 				}
+				src, dst := numa.NodeID(k/nn), numa.NodeID(k%nn)
+				r.load.AddDMA(src, dst, bytes)
+				if record {
+					il.AddDMA(src, dst, bytes)
+					in.pendingMoves[k] = 0
+				}
+			}
+			if record {
+				in.movesPending = false
 			}
 		}
 	}
@@ -865,7 +857,6 @@ func (r *Runner) carrefourTick(i int, in *Instance) {
 			in.burstLeft = CarrefourEvery + 1
 		}
 	}
-	clear(r.moves)
 	r.tickUtil = append(r.tickUtil[:0], r.ctrlUtil...)
 	tick := carrefour.Tick{
 		CtrlUtil:    r.tickUtil,
@@ -876,17 +867,9 @@ func (r *Runner) carrefourTick(i int, in *Instance) {
 	if res.Migrated == 0 {
 		return
 	}
-	// Each migration copies one page across the interconnect; charge the
-	// bytes to the next epoch and the CPU cost as debt spread across the
-	// instance's threads. The byte counts are whole multiples of 4096,
-	// exact in float64, so adding a pair's pages at once is bit-identical
-	// to adding them one by one.
-	for k, pages := range r.moves {
-		if pages > 0 {
-			pair := [2]numa.NodeID{numa.NodeID(k / r.nNodes), numa.NodeID(k % r.nNodes)}
-			in.pendingMoveBytes[pair] += float64(pages) * 4096
-		}
-	}
+	// Each migration copies one page across the interconnect:
+	// pageSet.Migrate charged its bytes to the next epoch; the CPU cost
+	// is debt spread across the instance's threads.
 	costNs := float64(res.Migrated) * 6000 / float64(in.NThreads)
 	for _, t := range in.Threads {
 		if !t.Done {
@@ -988,7 +971,7 @@ func (r *Runner) samples(in *Instance) []carrefour.Sample {
 //
 //xnuma:noalloc
 func (r *Runner) mkSample(set *pageSet, in *Instance, reg *Region, share float64, accessors []float64, hot bool) carrefour.Sample {
-	set.r, set.b, set.moves, set.nNodes = reg, in.Backend, r.moves, r.nNodes
+	set.r, set.in, set.nNodes = reg, in, r.nNodes
 	return carrefour.Sample{
 		Set:         set,
 		AccessShare: share,
@@ -998,32 +981,11 @@ func (r *Runner) mkSample(set *pageSet, in *Instance, reg *Region, share float64
 	}
 }
 
-// sortMovePairs orders (src, dst) node pairs lexicographically with an
-// insertion sort: the pair count is at most nNodes², and sort.Slice
-// would allocate on the hot path (a closure plus boxing the slice into
-// its interface parameter).
-//
-//xnuma:noalloc
-func sortMovePairs(pairs [][2]numa.NodeID) {
-	for i := 1; i < len(pairs); i++ {
-		p := pairs[i]
-		j := i - 1
-		for j >= 0 && (pairs[j][0] > p[0] || (pairs[j][0] == p[0] && pairs[j][1] > p[1])) {
-			pairs[j+1] = pairs[j]
-			j--
-		}
-		pairs[j+1] = p
-	}
-}
-
-// pageSet adapts a Region + Backend to carrefour.PageSet, counting each
-// move for traffic accounting.
+// pageSet adapts a region of an instance to carrefour.PageSet, charging
+// each move's copy traffic to the instance.
 type pageSet struct {
-	r *Region
-	b Backend
-	// moves is the runner's per-tick (from, to) count matrix, nNodes
-	// wide.
-	moves  []int
+	r      *Region
+	in     *Instance
 	nNodes int
 }
 
@@ -1035,10 +997,12 @@ func (s *pageSet) NodeOf(i int) numa.NodeID { return s.r.NodeOf(i) }
 func (s *pageSet) Replicate() bool { return s.r.Replicate() }
 func (s *pageSet) Migrate(i int, to numa.NodeID) bool {
 	from := s.r.NodeOf(i)
-	if !s.b.Migrate(s.r, i, to) {
+	if !s.in.Backend.Migrate(s.r, i, to) {
 		return false
 	}
-	s.moves[int(from)*s.nNodes+int(to)]++
+	// Whole pages: the byte counts stay exact in float64.
+	s.in.pendingMoves[int(from)*s.nNodes+int(to)] += 4096
+	s.in.movesPending = true
 	return true
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/iosim"
 	"repro/internal/numa"
 	"repro/internal/policy"
-	"repro/internal/pt"
 	"repro/internal/sim"
 	"repro/internal/xen"
 )
@@ -20,11 +19,7 @@ type Backend struct {
 	HV  *xen.Hypervisor
 	Dom *xen.Domain
 	OS  *OS
-	// proc is the application process whose virtual address space backs
-	// every region: Place goes through mmap plus guest-level first-touch
-	// faulting, then through the hypervisor page table.
-	proc *Process
-	cfg  policy.Config
+	cfg policy.Config
 	// contiguous caches the policy descriptor's huge-region flag: IO()
 	// sits on the engine's per-epoch path and must not pay a registry
 	// lookup (nor its lowercasing allocation) per call.
@@ -43,8 +38,8 @@ type Backend struct {
 //
 // The guest's page queue has the paper's shape (DefaultQueueConfig).
 // When prev is non-nil (a backend from an earlier lease of the pooled
-// machine), its guest OS, allocator, queue, process and maps are reset
-// in place and rebound to dom instead of rebuilt, producing a backend
+// machine), its guest OS, physical allocator and queue are reset in
+// place and rebound to dom instead of rebuilt, producing a backend
 // bit-identical in behavior to a cold-built one.
 func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, cfg policy.Config) (*Backend, sim.Time, error) {
 	desc, _, canon, err := policy.Resolve(cfg.Static)
@@ -59,10 +54,8 @@ func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, cfg poli
 	b := prev
 	if b == nil {
 		b = &Backend{OS: NewOS(dom, kernelPages, DefaultQueueConfig())}
-		b.proc = b.OS.NewProcess(1)
 	} else {
 		b.OS.reset(dom, kernelPages)
-		b.proc.reset(b.OS)
 	}
 	b.HV, b.Dom, b.cfg, b.contiguous = hv, dom, cfg, desc.Contiguous
 	cost, err := b.OS.SetPolicy(cfg)
@@ -75,23 +68,22 @@ func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, cfg poli
 // Name reports the platform and policy.
 func (b *Backend) Name() string { return "xen/" + b.cfg.String() }
 
-// Place materializes n pages of r through the full guest path: the
-// process mmaps the region, each first touch takes a guest page fault
-// that allocates a physical page and installs the virtual→physical
-// translation, and the subsequent access resolves through the hypervisor
-// page table, letting the active policy decide the machine placement
-// (first-touch faults; static policies hit pre-mapped entries).
-// Successive Place calls on the same region extend its mapping.
+// Place materializes n pages of r through the guest path. Setting up
+// the mapping costs costMapSetup once; then each page's first touch
+// takes a guest page fault that allocates a physical page (AllocPage),
+// and the access resolves through the hypervisor page table, letting
+// the active policy decide the machine placement (first-touch faults;
+// static policies hit pre-mapped entries). The guest's virtual
+// addresses are not modelled: every page is touched once, and no one
+// reads the translation. Successive Place calls on the same region
+// extend it.
 func (b *Backend) Place(r *engine.Region, n int, toucher numa.NodeID) (sim.Time, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	start, total, err := b.proc.Mmap(n)
-	if err != nil {
-		return total, fmt.Errorf("guest: placing region %s: %w", r.Name, err)
-	}
-	for v := start; v < start+pt.VPN(n); v++ {
-		pfn, cost, err := b.proc.Touch(v)
+	total := costMapSetup
+	for range n {
+		pfn, cost, err := b.OS.AllocPage()
 		if err != nil {
 			return total, fmt.Errorf("guest: placing region %s: %w", r.Name, err)
 		}

@@ -16,6 +16,9 @@ import (
 
 // Guest-side costs in virtual time.
 const (
+	// costMapSetup is setting up one mapping (the VMAs of an mmap),
+	// paid once per Place call whatever its size.
+	costMapSetup = 200 * sim.Nanosecond
 	// CostGuestFault is a guest-level page fault (lazy allocation path).
 	CostGuestFault = 600 * sim.Nanosecond
 	// CostZeroPage is filling a 4 KiB page with zeros on release
@@ -36,7 +39,6 @@ type PhysAlloc struct {
 	freed      []mem.PFN
 	// inUse[p] marks page p allocated; it spans the physical space.
 	inUse []bool
-	used  int
 }
 
 // NewPhysAlloc manages a physical space of totalPages, with the first
@@ -59,7 +61,6 @@ func (a *PhysAlloc) Alloc() (mem.PFN, error) {
 		p := a.freed[n-1]
 		a.freed = a.freed[:n-1]
 		a.inUse[p] = true
-		a.used++
 		return p, nil
 	}
 	if a.nextFresh >= a.totalPages {
@@ -68,7 +69,6 @@ func (a *PhysAlloc) Alloc() (mem.PFN, error) {
 	p := mem.PFN(a.nextFresh)
 	a.nextFresh++
 	a.inUse[p] = true
-	a.used++
 	return p, nil
 }
 
@@ -78,12 +78,8 @@ func (a *PhysAlloc) Free(p mem.PFN) {
 		panic(fmt.Sprintf("guest: freeing page %d not in use", p))
 	}
 	a.inUse[p] = false
-	a.used--
 	a.freed = append(a.freed, p)
 }
-
-// InUse reports the number of allocated pages.
-func (a *PhysAlloc) InUse() int { return a.used }
 
 // Reset returns the allocator to its just-constructed state for a new
 // physical space of totalPages with the given kernel reservation,
@@ -103,7 +99,6 @@ func (a *PhysAlloc) Reset(totalPages, reserved uint64) {
 		a.inUse = a.inUse[:totalPages]
 		clear(a.inUse)
 	}
-	a.used = 0
 }
 
 // ForEachFree visits every currently-free page, the freed list (oldest

@@ -1,19 +1,19 @@
-// Package pt models the two page-table layers the paper's mechanisms act
-// on: the guest page table, owned by the guest operating system and
-// mapping process-virtual pages to physical pages of the virtual machine,
-// and the hypervisor page table (EPT/NPT), owned by the hypervisor and
-// mapping physical pages to machine pages.
+// Package pt models the page-table layer the paper's mechanisms act on:
+// the hypervisor page table (EPT/NPT), owned by the hypervisor and
+// mapping one domain's physical pages to machine pages. The guest's own
+// page table is not modelled: the hypervisor never reads it, which is
+// why the guest reports page allocations and releases through the page
+// queue instead (§4.2.3–4.2.4, internal/guest).
 //
-// The hypervisor table is the heart of the paper's internal interface
-// (§4.1): a NUMA policy places a physical page on a node by choosing
-// which machine frame backs it, and migrates a page by write-protecting
-// the entry, copying, and remapping.
+// The table is the heart of the paper's internal interface (§4.1): a
+// NUMA policy places a physical page on a node by choosing which
+// machine frame backs it, and migrates a page by write-protecting the
+// entry, copying, and remapping.
 //
-// Both tables are frame-indexed, as hardware page tables are: entry i
-// describes page i, so a lookup is an index and nothing is hashed. A
-// domain's physical space is dense and fixed at creation, which sizes
-// the hypervisor table once; a process's virtual space grows with its
-// mmap cursor, and its table grows with it.
+// The table is frame-indexed, as hardware page tables are: entry i
+// describes physical page i, so a lookup is an index and nothing is
+// hashed. A domain's physical space is dense and fixed at creation,
+// which sizes the table once.
 package pt
 
 import (
@@ -21,103 +21,6 @@ import (
 
 	"repro/internal/mem"
 )
-
-// VPN is a virtual page number within one process address space.
-type VPN uint64
-
-// GuestEntry is one guest page-table entry.
-type GuestEntry struct {
-	PFN     mem.PFN
-	Present bool
-}
-
-// GuestTable maps the virtual pages of a single process to physical pages
-// of its virtual machine. The guest OS populates it lazily (first-touch
-// faulting happens in the guest, not here).
-type GuestTable struct {
-	// entries[v] is VPN v's entry. Every element past len, up to cap,
-	// is zero: Reset clears before truncating and growth copies into
-	// fresh (zeroed) storage, so Grow may re-slice without clearing.
-	entries []GuestEntry
-	present int
-}
-
-// NewGuestTable returns an empty table covering no pages; Grow extends
-// it as the process reserves address space.
-func NewGuestTable() *GuestTable { return &GuestTable{} }
-
-// Grow extends the table to cover the first pages virtual pages; the new
-// entries are not present. A table never shrinks except by Reset. The
-// backing array doubles when it must grow, so a table grown region by
-// region still allocates O(pages) bytes in total.
-func (g *GuestTable) Grow(pages uint64) {
-	if pages <= uint64(len(g.entries)) {
-		return
-	}
-	if pages > uint64(cap(g.entries)) {
-		grown := make([]GuestEntry, pages, max(pages, 2*uint64(cap(g.entries))))
-		copy(grown, g.entries)
-		g.entries = grown
-		return
-	}
-	g.entries = g.entries[:pages]
-}
-
-// Lookup translates a virtual page; ok is false on a guest page fault,
-// including for a page the table does not cover.
-//
-//xnuma:noalloc
-func (g *GuestTable) Lookup(v VPN) (mem.PFN, bool) {
-	if uint64(v) >= uint64(len(g.entries)) {
-		return 0, false
-	}
-	e := g.entries[v]
-	return e.PFN, e.Present
-}
-
-// Map installs a translation. Mapping an already-present entry panics:
-// the guest OS must unmap first (it indicates an allocator bug). So does
-// mapping a page the table does not cover: the process never reserved
-// it.
-//
-//xnuma:noalloc
-func (g *GuestTable) Map(v VPN, p mem.PFN) {
-	if uint64(v) >= uint64(len(g.entries)) {
-		panic(fmt.Sprintf("pt: VPN %d beyond the %d-page address space", v, len(g.entries)))
-	}
-	if old := g.entries[v]; old.Present {
-		panic(fmt.Sprintf("pt: VPN %d already mapped to PFN %d", v, old.PFN))
-	}
-	g.entries[v] = GuestEntry{PFN: p, Present: true}
-	g.present++
-}
-
-// Unmap removes a translation and returns the physical page it pointed
-// to. Unmapping an absent entry panics.
-//
-//xnuma:noalloc
-func (g *GuestTable) Unmap(v VPN) mem.PFN {
-	p, ok := g.Lookup(v)
-	if !ok {
-		panic(fmt.Sprintf("pt: VPN %d not mapped", v))
-	}
-	g.entries[v] = GuestEntry{}
-	g.present--
-	return p
-}
-
-// Reset returns the table to the state NewGuestTable builds. The
-// entry array is zeroed in place and kept, so a recycled table grown
-// back to a similar size allocates nothing — the point of reusing
-// tables across warm-pool leases instead of rebuilding them.
-func (g *GuestTable) Reset() {
-	clear(g.entries)
-	g.entries = g.entries[:0]
-	g.present = 0
-}
-
-// Len reports the number of present entries.
-func (g *GuestTable) Len() int { return g.present }
 
 // HypervisorEntry is one hypervisor page-table entry for a physical page.
 type HypervisorEntry struct {

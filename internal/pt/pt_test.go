@@ -7,47 +7,6 @@ import (
 	"repro/internal/mem"
 )
 
-func TestGuestTableMapUnmap(t *testing.T) {
-	g := NewGuestTable()
-	g.Grow(8)
-	g.Map(5, 100)
-	if p, ok := g.Lookup(5); !ok || p != 100 {
-		t.Fatalf("Lookup(5) = %d,%v", p, ok)
-	}
-	if _, ok := g.Lookup(6); ok {
-		t.Fatal("Lookup(6) found an unmapped entry")
-	}
-	if got := g.Unmap(5); got != 100 {
-		t.Fatalf("Unmap returned %d", got)
-	}
-	if g.Len() != 0 {
-		t.Fatal("table not empty after unmap")
-	}
-}
-
-func TestGuestTableDoubleMapPanics(t *testing.T) {
-	g := NewGuestTable()
-	g.Grow(8)
-	g.Map(1, 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double map did not panic")
-		}
-	}()
-	g.Map(1, 11)
-}
-
-func TestGuestTableUnmapAbsentPanics(t *testing.T) {
-	g := NewGuestTable()
-	g.Grow(16)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unmapping absent entry did not panic")
-		}
-	}()
-	g.Unmap(9)
-}
-
 func TestHypervisorTableFaultResolution(t *testing.T) {
 	h := NewHypervisorTable(64)
 	faults := 0

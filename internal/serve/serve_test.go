@@ -258,6 +258,23 @@ func TestHTTPHandler(t *testing.T) {
 	if rec.Code != 400 {
 		t.Fatalf("overflow status %d, want 400", rec.Code)
 	}
+
+	// A request that outlives its deadline is a timeout (TestRequestTimeout).
+	slow, _ := newTestServer(t, Config{Timeout: time.Nanosecond})
+	rec = httptest.NewRecorder()
+	slow.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/rpc", strings.NewReader(sweepLine)))
+	slow.Drain()
+	if rec.Code != 504 {
+		t.Fatalf("timeout status %d, want 504: %s", rec.Code, rec.Body.String())
+	}
+
+	// A failed handler is an internal error (TestServeRequestFaultSite).
+	installPlan(t, "serve.request:hit=1:action=error")
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/rpc", strings.NewReader(`{"id":"f","op":"stats"}`)))
+	if rec.Code != 500 {
+		t.Fatalf("internal-error status %d, want 500: %s", rec.Code, rec.Body.String())
+	}
 }
 
 // TestUnreadableRequestsCount: a request answered before it can be
