@@ -276,7 +276,8 @@ func BenchmarkExtensionLargePages(b *testing.B) {
 }
 
 // BenchmarkExtensionReplication measures the replication heuristic the
-// paper discarded (§3.4). In this model, replicating a heavily contended
+// paper discarded (§3.4): the /carrefour:replication variant against
+// the paper's Carrefour. In this model, replicating a heavily contended
 // read-only hot page can pay off noticeably — which matches the original
 // Carrefour paper; Voron et al. leave it out of the Xen port because it
 // had marginal effect on *their* workload mix and would require radical
@@ -291,8 +292,8 @@ func BenchmarkExtensionReplication(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				on, err := xennuma.RunXen(app, xennuma.MustPolicy("round-4k/carrefour"),
-					xennuma.Options{Scale: 64, XenPlus: true, Replication: true})
+				on, err := xennuma.RunXen(app, xennuma.MustPolicy("round-4k/carrefour:replication"),
+					xennuma.Options{Scale: 64, XenPlus: true})
 				if err != nil {
 					b.Fatal(err)
 				}

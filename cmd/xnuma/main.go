@@ -371,7 +371,10 @@ func runOne(s *exp.Suite, stdout io.Writer, app, pol string) error {
 	if err := xennuma.CheckApp(app); err != nil {
 		return err
 	}
-	r := s.Xen(app, pol, true).Result()
+	// Name the cell by the canonical spelling every driver uses: the key
+	// seeds the cell's random stream, so "r4k/carrefour" must name the
+	// same cell as "round-4k/carrefour".
+	r := s.Xen(app, strings.ToLower(cfg.String()), true).Result()
 	fmt.Fprintf(stdout, "app:          %s\n", r.App)
 	fmt.Fprintf(stdout, "backend:      %s\n", r.Backend)
 	fmt.Fprintf(stdout, "completion:   %v\n", r.Completion)

@@ -48,6 +48,25 @@ func TestRunNewPolicy(t *testing.T) {
 	}
 }
 
+// TestRunPolicySpellingsAgree: every spelling of one policy names the
+// same cell, whose key seeds its random stream, so run prints the same
+// bytes for an alias, a case variant or a padded name.
+func TestRunPolicySpellingsAgree(t *testing.T) {
+	spellings := []string{"round-4k/carrefour", "r4k/carrefour", "ROUND-4K/carrefour", " round-4k/carrefour"}
+	var want string
+	for i, pol := range spellings {
+		code, out, errb := runCLI(t, "-scale", "256", "run", "psearchy", pol)
+		if code != 0 {
+			t.Fatalf("%q: exit %d, stderr %q", pol, code, errb)
+		}
+		if i == 0 {
+			want = out
+		} else if out != want {
+			t.Errorf("run psearchy %q printed\n%s\nwant, as for %q:\n%s", pol, out, spellings[0], want)
+		}
+	}
+}
+
 func TestNoArgsUsage(t *testing.T) {
 	code, _, errb := runCLI(t)
 	if code != 2 {

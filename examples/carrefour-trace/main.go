@@ -56,7 +56,7 @@ func main() {
 			util[i] += 0.05
 		}
 
-		res := ctl.Step(carrefour.Tick{
+		moved := ctl.Step(carrefour.Tick{
 			CtrlUtil: util,
 			Samples: []carrefour.Sample{{
 				Set:         pages,
@@ -67,7 +67,7 @@ func main() {
 		})
 
 		note := ""
-		if res.Migrated == 0 {
+		if moved == 0 {
 			note = "balanced — interleave heuristic idle"
 		}
 		fmt.Printf("%4d  [", tick)
@@ -77,8 +77,8 @@ func main() {
 			}
 			fmt.Printf("%4.2f", u)
 		}
-		fmt.Printf("]  %5d  %s\n", res.Migrated, note)
-		if res.Migrated == 0 {
+		fmt.Printf("]  %5d  %s\n", moved, note)
+		if moved == 0 {
 			break
 		}
 	}

@@ -36,17 +36,16 @@ func TestTLBExtensionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReplicationExtensionEndToEnd: the gated heuristic helps a
-// read-mostly hot-page application and never hurts determinism.
+// TestReplicationExtensionEndToEnd: the replication variant, the
+// heuristic the paper's port leaves out, helps a read-mostly hot-page
+// application over the paper's Carrefour.
 func TestReplicationExtensionEndToEnd(t *testing.T) {
 	base := Options{Scale: 128, XenPlus: true}
 	off, err := RunXen("streamcluster", MustPolicy("round-4k/carrefour"), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on := base
-	on.Replication = true
-	rep, err := RunXen("streamcluster", MustPolicy("round-4k/carrefour"), on)
+	rep, err := RunXen("streamcluster", MustPolicy("round-4k/carrefour:replication"), base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/policy"
-	"repro/internal/sim"
 )
 
 // Target selects the platform a recommendation is for.
@@ -141,11 +140,8 @@ func Advise(s *exp.Suite, target Target, app string) Recommendation {
 // Validation measures a recommendation against the exhaustive sweep of
 // its candidate set.
 type Validation struct {
-	// Best is the candidate minimizing completion, and its time.
-	Best           string
-	BestCompletion sim.Time
-	// AdvisedCompletion is the advised policy's time.
-	AdvisedCompletion sim.Time
+	// Best is the candidate minimizing completion.
+	Best string
 	// Gap is the relative loss of following the advice instead of the
 	// sweep's best (0 = the advice was optimal; the paper reports 1–2 %
 	// for this rule over its five policies).
@@ -165,10 +161,8 @@ func Validate(s *exp.Suite, rec Recommendation) Validation {
 	}
 	advised := cell(s, rec.Target, rec.App, rec.Policy).Result()
 	return Validation{
-		Best:              best,
-		BestCompletion:    bestRes.Completion,
-		AdvisedCompletion: advised.Completion,
-		Gap:               float64(advised.Completion)/float64(bestRes.Completion) - 1,
+		Best: best,
+		Gap:  float64(advised.Completion)/float64(bestRes.Completion) - 1,
 	}
 }
 

@@ -18,10 +18,8 @@ import (
 
 // Package is one loaded, type-checked package.
 type Package struct {
-	Path    string
-	Name    string
-	Dir     string
-	GoFiles []string
+	Path string
+	Dir  string
 
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -136,12 +134,8 @@ func typeCheck(fset *token.FileSet, imp types.Importer, path, dir string, files 
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
-	name := ""
-	if len(syntax) > 0 {
-		name = syntax[0].Name.Name
-	}
 	return &Package{
-		Path: path, Name: name, Dir: dir, GoFiles: files,
+		Path: path, Dir: dir,
 		Fset: fset, Files: syntax, Types: tpkg, Info: info,
 	}, nil
 }

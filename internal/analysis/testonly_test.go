@@ -5,10 +5,13 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	pathpkg "path"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -34,15 +37,27 @@ var testOnlyAllowed = map[string]string{
 	"(*repro/internal/xen.Domain).NodeOfPFN":           "placement oracle of the xen tests and the cross-layer audit",
 }
 
+// testOnlyFields lists the struct fields that no production code reads
+// but stay, each with the reason, which names the tests that read the
+// field. An entry that production code starts to read, that no longer
+// exists, whose reason names no test, or whose named test does not read
+// it, fails the test.
+var testOnlyFields = map[string]string{
+	"repro/internal/analysis.Package.Dir":          "TestNoTestOnlyCode finds each package's test files by it",
+	"repro/internal/engine.Runner.convergedEpochs": "TestConvergedFastPathMatchesFullKernel and TestEpochAllocFree count the epochs the fast path served",
+	"repro/internal/mem.FreeBlock.Order":           "part of the free-list snapshot TestFreeBlocksDeterministic compares across identical runs",
+}
+
 // stdCalled names the methods the standard library calls on the
 // module's types, through error, fmt.Stringer and types.Importer: a
 // method of one of these names counts as reached.
 var stdCalled = map[string]bool{"Error": true, "String": true, "Import": true}
 
 // TestNoTestOnlyCode fails on any function or method, in a non-test
-// file of the module, that no production code reaches: code that only
-// tests call is still code every reader must understand, and often
-// state every warm lease must reset.
+// file of the module, that no production code reaches, and on any
+// struct field that no production code reads: code that only tests call
+// is still code every reader must understand, and a field only tests
+// read is state every writer updates and every warm lease resets.
 //
 // The roots are the main functions of cmd/* and examples/*, every
 // function the bench module references, init functions and
@@ -152,7 +167,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 				case *ast.FuncDecl:
 					// A package may hold several init functions under one
 					// FullName, so roots are walked here, not queued.
-					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Name == "main") {
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Types.Name() == "main") {
 						reached[pkg.Info.Defs[d.Name].(*types.Func).FullName()] = true
 						refer(pkg.Info, d.Body)
 					}
@@ -169,7 +184,10 @@ func TestNoTestOnlyCode(t *testing.T) {
 	}
 	walk()
 
-	tests := parseTestFiles(t, append(pkgs, benchPkgs...))
+	var tests []testFile
+	for _, pkg := range append(pkgs, benchPkgs...) {
+		tests = append(tests, parseTestFiles(t, pkg.Dir)...)
+	}
 	allowed := make([]string, 0, len(testOnlyAllowed))
 	for name := range testOnlyAllowed {
 		allowed = append(allowed, name)
@@ -209,6 +227,31 @@ func TestNoTestOnlyCode(t *testing.T) {
 	// What an allowed entry calls is allowed with it.
 	walk()
 
+	// Fields are read on the same production paths: the reached
+	// functions, allowlisted ones included, the package-level
+	// declarations and the bench module.
+	var prod []scoped
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok {
+					prod = append(prod, scoped{pkg.Info, d})
+					continue
+				}
+				if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok && fn.Body != nil && reached[obj.FullName()] {
+					prod = append(prod, scoped{pkg.Info, fn.Body})
+				}
+			}
+		}
+	}
+	for _, pkg := range benchPkgs {
+		for _, f := range pkg.Files {
+			prod = append(prod, scoped{pkg.Info, f})
+		}
+	}
+	checkFields(t, pkgs, prod, tests)
+
 	var unreached []string
 	for name := range decls {
 		if !reached[name] {
@@ -234,23 +277,21 @@ type testFile struct {
 	file *ast.File
 }
 
-// parseTestFiles parses the _test.go files in the directories of pkgs.
-func parseTestFiles(t *testing.T, pkgs []*Package) []testFile {
+// parseTestFiles parses the _test.go files in dir.
+func parseTestFiles(t *testing.T, dir string) []testFile {
 	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	fset := token.NewFileSet()
 	var out []testFile
-	for _, pkg := range pkgs {
-		names, err := filepath.Glob(filepath.Join(pkg.Dir, "*_test.go"))
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range names {
-			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, testFile{dir: pkg.Dir, file: f})
-		}
+		out = append(out, testFile{dir: dir, file: f})
 	}
 	return out
 }
@@ -261,11 +302,11 @@ func parseTestFiles(t *testing.T, pkgs []*Package) []testFile {
 // name in a file of its own package, or through an import of pkg.
 func (tf testFile) references(n ast.Node, pkg *Package, fn *ast.FuncDecl) bool {
 	name, method := fn.Name.Name, fn.Recv != nil
-	inPkg := tf.dir == pkg.Dir && tf.file.Name.Name == pkg.Name
+	inPkg := tf.dir == pkg.Dir && tf.file.Name.Name == pkg.Types.Name()
 	qual := "" // the file's name for pkg, when it imports it
 	for _, imp := range tf.file.Imports {
 		if path, _ := strconv.Unquote(imp.Path.Value); path == pkg.Path {
-			qual = pkg.Name
+			qual = pkg.Types.Name()
 			if imp.Name != nil {
 				qual = imp.Name.Name
 			}
@@ -291,6 +332,205 @@ func (tf testFile) references(n ast.Node, pkg *Package, fn *ast.FuncDecl) bool {
 	}
 	ast.Inspect(n, visit)
 	return found
+}
+
+// reads reports whether the syntax under n, in tf, reads a field named
+// name: a selector of that name, not qualified by an import, that is
+// not the target of an assignment, ++ or --. Test files are not
+// type-checked, so any field of that name matches.
+func (tf testFile) reads(n ast.Node, name string) bool {
+	imported := map[string]bool{}
+	for _, imp := range tf.file.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		imported[pathpkg.Base(path)] = true
+		if imp.Name != nil {
+			imported[imp.Name.Name] = true
+		}
+	}
+	written := map[*ast.SelectorExpr]bool{}
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		markTargets(n, written)
+		if se, ok := n.(*ast.SelectorExpr); ok && se.Sel.Name == name && !written[se] {
+			x, ok := se.X.(*ast.Ident)
+			found = !ok || !imported[x.Name]
+		}
+		return !found
+	})
+	return found
+}
+
+// scoped is a syntax tree and the type information that covers it.
+type scoped struct {
+	info *types.Info
+	n    ast.Node
+}
+
+// checkFields fails on any field of a named struct type declared in
+// pkgs that no syntax in prod reads, and on any stale testOnlyFields
+// entry. A read is a selector that is not the target of an assignment,
+// ++ or --, and a selector through an embedded field reads that field.
+// A JSON-tagged field counts as read by encoding/json, and every field
+// of a struct that is a map key or an operand of == or != counts as
+// read by the comparison.
+func checkFields(t *testing.T, pkgs []*Package, prod []scoped, tests []testFile) {
+	t.Helper()
+	declared := map[string]token.Position{}
+	for _, pkg := range pkgs {
+		for _, obj := range pkg.Info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); f.Name() != "_" && (!ok || tag == "-") {
+					declared[fieldKey(named, f)] = pkg.Fset.Position(f.Pos())
+				}
+			}
+		}
+	}
+
+	read := map[string]bool{}
+	var readAll func(types.Type)
+	readAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			named, _ := types.Unalias(t).(*types.Named)
+			for i := 0; i < u.NumFields(); i++ {
+				if named != nil {
+					read[fieldKey(named, u.Field(i))] = true
+				}
+				readAll(u.Field(i).Type())
+			}
+		case *types.Array:
+			readAll(u.Elem())
+		}
+	}
+	for _, s := range prod {
+		written := map[*ast.SelectorExpr]bool{}
+		ast.Inspect(s.n, func(n ast.Node) bool {
+			markTargets(n, written)
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if sel, ok := s.info.Selections[n]; ok {
+					markRead(read, sel, written[n])
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					readAll(s.info.TypeOf(n.X))
+					readAll(s.info.TypeOf(n.Y))
+				}
+			case *ast.MapType:
+				readAll(s.info.TypeOf(n.Key))
+			}
+			return true
+		})
+	}
+
+	allowed := make([]string, 0, len(testOnlyFields))
+	for key := range testOnlyFields {
+		allowed = append(allowed, key)
+	}
+	sort.Strings(allowed)
+	for _, key := range allowed {
+		if _, ok := declared[key]; !ok || read[key] {
+			t.Errorf("field allowlist entry %s is stale: production code reads it, or it is gone", key)
+			continue
+		}
+		delete(declared, key)
+		name := key[strings.LastIndex(key, ".")+1:]
+		named := testName.FindAllString(testOnlyFields[key], -1)
+		if len(named) == 0 {
+			t.Errorf("field allowlist entry %s: its reason names no test that reads it", key)
+		}
+		for _, test := range named {
+			found, reads := false, false
+			for _, tf := range tests {
+				for _, fd := range tf.file.Decls {
+					if fn, ok := fd.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == test {
+						found = true
+						reads = reads || tf.reads(fn.Body, name)
+					}
+				}
+			}
+			if !found {
+				t.Errorf("field allowlist entry %s: its reason names %s, which no test file declares", key, test)
+			} else if !reads {
+				t.Errorf("field allowlist entry %s: its reason names %s, whose body does not read it", key, test)
+			}
+		}
+	}
+
+	var unread []string
+	for key := range declared {
+		if !read[key] {
+			unread = append(unread, key)
+		}
+	}
+	sort.Strings(unread)
+	for _, key := range unread {
+		t.Errorf("field %s (%s) is read only by tests, or by nothing: delete it, or allowlist it with the tests that read it", key, declared[key])
+	}
+	if len(read) < 300 {
+		t.Errorf("only %d fields read on production paths; the scan looks broken", len(read))
+	}
+}
+
+// markTargets adds to written the selectors that n, when it is an
+// assignment, ++ or --, assigns to.
+func markTargets(n ast.Node, written map[*ast.SelectorExpr]bool) {
+	var lhs []ast.Expr
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		lhs = n.Lhs
+	case *ast.IncDecStmt:
+		lhs = []ast.Expr{n.X}
+	}
+	for _, e := range lhs {
+		if se, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[se] = true
+		}
+	}
+}
+
+// markRead marks read the fields sel goes through: each embedded field
+// on its path and, for a field selection that is not assigned to, the
+// field itself. Fields of unnamed structs have no key and are skipped.
+func markRead(read map[string]bool, sel *types.Selection, assigned bool) {
+	t := sel.Recv()
+	for i, idx := range sel.Index() {
+		last := i == len(sel.Index())-1
+		if last && sel.Kind() != types.FieldVal {
+			return // the method a method selection ends in
+		}
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		f := st.Field(idx)
+		if named, ok := types.Unalias(t).(*types.Named); ok && !(last && assigned) {
+			read[fieldKey(named, f)] = true
+		}
+		t = f.Type()
+	}
+}
+
+// fieldKey names field f of the struct type named, as
+// "<package path>.<type>.<field>".
+func fieldKey(named *types.Named, f *types.Var) string {
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + f.Name()
 }
 
 // recvBase returns the base type of m's receiver, or nil when m is a

@@ -57,10 +57,10 @@ type Sample struct {
 // heuristic: replicating a set gives every node a local copy. The
 // original Carrefour implements this for read-only hot pages; the paper
 // discards it in Xen because it would require radical memory-manager
-// changes — it is gated behind Config.EnableReplication here for the
-// ablation study.
+// changes — only ModeReplicationOnly runs it here, for the ablation
+// study.
 type Replicator interface {
-	Replicate() bool
+	Replicate()
 }
 
 // Tick is one sampling interval's machine state.
@@ -80,16 +80,15 @@ type Tick struct {
 type Mode int
 
 const (
-	// ModeFull runs every enabled heuristic: interleave on controller
-	// overload, locality migration on link saturation, and replication
-	// when Config.EnableReplication is set.
+	// ModeFull runs the paper's two heuristics: interleave on
+	// controller overload and locality migration on link saturation.
+	// It never replicates (§3.4).
 	ModeFull Mode = iota
 	// ModeMigrationOnly keeps only the locality-migration heuristic:
 	// no hot-page interleaving, no replication.
 	ModeMigrationOnly
-	// ModeReplicationOnly keeps only the replication heuristic (New
-	// turns Config.EnableReplication on for it); pages are never
-	// migrated.
+	// ModeReplicationOnly keeps only the replication heuristic; pages
+	// are never migrated.
 	ModeReplicationOnly
 )
 
@@ -116,11 +115,10 @@ func (m Mode) interleaves() bool { return m == ModeFull }
 //xnuma:noalloc
 func (m Mode) migrates() bool { return m == ModeFull || m == ModeMigrationOnly }
 
-// replicates reports whether the replication heuristic may run (still
-// subject to Config.EnableReplication under ModeFull).
+// replicates reports whether the replication heuristic may run.
 //
 //xnuma:noalloc
-func (m Mode) replicates() bool { return m == ModeFull || m == ModeReplicationOnly }
+func (m Mode) replicates() bool { return m == ModeReplicationOnly }
 
 // Config tunes the decision thresholds.
 type Config struct {
@@ -143,9 +141,6 @@ type Config struct {
 	// BudgetPages caps migrations per tick (hardware-counter-driven
 	// Carrefour moves only the hottest pages).
 	BudgetPages int
-	// EnableReplication turns on the replication heuristic that the
-	// paper deliberately leaves out (§3.4). Off by default.
-	EnableReplication bool
 }
 
 // DefaultConfig returns thresholds matching Carrefour's published
@@ -165,11 +160,10 @@ type Controller struct {
 	Cfg Config
 
 	// Counters.
-	Ticks           uint64
-	Interleaved     uint64
-	LocalityMoved   uint64
-	InterleaveTicks uint64
-	rr              int
+	Ticks         uint64
+	Interleaved   uint64
+	LocalityMoved uint64
+	rr            int
 
 	// Scratch buffers reused across ticks so the decision loop allocates
 	// nothing in the steady state (the engine runs it inside the epoch
@@ -189,54 +183,37 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Reset readies c for a new run with cfg, applying the mode's
-// implications (ModeReplicationOnly turns EnableReplication on — the
-// variant is meaningless without it). The counters and the interleave
-// cursor restart from zero; the scratch buffers keep their storage, so a
-// reset controller decides exactly as a new one does without
-// reallocating them.
+// Reset readies c for a new run with cfg. The counters and the
+// interleave cursor restart from zero; the scratch buffers keep their
+// storage, so a reset controller decides exactly as a new one does
+// without reallocating them.
 func (c *Controller) Reset(cfg Config) {
-	if cfg.Mode == ModeReplicationOnly {
-		cfg.EnableReplication = true
-	}
 	c.Cfg = cfg
-	c.Ticks, c.Interleaved, c.LocalityMoved, c.InterleaveTicks = 0, 0, 0, 0
+	c.Ticks, c.Interleaved, c.LocalityMoved = 0, 0, 0
 	c.rr = 0
 }
 
-// Result reports what one tick did.
-type Result struct {
-	Migrated        int
-	InterleaveMoves int
-	LocalityMoves   int
-	Replications    int
-}
-
-// Step runs one decision interval.
+// Step runs one decision interval and returns the number of pages it
+// migrated.
 //
 //xnuma:noalloc
-func (c *Controller) Step(t Tick) Result {
+func (c *Controller) Step(t Tick) int {
 	c.Ticks++
-	var res Result
+	migrated := 0
 	budget := c.Cfg.BudgetPages
 
 	if c.Cfg.Mode.interleaves() && c.controllersOverloaded(t.CtrlUtil) {
-		c.InterleaveTicks++
-		n := c.interleave(t, &budget)
-		res.InterleaveMoves += n
-		res.Migrated += n
+		migrated += c.interleave(t, &budget)
 	}
 	if t.MaxLinkUtil > c.Cfg.LinkSaturation {
-		if c.Cfg.EnableReplication && c.Cfg.Mode.replicates() {
-			res.Replications += c.replicate(t)
+		if c.Cfg.Mode.replicates() {
+			c.replicate(t)
 		}
 		if c.Cfg.Mode.migrates() {
-			n := c.localityMigrate(t, &budget)
-			res.LocalityMoves += n
-			res.Migrated += n
+			migrated += c.localityMigrate(t, &budget)
 		}
 	}
-	return res
+	return migrated
 }
 
 // replicate applies the replication heuristic: hot, read-only sets
@@ -244,8 +221,7 @@ func (c *Controller) Step(t Tick) Result {
 // traffic entirely.
 //
 //xnuma:noalloc
-func (c *Controller) replicate(t Tick) int {
-	done := 0
+func (c *Controller) replicate(t Tick) {
 	for _, s := range t.Samples {
 		if !s.Hot || !s.ReadOnly {
 			continue
@@ -253,11 +229,10 @@ func (c *Controller) replicate(t Tick) int {
 		if _, share := dominantNode(s.Accessors); share >= c.Cfg.DominantAccessor {
 			continue // single accessor: migration is cheaper
 		}
-		if rep, ok := s.Set.(Replicator); ok && rep.Replicate() {
-			done++
+		if rep, ok := s.Set.(Replicator); ok {
+			rep.Replicate()
 		}
 	}
-	return done
 }
 
 //xnuma:noalloc

@@ -52,8 +52,7 @@ func TestInterleaveMovesFromOverloadedNode(t *testing.T) {
 		CtrlUtil: []float64{0.9, 0.05, 0.05, 0.05},
 		Samples:  []Sample{{Set: set, AccessShare: 0.8, Accessors: uniform(4)}},
 	}
-	res := c.Step(tick)
-	if res.InterleaveMoves == 0 {
+	if c.Step(tick) == 0 || set.moves == 0 {
 		t.Fatal("overloaded controller triggered no interleaving")
 	}
 	still := 0
@@ -83,7 +82,7 @@ func TestInterleaveNeedsImbalance(t *testing.T) {
 		CtrlUtil: []float64{0.9, 0.9, 0.9, 0.9},
 		Samples:  []Sample{{Set: set, AccessShare: 1, Accessors: uniform(4)}},
 	}
-	if res := c.Step(tick); res.InterleaveMoves != 0 {
+	if c.Step(tick); set.moves != 0 {
 		t.Fatal("interleaved on a balanced machine")
 	}
 }
@@ -96,9 +95,8 @@ func TestLocalityMigrationOnLinkSaturation(t *testing.T) {
 		MaxLinkUtil: 0.5,
 		Samples:     []Sample{{Set: set, AccessShare: 0.5, Accessors: accessors(4, 0, 0.9)}},
 	}
-	res := c.Step(tick)
-	if res.LocalityMoves != 4 {
-		t.Fatalf("locality moves = %d, want 4", res.LocalityMoves)
+	if n := c.Step(tick); n != 4 || set.moves != 4 {
+		t.Fatalf("locality moves = %d (set saw %d), want 4", n, set.moves)
 	}
 	for _, n := range set.nodes {
 		if n != 0 {
@@ -115,7 +113,7 @@ func TestLocalityMigrationNeedsDominantAccessor(t *testing.T) {
 		MaxLinkUtil: 0.5,
 		Samples:     []Sample{{Set: set, AccessShare: 0.5, Accessors: uniform(4)}},
 	}
-	if res := c.Step(tick); res.LocalityMoves != 0 {
+	if c.Step(tick); set.moves != 0 {
 		t.Fatal("migrated a shared set")
 	}
 }
@@ -128,7 +126,7 @@ func TestNoActionBelowThresholds(t *testing.T) {
 		MaxLinkUtil: 0.1,
 		Samples:     []Sample{{Set: set, AccessShare: 1, Accessors: accessors(4, 0, 1)}},
 	}
-	if res := c.Step(tick); res.Migrated != 0 {
+	if c.Step(tick) != 0 || set.moves != 0 {
 		t.Fatal("idle machine triggered migrations")
 	}
 }
@@ -143,8 +141,8 @@ func TestBudgetCapsMigrations(t *testing.T) {
 		CtrlUtil: []float64{0.9, 0.05, 0.05, 0.05},
 		Samples:  []Sample{{Set: set, AccessShare: 1, Accessors: uniform(4)}},
 	}
-	if res := c.Step(tick); res.Migrated != 3 {
-		t.Fatalf("migrated %d, want budget 3", res.Migrated)
+	if n := c.Step(tick); n != 3 || set.moves != 3 {
+		t.Fatalf("migrated %d (set saw %d), want budget 3", n, set.moves)
 	}
 }
 
@@ -193,48 +191,44 @@ func TestCountersAccumulate(t *testing.T) {
 		Samples:  []Sample{{Set: set, AccessShare: 1, Accessors: uniform(4)}},
 	}
 	c.Step(tick)
-	if c.Ticks != 1 || c.InterleaveTicks != 1 || c.Interleaved == 0 {
+	if c.Ticks != 1 || c.Interleaved == 0 || c.LocalityMoved != 0 {
 		t.Fatalf("counters: %+v", c)
 	}
 }
 
-// replSet is a fakeSet that also supports replication.
-type replSet struct {
+// replicaSet is a fakeSet that also supports replication.
+type replicaSet struct {
 	*fakeSet
 	replicated bool
 }
 
-func (s *replSet) Replicate() bool {
-	if s.replicated {
-		return false
-	}
-	s.replicated = true
-	return true
-}
+func (s *replicaSet) Replicate() { s.replicated = true }
 
 // TestModesGateHeuristics: the §7 variant knobs restrict the controller
 // to one mechanism. The tick triggers every heuristic at once
 // (overloaded+imbalanced controllers, saturated link, hot read-only set
 // with a dominant accessor elsewhere than its pages); each mode must
-// run exactly its own subset.
+// run exactly its own subset. ModeFull, the paper's port, never
+// replicates (§3.4).
 func TestModesGateHeuristics(t *testing.T) {
 	cases := []struct {
 		mode                      Mode
 		interleave, migrate, repl bool
 	}{
-		{ModeFull, true, true, true},
+		{ModeFull, true, true, false},
 		{ModeMigrationOnly, false, true, false},
 		{ModeReplicationOnly, false, false, true},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()
 		cfg.Mode = tc.mode
-		cfg.EnableReplication = true
 		c := New(cfg)
 		// Hot read-only multi-accessor set (replication target) plus a
 		// single-accessor remote set (migration target), pages on the
-		// overloaded node 0 (interleave target).
-		hot := &replSet{fakeSet: newFakeSet(0, 0)}
+		// overloaded node 0 (interleave target). Only interleaving moves
+		// the multi-accessor set; locality migration leaves every page of
+		// the remote set on its accessor, node 1.
+		hot := &replicaSet{fakeSet: newFakeSet(0, 0)}
 		remote := newFakeSet(0, 0, 0, 0)
 		tick := Tick{
 			CtrlUtil:    []float64{0.9, 0.05, 0.05, 0.05},
@@ -244,12 +238,16 @@ func TestModesGateHeuristics(t *testing.T) {
 				{Set: remote, AccessShare: 0.4, Accessors: accessors(4, 1, 0.9)},
 			},
 		}
-		res := c.Step(tick)
-		if got := res.InterleaveMoves > 0; got != tc.interleave {
-			t.Errorf("%v: interleave moves %d, want active=%v", tc.mode, res.InterleaveMoves, tc.interleave)
+		c.Step(tick)
+		if got := hot.moves > 0; got != tc.interleave {
+			t.Errorf("%v: interleave moved %d hot pages, want active=%v", tc.mode, hot.moves, tc.interleave)
 		}
-		if got := res.LocalityMoves > 0; got != tc.migrate {
-			t.Errorf("%v: locality moves %d, want active=%v", tc.mode, res.LocalityMoves, tc.migrate)
+		local := true
+		for _, n := range remote.nodes {
+			local = local && n == 1
+		}
+		if local != tc.migrate {
+			t.Errorf("%v: remote set on %v, want locality migration active=%v", tc.mode, remote.nodes, tc.migrate)
 		}
 		if hot.replicated != tc.repl {
 			t.Errorf("%v: replicated=%v, want %v", tc.mode, hot.replicated, tc.repl)
@@ -257,44 +255,11 @@ func TestModesGateHeuristics(t *testing.T) {
 	}
 }
 
-// TestFullModeRespectsEnableReplication: ModeFull without
-// EnableReplication must not replicate (the paper's port leaves
-// replication out by default, §3.4); only the replication-only variant
-// implies the flag, at the engine layer.
-func TestFullModeRespectsEnableReplication(t *testing.T) {
-	cfg := DefaultConfig() // EnableReplication off
-	c := New(cfg)
-	hot := &replSet{fakeSet: newFakeSet(0, 0)}
-	tick := Tick{
-		CtrlUtil:    []float64{0.1, 0.1, 0.1, 0.1},
-		MaxLinkUtil: 0.5,
-		Samples:     []Sample{{Set: hot, AccessShare: 0.5, Accessors: uniform(4), Hot: true, ReadOnly: true}},
-	}
-	c.Step(tick)
-	if hot.replicated {
-		t.Fatal("replicated with EnableReplication off")
-	}
-}
-
-// replicaSet extends fakeSet with replication.
-type replicaSet struct {
-	fakeSet
-	replicated bool
-}
-
-func (r *replicaSet) Replicate() bool {
-	if r.replicated {
-		return false
-	}
-	r.replicated = true
-	return true
-}
-
 func TestReplicationHeuristic(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.EnableReplication = true
+	cfg.Mode = ModeReplicationOnly
 	c := New(cfg)
-	set := &replicaSet{fakeSet: *newFakeSet(0, 0)}
+	set := &replicaSet{fakeSet: newFakeSet(0, 0)}
 	tick := Tick{
 		CtrlUtil:    []float64{0.1, 0.1, 0.1, 0.1},
 		MaxLinkUtil: 0.5,
@@ -303,34 +268,31 @@ func TestReplicationHeuristic(t *testing.T) {
 			Hot: true, ReadOnly: true,
 		}},
 	}
-	res := c.Step(tick)
-	if res.Replications != 1 || !set.replicated {
-		t.Fatalf("read-only hot set not replicated: %+v", res)
-	}
-	// Idempotent on the next tick.
-	if res := c.Step(tick); res.Replications != 0 {
-		t.Fatal("set replicated twice")
+	if n := c.Step(tick); n != 0 || !set.replicated || set.moves != 0 {
+		t.Fatalf("read-only hot set: replicated=%v, %d pages moved (step reported %d); want replicated, none moved", set.replicated, set.moves, n)
 	}
 }
 
 func TestReplicationRequiresReadOnlyAndMultiAccessor(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.EnableReplication = true
+	cfg.Mode = ModeReplicationOnly
 	c := New(cfg)
-	mk := func(readonly bool, acc []float64) Tick {
-		return Tick{
+	step := func(readonly bool, acc []float64) bool {
+		set := &replicaSet{fakeSet: newFakeSet(3, 3)}
+		c.Step(Tick{
 			CtrlUtil:    []float64{0, 0, 0, 0},
 			MaxLinkUtil: 0.5,
 			Samples: []Sample{{
-				Set: &replicaSet{fakeSet: *newFakeSet(3, 3)}, AccessShare: 0.5,
+				Set: set, AccessShare: 0.5,
 				Accessors: acc, Hot: true, ReadOnly: readonly,
 			}},
-		}
+		})
+		return set.replicated
 	}
-	if res := c.Step(mk(false, uniform(4))); res.Replications != 0 {
+	if step(false, uniform(4)) {
 		t.Fatal("replicated a writable set")
 	}
-	if res := c.Step(mk(true, accessors(4, 2, 0.95))); res.Replications != 0 {
+	if step(true, accessors(4, 2, 0.95)) {
 		t.Fatal("replicated a single-accessor set (migration is cheaper)")
 	}
 }
@@ -339,7 +301,7 @@ func TestReplicationOffByDefault(t *testing.T) {
 	// The paper discards the heuristic; the default configuration must
 	// not replicate.
 	c := New(DefaultConfig())
-	set := &replicaSet{fakeSet: *newFakeSet(0)}
+	set := &replicaSet{fakeSet: newFakeSet(0)}
 	tick := Tick{
 		CtrlUtil:    []float64{0, 0, 0, 0},
 		MaxLinkUtil: 0.9,
@@ -347,8 +309,7 @@ func TestReplicationOffByDefault(t *testing.T) {
 			Set: set, AccessShare: 0.9, Accessors: uniform(4), Hot: true, ReadOnly: true,
 		}},
 	}
-	if res := c.Step(tick); res.Replications != 0 || set.replicated {
+	if c.Step(tick); set.replicated {
 		t.Fatal("default configuration replicated (§3.4 discards it)")
 	}
-	_ = numa.NodeID(0)
 }

@@ -9,8 +9,8 @@ import (
 
 // runConverge executes one run with the given noConverge setting through
 // a hand-built runner (Run hides it) and returns the results plus the
-// number of epochs the fast path skipped.
-func runConverge(t *testing.T, noConverge, carrefour bool) ([]Result, uint64) {
+// runner, whose convergedEpochs counts the epochs the fast path skipped.
+func runConverge(t *testing.T, noConverge, carrefour bool) ([]Result, *Runner) {
 	t.Helper()
 	topo := numa.AMD48Scaled(64)
 	cfg := testConfig(topo)
@@ -29,7 +29,7 @@ func runConverge(t *testing.T, noConverge, carrefour bool) ([]Result, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, r.convergedEpochs
+	return res, r
 }
 
 // TestConvergedFastPathMatchesFullKernel pins the converged-epoch fast
@@ -39,12 +39,12 @@ func runConverge(t *testing.T, noConverge, carrefour bool) ([]Result, uint64) {
 // and the optimization dead.
 func TestConvergedFastPathMatchesFullKernel(t *testing.T) {
 	for _, carrefour := range []bool{false, true} {
-		full, skippedFull := runConverge(t, true, carrefour)
-		fast, skippedFast := runConverge(t, false, carrefour)
-		if skippedFull != 0 {
-			t.Fatalf("carrefour=%v: noConverge run skipped %d epochs", carrefour, skippedFull)
+		full, rFull := runConverge(t, true, carrefour)
+		fast, rFast := runConverge(t, false, carrefour)
+		if rFull.convergedEpochs != 0 {
+			t.Fatalf("carrefour=%v: noConverge run skipped %d epochs", carrefour, rFull.convergedEpochs)
 		}
-		if skippedFast == 0 {
+		if rFast.convergedEpochs == 0 {
 			t.Errorf("carrefour=%v: fast path never fired; optimization is dead", carrefour)
 		}
 		// Results embed *RunStats; compare the dereferenced stats too.

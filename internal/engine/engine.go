@@ -19,7 +19,6 @@
 package engine
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/carrefour"
@@ -30,44 +29,13 @@ import (
 	"repro/internal/workload"
 )
 
-// RegionKind classifies a region's first-touch and access pattern.
-type RegionKind int
-
-const (
-	// RegionHot is the tiny set of hottest pages; its accesses
-	// concentrate on effectively one page, so no static policy can
-	// balance it.
-	RegionHot RegionKind = iota
-	// RegionMaster is memory allocated and first-touched by the master
-	// thread, then accessed by everyone (the master-slave pattern).
-	RegionMaster
-	// RegionPrivate is one thread's private memory.
-	RegionPrivate
-	// RegionDist is shared memory first-touched by all threads evenly.
-	RegionDist
-)
-
-func (k RegionKind) String() string {
-	switch k {
-	case RegionHot:
-		return "hot"
-	case RegionMaster:
-		return "master"
-	case RegionPrivate:
-		return "private"
-	case RegionDist:
-		return "dist"
-	default:
-		return fmt.Sprintf("RegionKind(%d)", int(k))
-	}
-}
-
 // Region is a set of pages with a uniform access pattern. Backends
 // append pages as they materialize and update placement on migration.
 type Region struct {
-	Name  string
-	Kind  RegionKind
-	Owner int // owning thread for RegionPrivate
+	Name string
+	// Owner is the owning thread of a per-thread region (a dist or
+	// private slice), or -1 for a shared one (hot, master).
+	Owner int
 
 	Pages  []mem.PFN
 	nodes  []numa.NodeID
@@ -105,9 +73,9 @@ type Region struct {
 }
 
 // NewRegion returns an empty region for a machine with nNodes nodes.
-func NewRegion(name string, kind RegionKind, owner, nNodes int) *Region {
+func NewRegion(name string, owner, nNodes int) *Region {
 	return &Region{
-		Name: name, Kind: kind, Owner: owner,
+		Name: name, Owner: owner,
 		hist: make([]float64, nNodes), nNodes: nNodes,
 		distDirty: true, accessDirty: true, hotDirty: true,
 	}
@@ -138,7 +106,7 @@ func (r *Region) SetAccessHead(limit int) {
 }
 
 // reset empties the region for a new run, keeping its identity (Name,
-// Kind, Owner) and every backing buffer, so a rerun instance's regions
+// Owner) and every backing buffer, so a rerun instance's regions
 // refill without allocating.
 func (r *Region) reset() {
 	r.Pages = r.Pages[:0]
@@ -156,16 +124,16 @@ func (r *Region) reset() {
 
 // resetRegion readies a region for a new run: reg itself, emptied in
 // place, when it spans nNodes nodes, otherwise a new region. Per-thread
-// regions (dist and private slices) are named after their owner.
-func resetRegion(reg *Region, name string, kind RegionKind, owner, nNodes int) *Region {
+// regions (owner >= 0) are named after their owner.
+func resetRegion(reg *Region, name string, owner, nNodes int) *Region {
 	if reg != nil && reg.nNodes == nNodes {
 		reg.reset()
 		return reg
 	}
-	if kind == RegionDist || kind == RegionPrivate {
+	if owner >= 0 {
 		name += strconv.Itoa(owner)
 	}
-	return NewRegion(name, kind, owner, nNodes)
+	return NewRegion(name, owner, nNodes)
 }
 
 // AddPage records a materialized page and its placement.
@@ -195,15 +163,13 @@ func (r *Region) SetNode(i int, node numa.NodeID) {
 	r.invalidate()
 }
 
-// Replicate marks the region as having a copy on every node. It reports
-// whether the flag changed (false when already replicated).
-func (r *Region) Replicate() bool {
-	if r.Replicated {
-		return false
+// Replicate marks the region as having a copy on every node; a region
+// already replicated is left as it is.
+func (r *Region) Replicate() {
+	if !r.Replicated {
+		r.Replicated = true
+		r.invalidate()
 	}
-	r.Replicated = true
-	r.invalidate()
-	return true
 }
 
 // Len returns the number of materialized pages.
@@ -359,12 +325,17 @@ type Instance struct {
 	LargePages bool
 
 	Threads []*Thread
-	hot     *Region
-	master  *Region
+	// hot is the tiny set of hottest pages; its accesses concentrate on
+	// effectively one page, so no static policy can balance it.
+	hot *Region
+	// master is memory allocated and first-touched by the master
+	// thread, then accessed by everyone (the master-slave pattern).
+	master *Region
 	// dist holds one slice per thread: distributed-shared memory is
 	// first-touched by its owning thread and mostly accessed by it, with
 	// a CrossShare fraction of accesses hitting all slices uniformly.
-	dist  []*Region
+	dist []*Region
+	// priv holds each thread's private memory.
 	priv  []*Region
 	sizes regionSizes
 	// pageBuf and nodeBuf back every region's Pages and nodes:

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/carrefour"
 	"repro/internal/iosim"
 	"repro/internal/mem"
 	"repro/internal/numa"
@@ -85,7 +86,7 @@ func testConfig(topo *numa.Topology) Config {
 }
 
 func TestRegionHistogramInvariant(t *testing.T) {
-	r := NewRegion("r", RegionDist, 0, 4)
+	r := NewRegion("r", 0, 4)
 	r.AddPage(0, 1)
 	r.AddPage(1, 1)
 	r.AddPage(2, 3)
@@ -109,7 +110,7 @@ func TestRegionHistogramInvariant(t *testing.T) {
 }
 
 func TestRegionAccessHead(t *testing.T) {
-	r := NewRegion("r", RegionMaster, 0, 4)
+	r := NewRegion("r", -1, 4)
 	r.SetAccessHead(2)
 	r.AddPage(0, 0)
 	r.AddPage(1, 0)
@@ -134,7 +135,7 @@ func TestRegionAccessHead(t *testing.T) {
 }
 
 func TestRegionDistCachingInvalidation(t *testing.T) {
-	r := NewRegion("r", RegionMaster, 0, 4)
+	r := NewRegion("r", -1, 4)
 	r.AddPage(0, 1)
 	d1 := r.Dist()
 	if d1[1] != 1 {
@@ -157,7 +158,7 @@ func TestRegionDistCachingInvalidation(t *testing.T) {
 	if ad := r.AccessDist(); ad[3] != 1 {
 		t.Fatalf("stale access dist after SetAccessHead: %v", ad)
 	}
-	hot := NewRegion("hot", RegionHot, 0, 4)
+	hot := NewRegion("hot", -1, 4)
 	hot.AddPage(0, 2)
 	if hd := hot.HotDist(); hd[2] != 1 {
 		t.Fatalf("hot dist = %v", hd)
@@ -166,8 +167,14 @@ func TestRegionDistCachingInvalidation(t *testing.T) {
 	if hd := hot.HotDist(); hd[1] != 1 || hd[2] != 0 {
 		t.Fatalf("stale hot dist after SetNode: %v", hd)
 	}
-	if !hot.Replicate() || hot.Replicate() {
-		t.Fatal("Replicate not idempotent-with-report")
+	gen := hot.gen
+	hot.Replicate()
+	if !hot.Replicated || hot.gen == gen {
+		t.Fatal("Replicate did not mark the region and its caches")
+	}
+	gen = hot.gen
+	if hot.Replicate(); hot.gen != gen {
+		t.Fatal("replicating a replicated region invalidated its caches")
 	}
 }
 
@@ -278,11 +285,11 @@ func TestFoldRowsMatchesStreams(t *testing.T) {
 func TestCombinedDistWeightsByPageCount(t *testing.T) {
 	// Two slices of very different sizes: the combined distribution must
 	// be dominated by the larger one, not an unweighted average.
-	a := NewRegion("a", RegionDist, 0, 4)
+	a := NewRegion("a", 0, 4)
 	for i := 0; i < 3; i++ {
 		a.AddPage(mem.PFN(i), 0)
 	}
-	b := NewRegion("b", RegionDist, 1, 4)
+	b := NewRegion("b", 1, 4)
 	b.AddPage(100, 1)
 	d := combinedDistInto(nil, []*Region{a, b})
 	if d[0] != 0.75 || d[1] != 0.25 {
@@ -299,7 +306,7 @@ func TestCombinedDistWeightsByPageCount(t *testing.T) {
 	if got := combinedDistInto(nil, nil); got != nil {
 		t.Fatalf("empty group dist = %v", got)
 	}
-	empty := NewRegion("e", RegionDist, 2, 4)
+	empty := NewRegion("e", 2, 4)
 	d = combinedDistInto(nil, []*Region{a, empty})
 	if d[0] != 1 {
 		t.Fatalf("dist with empty member = %v", d)
@@ -307,7 +314,7 @@ func TestCombinedDistWeightsByPageCount(t *testing.T) {
 }
 
 func TestRegionHotDist(t *testing.T) {
-	r := NewRegion("hot", RegionHot, 0, 4)
+	r := NewRegion("hot", -1, 4)
 	r.AddPage(0, 2)
 	r.AddPage(1, 3)
 	hd := r.HotDist()
@@ -569,8 +576,8 @@ type virtualizedStub struct{ *stubBackend }
 
 func (v *virtualizedStub) Virtualized() bool { return true }
 
-// TestReplicatedHotRegionGoesLocal: the replication flag makes the hot
-// stream local for every thread.
+// TestReplicatedHotRegionGoesLocal: the replication variant makes the
+// hot stream local for every thread.
 func TestReplicatedHotRegionGoesLocal(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	prof, _ := workload.Get("streamcluster") // hot share 0.17
@@ -580,10 +587,8 @@ func TestReplicatedHotRegionGoesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pre-replicate by running with Carrefour + replication enabled.
-	cfg2 := cfg
-	cfg2.Carrefour.EnableReplication = true
-	rep, err := new(Runner).Run(cfg2, &Instance{Prof: prof, Backend: newStub(topo, true), NThreads: 48, Carrefour: true})
+	rep, err := new(Runner).Run(cfg, &Instance{Prof: prof, Backend: newStub(topo, true), NThreads: 48,
+		Carrefour: true, CarrefourMode: carrefour.ModeReplicationOnly})
 	if err != nil {
 		t.Fatal(err)
 	}

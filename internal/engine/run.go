@@ -291,13 +291,13 @@ func (r *Runner) buildInstance(in *Instance) error {
 			latNs:    100,
 		}
 	}
-	in.hot = resetRegion(in.hot, "hot", RegionHot, 0, nNodes)
-	in.master = resetRegion(in.master, "master", RegionMaster, 0, nNodes)
+	in.hot = resetRegion(in.hot, "hot", -1, nNodes)
+	in.master = resetRegion(in.master, "master", -1, nNodes)
 	in.dist = resized(in.dist, in.NThreads)
 	in.priv = resized(in.priv, in.NThreads)
 	for i := range in.dist {
-		in.dist[i] = resetRegion(in.dist[i], "dist", RegionDist, i, nNodes)
-		in.priv[i] = resetRegion(in.priv[i], "priv", RegionPrivate, i, nNodes)
+		in.dist[i] = resetRegion(in.dist[i], "dist", i, nNodes)
+		in.priv[i] = resetRegion(in.priv[i], "priv", i, nNodes)
 	}
 	in.pendingMoves, in.movesPending = zeroed(in.pendingMoves, nNodes*nNodes), false
 	in.burstLeft, in.burstNode, in.burstRegion = 0, 0, nil
@@ -346,7 +346,6 @@ func (r *Runner) buildInstance(in *Instance) error {
 	_, placement := in.Backend.IO()
 	in.ioStream = iosim.Stream{
 		DemandBps:  in.Prof.DiskMBps * 1.06e6,
-		ReqBytes:   in.Prof.DiskReqBytes,
 		Placement:  placement,
 		BufferNode: Disk.Node,
 		HomeNodes:  in.Backend.HomeNodes(),
@@ -863,14 +862,14 @@ func (r *Runner) carrefourTick(i int, in *Instance) {
 		MaxLinkUtil: r.load.MaxLinkUtil(),
 		Samples:     r.samples(in),
 	}
-	res := r.ctrls[i].Step(tick)
-	if res.Migrated == 0 {
+	migrated := r.ctrls[i].Step(tick)
+	if migrated == 0 {
 		return
 	}
 	// Each migration copies one page across the interconnect:
 	// pageSet.Migrate charged its bytes to the next epoch; the CPU cost
 	// is debt spread across the instance's threads.
-	costNs := float64(res.Migrated) * 6000 / float64(in.NThreads)
+	costNs := float64(migrated) * 6000 / float64(in.NThreads)
 	for _, t := range in.Threads {
 		if !t.Done {
 			t.DebtNs += costNs
@@ -994,7 +993,7 @@ func (s *pageSet) NodeOf(i int) numa.NodeID { return s.r.NodeOf(i) }
 
 // Replicate implements carrefour.Replicator: every node gets a copy of
 // the set, so subsequent accesses are local. Idempotent.
-func (s *pageSet) Replicate() bool { return s.r.Replicate() }
+func (s *pageSet) Replicate() { s.r.Replicate() }
 func (s *pageSet) Migrate(i int, to numa.NodeID) bool {
 	from := s.r.NodeOf(i)
 	if !s.in.Backend.Migrate(s.r, i, to) {

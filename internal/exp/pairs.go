@@ -36,7 +36,8 @@ var Fig9Pairs = []Pair{
 }
 
 // XenPair names a two-VM configuration under Xen+: a single cell whose
-// two Results are VM A's and VM B's.
+// two Results are VM A's and VM B's. polA and polB are spelled as for
+// Linux.
 func (s *Suite) XenPair(a, polA, b, polB string, mode xennuma.PairMode, swap bool) *Cell {
 	key := fmt.Sprintf("pair/%s=%s/%s=%s/mode=%d/swap=%v", a, polA, b, polB, mode, swap)
 	return s.cell(s.baseSeed(), key, func(o xennuma.Options) ([]engine.Result, error) {

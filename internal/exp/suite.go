@@ -177,7 +177,10 @@ func execute(fn cellFn, o xennuma.Options) (res []engine.Result, err error) {
 }
 
 // Linux names the native run of app under pol; mcs selects the
-// MCS-lock variant (LinuxNUMA baseline).
+// MCS-lock variant (LinuxNUMA baseline). pol must be spelled
+// strings.ToLower(cfg.String()) of its parsed config, as every driver
+// spells it: the key seeds the cell's random stream, so another
+// spelling of the same policy would be another cell.
 func (s *Suite) Linux(app, pol string, mcs bool) *Cell {
 	key := fmt.Sprintf("linux/%s/%s/mcs=%v", app, pol, mcs)
 	return s.cell(s.baseSeed(), key, func(o xennuma.Options) ([]engine.Result, error) {
@@ -195,7 +198,8 @@ func (s *Suite) Linux(app, pol string, mcs bool) *Cell {
 }
 
 // Xen names the run of app in a single 48-vCPU VM under pol; xenplus
-// enables the improved baseline (passthrough + MCS).
+// enables the improved baseline (passthrough + MCS). pol is spelled as
+// for Linux.
 func (s *Suite) Xen(app, pol string, xenplus bool) *Cell {
 	return s.XenSeeded(app, pol, xenplus, s.baseSeed())
 }

@@ -34,9 +34,10 @@ const (
 // Linux's allocator behaviour after boot.
 type PhysAlloc struct {
 	totalPages uint64
-	nextFresh  uint64
-	reserved   uint64 // kernel pages at the bottom of the space
-	freed      []mem.PFN
+	// nextFresh is the lowest never-allocated page; it starts above the
+	// kernel pages at the bottom of the space.
+	nextFresh uint64
+	freed     []mem.PFN
 	// inUse[p] marks page p allocated; it spans the physical space.
 	inUse []bool
 }
@@ -50,7 +51,6 @@ func NewPhysAlloc(totalPages, reserved uint64) *PhysAlloc {
 	return &PhysAlloc{
 		totalPages: totalPages,
 		nextFresh:  reserved,
-		reserved:   reserved,
 		inUse:      make([]bool, totalPages),
 	}
 }
@@ -91,7 +91,6 @@ func (a *PhysAlloc) Reset(totalPages, reserved uint64) {
 	}
 	a.totalPages = totalPages
 	a.nextFresh = reserved
-	a.reserved = reserved
 	a.freed = a.freed[:0]
 	if totalPages > uint64(cap(a.inUse)) {
 		a.inUse = make([]bool, totalPages)
@@ -141,10 +140,6 @@ type PageQueue struct {
 	cfg    QueueConfig
 	dom    *xen.Domain
 	queues [][]policy.PageOp
-
-	// Counters.
-	Ops     uint64
-	Flushes uint64
 }
 
 // NewPageQueue builds the driver for dom.
@@ -169,11 +164,8 @@ func (q *PageQueue) queueOf(p mem.PFN) int {
 // and, when the queue fills, the flush hypercall performed under the
 // lock).
 func (q *PageQueue) Add(kind policy.PageOpKind, p mem.PFN) sim.Time {
-	q.Ops++
 	if q.cfg.Unbatched {
-		cost := q.dom.HypercallPageQueue([]policy.PageOp{{Kind: kind, PFN: p}})
-		q.Flushes++
-		return cost
+		return q.dom.HypercallPageQueue([]policy.PageOp{{Kind: kind, PFN: p}})
 	}
 	qi := q.queueOf(p)
 	q.queues[qi] = append(q.queues[qi], policy.PageOp{Kind: kind, PFN: p})
@@ -199,19 +191,17 @@ func (q *PageQueue) flush(qi int) sim.Time {
 	ops := q.queues[qi]
 	cost := q.dom.HypercallPageQueue(ops)
 	q.queues[qi] = q.queues[qi][:0]
-	q.Flushes++
 	return cost
 }
 
-// Reset rebinds the driver to dom with empty queues and zeroed
-// counters, keeping each queue's backing array. The configuration is
-// unchanged; callers needing a different shape build a new queue.
+// Reset rebinds the driver to dom with empty queues, keeping each
+// queue's backing array. The configuration is unchanged; callers
+// needing a different shape build a new queue.
 func (q *PageQueue) Reset(dom *xen.Domain) {
 	q.dom = dom
 	for i := range q.queues {
 		q.queues[i] = q.queues[i][:0]
 	}
-	q.Ops, q.Flushes = 0, 0
 }
 
 // Pending reports the total queued, unflushed operations.

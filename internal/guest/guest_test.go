@@ -88,23 +88,25 @@ func TestPhysAllocFreePages(t *testing.T) {
 	}
 }
 
+// flushCost is the cost of flushing one batch to a domain whose policy
+// ignores the page queue: the hypercall and the queue transfer.
+const flushCost = xen.CostHypercall + xen.CostQueueSend
+
 func TestQueuePartitioning(t *testing.T) {
 	_, d := testDomain(t)
 	q := NewPageQueue(d, DefaultQueueConfig())
 	// Pages with equal low bits go to the same queue; the queue must not
-	// flush before BatchSize entries.
+	// flush before BatchSize entries. A flush shows in Add's cost.
 	for i := 0; i < 63; i++ {
-		q.Add(policy.OpRelease, mem.PFN(i*4)) // all hit queue 0
-	}
-	if q.Flushes != 0 {
-		t.Fatalf("premature flush after 63 ops")
+		if cost := q.Add(policy.OpRelease, mem.PFN(i*4)); cost != CostQueueAdd { // all hit queue 0
+			t.Fatalf("premature flush at op %d: cost %v", i, cost)
+		}
 	}
 	if q.Pending() != 63 {
 		t.Fatalf("pending = %d", q.Pending())
 	}
-	q.Add(policy.OpRelease, mem.PFN(63*4))
-	if q.Flushes != 1 {
-		t.Fatalf("flushes = %d after filling the batch", q.Flushes)
+	if cost := q.Add(policy.OpRelease, mem.PFN(63*4)); cost != CostQueueAdd+flushCost {
+		t.Fatalf("filling the batch cost %v, want one add and one flush", cost)
 	}
 	if q.Pending() != 0 {
 		t.Fatal("queue not drained by flush")
@@ -116,24 +118,22 @@ func TestQueueIndependentQueues(t *testing.T) {
 	q := NewPageQueue(d, DefaultQueueConfig())
 	// Spread over the 4 queues: no flush until one queue fills.
 	for i := 0; i < 4*63; i++ {
-		q.Add(policy.OpRelease, mem.PFN(i))
+		if cost := q.Add(policy.OpRelease, mem.PFN(i)); cost != CostQueueAdd {
+			t.Fatalf("premature flush at op %d (each queue at most 63/64): cost %v", i, cost)
+		}
 	}
-	if q.Flushes != 0 {
-		t.Fatalf("flushes = %d, want 0 (each queue at 63/64)", q.Flushes)
-	}
-	cost := q.FlushAll()
-	if q.Flushes != 4 || cost <= 0 {
-		t.Fatalf("FlushAll: flushes = %d cost = %v", q.Flushes, cost)
+	if cost := q.FlushAll(); cost != 4*flushCost || q.Pending() != 0 {
+		t.Fatalf("FlushAll: cost = %v, want 4 flushes (%v); pending = %d", cost, 4*flushCost, q.Pending())
 	}
 }
 
 func TestUnbatchedQueueFlushesEveryOp(t *testing.T) {
 	_, d := testDomain(t)
 	q := NewPageQueue(d, QueueConfig{Queues: 1, BatchSize: 1, Unbatched: true})
-	q.Add(policy.OpRelease, 1)
-	q.Add(policy.OpRelease, 2)
-	if q.Flushes != 2 {
-		t.Fatalf("unbatched flushes = %d", q.Flushes)
+	for _, p := range []mem.PFN{1, 2} {
+		if cost := q.Add(policy.OpRelease, p); cost != flushCost || q.Pending() != 0 {
+			t.Fatalf("unbatched add of page %d: cost %v, want one flush (%v); pending %d", p, cost, flushCost, q.Pending())
+		}
 	}
 }
 
@@ -178,15 +178,14 @@ func TestOSAllocFreeNotifiesOnlyWhenActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.FreePage(p)
-	if g.Queue.Ops != 0 {
+	if g.Queue.Pending() != 0 {
 		t.Fatal("queue used while inactive")
 	}
-	g.SetPolicy(policy.Config{Static: policy.FirstTouch})
-	before := g.Queue.Ops
+	g.SetPolicy(policy.Config{Static: policy.FirstTouch}) // flushes the queues
 	p, _, _ = g.AllocPage()
 	g.FreePage(p)
-	if g.Queue.Ops != before+2 {
-		t.Fatalf("queue ops = %d, want %d", g.Queue.Ops, before+2)
+	if g.Queue.Pending() != 2 {
+		t.Fatalf("queued ops = %d, want 2", g.Queue.Pending())
 	}
 }
 
@@ -226,16 +225,27 @@ func TestChurnModelZeroRate(t *testing.T) {
 }
 
 // TestQuickQueueNeverLosesOps property-tests that every added op reaches
-// the hypervisor exactly once across flushes.
+// the hypervisor across flushes: under first-touch, every released page
+// ends invalid and nothing stays queued.
 func TestQuickQueueNeverLosesOps(t *testing.T) {
 	_, d := testDomain(t)
+	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.FirstTouch}); err != nil {
+		t.Fatal(err)
+	}
 	check := func(pfns []uint16) bool {
 		q := NewPageQueue(d, QueueConfig{Queues: 4, BatchSize: 8})
 		for _, p := range pfns {
-			q.Add(policy.OpAlloc, mem.PFN(p))
+			pfn := mem.PFN(uint64(p) % d.PhysPages())
+			d.Touch(pfn, 0, true) // valid again, whatever an earlier case left
+			q.Add(policy.OpRelease, pfn)
 		}
 		q.FlushAll()
-		return q.Ops == uint64(len(pfns)) && q.Pending() == 0
+		for _, p := range pfns {
+			if _, ok := d.NodeOfPFN(mem.PFN(uint64(p) % d.PhysPages())); ok {
+				return false
+			}
+		}
+		return q.Pending() == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

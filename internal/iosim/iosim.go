@@ -117,7 +117,6 @@ const (
 // Stream is one application's steady-state disk activity.
 type Stream struct {
 	DemandBps float64 // what the app consumes when unimpeded
-	ReqBytes  float64 // average request size
 	Placement BufferPlacement
 	// BufferNode is the target node for BufferSingleNode.
 	BufferNode numa.NodeID

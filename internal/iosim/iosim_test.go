@@ -32,7 +32,7 @@ func TestStreamCapOrdering(t *testing.T) {
 }
 
 func TestDeliveredUnimpeded(t *testing.T) {
-	s := Stream{DemandBps: 10e6, ReqBytes: 65536, Placement: BufferScattered}
+	s := Stream{DemandBps: 10e6, Placement: BufferScattered}
 	bps, prog := s.Delivered(PathNative, DefaultDisk())
 	if bps != 10e6 || prog != 1 {
 		t.Fatalf("unimpeded stream throttled: %v %v", bps, prog)
@@ -40,7 +40,7 @@ func TestDeliveredUnimpeded(t *testing.T) {
 }
 
 func TestDeliveredThrottledByDom0(t *testing.T) {
-	s := Stream{DemandBps: 240e6, ReqBytes: 1 << 20, Placement: BufferScattered}
+	s := Stream{DemandBps: 240e6, Placement: BufferScattered}
 	bps, prog := s.Delivered(PathDom0, DefaultDisk())
 	if prog >= 0.5 {
 		t.Fatalf("X-Stream-like demand not throttled by the dom0 path: %v/%v", bps, prog)
@@ -52,7 +52,7 @@ func TestDeliveredThrottledByDom0(t *testing.T) {
 }
 
 func TestDeliveredSingleNodePenalty(t *testing.T) {
-	scat := Stream{DemandBps: 260e6, ReqBytes: 1 << 20, Placement: BufferScattered}
+	scat := Stream{DemandBps: 260e6, Placement: BufferScattered}
 	single := scat
 	single.Placement = BufferSingleNode
 	_, ps := scat.Delivered(PathPassthrough, DefaultDisk())
@@ -63,7 +63,7 @@ func TestDeliveredSingleNodePenalty(t *testing.T) {
 }
 
 func TestDeliveredIOPenalty(t *testing.T) {
-	s := Stream{DemandBps: 54e6, ReqBytes: 65536, Placement: BufferScattered, Penalty: 7}
+	s := Stream{DemandBps: 54e6, Placement: BufferScattered, Penalty: 7}
 	// The psearchy-style penalty applies to virtualized paths only.
 	_, progNative := s.Delivered(PathNative, DefaultDisk())
 	if progNative < 0.85 {

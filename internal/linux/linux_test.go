@@ -36,7 +36,7 @@ func TestInterleaveSpreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := engine.NewRegion("r", engine.RegionDist, 0, 4)
+	r := engine.NewRegion("r", 0, 4)
 	if _, err := b.Place(r, 400, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestBindPlacesOnBoundNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := engine.NewRegion("r", engine.RegionPrivate, 0, 4)
+	r := engine.NewRegion("r", 0, 4)
 	if _, err := b.Place(r, 100, 0); err != nil { // toucher ignored
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestBindFallsBackWhenFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := engine.NewRegion("r", engine.RegionPrivate, 0, 2)
+	r := engine.NewRegion("r", 0, 2)
 	if _, err := b.Place(r, 400, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestLeastLoadedBalancesFreeMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skew := engine.NewRegion("skew", engine.RegionPrivate, 0, 4)
+	skew := engine.NewRegion("skew", 0, 4)
 	for i := 0; i < 64; i++ {
 		mfn, err := b.Alloc.Alloc(0, mem.Order4K)
 		if err != nil {
@@ -97,7 +97,7 @@ func TestLeastLoadedBalancesFreeMemory(t *testing.T) {
 		}
 		skew.AddPage(mem.PFN(mfn), 0)
 	}
-	r := engine.NewRegion("r", engine.RegionDist, 0, 4)
+	r := engine.NewRegion("r", 0, 4)
 	if _, err := b.Place(r, 96, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFirstTouchPlacesOnToucher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := engine.NewRegion("r", engine.RegionPrivate, 0, 4)
+	r := engine.NewRegion("r", 0, 4)
 	if _, err := b.Place(r, 100, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFirstTouchPlacesOnToucher(t *testing.T) {
 func TestRound4KSpreads(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 64<<20)
 	b, _ := New(topo, policy.Config{Static: policy.Round4K})
-	r := engine.NewRegion("r", engine.RegionDist, 0, 4)
+	r := engine.NewRegion("r", 0, 4)
 	if _, err := b.Place(r, 400, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRound4KSpreads(t *testing.T) {
 func TestMigrateMovesFrame(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 64<<20)
 	b, _ := New(topo, policy.Config{Static: policy.FirstTouch})
-	r := engine.NewRegion("r", engine.RegionPrivate, 0, 4)
+	r := engine.NewRegion("r", 0, 4)
 	b.Place(r, 1, 0)
 	old := mem.MFN(r.Pages[0])
 	if !b.Migrate(r, 0, 3) {
@@ -172,7 +172,7 @@ func TestMigrateMovesFrame(t *testing.T) {
 func TestMigrateInvalidatesCachedDist(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 64<<20)
 	b, _ := New(topo, policy.Config{Static: policy.FirstTouch})
-	r := engine.NewRegion("r", engine.RegionPrivate, 0, 4)
+	r := engine.NewRegion("r", 0, 4)
 	b.Place(r, 10, 0)
 	if d := r.Dist(); d[0] != 1 {
 		t.Fatalf("dist after place = %v", d)
@@ -188,7 +188,7 @@ func TestMigrateInvalidatesCachedDist(t *testing.T) {
 func TestFallbackWhenNodeFull(t *testing.T) {
 	topo := numa.SmallMachine(2, 1, 1<<20) // 256 frames per node
 	b, _ := New(topo, policy.Config{Static: policy.FirstTouch})
-	r := engine.NewRegion("r", engine.RegionPrivate, 0, 2)
+	r := engine.NewRegion("r", 0, 2)
 	// Ask for more than node 0 holds: the overflow must land on node 1
 	// rather than failing (§3.1).
 	if _, err := b.Place(r, 400, 0); err != nil {

@@ -46,7 +46,6 @@ var ErrNoMemory = errors.New("mem: out of memory")
 
 // Allocator owns the machine memory of a Topology.
 type Allocator struct {
-	topo          *numa.Topology
 	framesPerNode uint64
 	nodes         []nodeAlloc
 }
@@ -63,7 +62,7 @@ type nodeAlloc struct {
 // must have the same bank size (true for every machine in this repo) and
 // the bank size must be a multiple of the largest order.
 func NewAllocator(topo *numa.Topology) *Allocator {
-	a := &Allocator{topo: topo}
+	a := new(Allocator)
 	if topo.NumNodes() == 0 {
 		panic("mem: topology has no nodes")
 	}

@@ -17,7 +17,7 @@ import (
 // placements, and once that imbalance is stable across consecutive
 // fault windows it replaces itself with first-touch through the same
 // HypercallSetPolicy entry point a guest would use, so the switch is
-// observable (configuration, hypercall counters) like any external one.
+// observable in the domain's configuration like any external one.
 
 const (
 	// adaptiveWindow is the number of resolved faults between imbalance

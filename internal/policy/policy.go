@@ -265,11 +265,6 @@ type Policy struct {
 	placer Placer
 	// pageQueue is the descriptor's UsesPageQueue.
 	pageQueue bool
-	// seen is OnPageQueue's per-batch dedup scratch, kept across batches
-	// so the free-list flush on a policy switch (thousands of batches)
-	// reuses one map instead of allocating per call. Policies are
-	// per-domain and batches are processed one at a time, so no aliasing.
-	seen map[mem.PFN]struct{}
 }
 
 // New builds the runtime policy for kind from the default registry.
@@ -329,30 +324,31 @@ func switchTo(d DomainOps, next Kind) {
 // page-table entry was invalidated (the dominant cost of the hypercall,
 // §4.2.4). Kinds without UsesPageQueue ignore the queue; the others run
 // first-touch's reconciliation protocol: scan the queue from the most
-// recent operation, keep the first (most recent) operation seen for
-// each page, invalidate pages whose latest operation is a release, and
-// leave reallocated pages where they are (copying their content would
-// be too costly in the common case).
+// recent operation, invalidate each page whose latest operation is a
+// release, and leave reallocated pages where they are (copying their
+// content would be too costly in the common case).
+//
+// A release is skipped when a later entry of the batch names its page,
+// which rescans the rest of the batch. The guest's batches hold at most
+// its queue's BatchSize (64) entries, which bounds the rescan; it
+// allocates nothing and keeps no state between batches.
 func (p *Policy) OnPageQueue(d DomainOps, ops []PageOp) int {
 	if !p.pageQueue {
 		return 0
 	}
-	if p.seen == nil {
-		p.seen = make(map[mem.PFN]struct{}, len(ops))
-	} else {
-		clear(p.seen)
-	}
 	invalidated := 0
+scan:
 	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
-		if _, dup := p.seen[op.PFN]; dup {
+		if ops[i].Kind != OpRelease {
 			continue
 		}
-		p.seen[op.PFN] = struct{}{}
-		if op.Kind == OpRelease {
-			d.InvalidatePage(op.PFN)
-			invalidated++
+		for _, later := range ops[i+1:] {
+			if later.PFN == ops[i].PFN {
+				continue scan // the page's latest operation comes later
+			}
 		}
+		d.InvalidatePage(ops[i].PFN)
+		invalidated++
 	}
 	return invalidated
 }

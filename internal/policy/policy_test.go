@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -215,14 +216,18 @@ func TestRoundStaticIgnoresPageQueue(t *testing.T) {
 
 // TestQuickPageQueueProtocol property-tests the reconciliation rule: for
 // any op sequence, a page ends invalid iff its newest op is a release.
+// The frames are freed in a fixed order, because each free reshapes the
+// buddy free lists: one per page whose newest op is a release, in
+// descending order of that op's index in the batch.
 func TestQuickPageQueueProtocol(t *testing.T) {
 	check := func(raw []uint8) bool {
 		d := newFakeDomain(0)
 		p := mustNew(t, FirstTouch)
 		const pages = 8
+		var frame [pages]mem.MFN
 		for i := mem.PFN(0); i < pages; i++ {
-			m, _ := d.AllocFrameOn(0)
-			d.MapPage(i, m)
+			frame[i], _ = d.AllocFrameOn(0)
+			d.MapPage(i, frame[i])
 		}
 		ops := make([]PageOp, len(raw))
 		newest := make(map[mem.PFN]PageOpKind)
@@ -231,7 +236,17 @@ func TestQuickPageQueueProtocol(t *testing.T) {
 			ops[i] = op
 			newest[op.PFN] = op.Kind
 		}
-		p.OnPageQueue(d, ops)
+		var wantFreed []mem.MFN
+		decided := make(map[mem.PFN]bool)
+		for i := len(ops) - 1; i >= 0; i-- {
+			if !decided[ops[i].PFN] && ops[i].Kind == OpRelease {
+				wantFreed = append(wantFreed, frame[ops[i].PFN])
+			}
+			decided[ops[i].PFN] = true
+		}
+		if n := p.OnPageQueue(d, ops); n != len(wantFreed) || !slices.Equal(d.freed, wantFreed) {
+			return false
+		}
 		for i := mem.PFN(0); i < pages; i++ {
 			k, touched := newest[i]
 			wantValid := !touched || k == OpAlloc

@@ -40,8 +40,6 @@ type Profile struct {
 	FootprintMB float64
 	// DiskMBps is the sustained disk demand (Table 2).
 	DiskMBps float64
-	// DiskReqBytes is the average I/O request size.
-	DiskReqBytes float64
 	// IOPenalty divides the virtualized I/O path capacity for
 	// applications with pathological virtual-I/O behaviour (psearchy,
 	// §5.5). 1 means none.
@@ -141,7 +139,6 @@ type spec struct {
 	name, suite    string
 	footMB         float64
 	diskMBps       float64
-	reqBytes       float64
 	ioPenalty      float64
 	ctxKps         float64
 	pthread        bool
@@ -174,8 +171,7 @@ func (s spec) profile() Profile {
 	}
 	p := Profile{
 		Name: s.name, Suite: s.suite,
-		FootprintMB: s.footMB, DiskMBps: s.diskMBps,
-		DiskReqBytes: s.reqBytes, IOPenalty: max1(s.ioPenalty),
+		FootprintMB: s.footMB, DiskMBps: s.diskMBps, IOPenalty: max1(s.ioPenalty),
 		CtxSwitchKps: s.ctxKps, UsesPthreadSync: s.pthread,
 		SyncAmplification: s.syncAmp, ReleasesPerSec: s.releases,
 		MemIntensity: s.mi, ReadFrac: s.readFrac,
@@ -209,39 +205,39 @@ func max1(x float64) float64 {
 // Columns map to the spec struct fields in order.
 var specs = []spec{
 	// Parsec 2.1
-	{"bodytrack", "parsec", 7, 0, 0, 1, 17.7, false, 0.8, 0, 0.30, 0.7, 0.6, 0.25, 0, 2.5, 135, 48, 9, 8, "R4K/C", "R4K/C"},
-	{"facesim", "parsec", 328, 0, 0, 1, 11.7, true, 2.0, 0, 0.82, 0.6, 0.6, 0.25, 0, 3.0, 253, 27, 39, 16, "R4K", "R4K"},
-	{"fluidanimate", "parsec", 223, 0, 0, 1, 4.2, false, 1.0, 0, 0.30, 0.6, 0.7, 0.2, 0.30, 2.5, 65, 16, 18, 16, "R4K/C", "R4K/C"},
-	{"streamcluster", "parsec", 106, 0, 0, 1, 29.5, true, 1.5, 0, 0.85, 0.7, 0.6, 0.7, 0, 3.0, 219, 45, 31, 18, "R4K", "R4K"},
-	{"swaptions", "parsec", 4, 0, 0, 1, 0, false, 1.0, 0, 0.03, 0.6, 0.6, 0.25, 0, 2.0, 175, 180, 4, 5, "R4K", "R4K"},
-	{"x264", "parsec", 1129, 0, 0, 1, 0.6, false, 1.0, 0, 0.12, 0.6, 0.7, 0.25, 0.25, 2.5, 84, 28, 17, 13, "FT", "R4K"},
+	{"bodytrack", "parsec", 7, 0, 1, 17.7, false, 0.8, 0, 0.30, 0.7, 0.6, 0.25, 0, 2.5, 135, 48, 9, 8, "R4K/C", "R4K/C"},
+	{"facesim", "parsec", 328, 0, 1, 11.7, true, 2.0, 0, 0.82, 0.6, 0.6, 0.25, 0, 3.0, 253, 27, 39, 16, "R4K", "R4K"},
+	{"fluidanimate", "parsec", 223, 0, 1, 4.2, false, 1.0, 0, 0.30, 0.6, 0.7, 0.2, 0.30, 2.5, 65, 16, 18, 16, "R4K/C", "R4K/C"},
+	{"streamcluster", "parsec", 106, 0, 1, 29.5, true, 1.5, 0, 0.85, 0.7, 0.6, 0.7, 0, 3.0, 219, 45, 31, 18, "R4K", "R4K"},
+	{"swaptions", "parsec", 4, 0, 1, 0, false, 1.0, 0, 0.03, 0.6, 0.6, 0.25, 0, 2.0, 175, 180, 4, 5, "R4K", "R4K"},
+	{"x264", "parsec", 1129, 0, 1, 0.6, false, 1.0, 0, 0.12, 0.6, 0.7, 0.25, 0.25, 2.5, 84, 28, 17, 13, "FT", "R4K"},
 	// NPB 3.3
-	{"bt.C", "npb", 698, 0, 0, 1, 1.2, false, 1.0, 0, 0.60, 0.5, 0.4, 0.2, 0, 3.0, 89, 8, 51, 35, "FT/C", "FT/C"},
-	{"cg.C", "npb", 889, 0, 0, 1, 5.9, false, 1.0, 0, 0.97, 0.7, 0.75, 0.15, 0.30, 3.5, 7, 5, 11, 46, "FT", "FT"},
-	{"dc.B", "npb", 39273, 175, 262144, 1, 0.1, false, 1.0, 0, 0.15, 0.6, 0.7, 0.3, 0.20, 4.0, 45, 19, 10, 22, "FT", "R1G"},
-	{"ep.D", "npb", 49, 0, 0, 1, 0, false, 1.0, 0, 0.15, 0.6, 0.6, 0.1, 0, 2.0, 263, 116, 48, 9, "R4K", "R4K"},
-	{"ft.C", "npb", 5156, 0, 0, 1, 0.3, false, 1.0, 0, 0.92, 0.6, 0.15, 1.0, 0.35, 3.5, 60, 19, 17, 46, "R4K", "R4K"},
-	{"lu.C", "npb", 600, 0, 0, 1, 1.5, false, 1.0, 0, 0.50, 0.6, 0.6, 0.3, 0.30, 3.0, 47, 30, 18, 41, "R4K", "FT"},
-	{"mg.D", "npb", 27095, 0, 0, 1, 1.5, false, 1.0, 0, 0.70, 0.6, 0.7, 0.2, 0.30, 4.0, 8, 1, 12, 51, "FT", "FT"},
-	{"sp.C", "npb", 869, 0, 0, 1, 2.0, false, 1.0, 0, 0.88, 0.5, 0.3, 0.5, 0, 3.0, 113, 4, 43, 58, "R4K/C", "R4K/C"},
-	{"ua.C", "npb", 483, 0, 0, 1, 37.4, false, 1.5, 0, 0.50, 0.6, 0.75, 0.2, 0.25, 3.0, 5, 7, 14, 37, "FT", "FT"},
+	{"bt.C", "npb", 698, 0, 1, 1.2, false, 1.0, 0, 0.60, 0.5, 0.4, 0.2, 0, 3.0, 89, 8, 51, 35, "FT/C", "FT/C"},
+	{"cg.C", "npb", 889, 0, 1, 5.9, false, 1.0, 0, 0.97, 0.7, 0.75, 0.15, 0.30, 3.5, 7, 5, 11, 46, "FT", "FT"},
+	{"dc.B", "npb", 39273, 175, 1, 0.1, false, 1.0, 0, 0.15, 0.6, 0.7, 0.3, 0.20, 4.0, 45, 19, 10, 22, "FT", "R1G"},
+	{"ep.D", "npb", 49, 0, 1, 0, false, 1.0, 0, 0.15, 0.6, 0.6, 0.1, 0, 2.0, 263, 116, 48, 9, "R4K", "R4K"},
+	{"ft.C", "npb", 5156, 0, 1, 0.3, false, 1.0, 0, 0.92, 0.6, 0.15, 1.0, 0.35, 3.5, 60, 19, 17, 46, "R4K", "R4K"},
+	{"lu.C", "npb", 600, 0, 1, 1.5, false, 1.0, 0, 0.50, 0.6, 0.6, 0.3, 0.30, 3.0, 47, 30, 18, 41, "R4K", "FT"},
+	{"mg.D", "npb", 27095, 0, 1, 1.5, false, 1.0, 0, 0.70, 0.6, 0.7, 0.2, 0.30, 4.0, 8, 1, 12, 51, "FT", "FT"},
+	{"sp.C", "npb", 869, 0, 1, 2.0, false, 1.0, 0, 0.88, 0.5, 0.3, 0.5, 0, 3.0, 113, 4, 43, 58, "R4K/C", "R4K/C"},
+	{"ua.C", "npb", 483, 0, 1, 37.4, false, 1.5, 0, 0.50, 0.6, 0.75, 0.2, 0.25, 3.0, 5, 7, 14, 37, "FT", "FT"},
 	// Mosbench (Streamflow allocator)
-	{"wc", "mosbench", 16682, 0, 0, 1, 3.9, false, 1.0, 30000, 0.45, 0.6, 0.5, 0.5, 0, 3.0, 101, 41, 18, 17, "FT/C", "R4K"},
-	{"wr", "mosbench", 19016, 1, 65536, 1, 5.2, false, 1.0, 40000, 0.45, 0.6, 0.5, 0.5, 0, 3.0, 110, 57, 18, 18, "FT", "R4K"},
-	{"wrmem", "mosbench", 11610, 5, 65536, 1, 7.5, false, 1.0, 66667, 0.45, 0.6, 0.5, 0.5, 0, 3.0, 135, 102, 10, 11, "FT", "R4K"},
-	{"pca", "mosbench", 5779, 0, 0, 1, 0.3, false, 1.0, 5000, 0.85, 0.6, 0.5, 0.3, 0, 3.5, 235, 14, 52, 41, "R4K", "R4K/C"},
-	{"kmeans", "mosbench", 4178, 0, 0, 1, 0.1, false, 1.0, 3000, 0.88, 0.7, 0.5, 0.3, 0, 3.5, 251, 26, 61, 42, "R4K", "R4K"},
-	{"psearchy", "mosbench", 28576, 54, 65536, 7, 0.8, false, 1.0, 25000, 0.30, 0.7, 0.7, 0.4, 0.20, 3.5, 19, 8, 6, 46, "FT", "R4K"},
-	{"memcached", "mosbench", 2205, 0, 0, 1, 127.1, false, 0.45, 2000, 0.06, 0.6, 0.6, 0.4, 0.20, 3.0, 85, 74, 13, 12, "FT", "R1G"},
+	{"wc", "mosbench", 16682, 0, 1, 3.9, false, 1.0, 30000, 0.45, 0.6, 0.5, 0.5, 0, 3.0, 101, 41, 18, 17, "FT/C", "R4K"},
+	{"wr", "mosbench", 19016, 1, 1, 5.2, false, 1.0, 40000, 0.45, 0.6, 0.5, 0.5, 0, 3.0, 110, 57, 18, 18, "FT", "R4K"},
+	{"wrmem", "mosbench", 11610, 5, 1, 7.5, false, 1.0, 66667, 0.45, 0.6, 0.5, 0.5, 0, 3.0, 135, 102, 10, 11, "FT", "R4K"},
+	{"pca", "mosbench", 5779, 0, 1, 0.3, false, 1.0, 5000, 0.85, 0.6, 0.5, 0.3, 0, 3.5, 235, 14, 52, 41, "R4K", "R4K/C"},
+	{"kmeans", "mosbench", 4178, 0, 1, 0.1, false, 1.0, 3000, 0.88, 0.7, 0.5, 0.3, 0, 3.5, 251, 26, 61, 42, "R4K", "R4K"},
+	{"psearchy", "mosbench", 28576, 54, 7, 0.8, false, 1.0, 25000, 0.30, 0.7, 0.7, 0.4, 0.20, 3.5, 19, 8, 6, 46, "FT", "R4K"},
+	{"memcached", "mosbench", 2205, 0, 1, 127.1, false, 0.45, 2000, 0.06, 0.6, 0.6, 0.4, 0.20, 3.0, 85, 74, 13, 12, "FT", "R1G"},
 	// X-Stream
-	{"belief", "xstream", 12292, 234, 1 << 20, 1, 0, false, 1.0, 0, 0.50, 0.7, 0.5, 0.6, 0, 4.0, 206, 80, 19, 10, "R4K", "R4K/C"},
-	{"bfs", "xstream", 12291, 236, 1 << 20, 1, 0, false, 1.0, 0, 0.50, 0.7, 0.5, 0.6, 0, 4.0, 190, 24, 17, 12, "R4K", "R4K"},
-	{"cc", "xstream", 12291, 249, 1 << 20, 1, 0, false, 1.0, 0, 0.50, 0.7, 0.5, 0.6, 0, 4.0, 185, 31, 17, 11, "R4K/C", "R4K/C"},
-	{"pagerank", "xstream", 12291, 240, 1 << 20, 1, 0, false, 1.0, 0, 0.50, 0.7, 0.5, 0.6, 0, 4.0, 183, 23, 17, 11, "R4K/C", "R4K/C"},
-	{"sssp", "xstream", 12291, 261, 1 << 20, 1, 0, false, 1.0, 0, 0.50, 0.7, 0.5, 0.6, 0, 4.0, 193, 10, 17, 11, "R4K/C", "R4K/C"},
+	{"belief", "xstream", 12292, 234, 1, 0, false, 1.0, 0, 0.50, 0.7, 0.5, 0.6, 0, 4.0, 206, 80, 19, 10, "R4K", "R4K/C"},
+	{"bfs", "xstream", 12291, 236, 1, 0, false, 1.0, 0, 0.50, 0.7, 0.5, 0.6, 0, 4.0, 190, 24, 17, 12, "R4K", "R4K"},
+	{"cc", "xstream", 12291, 249, 1, 0, false, 1.0, 0, 0.50, 0.7, 0.5, 0.6, 0, 4.0, 185, 31, 17, 11, "R4K/C", "R4K/C"},
+	{"pagerank", "xstream", 12291, 240, 1, 0, false, 1.0, 0, 0.50, 0.7, 0.5, 0.6, 0, 4.0, 183, 23, 17, 11, "R4K/C", "R4K/C"},
+	{"sssp", "xstream", 12291, 261, 1, 0, false, 1.0, 0, 0.50, 0.7, 0.5, 0.6, 0, 4.0, 193, 10, 17, 11, "R4K/C", "R4K/C"},
 	// YCSB
-	{"cassandra", "ycsb", 1111, 16, 65536, 1, 10.7, false, 1.5, 0, 0.06, 0.6, 0.6, 0.4, 0.20, 3.0, 65, 50, 14, 14, "FT/C", "R1G"},
-	{"mongodb", "ycsb", 1092, 184, 131072, 1, 14.6, false, 1.5, 0, 0.10, 0.6, 0.5, 0.4, 0, 3.0, 130, 95, 16, 14, "FT/C", "R1G"},
+	{"cassandra", "ycsb", 1111, 16, 1, 10.7, false, 1.5, 0, 0.06, 0.6, 0.6, 0.4, 0.20, 3.0, 65, 50, 14, 14, "FT/C", "R1G"},
+	{"mongodb", "ycsb", 1092, 184, 1, 14.6, false, 1.5, 0, 0.10, 0.6, 0.5, 0.4, 0, 3.0, 130, 95, 16, 14, "FT/C", "R1G"},
 }
 
 // workingSets overrides the default uniform working set for

@@ -14,7 +14,6 @@ import (
 // every vCPU (§5.4.1), so the model has no vCPU migration; consolidated
 // setups simply pin several vCPUs to one physical CPU.
 type VCPU struct {
-	ID   int
 	PCPU numa.CPUID
 }
 
@@ -44,11 +43,6 @@ type Domain struct {
 	// round-4K boot — are instead marked Owned in their hypervisor
 	// entry, so releaseFrames frees each exactly once.
 	frames []frameAlloc
-
-	// Per-domain counters.
-	Faults     uint64
-	Hypercalls uint64
-	Migrated   uint64
 
 	// nextAllocNode implements the round-robin fallback of first-touch
 	// when the preferred node is full.
@@ -89,8 +83,8 @@ func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot
 	d.bootPlacer = boot
 	d.cfg = policy.Config{Static: spec.Boot}
 	d.pol = pol
-	for i, c := range pins {
-		d.VCPUs = append(d.VCPUs, VCPU{ID: i, PCPU: c})
+	for _, c := range pins {
+		d.VCPUs = append(d.VCPUs, VCPU{PCPU: c})
 	}
 	for _, c := range pins {
 		n := h.Topo.NodeOf(c)
@@ -127,7 +121,6 @@ func (d *Domain) recycleShell() {
 	d.VCPUs = d.VCPUs[:0]
 	d.homes = d.homes[:0]
 	d.bootPlacer, d.pol = nil, nil
-	d.Faults, d.Hypercalls, d.Migrated = 0, 0, 0
 	d.nextAllocNode = 0
 	d.passthrough = false
 	d.accessor = 0
@@ -266,7 +259,6 @@ func (d *Domain) MigratePage(pfn mem.PFN, to numa.NodeID) bool {
 	if e.Owned {
 		d.hv.Alloc.Free(e.MFN, mem.Order4K)
 	}
-	d.Migrated++
 	return true
 }
 
@@ -299,7 +291,6 @@ func (d *Domain) NodeOfPCPU(v int) numa.NodeID {
 // Policy() but not an already-running engine's controller.
 func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 	cost := CostHypercall
-	d.Hypercalls++
 	// Canonicalize so aliases and case variants ("ft", "BIND:03")
 	// compare equal to the stored boot/current kinds.
 	desc, _, canon, err := policy.Resolve(cfg.Static)
@@ -343,7 +334,6 @@ func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 // The returned duration is the hypercall's cost, dominated by entry
 // invalidation (§4.2.4).
 func (d *Domain) HypercallPageQueue(ops []policy.PageOp) sim.Time {
-	d.Hypercalls++
 	invalidated := d.pol.OnPageQueue(d, ops)
 	return CostHypercall + CostQueueSend + sim.Time(invalidated)*CostInvalidateEntry
 }
@@ -360,12 +350,7 @@ func (d *Domain) Touch(pfn mem.PFN, accessor numa.NodeID, write bool) (numa.Node
 	d.accessor = accessor
 	mfn := d.table.Translate(pfn, write)
 	faults := d.table.Faults + d.table.WriteProtFaults - before
-	var cost sim.Time
-	if faults > 0 {
-		cost = sim.Time(faults) * (CostHVFault + CostFrameAlloc)
-		d.Faults += faults
-	}
-	return d.hv.Alloc.NodeOf(mfn), cost
+	return d.hv.Alloc.NodeOf(mfn), sim.Time(faults) * (CostHVFault + CostFrameAlloc)
 }
 
 // NodeOfPFN returns the node currently backing pfn without faulting;

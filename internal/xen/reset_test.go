@@ -19,7 +19,8 @@ import (
 func TestResetMatchesFreshHypervisor(t *testing.T) {
 	build := func() *Hypervisor { return testHV(t) }
 
-	churn := func(hv *Hypervisor) {
+	// churn returns how many pages it migrated.
+	churn := func(hv *Hypervisor) (migrated int) {
 		d, err := hv.CreateDomain(DomainSpec{
 			Name: "u1", VCPUs: 4, MemBytes: 16 << 20,
 			PinCPUs: []numa.CPUID{0, 4, 8, 12},
@@ -43,13 +44,16 @@ func TestResetMatchesFreshHypervisor(t *testing.T) {
 			d.Touch(p, numa.NodeID(int(p)%hv.Topo.NumNodes()), p%2 == 0)
 		}
 		for p := mem.PFN(0); p < 16; p++ {
-			d.MigratePage(p, numa.NodeID(3))
+			if d.MigratePage(p, numa.NodeID(3)) {
+				migrated++
+			}
 		}
 		if _, err := hv.CreateDomain(DomainSpec{
 			Name: "u2", VCPUs: 2, MemBytes: 8 << 20, Boot: policy.Round1G,
 		}); err != nil {
 			t.Fatal(err)
 		}
+		return migrated
 	}
 
 	hv := build()
@@ -65,11 +69,8 @@ func TestResetMatchesFreshHypervisor(t *testing.T) {
 			t.Errorf("node %d free bytes after Reset = %d, fresh = %d", n, got, want)
 		}
 	}
-	if hv.nextID != fresh.nextID {
-		t.Errorf("nextID after Reset = %d, fresh = %d", hv.nextID, fresh.nextID)
-	}
-	if len(hv.domains) != 1 || hv.domains[0] == nil {
-		t.Errorf("domains after Reset = %d, want dom0 only", len(hv.domains))
+	if len(hv.domains) != len(fresh.domains) || hv.domains[0] == nil {
+		t.Errorf("domains after Reset = %d, fresh = %d", len(hv.domains), len(fresh.domains))
 	}
 	for c := 0; c < hv.Topo.NumCPUs(); c++ {
 		if hv.CPULoad(numa.CPUID(c)) != 0 {
@@ -80,9 +81,7 @@ func TestResetMatchesFreshHypervisor(t *testing.T) {
 	// Rebuilding the same domains on the reset machine must reproduce a
 	// fresh machine's placements exactly — shells and refilled maps must
 	// not change a single frame.
-	for _, h := range []*Hypervisor{hv, fresh} {
-		churn(h)
-	}
+	mr, mf := churn(hv), churn(fresh)
 	dr, df := hv.domains[1], fresh.domains[1]
 	if dr.PhysPages() != df.PhysPages() {
 		t.Fatalf("phys pages diverge: %d vs %d", dr.PhysPages(), df.PhysPages())
@@ -94,9 +93,9 @@ func TestResetMatchesFreshHypervisor(t *testing.T) {
 			t.Fatalf("PFN %d placement diverges after Reset: (%v,%v) vs (%v,%v)", p, nr, okr, nf, okf)
 		}
 	}
-	if dr.Faults != df.Faults || dr.Migrated != df.Migrated {
-		t.Errorf("counters diverge after rebuild: faults %d/%d migrated %d/%d",
-			dr.Faults, df.Faults, dr.Migrated, df.Migrated)
+	if tr, tf := dr.Table(), df.Table(); tr.Faults != tf.Faults || tr.WriteProtFaults != tf.WriteProtFaults || mr != mf {
+		t.Errorf("counters diverge after rebuild: faults %d/%d write-protect faults %d/%d migrated %d/%d",
+			tr.Faults, tf.Faults, tr.WriteProtFaults, tf.WriteProtFaults, mr, mf)
 	}
 }
 

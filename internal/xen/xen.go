@@ -103,8 +103,9 @@ type Hypervisor struct {
 	Alloc *mem.Allocator
 	Cfg   Config
 
-	domains map[DomID]*Domain
-	nextID  DomID
+	// domains is indexed by DomID: IDs are dense, and only Reset
+	// removes domains.
+	domains []*Domain
 	// cpuUse counts vCPUs assigned to each physical CPU (several in
 	// consolidated setups).
 	cpuUse []int
@@ -121,11 +122,10 @@ type Hypervisor struct {
 // placed on node 0.
 func New(topo *numa.Topology, cfg Config, dom0MemBytes int64) (*Hypervisor, error) {
 	h := &Hypervisor{
-		Topo:    topo,
-		Alloc:   mem.NewAllocator(topo),
-		Cfg:     cfg,
-		domains: make(map[DomID]*Domain),
-		cpuUse:  make([]int, topo.NumCPUs()),
+		Topo:   topo,
+		Alloc:  mem.NewAllocator(topo),
+		Cfg:    cfg,
+		cpuUse: make([]int, topo.NumCPUs()),
 	}
 	spec := DomainSpec{
 		Name:     "dom0",
@@ -195,13 +195,12 @@ func (h *Hypervisor) CreateDomain(spec DomainSpec) (*Domain, error) {
 	} else if len(pins) != spec.VCPUs {
 		return nil, fmt.Errorf("xen: %d pins for %d vCPUs", len(pins), spec.VCPUs)
 	}
-	d := newDomain(h, h.nextID, spec, pins, bdesc.Boot, pol)
+	d := newDomain(h, DomID(len(h.domains)), spec, pins, bdesc.Boot, pol)
 	if err := d.populate(); err != nil {
 		d.releaseFrames()
 		return nil, fmt.Errorf("xen: populating domain %q: %w", spec.Name, err)
 	}
-	h.nextID++
-	h.domains[d.ID] = d
+	h.domains = append(h.domains, d)
 	// Dom0 is mostly idle (it only backs I/O) and the paper pins it to
 	// node 0 alongside guest vCPUs; it does not count against CPU
 	// shares.
@@ -284,7 +283,7 @@ func (h *Hypervisor) takeShell() *Domain {
 // storage kept as a shell for the next CreateDomain), the buddy
 // allocator is restored to pristine shape wholesale, and dom0's boot
 // allocations are replayed on top so the machine's free memory is
-// bit-identical to a freshly booted hypervisor's. All counters reset.
+// bit-identical to a freshly booted hypervisor's.
 //
 // Reset requires that dom0 holds only block allocations from boot (no
 // entry marked Owned), which is true in every cell: nothing runs a
@@ -297,16 +296,11 @@ func (h *Hypervisor) Reset() error {
 	// Shells are pushed in descending ID order, so takeShell hands the
 	// next lease's domain n the previous domain n's shell, whose page
 	// table already has that domain's size.
-	for id := h.nextID - 1; id >= 1; id-- {
-		d, ok := h.domains[id]
-		if !ok {
-			continue
-		}
-		d.recycleShell()
-		h.shells = append(h.shells, d)
-		delete(h.domains, id)
+	for id := len(h.domains) - 1; id >= 1; id-- {
+		h.domains[id].recycleShell()
+		h.shells = append(h.shells, h.domains[id])
 	}
-	h.nextID = 1
+	h.domains = h.domains[:1]
 	for i := range h.cpuUse {
 		h.cpuUse[i] = 0
 	}
@@ -335,7 +329,6 @@ func (h *Hypervisor) Reset() error {
 			return fmt.Errorf("xen: dom0 frame replay diverged: got %v/%v, want %d", mfn, err, f.mfn)
 		}
 	}
-	dom0.Faults, dom0.Hypercalls, dom0.Migrated = 0, 0, 0
 	dom0.nextAllocNode = 0
 	return nil
 }

@@ -265,9 +265,6 @@ func TestMigratePage(t *testing.T) {
 	if d.MigratePage(pfn, to) {
 		t.Fatal("same-node migration reported success")
 	}
-	if d.Migrated != 1 {
-		t.Fatalf("Migrated = %d", d.Migrated)
-	}
 }
 
 func TestDestroyDomainReleasesResources(t *testing.T) {

@@ -93,9 +93,6 @@ type Options struct {
 	// 2 MiB pages. Both default off (the paper's baseline).
 	TLB        bool
 	LargePages bool
-	// Replication enables Carrefour's replication heuristic, which the
-	// paper deliberately leaves out (§3.4); off by default.
-	Replication bool
 	// Pool, when non-nil, lends warm machines to Xen and native runs:
 	// the run leases a pre-built machine of its platform, resets it and
 	// rebuilds only the seed/app/policy-dependent state, returning it on
@@ -203,7 +200,6 @@ func engineConfig(topo *numa.Topology, o Options) engine.Config {
 	cfg := engine.DefaultConfig(topo, o.Scale)
 	cfg.Seed = o.Seed
 	cfg.MaxTime = o.MaxTime
-	cfg.Carrefour.EnableReplication = o.Replication
 	if o.TLB {
 		tlb := numa.DefaultTLB()
 		cfg.TLB = &tlb
