@@ -12,13 +12,16 @@ import (
 // with the layers that own it: each region page's engine node (written
 // by Region.AddPage and SetNode) must be the node of the machine frame
 // the hypervisor page table or the native allocator says backs it, and
-// no frame may back two pages. Natively it also checks frame
-// conservation: the allocator's free bytes plus one page per region
-// page are the machine's memory.
+// no frame may back two pages. Under Xen, while the guest forwards its
+// page traffic (a page-queue policy such as first-touch), every page on
+// the guest's free list must have no valid hypervisor entry, so that
+// its next touch faults into the policy (§4.2.2). Natively it also
+// checks frame conservation: the allocator's free bytes plus one page
+// per region page are the machine's memory.
 type audit struct {
-	checks, migrated, failed int
-	frames                   map[mem.MFN]bool
-	failures                 []string // the first ten
+	checks, free, migrated, failed int
+	frames                         map[mem.MFN]bool
+	failures                       []string // the first ten
 }
 
 func (a *audit) fail(format string, args ...any) {
@@ -49,6 +52,15 @@ func (a *audit) xen(p *Pool, key poolKey, vms int, what string) {
 				}
 				a.frames[mfn] = true
 			}
+		}
+		if g := m.backs[slot].OS; g.QueueActive() {
+			g.Phys.ForEachFree(func(pfn mem.PFN) {
+				a.checks++
+				a.free++
+				if node, ok := dom.NodeOfPFN(pfn); ok {
+					a.fail("%s: VM %d free PFN %d is mapped on node %d under a page-queue policy", what, slot, pfn, node)
+				}
+			})
 		}
 	}
 }
@@ -124,10 +136,11 @@ func TestCrossLayerAudit(t *testing.T) {
 	for _, f := range a.failures {
 		t.Error(f)
 	}
-	t.Logf("%d page checks, %d failed, %d pages migrated", a.checks, a.failed, a.migrated)
+	t.Logf("%d page checks (%d of free pages), %d failed, %d pages migrated", a.checks, a.free, a.failed, a.migrated)
 	// Guard against a vacuous audit: it must see a large machine state
-	// that Carrefour has moved pages through.
-	if a.checks < 200_000 || a.migrated == 0 {
-		t.Errorf("audit made %d page checks over runs that migrated %d pages; want at least 200000 checks and some migrations", a.checks, a.migrated)
+	// that Carrefour has moved pages through, and free lists under a
+	// page-queue policy.
+	if a.checks < 200_000 || a.free == 0 || a.migrated == 0 {
+		t.Errorf("audit made %d page checks (%d of free pages) over runs that migrated %d pages; want at least 200000 checks, some of free pages, and some migrations", a.checks, a.free, a.migrated)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/numa"
 	"repro/internal/policy"
-	"repro/internal/pt"
 	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/xen"
@@ -154,17 +153,6 @@ func BenchmarkBuddyAllocFree(b *testing.B) {
 	}
 }
 
-func BenchmarkHypervisorTableTranslate(b *testing.B) {
-	t := pt.NewHypervisorTable(1024)
-	for p := mem.PFN(0); p < 1024; p++ {
-		t.Map(p, mem.MFN(p))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Translate(mem.PFN(i)%1024, false)
-	}
-}
-
 func BenchmarkDomainTouchFastPath(b *testing.B) {
 	topo := numa.SmallMachine(4, 4, 64<<20)
 	hv, err := xen.New(topo, xen.Config{HugeOrder: 10, MidOrder: 3}, 4<<20)
@@ -172,7 +160,7 @@ func BenchmarkDomainTouchFastPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	d, err := hv.CreateDomain(xen.DomainSpec{
-		Name: "bench", VCPUs: 4, MemBytes: 16 << 20,
+		Name: "bench", MemBytes: 16 << 20,
 		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: policy.Round4K,
 	})
 	if err != nil {
@@ -181,7 +169,7 @@ func BenchmarkDomainTouchFastPath(b *testing.B) {
 	pages := mem.PFN(d.PhysPages())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Touch(mem.PFN(i)%pages, 0, false)
+		d.Touch(mem.PFN(i)%pages, 0)
 	}
 }
 
@@ -192,7 +180,7 @@ func BenchmarkFirstTouchFaultPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	d, err := hv.CreateDomain(xen.DomainSpec{
-		Name: "bench", VCPUs: 4, MemBytes: 64 << 20,
+		Name: "bench", MemBytes: 64 << 20,
 		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: policy.Round4K,
 	})
 	if err != nil {
@@ -207,7 +195,7 @@ func BenchmarkFirstTouchFaultPath(b *testing.B) {
 		pfn := mem.PFN(uint64(i) % pages)
 		// Release then re-touch: invalidation + fault + placement.
 		d.HypercallPageQueue([]policy.PageOp{{Kind: policy.OpRelease, PFN: pfn}})
-		d.Touch(pfn, numa.NodeID(i%4), true)
+		d.Touch(pfn, numa.NodeID(i%4))
 	}
 }
 
@@ -218,14 +206,14 @@ func BenchmarkPageQueueAdd(b *testing.B) {
 		b.Fatal(err)
 	}
 	d, err := hv.CreateDomain(xen.DomainSpec{
-		Name: "bench", VCPUs: 4, MemBytes: 16 << 20,
+		Name: "bench", MemBytes: 16 << 20,
 		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: policy.Round4K,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	d.HypercallSetPolicy(policy.Config{Static: policy.FirstTouch})
-	q := guest.NewPageQueue(d, guest.DefaultQueueConfig())
+	q := guest.NewPageQueue(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Alternate alloc/release so flushed batches do not free pages

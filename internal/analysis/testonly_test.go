@@ -33,7 +33,6 @@ var testOnlyAllowed = map[string]string{
 	"(*repro/internal/metrics.EpochLoad).PathLinkUtil": "reference the engine's batched access-cost kernel is checked against",
 	"repro/internal/numa.SmallMachine":                 "builds the small topologies of the unit tests",
 	"repro/internal/policy.Bind":                       "builds bind:N kinds for the bind tests; runs parse them from policy strings",
-	"(*repro/internal/pt.HypervisorTable).Len":         "TestQuickMapInvalidate's count of valid entries",
 	"(*repro/internal/xen.Domain).NodeOfPFN":           "placement oracle of the xen tests and the cross-layer audit",
 }
 

@@ -36,7 +36,6 @@ type Backend struct {
 // the whole round-1G regions — which is why small-footprint applications
 // end up concentrated on one node under Xen's default policy.
 //
-// The guest's page queue has the paper's shape (DefaultQueueConfig).
 // When prev is non-nil (a backend from an earlier lease of the pooled
 // machine), its guest OS, physical allocator and queue are reset in
 // place and rebound to dom instead of rebuilt, producing a backend
@@ -53,7 +52,7 @@ func RebuildBackend(prev *Backend, hv *xen.Hypervisor, dom *xen.Domain, cfg poli
 	}
 	b := prev
 	if b == nil {
-		b = &Backend{OS: NewOS(dom, kernelPages, DefaultQueueConfig())}
+		b = &Backend{OS: NewOS(dom, kernelPages)}
 	} else {
 		b.OS.reset(dom, kernelPages)
 	}
@@ -87,7 +86,7 @@ func (b *Backend) Place(r *engine.Region, n int, toucher numa.NodeID) (sim.Time,
 		if err != nil {
 			return total, fmt.Errorf("guest: placing region %s: %w", r.Name, err)
 		}
-		node, hvCost := b.Dom.Touch(pfn, toucher, true)
+		node, hvCost := b.Dom.Touch(pfn, toucher)
 		r.AddPage(pfn, node)
 		total += cost + hvCost
 	}
@@ -110,7 +109,7 @@ func (b *Backend) ChurnOverhead(releasesPerSec float64, threads int) float64 {
 	if releasesPerSec <= 0 || !b.OS.QueueActive() {
 		return 0
 	}
-	m := ChurnModel{Cfg: b.OS.Queue.cfg, Threads: threads}
+	m := ChurnModel{Cfg: DefaultQueueConfig(), Threads: threads}
 	return m.OverheadFraction(1e9 / releasesPerSec)
 }
 

@@ -1,8 +1,10 @@
 // Package guest models the para-virtualized guest operating system: its
-// physical-page allocator (lazy, zero-on-free, LIFO reuse like Linux's
-// buddy per-CPU lists), and the paper's modified free path — the
-// partitioned page queue that batches allocation/release notifications
-// into the HypercallPageQueue external interface (§4.2.3–4.2.4).
+// physical-page allocator (a cursor handing out never-used pages lowest
+// first), and the paper's modified free path — the partitioned page
+// queue that batches allocation/release notifications into the
+// HypercallPageQueue external interface (§4.2.3–4.2.4). The guest frees
+// no page event by event: the release cost of allocator-heavy
+// applications is charged by the analytic ChurnModel.
 package guest
 
 import (
@@ -21,103 +23,69 @@ const (
 	costMapSetup = 200 * sim.Nanosecond
 	// CostGuestFault is a guest-level page fault (lazy allocation path).
 	CostGuestFault = 600 * sim.Nanosecond
-	// CostZeroPage is filling a 4 KiB page with zeros on release
-	// (§4.4.2).
-	CostZeroPage = 400 * sim.Nanosecond
 	// CostQueueAdd is appending one (op, page) pair to a page queue
 	// under its lock, excluding any flush.
 	CostQueueAdd = 60 * sim.Nanosecond
 )
 
-// PhysAlloc is the guest physical-page allocator: pages are handed out
-// lowest-first the first time and reused LIFO afterwards, approximating
-// Linux's allocator behaviour after boot.
+// PhysAlloc is the guest physical-page allocator: a cursor handing out
+// pages lowest-first, as Linux's allocator does after boot.
 type PhysAlloc struct {
 	totalPages uint64
 	// nextFresh is the lowest never-allocated page; it starts above the
 	// kernel pages at the bottom of the space.
 	nextFresh uint64
-	freed     []mem.PFN
-	// inUse[p] marks page p allocated; it spans the physical space.
-	inUse []bool
 }
 
 // NewPhysAlloc manages a physical space of totalPages, with the first
 // reserved pages considered kernel-owned and never handed out.
 func NewPhysAlloc(totalPages, reserved uint64) *PhysAlloc {
-	if reserved >= totalPages {
-		panic("guest: reserved pages exceed physical space")
-	}
-	return &PhysAlloc{
-		totalPages: totalPages,
-		nextFresh:  reserved,
-		inUse:      make([]bool, totalPages),
-	}
+	a := &PhysAlloc{}
+	a.Reset(totalPages, reserved)
+	return a
 }
 
 // Alloc returns one free physical page.
 func (a *PhysAlloc) Alloc() (mem.PFN, error) {
-	if n := len(a.freed); n > 0 {
-		p := a.freed[n-1]
-		a.freed = a.freed[:n-1]
-		a.inUse[p] = true
-		return p, nil
-	}
 	if a.nextFresh >= a.totalPages {
 		return 0, fmt.Errorf("guest: out of physical memory (%d pages)", a.totalPages)
 	}
 	p := mem.PFN(a.nextFresh)
 	a.nextFresh++
-	a.inUse[p] = true
 	return p, nil
 }
 
-// Free returns a page to the free list.
-func (a *PhysAlloc) Free(p mem.PFN) {
-	if uint64(p) >= a.totalPages || !a.inUse[p] {
-		panic(fmt.Sprintf("guest: freeing page %d not in use", p))
-	}
-	a.inUse[p] = false
-	a.freed = append(a.freed, p)
-}
-
 // Reset returns the allocator to its just-constructed state for a new
-// physical space of totalPages with the given kernel reservation,
-// keeping the freed-list capacity and zeroing the in-use set in place
-// (reallocated only when the new space outgrows it).
+// physical space of totalPages with the given kernel reservation.
 func (a *PhysAlloc) Reset(totalPages, reserved uint64) {
 	if reserved >= totalPages {
 		panic("guest: reserved pages exceed physical space")
 	}
 	a.totalPages = totalPages
 	a.nextFresh = reserved
-	a.freed = a.freed[:0]
-	if totalPages > uint64(cap(a.inUse)) {
-		a.inUse = make([]bool, totalPages)
-	} else {
-		a.inUse = a.inUse[:totalPages]
-		clear(a.inUse)
-	}
 }
 
-// ForEachFree visits every currently-free page, the freed list (oldest
-// first) and then every never-touched page in ascending order, without
+// ForEachFree visits every free page, in ascending order, without
 // materializing them: the free-list flush that primes the hypervisor on
-// a switch to first-touch covers the whole physical space.
+// a switch to first-touch covers the whole unallocated space.
 func (a *PhysAlloc) ForEachFree(fn func(mem.PFN)) {
-	for _, p := range a.freed {
-		fn(p)
-	}
 	for p := a.nextFresh; p < a.totalPages; p++ {
 		fn(mem.PFN(p))
 	}
 }
 
-// QueueConfig shapes the page-queue driver, exposing the design choices
-// of §4.2.4 for the ablation benches.
+// The paper's page queue (§4.2.4): four queues, partitioned by the two
+// least significant bits of the page frame number, each flushed to the
+// hypervisor when it holds a batch of 64 operations.
+const (
+	queueCount = 4
+	batchSize  = 64
+)
+
+// QueueConfig is the shape of a page queue: ChurnModel's input, which
+// varies it to compare the notification designs of §4.2.3–4.2.4.
 type QueueConfig struct {
-	// Queues is the number of independent queues; the paper partitions
-	// by the two least significant bits of the page frame number, i.e. 4.
+	// Queues is the number of independent queues.
 	Queues int
 	// BatchSize is the queue capacity that triggers a flush hypercall.
 	BatchSize int
@@ -127,9 +95,10 @@ type QueueConfig struct {
 	Unbatched bool
 }
 
-// DefaultQueueConfig returns the paper's configuration.
+// DefaultQueueConfig returns the paper's configuration, the shape of
+// every PageQueue.
 func DefaultQueueConfig() QueueConfig {
-	return QueueConfig{Queues: 4, BatchSize: 64}
+	return QueueConfig{Queues: queueCount, BatchSize: batchSize}
 }
 
 // PageQueue is the guest side of the external interface: it accumulates
@@ -137,40 +106,32 @@ func DefaultQueueConfig() QueueConfig {
 // queue to the hypervisor when full, holding the lock across the
 // hypercall so a free page in the queue cannot be reallocated mid-flush.
 type PageQueue struct {
-	cfg    QueueConfig
 	dom    *xen.Domain
-	queues [][]policy.PageOp
+	queues [queueCount][]policy.PageOp
 }
 
-// NewPageQueue builds the driver for dom.
-func NewPageQueue(dom *xen.Domain, cfg QueueConfig) *PageQueue {
-	if cfg.Queues < 1 || cfg.BatchSize < 1 {
-		panic("guest: queue config must be positive")
-	}
-	q := &PageQueue{cfg: cfg, dom: dom}
-	q.queues = make([][]policy.PageOp, cfg.Queues)
+// NewPageQueue builds the driver for dom, in the paper's shape.
+func NewPageQueue(dom *xen.Domain) *PageQueue {
+	q := &PageQueue{dom: dom}
 	for i := range q.queues {
-		q.queues[i] = make([]policy.PageOp, 0, cfg.BatchSize)
+		q.queues[i] = make([]policy.PageOp, 0, batchSize)
 	}
 	return q
 }
 
 // queueOf partitions by the least significant bits of the PFN (§4.2.4).
 func (q *PageQueue) queueOf(p mem.PFN) int {
-	return int(uint64(p) % uint64(q.cfg.Queues))
+	return int(uint64(p) % queueCount)
 }
 
 // Add records one operation and returns the time spent (lock, append,
 // and, when the queue fills, the flush hypercall performed under the
 // lock).
 func (q *PageQueue) Add(kind policy.PageOpKind, p mem.PFN) sim.Time {
-	if q.cfg.Unbatched {
-		return q.dom.HypercallPageQueue([]policy.PageOp{{Kind: kind, PFN: p}})
-	}
 	qi := q.queueOf(p)
 	q.queues[qi] = append(q.queues[qi], policy.PageOp{Kind: kind, PFN: p})
 	cost := CostQueueAdd
-	if len(q.queues[qi]) >= q.cfg.BatchSize {
+	if len(q.queues[qi]) >= batchSize {
 		cost += q.flush(qi)
 	}
 	return cost
@@ -195,8 +156,7 @@ func (q *PageQueue) flush(qi int) sim.Time {
 }
 
 // Reset rebinds the driver to dom with empty queues, keeping each
-// queue's backing array. The configuration is unchanged; callers
-// needing a different shape build a new queue.
+// queue's backing array.
 func (q *PageQueue) Reset(dom *xen.Domain) {
 	q.dom = dom
 	for i := range q.queues {
@@ -224,19 +184,19 @@ type OS struct {
 	queueActive bool
 }
 
-// NewOS boots a guest on dom with the given queue configuration,
-// reserving kernelPages at the bottom of the physical space.
-func NewOS(dom *xen.Domain, kernelPages uint64, qcfg QueueConfig) *OS {
+// NewOS boots a guest on dom, reserving kernelPages at the bottom of
+// the physical space.
+func NewOS(dom *xen.Domain, kernelPages uint64) *OS {
 	return &OS{
 		Dom:   dom,
 		Phys:  NewPhysAlloc(dom.PhysPages(), kernelPages),
-		Queue: NewPageQueue(dom, qcfg),
+		Queue: NewPageQueue(dom),
 	}
 }
 
-// reset reboots the guest on a (possibly different) domain of the same
-// queue shape, restoring the allocator and queue to pristine state while
-// keeping their storage.
+// reset reboots the guest on a (possibly different) domain, restoring
+// the allocator and queue to pristine state while keeping the queue's
+// storage.
 func (g *OS) reset(dom *xen.Domain, kernelPages uint64) {
 	g.Dom = dom
 	g.Phys.Reset(dom.PhysPages(), kernelPages)
@@ -281,14 +241,4 @@ func (g *OS) AllocPage() (mem.PFN, sim.Time, error) {
 		cost += g.Queue.Add(policy.OpAlloc, p)
 	}
 	return p, cost, nil
-}
-
-// FreePage releases one physical page (zeroing it first, §4.4.2).
-func (g *OS) FreePage(p mem.PFN) sim.Time {
-	g.Phys.Free(p)
-	cost := CostZeroPage
-	if g.queueActive {
-		cost += g.Queue.Add(policy.OpRelease, p)
-	}
-	return cost
 }

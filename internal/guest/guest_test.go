@@ -19,7 +19,7 @@ func testDomain(t *testing.T) (*xen.Hypervisor, *xen.Domain) {
 		t.Fatal(err)
 	}
 	d, err := hv.CreateDomain(xen.DomainSpec{
-		Name: "u1", VCPUs: 4, MemBytes: 16 << 20,
+		Name: "u1", MemBytes: 16 << 20,
 		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: policy.Round4K,
 	})
 	if err != nil {
@@ -38,10 +38,10 @@ func TestPhysAllocLowFirstThenLIFO(t *testing.T) {
 	if p2 != 11 {
 		t.Fatalf("second page = %d", p2)
 	}
-	a.Free(p1)
-	p3, _ := a.Alloc()
-	if p3 != p1 {
-		t.Fatalf("freed page not reused LIFO: got %d, want %d", p3, p1)
+	// Reset restarts the cursor above the new reservation.
+	a.Reset(50, 20)
+	if p3, err := a.Alloc(); err != nil || p3 != 20 {
+		t.Fatalf("first page after Reset = %d, %v; want 20", p3, err)
 	}
 }
 
@@ -58,33 +58,15 @@ func TestPhysAllocExhaustion(t *testing.T) {
 	}
 }
 
-func TestPhysAllocDoubleFreePanics(t *testing.T) {
-	a := NewPhysAlloc(100, 0)
-	p, _ := a.Alloc()
-	a.Free(p)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double free did not panic")
-		}
-	}()
-	a.Free(p)
-}
-
 func TestPhysAllocFreePages(t *testing.T) {
 	a := NewPhysAlloc(20, 4)
-	p, _ := a.Alloc()
-	q, _ := a.Alloc()
-	a.Free(p)
+	a.Alloc()
+	a.Alloc()
 	var free []mem.PFN
 	a.ForEachFree(func(f mem.PFN) { free = append(free, f) })
-	// One freed page + 14 never-touched pages.
-	if len(free) != 15 {
-		t.Fatalf("free pages = %d, want 15", len(free))
-	}
-	for _, f := range free {
-		if f == q {
-			t.Fatal("in-use page listed as free")
-		}
+	// The 14 never-allocated pages, in ascending order.
+	if len(free) != 14 || free[0] != 6 || free[13] != 19 {
+		t.Fatalf("free pages = %v, want 6..19", free)
 	}
 }
 
@@ -94,7 +76,7 @@ const flushCost = xen.CostHypercall + xen.CostQueueSend
 
 func TestQueuePartitioning(t *testing.T) {
 	_, d := testDomain(t)
-	q := NewPageQueue(d, DefaultQueueConfig())
+	q := NewPageQueue(d)
 	// Pages with equal low bits go to the same queue; the queue must not
 	// flush before BatchSize entries. A flush shows in Add's cost.
 	for i := 0; i < 63; i++ {
@@ -115,7 +97,7 @@ func TestQueuePartitioning(t *testing.T) {
 
 func TestQueueIndependentQueues(t *testing.T) {
 	_, d := testDomain(t)
-	q := NewPageQueue(d, DefaultQueueConfig())
+	q := NewPageQueue(d)
 	// Spread over the 4 queues: no flush until one queue fills.
 	for i := 0; i < 4*63; i++ {
 		if cost := q.Add(policy.OpRelease, mem.PFN(i)); cost != CostQueueAdd {
@@ -127,19 +109,9 @@ func TestQueueIndependentQueues(t *testing.T) {
 	}
 }
 
-func TestUnbatchedQueueFlushesEveryOp(t *testing.T) {
-	_, d := testDomain(t)
-	q := NewPageQueue(d, QueueConfig{Queues: 1, BatchSize: 1, Unbatched: true})
-	for _, p := range []mem.PFN{1, 2} {
-		if cost := q.Add(policy.OpRelease, p); cost != flushCost || q.Pending() != 0 {
-			t.Fatalf("unbatched add of page %d: cost %v, want one flush (%v); pending %d", p, cost, flushCost, q.Pending())
-		}
-	}
-}
-
 func TestOSSetPolicyFirstTouchPrimesFreeList(t *testing.T) {
 	_, d := testDomain(t)
-	g := NewOS(d, 64, DefaultQueueConfig())
+	g := NewOS(d, 64)
 	// Allocate a page that stays in use across the switch.
 	used, _, err := g.AllocPage()
 	if err != nil {
@@ -172,20 +144,17 @@ func TestOSSetPolicyFirstTouchPrimesFreeList(t *testing.T) {
 
 func TestOSAllocFreeNotifiesOnlyWhenActive(t *testing.T) {
 	_, d := testDomain(t)
-	g := NewOS(d, 64, DefaultQueueConfig())
-	p, _, err := g.AllocPage()
-	if err != nil {
+	g := NewOS(d, 64)
+	if _, _, err := g.AllocPage(); err != nil {
 		t.Fatal(err)
 	}
-	g.FreePage(p)
 	if g.Queue.Pending() != 0 {
 		t.Fatal("queue used while inactive")
 	}
 	g.SetPolicy(policy.Config{Static: policy.FirstTouch}) // flushes the queues
-	p, _, _ = g.AllocPage()
-	g.FreePage(p)
-	if g.Queue.Pending() != 2 {
-		t.Fatalf("queued ops = %d, want 2", g.Queue.Pending())
+	g.AllocPage()
+	if g.Queue.Pending() != 1 {
+		t.Fatalf("queued ops = %d, want 1", g.Queue.Pending())
 	}
 }
 
@@ -226,18 +195,27 @@ func TestChurnModelZeroRate(t *testing.T) {
 
 // TestQuickQueueNeverLosesOps property-tests that every added op reaches
 // the hypervisor across flushes: under first-touch, every released page
-// ends invalid and nothing stays queued.
+// ends invalid and nothing stays queued. Each case cycles through its
+// generated pages for at least four full batches of releases, so some
+// queue fills and flushes mid-sequence, which the case checks.
 func TestQuickQueueNeverLosesOps(t *testing.T) {
 	_, d := testDomain(t)
 	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.FirstTouch}); err != nil {
 		t.Fatal(err)
 	}
 	check := func(pfns []uint16) bool {
-		q := NewPageQueue(d, QueueConfig{Queues: 4, BatchSize: 8})
-		for _, p := range pfns {
-			pfn := mem.PFN(uint64(p) % d.PhysPages())
-			d.Touch(pfn, 0, true) // valid again, whatever an earlier case left
-			q.Add(policy.OpRelease, pfn)
+		if len(pfns) == 0 {
+			pfns = []uint16{0}
+		}
+		q := NewPageQueue(d)
+		flushed := false
+		for i := 0; i < max(len(pfns), queueCount*batchSize); i++ {
+			pfn := mem.PFN(uint64(pfns[i%len(pfns)]) % d.PhysPages())
+			d.Touch(pfn, 0) // valid again, whatever an earlier add left
+			flushed = q.Add(policy.OpRelease, pfn) > CostQueueAdd || flushed
+		}
+		if !flushed {
+			return false
 		}
 		q.FlushAll()
 		for _, p := range pfns {
@@ -259,7 +237,7 @@ func TestQuickQueueNeverLosesOps(t *testing.T) {
 func TestChurnModelMatchesEventLevelDriver(t *testing.T) {
 	_, d := testDomain(t)
 	d.HypercallSetPolicy(policy.Config{Static: policy.FirstTouch})
-	q := NewPageQueue(d, DefaultQueueConfig())
+	q := NewPageQueue(d)
 	const ops = 4 * 64 * 10 // forty full batches
 	var total sim.Time
 	for i := 0; i < ops; i++ {

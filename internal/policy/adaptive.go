@@ -56,8 +56,8 @@ func registerAdaptive() {
 // it chose for each page. Once the imbalance of two consecutive windows
 // agrees it places like first-touch, and successor asks the fault path
 // to switch a Xen domain to first-touch through the SetPolicy
-// hypercall. Natively, or when the domain has no such hypercall or
-// rejects it, the switch stays inside the placer.
+// hypercall. Natively, or when the domain rejects the hypercall, the
+// switch stays inside the placer.
 type adaptive struct {
 	probe leastLoaded
 

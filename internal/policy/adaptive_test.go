@@ -1,29 +1,12 @@
 package policy
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/numa"
-	"repro/internal/pt"
-	"repro/internal/sim"
 )
-
-// fakeSwitcher extends fakeDomain with the PolicySwitcher face, recording
-// every switch request.
-type fakeSwitcher struct {
-	*fakeDomain
-	cfg      Config
-	switches []Config
-}
-
-func (s *fakeSwitcher) Policy() Config { return s.cfg }
-
-func (s *fakeSwitcher) HypercallSetPolicy(cfg Config) (sim.Time, error) {
-	s.switches = append(s.switches, cfg)
-	s.cfg = cfg
-	return 0, nil
-}
 
 // newAdaptiveWindow8 builds the adaptive runtime policy for a 4-node
 // machine with an 8-fault window, returning it and its placer.
@@ -37,7 +20,7 @@ func newAdaptiveWindow8() (*Policy, *adaptive) {
 // accessor, continuing the pfn sequence at start.
 func fault(p *Policy, d DomainOps, start, n int, accessor numa.NodeID) {
 	for i := start; i < start+n; i++ {
-		p.HandleFault(d, mem.PFN(i), accessor, pt.FaultNotPresent)
+		p.HandleFault(d, mem.PFN(i), accessor)
 	}
 }
 
@@ -46,10 +29,8 @@ func fault(p *Policy, d DomainOps, start, n int, accessor numa.NodeID) {
 // first-touch, preserving the domain's Carrefour stacking — when two
 // consecutive windows' imbalance agrees.
 func TestAdaptiveSwitchesAfterStableWindows(t *testing.T) {
-	d := &fakeSwitcher{
-		fakeDomain: newFakeDomain(0, 1, 2, 3),
-		cfg:        Config{Static: Adaptive, Carrefour: true, CarrefourVariant: CarrefourMigrationOnly},
-	}
+	d := newFakeDomain(0, 1, 2, 3)
+	d.cfg = Config{Static: Adaptive, Carrefour: true, CarrefourVariant: CarrefourMigrationOnly}
 	p, a := newAdaptiveWindow8()
 
 	// One window: stable-looking (least-loaded spreads evenly) but below
@@ -74,20 +55,22 @@ func TestAdaptiveSwitchesAfterStableWindows(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDegradesWithoutSwitcher: on a DomainOps without the
-// PolicySwitcher face the decision still takes effect — the policy
-// behaves like first-touch in place.
+// TestAdaptiveDegradesWithoutSwitcher: on a domain whose SetPolicy
+// hypercall rejects the switch, the decision still takes effect — the
+// policy behaves like first-touch in place.
 func TestAdaptiveDegradesWithoutSwitcher(t *testing.T) {
 	d := newFakeDomain(0, 1, 2, 3)
+	d.cfg = Config{Static: Adaptive}
+	d.switchErr = errors.New("switch rejected")
 	p, a := newAdaptiveWindow8()
 	fault(p, d, 0, 2*a.window, 0)
-	if !a.switched {
-		t.Fatal("probe never stabilized")
+	if !a.switched || len(d.switches) != 1 || d.cfg.Static != Adaptive {
+		t.Fatalf("probe stabilized %v, switch requests %v, config %+v; want one rejected request", a.switched, d.switches, d.cfg)
 	}
 	// The next fault from node 3 must place on the accessor's node
 	// (first-touch), not on the least-loaded node.
 	pfn := mem.PFN(1000)
-	p.HandleFault(d, pfn, 3, pt.FaultNotPresent)
+	p.HandleFault(d, pfn, 3)
 	e := d.table.Lookup(pfn)
 	if !e.Valid || d.NodeOfFrame(e.MFN) != 3 {
 		t.Fatal("degraded adaptive did not place on the accessor's node")
@@ -100,7 +83,7 @@ func TestAdaptiveProbePlacesLeastLoaded(t *testing.T) {
 	d := newFakeDomain(0, 1)
 	d.free[1] = 1 << 20 // node 1 has the most free memory
 	p, _ := newAdaptiveWindow8()
-	p.HandleFault(d, 5, 0, pt.FaultNotPresent)
+	p.HandleFault(d, 5, 0)
 	e := d.table.Lookup(5)
 	if !e.Valid || d.NodeOfFrame(e.MFN) != 1 {
 		t.Fatal("probe did not place on the least-loaded node")
@@ -113,10 +96,8 @@ func TestAdaptiveProbePlacesLeastLoaded(t *testing.T) {
 // would converge by construction and mask the swing); once two
 // consecutive windows agree again, the switch fires.
 func TestAdaptiveComparesWindowsNotCumulative(t *testing.T) {
-	d := &fakeSwitcher{
-		fakeDomain: newFakeDomain(0, 1, 2, 3),
-		cfg:        Config{Static: Adaptive},
-	}
+	d := newFakeDomain(0, 1, 2, 3)
+	d.cfg = Config{Static: Adaptive}
 	p, a := newAdaptiveWindow8()
 	// Window 1: balanced free memory → even spread, imbalance ~0.
 	fault(p, d, 0, a.window, 0)
@@ -141,10 +122,8 @@ func TestAdaptiveComparesWindowsNotCumulative(t *testing.T) {
 // "balanced" as a length-1 histogram would read, so it must not pair
 // with an even window as stable.
 func TestAdaptiveHistogramPresized(t *testing.T) {
-	d := &fakeSwitcher{
-		fakeDomain: newFakeDomain(0, 1, 2, 3),
-		cfg:        Config{Static: Adaptive},
-	}
+	d := newFakeDomain(0, 1, 2, 3)
+	d.cfg = Config{Static: Adaptive}
 	p, a := newAdaptiveWindow8()
 	// Window 1: node 0 overwhelmingly free → all placements on node 0.
 	d.free[0] = 1 << 40

@@ -11,7 +11,9 @@
 //
 //   - The internal interface (DomainOps) is what a policy uses to talk to
 //     the hypervisor: map a physical page to a machine frame on a chosen
-//     node, and migrate a physical page to a new node.
+//     node, and migrate a physical page to a new node. It also carries
+//     the domain's SetPolicy hypercall, through which a policy may
+//     install its successor.
 //   - The external interface is what the guest operating system uses to
 //     talk to the policy: a hypercall to select the policy
 //     (HypercallSetPolicy) and a hypercall carrying the batched queue of
@@ -22,10 +24,11 @@
 // populates the physical address space before the first instruction
 // (round-4K and round-1G layouts); policies without one boot lazily:
 // every entry starts invalid and the first access faults into the
-// runtime policy. What a policy decides at fault time is one Placer,
-// which the hypervisor's fault path and the native backend's lazy
-// allocator both ask, so each policy is written once for both
-// platforms.
+// runtime policy. The hypervisor resolves such a fault by calling
+// Policy.HandleFault, which maps a frame and returns it. What a policy
+// decides at fault time is one Placer, which HandleFault and the native
+// backend's lazy allocator both ask, so each policy is written once for
+// both platforms.
 package policy
 
 import (
@@ -34,7 +37,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/numa"
-	"repro/internal/pt"
 	"repro/internal/sim"
 )
 
@@ -165,8 +167,6 @@ type PageOp struct {
 type DomainOps interface {
 	// HomeNodes returns the domain's home nodes in a fixed order.
 	HomeNodes() []numa.NodeID
-	// Table returns the domain's hypervisor page table.
-	Table() *pt.HypervisorTable
 	// AllocFrameOn allocates one machine frame on node, falling back
 	// round-robin to the other home nodes (then any node) when the bank
 	// is full, as Linux's first-touch does (§3.1).
@@ -177,14 +177,22 @@ type DomainOps interface {
 	// MapPage installs pfn→mfn. This is the first function of the
 	// internal interface.
 	MapPage(pfn mem.PFN, mfn mem.MFN)
-	// MigratePage moves pfn's backing frame to node, using the
-	// write-protect → copy → remap mechanism. This is the second
-	// function of the internal interface. It reports whether the page
-	// actually moved (false when already on node or unmapped).
+	// MigratePage moves pfn's backing frame to node by copying the page
+	// and remapping its entry. This is the second function of the
+	// internal interface. It reports whether the page actually moved
+	// (false when already on node or unmapped).
 	MigratePage(pfn mem.PFN, to numa.NodeID) bool
 	// InvalidatePage clears pfn's entry and frees its frame;
 	// subsequent accesses fault into the policy.
 	InvalidatePage(pfn mem.PFN)
+	// Policy returns the domain's active configuration.
+	Policy() Config
+	// HypercallSetPolicy is the external interface's SetPolicy
+	// hypercall (§4.2.1), open to in-hypervisor callers: a policy that
+	// decides it is no longer the right one (adaptive) installs its
+	// successor through exactly the path a guest would. It returns the
+	// hypercall cost.
+	HypercallSetPolicy(cfg Config) (sim.Time, error)
 }
 
 // BootOps extends DomainOps with what eager boot placement needs: the
@@ -232,26 +240,11 @@ type FreeMemory interface {
 	NodeFreeBytes(node numa.NodeID) int64
 }
 
-// PolicySwitcher is the optional DomainOps extension exposing the
-// external interface's SetPolicy hypercall (§4.2.1) to in-hypervisor
-// callers: the active policy configuration and the entry point to
-// replace it. Package xen's Domain implements it; a policy that decides
-// it is no longer the right one (adaptive) uses it to install its
-// successor through exactly the path a guest would.
-type PolicySwitcher interface {
-	// Policy returns the domain's active configuration.
-	Policy() Config
-	// HypercallSetPolicy switches the static policy and/or Carrefour
-	// stacking, returning the hypercall cost.
-	HypercallSetPolicy(cfg Config) (sim.Time, error)
-}
-
 // successor is implemented by a Placer that can decide it is no longer
 // the right policy (adaptive). The fault path asks it after every
 // placement and, when due, installs next through the domain's SetPolicy
-// hypercall. The placer must already place like next, so a domain
-// without the hypercall (or one that rejects it) still sees the
-// decision take effect.
+// hypercall. The placer must already place like next, so a domain that
+// rejects the hypercall still sees the decision take effect.
 type successor interface {
 	successor() (next Kind, due bool)
 }
@@ -283,16 +276,11 @@ func New(kind Kind, nodes int) (*Policy, error) {
 	return &Policy{kind: canon, placer: placer, pageQueue: desc.UsesPageQueue}, nil
 }
 
-// HandleFault resolves a hypervisor page fault on pfn caused by a vCPU
-// running on accessor, leaving the entry valid. A write-protect fault
-// ends a migration and only unprotects; any other fault allocates the
-// backing frame on the placer's node (AllocFrameOn falls back when that
-// bank is full) and maps it.
-func (p *Policy) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kind pt.FaultKind) {
-	if kind == pt.FaultWriteProtected {
-		d.Table().Unprotect(pfn)
-		return
-	}
+// HandleFault resolves a hypervisor page fault on pfn's invalid entry
+// caused by a vCPU running on accessor: it allocates the backing frame
+// on the placer's node (AllocFrameOn falls back when that bank is full),
+// maps it and returns it.
+func (p *Policy) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID) mem.MFN {
 	node := p.placer.PlaceNode(accessor, d.HomeNodes(), d)
 	mfn, err := d.AllocFrameOn(node)
 	if err != nil {
@@ -301,22 +289,16 @@ func (p *Policy) HandleFault(d DomainOps, pfn mem.PFN, accessor numa.NodeID, kin
 	d.MapPage(pfn, mfn)
 	if s, ok := p.placer.(successor); ok {
 		if next, due := s.successor(); due {
-			switchTo(d, next)
+			// Install next through the external interface (§4.2.1),
+			// keeping the domain's Carrefour stacking. A rejected
+			// switch leaves the domain untouched (the hypercall's
+			// contract).
+			cfg := d.Policy()
+			cfg.Static = next
+			_, _ = d.HypercallSetPolicy(cfg)
 		}
 	}
-}
-
-// switchTo installs next through the external interface (§4.2.1),
-// keeping the domain's Carrefour stacking. A rejected switch leaves the
-// domain untouched (the hypercall's contract).
-func switchTo(d DomainOps, next Kind) {
-	sw, ok := d.(PolicySwitcher)
-	if !ok {
-		return
-	}
-	cfg := sw.Policy()
-	cfg.Static = next
-	_, _ = sw.HypercallSetPolicy(cfg)
+	return mfn
 }
 
 // OnPageQueue consumes one batched page queue sent by the guest through
@@ -330,7 +312,7 @@ func switchTo(d DomainOps, next Kind) {
 //
 // A release is skipped when a later entry of the batch names its page,
 // which rescans the rest of the batch. The guest's batches hold at most
-// its queue's BatchSize (64) entries, which bounds the rescan; it
+// its queue's batch size (64) entries, which bounds the rescan; it
 // allocates nothing and keeps no state between batches.
 func (p *Policy) OnPageQueue(d DomainOps, ops []PageOp) int {
 	if !p.pageQueue {

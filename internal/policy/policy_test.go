@@ -9,18 +9,23 @@ import (
 	"repro/internal/mem"
 	"repro/internal/numa"
 	"repro/internal/pt"
+	"repro/internal/sim"
 )
 
 // fakeDomain implements DomainOps over plain maps for isolated policy
-// tests.
+// tests. Its SetPolicy hypercall records every switch request and, when
+// switchErr is set, rejects it.
 type fakeDomain struct {
-	homes    []numa.NodeID
-	table    *pt.HypervisorTable
-	nextMFN  mem.MFN
-	nodeOf   map[mem.MFN]numa.NodeID
-	free     map[numa.NodeID]int64
-	freed    []mem.MFN
-	migrated int
+	homes     []numa.NodeID
+	table     *pt.HypervisorTable
+	nextMFN   mem.MFN
+	nodeOf    map[mem.MFN]numa.NodeID
+	free      map[numa.NodeID]int64
+	freed     []mem.MFN
+	migrated  int
+	cfg       Config
+	switches  []Config
+	switchErr error
 }
 
 func newFakeDomain(homes ...numa.NodeID) *fakeDomain {
@@ -33,8 +38,8 @@ func newFakeDomain(homes ...numa.NodeID) *fakeDomain {
 }
 
 func (d *fakeDomain) HomeNodes() []numa.NodeID          { return d.homes }
-func (d *fakeDomain) Table() *pt.HypervisorTable        { return d.table }
 func (d *fakeDomain) NodeFreeBytes(n numa.NodeID) int64 { return d.free[n] }
+func (d *fakeDomain) Policy() Config                    { return d.cfg }
 func (d *fakeDomain) NodeOfFrame(m mem.MFN) numa.NodeID {
 	n, ok := d.nodeOf[m]
 	if !ok {
@@ -81,6 +86,15 @@ func (d *fakeDomain) InvalidatePage(p mem.PFN) {
 	}
 }
 
+func (d *fakeDomain) HypercallSetPolicy(cfg Config) (sim.Time, error) {
+	d.switches = append(d.switches, cfg)
+	if d.switchErr != nil {
+		return 0, d.switchErr
+	}
+	d.cfg = cfg
+	return 0, nil
+}
+
 func TestKindStrings(t *testing.T) {
 	if Round1G.String() != "round-1G" || Round4K.String() != "round-4K" || FirstTouch.String() != "first-touch" {
 		t.Fatal("kind strings wrong")
@@ -103,7 +117,7 @@ func TestNewRejectsUnknownKind(t *testing.T) {
 func TestFirstTouchPlacesOnAccessor(t *testing.T) {
 	d := newFakeDomain(0, 1, 2, 3)
 	p := mustNew(t, FirstTouch)
-	p.HandleFault(d, 42, 3, pt.FaultNotPresent)
+	p.HandleFault(d, 42, 3)
 	e := d.table.Lookup(42)
 	if !e.Valid || d.NodeOfFrame(e.MFN) != 3 {
 		t.Fatal("first-touch did not place on the accessor's node")
@@ -115,26 +129,12 @@ func TestRoundStaticFaultRoundRobins(t *testing.T) {
 	p := mustNew(t, Round4K)
 	nodes := make(map[numa.NodeID]int)
 	for i := mem.PFN(0); i < 10; i++ {
-		p.HandleFault(d, i, 0, pt.FaultNotPresent)
+		p.HandleFault(d, i, 0)
 		e := d.table.Lookup(i)
 		nodes[d.NodeOfFrame(e.MFN)]++
 	}
 	if nodes[0] != 5 || nodes[1] != 5 {
 		t.Fatalf("round-robin fault placement uneven: %v", nodes)
-	}
-}
-
-func TestWriteProtectFaultUnprotects(t *testing.T) {
-	for _, kind := range []Kind{Round4K, FirstTouch, Interleave, LeastLoaded, Bind(0)} {
-		d := newFakeDomain(0)
-		p := mustNew(t, kind)
-		m, _ := d.AllocFrameOn(0)
-		d.MapPage(7, m)
-		d.table.WriteProtect(7)
-		p.HandleFault(d, 7, 0, pt.FaultWriteProtected)
-		if d.table.Lookup(7).WriteProtect {
-			t.Fatalf("%v left the entry write-protected", kind)
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/numa"
-	"repro/internal/pt"
 )
 
 func stubDescriptor(name string) Descriptor {
@@ -193,7 +192,7 @@ func TestInterleaveFaultsRoundRobin(t *testing.T) {
 	p := mustNew(t, Interleave)
 	nodes := make(map[numa.NodeID]int)
 	for i := mem.PFN(0); i < 10; i++ {
-		p.HandleFault(d, i, 0, pt.FaultNotPresent)
+		p.HandleFault(d, i, 0)
 		nodes[d.NodeOfFrame(d.table.Lookup(i).MFN)]++
 	}
 	if nodes[1] != 5 || nodes[3] != 5 {
@@ -205,7 +204,7 @@ func TestBindFaultsOnBoundNode(t *testing.T) {
 	d := newFakeDomain(0, 1, 2, 3)
 	p := mustNew(t, Bind(2))
 	for i := mem.PFN(0); i < 8; i++ {
-		p.HandleFault(d, i, 0, pt.FaultNotPresent) // accessor ignored
+		p.HandleFault(d, i, 0) // accessor ignored
 		if n := d.NodeOfFrame(d.table.Lookup(i).MFN); n != 2 {
 			t.Fatalf("page %d on node %d, want 2", i, n)
 		}
@@ -220,7 +219,7 @@ func TestLeastLoadedFaultsOnFreestHome(t *testing.T) {
 	// the freest home, ties breaking toward the earliest home.
 	want := []numa.NodeID{1, 1, 2, 0, 1}
 	for i, w := range want {
-		p.HandleFault(d, mem.PFN(i), 3, pt.FaultNotPresent)
+		p.HandleFault(d, mem.PFN(i), 3)
 		if n := d.NodeOfFrame(d.table.Lookup(mem.PFN(i)).MFN); n != w {
 			t.Fatalf("fault %d on node %d, want %d (free %v)", i, n, w, d.free)
 		}

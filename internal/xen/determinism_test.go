@@ -23,7 +23,7 @@ func postDestroyAllocSequence(t *testing.T) []mem.MFN {
 		t.Fatal(err)
 	}
 	d, err := hv.CreateDomain(DomainSpec{
-		Name: "victim", VCPUs: 4, MemBytes: 16 << 20,
+		Name: "victim", MemBytes: 16 << 20,
 		PinCPUs: []numa.CPUID{0, 4, 8, 12},
 		Boot:    policy.Round4K,
 	})

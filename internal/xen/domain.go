@@ -52,10 +52,6 @@ type Domain struct {
 	// for this domain's I/O (requires the machine IOMMU and a policy
 	// other than first-touch, §4.4.1).
 	passthrough bool
-
-	// accessor is the node of the vCPU performing the current access;
-	// it parameterizes the fault handler during Translate.
-	accessor numa.NodeID
 }
 
 type frameAlloc struct {
@@ -63,7 +59,7 @@ type frameAlloc struct {
 	order int
 }
 
-func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot policy.BootPlacer, pol *policy.Policy) *Domain {
+func newDomain(h *Hypervisor, id DomID, spec DomainSpec, boot policy.BootPlacer, pol *policy.Policy) *Domain {
 	// A recycled shell (left behind by Hypervisor.Reset) carries the
 	// previous domain's page-table array and slice capacities; refilling
 	// it is bit-for-bit equivalent to a cold build, minus the
@@ -83,10 +79,10 @@ func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot
 	d.bootPlacer = boot
 	d.cfg = policy.Config{Static: spec.Boot}
 	d.pol = pol
-	for _, c := range pins {
+	for _, c := range spec.PinCPUs {
 		d.VCPUs = append(d.VCPUs, VCPU{PCPU: c})
 	}
-	for _, c := range pins {
+	for _, c := range spec.PinCPUs {
 		n := h.Topo.NodeOf(c)
 		found := false
 		for _, home := range d.homes {
@@ -103,9 +99,6 @@ func newDomain(h *Hypervisor, id DomID, spec DomainSpec, pins []numa.CPUID, boot
 	// cannot resolve invalid entries (§4.4.1), so passthrough is off
 	// from the start.
 	d.passthrough = h.Cfg.IOMMU && boot != nil
-	d.table.SetFaultHandler(func(pfn mem.PFN, write bool, kind pt.FaultKind) {
-		d.pol.HandleFault(d, pfn, d.accessor, kind)
-	})
 	return d
 }
 
@@ -123,7 +116,6 @@ func (d *Domain) recycleShell() {
 	d.bootPlacer, d.pol = nil, nil
 	d.nextAllocNode = 0
 	d.passthrough = false
-	d.accessor = 0
 	d.hv = nil
 	d.ID, d.Name = 0, ""
 	d.physPages = 0
@@ -160,9 +152,6 @@ func (d *Domain) releaseFrames() {
 
 // HomeNodes returns the domain's home nodes.
 func (d *Domain) HomeNodes() []numa.NodeID { return d.homes }
-
-// Table returns the domain's hypervisor page table.
-func (d *Domain) Table() *pt.HypervisorTable { return d.table }
 
 // AllocFrameOn allocates a 4 KiB machine frame on node, falling back
 // round-robin to the home nodes then to every node, mirroring Linux's
@@ -238,8 +227,11 @@ func (d *Domain) InvalidatePage(pfn mem.PFN) {
 }
 
 // MigratePage implements the second function of the internal interface:
-// write-protect the entry, copy the page, remap it on the target node and
-// free the old frame (§4.1). It reports whether the page moved.
+// copy the page, remap its entry on the target node and free the old
+// frame (§4.1). It reports whether the page moved. Xen write-protects
+// the entry for the copy, so that a concurrent guest write waits for
+// the remap; no guest access runs during a simulated migration, so the
+// entry is remapped in place.
 func (d *Domain) MigratePage(pfn mem.PFN, to numa.NodeID) bool {
 	e := d.table.Lookup(pfn)
 	if !e.Valid {
@@ -252,7 +244,6 @@ func (d *Domain) MigratePage(pfn mem.PFN, to numa.NodeID) bool {
 	if err != nil {
 		return false // target node full: leave the page where it is
 	}
-	d.table.WriteProtect(pfn)
 	// Copy happens here; the time cost is charged by the caller through
 	// CostMigratePage, the traffic through the load accumulator.
 	d.table.MapOwned(pfn, newMFN)
@@ -339,18 +330,19 @@ func (d *Domain) HypercallPageQueue(ops []policy.PageOp) sim.Time {
 }
 
 // Touch simulates one guest access to a physical page by a vCPU whose
-// physical CPU sits on accessor. It resolves hypervisor faults through
-// the active policy and returns the backing frame's node plus the time
-// spent in the hypervisor (zero on the fast path).
-func (d *Domain) Touch(pfn mem.PFN, accessor numa.NodeID, write bool) (numa.NodeID, sim.Time) {
+// physical CPU sits on accessor. An invalid entry takes a hypervisor
+// page fault, which the active policy resolves by mapping a frame. Touch
+// returns the backing frame's node plus the time spent in the
+// hypervisor (zero on the fast path).
+func (d *Domain) Touch(pfn mem.PFN, accessor numa.NodeID) (numa.NodeID, sim.Time) {
 	if pfn >= mem.PFN(d.physPages) {
 		panic(fmt.Sprintf("xen: domain %q touching PFN %d beyond %d pages", d.Name, pfn, d.physPages))
 	}
-	before := d.table.Faults + d.table.WriteProtFaults
-	d.accessor = accessor
-	mfn := d.table.Translate(pfn, write)
-	faults := d.table.Faults + d.table.WriteProtFaults - before
-	return d.hv.Alloc.NodeOf(mfn), sim.Time(faults) * (CostHVFault + CostFrameAlloc)
+	if e := d.table.Lookup(pfn); e.Valid {
+		return d.hv.Alloc.NodeOf(e.MFN), 0
+	}
+	mfn := d.pol.HandleFault(d, pfn, accessor)
+	return d.hv.Alloc.NodeOf(mfn), CostHVFault + CostFrameAlloc
 }
 
 // NodeOfPFN returns the node currently backing pfn without faulting;
@@ -362,3 +354,7 @@ func (d *Domain) NodeOfPFN(pfn mem.PFN) (numa.NodeID, bool) {
 	}
 	return d.hv.Alloc.NodeOf(mfn), true
 }
+
+// Table returns the domain's hypervisor page table, which the IOMMU
+// walks for DMA (§4.4.1).
+func (d *Domain) Table() *pt.HypervisorTable { return d.table }

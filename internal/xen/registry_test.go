@@ -15,7 +15,7 @@ func lazyDomain(t *testing.T, boot policy.Kind) (*Hypervisor, *Domain) {
 	t.Helper()
 	hv := testHV(t)
 	d, err := hv.CreateDomain(DomainSpec{
-		Name: "lazy", VCPUs: 4, MemBytes: 4 << 20,
+		Name: "lazy", MemBytes: 4 << 20,
 		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: boot,
 	})
 	if err != nil {
@@ -29,7 +29,7 @@ func lazyDomain(t *testing.T, boot policy.Kind) (*Hypervisor, *Domain) {
 func touchDist(d *Domain, n int, accessor numa.NodeID) map[numa.NodeID]uint64 {
 	dist := make(map[numa.NodeID]uint64)
 	for p := 0; p < n; p++ {
-		node, _ := d.Touch(mem.PFN(p), accessor, true)
+		node, _ := d.Touch(mem.PFN(p), accessor)
 		dist[node]++
 	}
 	return dist
@@ -46,16 +46,14 @@ func TestLazyBootFaultsIn(t *testing.T) {
 	if _, ok := d.NodeOfPFN(0); ok {
 		t.Fatal("lazy boot pre-populated an entry")
 	}
-	before := d.Table().Faults
-	d.Touch(0, 2, true)
-	if got := d.Table().Faults - before; got != 1 {
-		t.Fatalf("first touch took %d faults, want 1", got)
+	if _, cost := d.Touch(0, 2); cost != CostHVFault+CostFrameAlloc {
+		t.Fatalf("first touch cost %v, want one fault (%v)", cost, CostHVFault+CostFrameAlloc)
 	}
 	if _, ok := d.NodeOfPFN(0); !ok {
 		t.Fatal("fault did not fill the entry")
 	}
 	// The second touch is a fast-path hit.
-	if _, cost := d.Touch(0, 2, true); cost != 0 {
+	if _, cost := d.Touch(0, 2); cost != 0 {
 		t.Fatalf("second touch cost %v, want 0", cost)
 	}
 }
@@ -91,7 +89,7 @@ func TestBindDomainDistribution(t *testing.T) {
 func TestBindDomainRangeChecked(t *testing.T) {
 	hv := testHV(t)
 	_, err := hv.CreateDomain(DomainSpec{
-		Name: "oob", VCPUs: 1, MemBytes: 1 << 20,
+		Name: "oob", MemBytes: 1 << 20,
 		PinCPUs: []numa.CPUID{0}, Boot: policy.Bind(9),
 	})
 	if err == nil {
@@ -122,7 +120,7 @@ func TestLeastLoadedDomainDistribution(t *testing.T) {
 func TestRuntimeSwitchToRegisteredPolicy(t *testing.T) {
 	hv := testHV(t)
 	d, err := hv.CreateDomain(DomainSpec{
-		Name: "sw", VCPUs: 4, MemBytes: 4 << 20,
+		Name: "sw", MemBytes: 4 << 20,
 		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: policy.Round4K,
 	})
 	if err != nil {
@@ -154,7 +152,7 @@ func TestRuntimeSwitchToRegisteredPolicy(t *testing.T) {
 func TestAliasBootCanonicalized(t *testing.T) {
 	hv := testHV(t)
 	d, err := hv.CreateDomain(DomainSpec{
-		Name: "alias", VCPUs: 1, MemBytes: 1 << 20,
+		Name: "alias", MemBytes: 1 << 20,
 		PinCPUs: []numa.CPUID{0}, Boot: policy.Kind("r1g"),
 	})
 	if err != nil {
@@ -183,7 +181,7 @@ func TestAliasBootCanonicalized(t *testing.T) {
 func TestDefaultBootIsRound1G(t *testing.T) {
 	hv := testHV(t)
 	d, err := hv.CreateDomain(DomainSpec{
-		Name: "def", VCPUs: 1, MemBytes: 4 << 20, PinCPUs: []numa.CPUID{0},
+		Name: "def", MemBytes: 4 << 20, PinCPUs: []numa.CPUID{0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +219,7 @@ func TestAdaptiveDomainSwitchesToFirstTouch(t *testing.T) {
 	}
 	// Post-switch touches run the installed first-touch policy: pages
 	// land on the accessor's node.
-	node, _ := d.Touch(700, 3, true)
+	node, _ := d.Touch(700, 3)
 	if node != 3 {
 		t.Fatalf("post-switch touch placed on node %d, want 3", node)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/numa"
 	"repro/internal/policy"
+	"repro/internal/sim"
 )
 
 // TestResetMatchesFreshHypervisor pins the xen half of the warm-pool
@@ -19,10 +20,11 @@ import (
 func TestResetMatchesFreshHypervisor(t *testing.T) {
 	build := func() *Hypervisor { return testHV(t) }
 
-	// churn returns how many pages it migrated.
-	churn := func(hv *Hypervisor) (migrated int) {
+	// churn returns how many pages it migrated and the summed cost of
+	// its touches, which counts the faults they took.
+	churn := func(hv *Hypervisor) (migrated int, touched sim.Time) {
 		d, err := hv.CreateDomain(DomainSpec{
-			Name: "u1", VCPUs: 4, MemBytes: 16 << 20,
+			Name: "u1", MemBytes: 16 << 20,
 			PinCPUs: []numa.CPUID{0, 4, 8, 12},
 			Boot:    policy.Round4K,
 		})
@@ -41,7 +43,8 @@ func TestResetMatchesFreshHypervisor(t *testing.T) {
 		}
 		d.HypercallPageQueue(ops)
 		for p := mem.PFN(0); p < 64; p++ {
-			d.Touch(p, numa.NodeID(int(p)%hv.Topo.NumNodes()), p%2 == 0)
+			_, cost := d.Touch(p, numa.NodeID(int(p)%hv.Topo.NumNodes()))
+			touched += cost
 		}
 		for p := mem.PFN(0); p < 16; p++ {
 			if d.MigratePage(p, numa.NodeID(3)) {
@@ -49,11 +52,11 @@ func TestResetMatchesFreshHypervisor(t *testing.T) {
 			}
 		}
 		if _, err := hv.CreateDomain(DomainSpec{
-			Name: "u2", VCPUs: 2, MemBytes: 8 << 20, Boot: policy.Round1G,
+			Name: "u2", MemBytes: 8 << 20, PinCPUs: []numa.CPUID{5, 6}, Boot: policy.Round1G,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return migrated
+		return migrated, touched
 	}
 
 	hv := build()
@@ -81,7 +84,8 @@ func TestResetMatchesFreshHypervisor(t *testing.T) {
 	// Rebuilding the same domains on the reset machine must reproduce a
 	// fresh machine's placements exactly — shells and refilled maps must
 	// not change a single frame.
-	mr, mf := churn(hv), churn(fresh)
+	mr, cr := churn(hv)
+	mf, cf := churn(fresh)
 	dr, df := hv.domains[1], fresh.domains[1]
 	if dr.PhysPages() != df.PhysPages() {
 		t.Fatalf("phys pages diverge: %d vs %d", dr.PhysPages(), df.PhysPages())
@@ -93,9 +97,8 @@ func TestResetMatchesFreshHypervisor(t *testing.T) {
 			t.Fatalf("PFN %d placement diverges after Reset: (%v,%v) vs (%v,%v)", p, nr, okr, nf, okf)
 		}
 	}
-	if tr, tf := dr.Table(), df.Table(); tr.Faults != tf.Faults || tr.WriteProtFaults != tf.WriteProtFaults || mr != mf {
-		t.Errorf("counters diverge after rebuild: faults %d/%d write-protect faults %d/%d migrated %d/%d",
-			tr.Faults, tf.Faults, tr.WriteProtFaults, tf.WriteProtFaults, mr, mf)
+	if cr != cf || mr != mf {
+		t.Errorf("counters diverge after rebuild: touch cost %v/%v migrated %d/%d", cr, cf, mr, mf)
 	}
 }
 
@@ -114,7 +117,7 @@ func TestResetReplayDivergenceReturnsError(t *testing.T) {
 
 	hv := testHV(t)
 	if _, err := hv.CreateDomain(DomainSpec{
-		Name: "u1", VCPUs: 2, MemBytes: 8 << 20, Boot: policy.Round1G,
+		Name: "u1", MemBytes: 8 << 20, PinCPUs: []numa.CPUID{4, 5}, Boot: policy.Round1G,
 	}); err != nil {
 		t.Fatal(err)
 	}

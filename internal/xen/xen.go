@@ -1,14 +1,14 @@
 // Package xen models the hypervisor: domain lifecycle (dom0 and domU),
-// vCPU placement with home-node packing, the eager memory allocation of
-// the round-1G default policy, the hypervisor page table per domain, the
-// two hypercalls of the paper's external interface, and the
-// write-protect → copy → remap page-migration mechanism of the internal
-// interface.
+// vCPUs pinned to the physical CPUs the caller names (the evaluation
+// pins every vCPU, §5.4.1, so there is no home-node packing), the eager
+// memory allocation of the round-1G default policy, the hypervisor page
+// table per domain with its fault path into the policy, the two
+// hypercalls of the paper's external interface, and the copy → remap
+// page-migration mechanism of the internal interface.
 package xen
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/faultinject"
 	"repro/internal/mem"
@@ -129,7 +129,6 @@ func New(topo *numa.Topology, cfg Config, dom0MemBytes int64) (*Hypervisor, erro
 	}
 	spec := DomainSpec{
 		Name:     "dom0",
-		VCPUs:    len(topo.Nodes[0].CPUs),
 		MemBytes: dom0MemBytes,
 		PinCPUs:  append([]numa.CPUID(nil), topo.Nodes[0].CPUs...),
 		Boot:     policy.Round1G,
@@ -143,11 +142,9 @@ func New(topo *numa.Topology, cfg Config, dom0MemBytes int64) (*Hypervisor, erro
 // DomainSpec describes a domain to create.
 type DomainSpec struct {
 	Name     string
-	VCPUs    int
 	MemBytes int64
-	// PinCPUs optionally pins vCPU i to PinCPUs[i]. When empty the
-	// builder packs the domain onto the minimal set of underloaded
-	// nodes, reserving one physical CPU per vCPU (§3.3).
+	// PinCPUs gives the domain one vCPU per entry and pins vCPU i to
+	// PinCPUs[i]; it must not be empty.
 	PinCPUs []numa.CPUID
 	// Boot selects the boot-time memory layout: any registered policy
 	// kind that may be booted — eagerly placed like Round4K (the
@@ -158,11 +155,11 @@ type DomainSpec struct {
 	Boot policy.Kind
 }
 
-// CreateDomain builds a domain: chooses home nodes, pins vCPUs, eagerly
-// populates the physical address space according to the boot policy, and
-// installs the matching runtime policy.
+// CreateDomain builds a domain: pins its vCPUs, takes their nodes as
+// home nodes, eagerly populates the physical address space according to
+// the boot policy, and installs the matching runtime policy.
 func (h *Hypervisor) CreateDomain(spec DomainSpec) (*Domain, error) {
-	if spec.VCPUs <= 0 {
+	if len(spec.PinCPUs) == 0 {
 		return nil, fmt.Errorf("xen: domain %q needs at least one vCPU", spec.Name)
 	}
 	if spec.MemBytes < mem.PageSize {
@@ -186,16 +183,7 @@ func (h *Hypervisor) CreateDomain(spec DomainSpec) (*Domain, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xen: domain %q: %w", spec.Name, err)
 	}
-	pins := spec.PinCPUs
-	if len(pins) == 0 {
-		pins, err = h.packVCPUs(spec.VCPUs, spec.MemBytes)
-		if err != nil {
-			return nil, err
-		}
-	} else if len(pins) != spec.VCPUs {
-		return nil, fmt.Errorf("xen: %d pins for %d vCPUs", len(pins), spec.VCPUs)
-	}
-	d := newDomain(h, DomID(len(h.domains)), spec, pins, bdesc.Boot, pol)
+	d := newDomain(h, DomID(len(h.domains)), spec, bdesc.Boot, pol)
 	if err := d.populate(); err != nil {
 		d.releaseFrames()
 		return nil, fmt.Errorf("xen: populating domain %q: %w", spec.Name, err)
@@ -205,61 +193,11 @@ func (h *Hypervisor) CreateDomain(spec DomainSpec) (*Domain, error) {
 	// node 0 alongside guest vCPUs; it does not count against CPU
 	// shares.
 	if d.ID != 0 {
-		for _, c := range pins {
+		for _, c := range spec.PinCPUs {
 			h.cpuUse[c]++
 		}
 	}
 	return d, nil
-}
-
-// packVCPUs implements the home-node packing of §3.3: pick the minimal
-// number of underloaded nodes that can host one physical CPU per vCPU
-// and the domain's memory, preferring the least-loaded nodes.
-func (h *Hypervisor) packVCPUs(vcpus int, memBytes int64) ([]numa.CPUID, error) {
-	type cand struct {
-		node     numa.NodeID
-		freeCPUs []numa.CPUID
-		freeMem  int64
-	}
-	var cands []cand
-	for _, n := range h.Topo.Nodes {
-		c := cand{node: n.ID, freeMem: h.Alloc.FreeBytes(n.ID)}
-		for _, cpu := range n.CPUs {
-			if h.cpuUse[cpu] == 0 {
-				c.freeCPUs = append(c.freeCPUs, cpu)
-			}
-		}
-		cands = append(cands, c)
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if len(cands[i].freeCPUs) != len(cands[j].freeCPUs) {
-			return len(cands[i].freeCPUs) > len(cands[j].freeCPUs)
-		}
-		if cands[i].freeMem != cands[j].freeMem {
-			return cands[i].freeMem > cands[j].freeMem
-		}
-		return cands[i].node < cands[j].node
-	})
-	var pins []numa.CPUID
-	var memOK int64
-	for _, c := range cands {
-		if len(pins) >= vcpus && memOK >= memBytes {
-			break
-		}
-		for _, cpu := range c.freeCPUs {
-			if len(pins) < vcpus {
-				pins = append(pins, cpu)
-			}
-		}
-		memOK += c.freeMem
-	}
-	if len(pins) < vcpus {
-		return nil, fmt.Errorf("xen: not enough free physical CPUs for %d vCPUs", vcpus)
-	}
-	if memOK < memBytes {
-		return nil, fmt.Errorf("xen: not enough free memory on packed nodes")
-	}
-	return pins, nil
 }
 
 // CPULoad returns the number of vCPUs sharing physical CPU c.

@@ -42,7 +42,7 @@ func TestDom0Creation(t *testing.T) {
 func TestCreateDomainRound4K(t *testing.T) {
 	hv := testHV(t)
 	d, err := hv.CreateDomain(DomainSpec{
-		Name: "u1", VCPUs: 4, MemBytes: 16 << 20,
+		Name: "u1", MemBytes: 16 << 20,
 		PinCPUs: []numa.CPUID{0, 4, 8, 12},
 		Boot:    policy.Round4K,
 	})
@@ -72,7 +72,7 @@ func TestCreateDomainRound1G(t *testing.T) {
 	hv := testHV(t)
 	// 24 MiB = 6 huge regions of 4 MiB; first and last are fragmented.
 	d, err := hv.CreateDomain(DomainSpec{
-		Name: "u1", VCPUs: 4, MemBytes: 24 << 20,
+		Name: "u1", MemBytes: 24 << 20,
 		PinCPUs: []numa.CPUID{0, 4, 8, 12},
 		Boot:    policy.Round1G,
 	})
@@ -107,7 +107,7 @@ func TestCreateDomainRound1G(t *testing.T) {
 func TestFirstTouchBootRejected(t *testing.T) {
 	hv := testHV(t)
 	_, err := hv.CreateDomain(DomainSpec{
-		Name: "u1", VCPUs: 1, MemBytes: 1 << 20,
+		Name: "u1", MemBytes: 1 << 20,
 		PinCPUs: []numa.CPUID{0}, Boot: policy.FirstTouch,
 	})
 	if err == nil {
@@ -115,43 +115,28 @@ func TestFirstTouchBootRejected(t *testing.T) {
 	}
 }
 
-func TestPackVCPUsMinimalNodes(t *testing.T) {
+// TestCreateDomainNeedsPins: a domain gets one vCPU per pinned CPU, so
+// a spec that pins none describes no vCPU and is rejected.
+func TestCreateDomainNeedsPins(t *testing.T) {
 	hv := testHV(t)
+	if _, err := hv.CreateDomain(DomainSpec{Name: "u1", MemBytes: 1 << 20, Boot: policy.Round4K}); err == nil {
+		t.Fatal("domain without pinned vCPUs accepted")
+	}
 	d, err := hv.CreateDomain(DomainSpec{
-		Name: "u1", VCPUs: 4, MemBytes: 8 << 20, Boot: policy.Round4K,
+		Name: "u1", MemBytes: 1 << 20, PinCPUs: []numa.CPUID{4, 9, 10}, Boot: policy.Round4K,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 vCPUs fit on one 4-CPU node: packing must use exactly one node.
-	if len(d.HomeNodes()) != 1 {
-		t.Fatalf("packed onto %v, want a single node", d.HomeNodes())
-	}
-	// A second domain must pack onto a different node.
-	d2, err := hv.CreateDomain(DomainSpec{
-		Name: "u2", VCPUs: 4, MemBytes: 8 << 20, Boot: policy.Round4K,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.HomeNodes()[0] == d.HomeNodes()[0] {
-		t.Fatal("second domain packed onto an occupied node")
-	}
-}
-
-func TestPackVCPUsExhaustion(t *testing.T) {
-	hv := testHV(t)
-	if _, err := hv.CreateDomain(DomainSpec{
-		Name: "big", VCPUs: 17, MemBytes: 1 << 20, Boot: policy.Round4K,
-	}); err == nil {
-		t.Fatal("17 vCPUs on a 16-CPU machine accepted")
+	if len(d.VCPUs) != 3 || d.VCPUs[1].PCPU != 9 || hv.CPULoad(10) != 1 {
+		t.Fatalf("vCPUs = %v, CPU 10 load %d; want one vCPU per pin", d.VCPUs, hv.CPULoad(10))
 	}
 }
 
 func TestSetPolicySwitchesAndDisablesPassthrough(t *testing.T) {
 	hv := testHV(t)
 	d, err := hv.CreateDomain(DomainSpec{
-		Name: "u1", VCPUs: 2, MemBytes: 4 << 20,
+		Name: "u1", MemBytes: 4 << 20,
 		PinCPUs: []numa.CPUID{0, 4}, Boot: policy.Round4K,
 	})
 	if err != nil {
@@ -179,7 +164,7 @@ func TestSetPolicySwitchesAndDisablesPassthrough(t *testing.T) {
 func TestSetPolicyRound1GRejectedAtRuntime(t *testing.T) {
 	hv := testHV(t)
 	d, _ := hv.CreateDomain(DomainSpec{
-		Name: "u1", VCPUs: 1, MemBytes: 4 << 20,
+		Name: "u1", MemBytes: 4 << 20,
 		PinCPUs: []numa.CPUID{0}, Boot: policy.Round4K,
 	})
 	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.Round1G}); err == nil {
@@ -190,7 +175,7 @@ func TestSetPolicyRound1GRejectedAtRuntime(t *testing.T) {
 func TestPageQueueInvalidatesAndRefaults(t *testing.T) {
 	hv := testHV(t)
 	d, _ := hv.CreateDomain(DomainSpec{
-		Name: "u1", VCPUs: 2, MemBytes: 4 << 20,
+		Name: "u1", MemBytes: 4 << 20,
 		PinCPUs: []numa.CPUID{0, 4}, Boot: policy.Round4K,
 	})
 	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.FirstTouch}); err != nil {
@@ -203,7 +188,7 @@ func TestPageQueueInvalidatesAndRefaults(t *testing.T) {
 		t.Fatal("released page still mapped")
 	}
 	// Touch from node 1: first-touch must place it there.
-	node, cost := d.Touch(pfn, 1, true)
+	node, cost := d.Touch(pfn, 1)
 	if node != 1 {
 		t.Fatalf("first-touch placed page on node %d, want 1", node)
 	}
@@ -211,7 +196,7 @@ func TestPageQueueInvalidatesAndRefaults(t *testing.T) {
 		t.Fatal("fault cost not charged")
 	}
 	// Second touch from elsewhere must not move it.
-	node, cost = d.Touch(pfn, 2, true)
+	node, cost = d.Touch(pfn, 2)
 	if node != 1 || cost != 0 {
 		t.Fatalf("second touch moved page (node %d) or charged cost (%v)", node, cost)
 	}
@@ -220,7 +205,7 @@ func TestPageQueueInvalidatesAndRefaults(t *testing.T) {
 func TestPageQueueNewestOperationWins(t *testing.T) {
 	hv := testHV(t)
 	d, _ := hv.CreateDomain(DomainSpec{
-		Name: "u1", VCPUs: 1, MemBytes: 4 << 20,
+		Name: "u1", MemBytes: 4 << 20,
 		PinCPUs: []numa.CPUID{0}, Boot: policy.Round4K,
 	})
 	d.HypercallSetPolicy(policy.Config{Static: policy.FirstTouch})
@@ -249,7 +234,7 @@ func TestPageQueueNewestOperationWins(t *testing.T) {
 func TestMigratePage(t *testing.T) {
 	hv := testHV(t)
 	d, _ := hv.CreateDomain(DomainSpec{
-		Name: "u1", VCPUs: 4, MemBytes: 4 << 20,
+		Name: "u1", MemBytes: 4 << 20,
 		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: policy.Round4K,
 	})
 	const pfn = mem.PFN(10)
@@ -271,7 +256,7 @@ func TestDestroyDomainReleasesResources(t *testing.T) {
 	hv := testHV(t)
 	free := hv.Alloc.TotalFreeBytes()
 	d, err := hv.CreateDomain(DomainSpec{
-		Name: "u1", VCPUs: 4, MemBytes: 16 << 20,
+		Name: "u1", MemBytes: 16 << 20,
 		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: policy.Round4K,
 	})
 	if err != nil {
@@ -281,7 +266,7 @@ func TestDestroyDomainReleasesResources(t *testing.T) {
 	// pages exist.
 	d.HypercallSetPolicy(policy.Config{Static: policy.FirstTouch})
 	d.HypercallPageQueue([]policy.PageOp{{Kind: policy.OpRelease, PFN: 1}})
-	d.Touch(1, 2, true)
+	d.Touch(1, 2)
 	d.releaseFrames()
 	if got := hv.Alloc.TotalFreeBytes(); got != free {
 		t.Fatalf("leak: free %d, want %d", got, free)

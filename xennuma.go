@@ -373,14 +373,12 @@ func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o
 		}
 		m.pins[slot] = pins
 	}
-	spec := xen.DomainSpec{
+	dom, err := m.hv.CreateDomain(xen.DomainSpec{
 		Name:     prof.Name,
-		VCPUs:    len(pins),
 		MemBytes: memBytes,
 		PinCPUs:  pins,
 		Boot:     boot,
-	}
-	dom, err := m.hv.CreateDomain(spec)
+	})
 	if err != nil {
 		return nil, err
 	}
