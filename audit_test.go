@@ -15,9 +15,11 @@ import (
 // no frame may back two pages. Under Xen, while the guest forwards its
 // page traffic (a page-queue policy such as first-touch), every page on
 // the guest's free list must have no valid hypervisor entry, so that
-// its next touch faults into the policy (§4.2.2). Natively it also
-// checks frame conservation: the allocator's free bytes plus one page
-// per region page are the machine's memory.
+// its next touch faults into the policy (§4.2.2). Both platforms also
+// check frame conservation: the allocator's free bytes plus the bytes
+// the layers above hold are the machine's memory. Under Xen the
+// hypervisor holds them, in its domains' block records and owned
+// entries (dom0's included); natively, one page per region page.
 type audit struct {
 	checks, free, migrated, failed int
 	frames                         map[mem.MFN]bool
@@ -62,6 +64,9 @@ func (a *audit) xen(p *Pool, key poolKey, vms int, what string) {
 				}
 			})
 		}
+	}
+	if free, held, total := m.hv.Alloc.TotalFreeBytes(), m.hv.HeldBytes(), m.hv.Topo.TotalMemory(); free+held != total {
+		a.fail("%s: %d bytes free plus %d held by the domains, machine has %d", what, free, held, total)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Ablation benchmarks for the design choices the paper argues for
-// (§4.2.4 notification queues, §5.3.2 MCS locks, Carrefour's migration
-// budget), extension benchmarks for what it leaves out (§3.4 page
-// replication, §7 large pages), and micro-benchmarks of the hot
-// mechanisms (buddy allocator, page-table walks, hypercalls).
+// (§4.2.4 notification queues, §5.3.2 MCS locks), extension benchmarks
+// for what it leaves out (§3.4 page replication, §7 large pages), and
+// micro-benchmarks of the hot mechanisms (buddy allocator, page-table
+// walks, hypercalls).
 //
 //	go test -run '^$' -bench=. -benchmem
 //
@@ -15,15 +15,11 @@ import (
 
 	xennuma "repro"
 
-	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/guest"
-	"repro/internal/linux"
 	"repro/internal/mem"
 	"repro/internal/numa"
 	"repro/internal/policy"
-	"repro/internal/sim"
-	"repro/internal/workload"
 	"repro/internal/xen"
 )
 
@@ -100,41 +96,6 @@ func BenchmarkAblationMCS(b *testing.B) {
 				gain = float64(off.Completion)/float64(on.Completion) - 1
 			}
 			b.ReportMetric(100*gain, "improvement-%")
-		})
-	}
-}
-
-// BenchmarkAblationCarrefourBudget sweeps the migration budget of the
-// dynamic policy on a master-slave workload under first-touch.
-func BenchmarkAblationCarrefourBudget(b *testing.B) {
-	topo := numa.AMD48Scaled(64)
-	prof, err := workload.Get("facesim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prof.BaselineSeconds = 0.5
-	for _, budget := range []int{0, 256, 1024, 4096, 16384} {
-		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
-			var (
-				runner     engine.Runner
-				completion sim.Time
-			)
-			for i := 0; i < b.N; i++ {
-				lb, err := linux.New(topo, policy.Config{Static: policy.FirstTouch, Carrefour: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := engine.DefaultConfig(topo, 64)
-				cfg.Carrefour.BudgetPages = budget
-				res, err := runner.Run(cfg, &engine.Instance{
-					Prof: prof, Backend: lb, NThreads: 48, Carrefour: budget > 0,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				completion = res[0].Completion
-			}
-			b.ReportMetric(float64(completion)/1e6, "completion-ms")
 		})
 	}
 }

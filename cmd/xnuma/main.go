@@ -176,7 +176,7 @@ usage:
 			fmt.Fprintln(stdout, "  "+a)
 		}
 		fmt.Fprintln(stdout, "policies (xnuma policies for details):")
-		for _, p := range exp.RegisteredXenPolicies() {
+		for _, p := range exp.SweepPolicies() {
 			fmt.Fprintln(stdout, "  "+p)
 		}
 	case "policies":
@@ -469,11 +469,14 @@ func runServe(s *exp.Suite, stdin io.Reader, stdout, stderr io.Writer, args []st
 		code = 1
 	}
 	if *cacheDir != "" {
-		if n, serr := srv.SaveCache(); serr != nil {
+		switch n, wrote, serr := srv.SaveCache(); {
+		case serr != nil:
 			fmt.Fprintf(stderr, "xnuma: serve: cache: %v\n", serr)
 			code = 1
-		} else {
+		case wrote:
 			fmt.Fprintf(stderr, "xnuma: serve: cache saved: %d cells\n", n)
+		default:
+			fmt.Fprintf(stderr, "xnuma: serve: cache unchanged: %d cells, none computed\n", n)
 		}
 	}
 	fmt.Fprintf(stderr, "xnuma: serve: %s\n", srv.Stats())

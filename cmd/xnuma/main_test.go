@@ -24,6 +24,11 @@ func TestList(t *testing.T) {
 			t.Errorf("list output missing %q", want)
 		}
 	}
+	// Sweeps run round-1G with Carrefour stacked, and `xnuma run` boots
+	// it, so list must name it.
+	if !strings.Contains(out, "\n  round-1g/carrefour\n") {
+		t.Errorf("list output missing round-1g/carrefour:\n%s", out)
+	}
 }
 
 func TestPolicies(t *testing.T) {

@@ -124,7 +124,8 @@ func TestServedSweepMatchesCLI(t *testing.T) {
 }
 
 // TestServeCachePersistsAcrossRuns: with -cache-dir the first run saves
-// its cells on exit and the second run starts warm from them.
+// its cells on exit and the second run starts warm from them; having
+// computed nothing, it leaves the cache file unchanged.
 func TestServeCachePersistsAcrossRuns(t *testing.T) {
 	dir := t.TempDir()
 	global := []string{"-scale", "256"}
@@ -136,7 +137,7 @@ func TestServeCachePersistsAcrossRuns(t *testing.T) {
 		t.Fatalf("first run did not save cache: %q", err1)
 	}
 	_, err2 := serveIO(t, stdin, global, serveArgs)
-	if !strings.Contains(err2, "warm start") {
-		t.Fatalf("second run did not start warm: %q", err2)
+	if !strings.Contains(err2, "warm start") || !strings.Contains(err2, "cache unchanged") {
+		t.Fatalf("second run did not start warm and leave the cache unchanged: %q", err2)
 	}
 }

@@ -3,12 +3,13 @@
 //	go run ./examples/carrefour-trace
 //
 // This example drives the Carrefour user component (§3.4, §4.3) directly
-// against a synthetic master-slave placement: 4096 hot pages sit on node
-// 0 and every node's threads hammer them, overloading node 0's memory
-// controller. Each tick the controller interleaves hot pages away from
-// the overloaded node; the trace shows controller utilization and the
-// migration counts until the load is balanced — exactly the interleave
-// heuristic the paper ports into Xen.
+// against a synthetic master-slave placement: 16384 hot pages sit on
+// node 0 and every node's threads hammer them, overloading node 0's
+// memory controller. Each tick the controller interleaves hot pages away
+// from the overloaded node, at most its 4096-page budget; the trace
+// shows controller utilization and the migration counts until the load
+// is balanced — exactly the interleave heuristic the paper ports into
+// Xen.
 package main
 
 import (
@@ -33,11 +34,8 @@ func (s *set) Migrate(i int, to numa.NodeID) bool {
 
 func main() {
 	const nodes = 8
-	pages := &set{nodes: make([]numa.NodeID, 4096)} // all on node 0
-
-	cfg := carrefour.DefaultConfig()
-	cfg.BudgetPages = 1024 // migrate at most 1024 pages per interval
-	ctl := carrefour.New(cfg)
+	pages := &set{nodes: make([]numa.NodeID, 16384)} // all on node 0
+	var ctl carrefour.Controller
 
 	accessors := make([]float64, nodes)
 	for i := range accessors {
@@ -66,10 +64,6 @@ func main() {
 			}},
 		})
 
-		note := ""
-		if moved == 0 {
-			note = "balanced — interleave heuristic idle"
-		}
 		fmt.Printf("%4d  [", tick)
 		for i, u := range util {
 			if i > 0 {
@@ -77,10 +71,12 @@ func main() {
 			}
 			fmt.Printf("%4.2f", u)
 		}
-		fmt.Printf("]  %5d  %s\n", moved, note)
+		fmt.Printf("]  %5d", moved)
 		if moved == 0 {
+			fmt.Println("  balanced — interleave heuristic idle")
 			break
 		}
+		fmt.Println()
 	}
 	fmt.Printf("\ncontroller totals: %d interleaved, %d locality moves over %d ticks\n",
 		ctl.Interleaved, ctl.LocalityMoved, ctl.Ticks)

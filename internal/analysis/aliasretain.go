@@ -8,15 +8,15 @@ import (
 
 // Aliasretain polices the documented internal-slice accessors in
 // internal/engine: Region.Dist/AccessDist/HotDist hand out the region's
-// cached distribution buffers, stream.distFor and Instance.row hand out
-// rows of the folded row buffer the instance owns (refilled in place by
-// foldRows), and Runner.cycRow hands out rows of the per-iteration
-// cost-matrix scratch. Callers may read them within the current epoch
-// (cycRow: within the current iteration), but storing one into a
-// struct field, a composite literal field or a package-level variable
-// retains a view that the next cache refresh, foldRows repack or
-// fillCycles pass silently invalidates — the aliasing bug class the
-// row-table flattening in PR 5 made possible.
+// cached distribution buffers, Instance.row hands out rows of the
+// folded row buffer the instance owns (refilled in place by foldRows),
+// and Runner.cycRow hands out rows of the per-iteration cost-matrix
+// scratch. Callers may read them within the current epoch (cycRow:
+// within the current iteration), but storing one into a struct field, a
+// composite literal field or a package-level variable retains a view
+// that the next cache refresh, foldRows repack or fillCycles pass
+// silently invalidates — the aliasing bug class that folding the
+// streams into reused row buffers made possible.
 //
 // The analyzer runs over the whole repo: any package may call into
 // engine.
@@ -30,7 +30,6 @@ var Aliasretain = &Analyzer{
 // buffers, keyed by receiver type name.
 var aliasAccessors = map[string]map[string]bool{
 	"Region":   {"Dist": true, "AccessDist": true, "HotDist": true},
-	"stream":   {"distFor": true},
 	"Instance": {"row": true},
 	"Runner":   {"cycRow": true},
 }

@@ -13,8 +13,8 @@
 //     contain no AST-level allocation forms, giving source-level
 //     attribution that complements TestEpochAllocFree's count.
 //   - aliasretain: results of the documented internal-slice accessors
-//     (Region.Dist/AccessDist/HotDist, stream.distFor, Instance.row)
-//     are not stored into struct fields or globals.
+//     (Region.Dist/AccessDist/HotDist, Instance.row, Runner.cycRow) are
+//     not stored into struct fields or globals.
 //
 // The invariants exist because the repo's claim to reproduce the
 // paper's result tables (Tables 2-3, Figures 5-8) rests on runs being a

@@ -34,6 +34,7 @@ var testOnlyAllowed = map[string]string{
 	"repro/internal/numa.SmallMachine":                 "builds the small topologies of the unit tests",
 	"repro/internal/policy.Bind":                       "builds bind:N kinds for the bind tests; runs parse them from policy strings",
 	"(*repro/internal/xen.Domain).NodeOfPFN":           "placement oracle of the xen tests and the cross-layer audit",
+	"(*repro/internal/xen.Hypervisor).HeldBytes":       "Xen frame-conservation oracle of the cross-layer audit",
 }
 
 // testOnlyFields lists the struct fields that no production code reads

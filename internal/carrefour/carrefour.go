@@ -9,9 +9,11 @@
 // loop below: when memory controllers are overloaded it interleaves hot
 // pages from overloaded to underloaded nodes; when the interconnect
 // saturates it migrates pages remotely accessed by a single node to that
-// node. The replication heuristic of the original Carrefour is
-// deliberately not implemented, as in the paper, because it would require
-// radical changes to the memory manager for marginal gain.
+// node. The paper leaves out the original Carrefour's replication
+// heuristic, because it would require radical changes to the memory
+// manager for marginal gain, so ModeFull never replicates; only
+// ModeReplicationOnly runs it, for the §7 ablation (the advisor sweeps
+// it as the /carrefour:replication variant).
 package carrefour
 
 import (
@@ -63,7 +65,9 @@ type Replicator interface {
 	Replicate()
 }
 
-// Tick is one sampling interval's machine state.
+// Tick is one sampling interval's machine state. Step reads a tick only
+// while it runs, so a caller may pass its own buffers and reuse them
+// afterwards.
 type Tick struct {
 	// CtrlUtil is the per-node memory-controller utilization in [0,1].
 	CtrlUtil []float64
@@ -120,44 +124,32 @@ func (m Mode) migrates() bool { return m == ModeFull || m == ModeMigrationOnly }
 //xnuma:noalloc
 func (m Mode) replicates() bool { return m == ModeReplicationOnly }
 
-// Config tunes the decision thresholds.
-type Config struct {
-	// Mode restricts the controller to a subset of the heuristics
-	// (§7's replication-only / migration-only variants). ModeFull, the
-	// zero value, is the paper's port.
-	Mode Mode
-	// CtrlOverload triggers the interleave heuristic when any
+// Decision thresholds, matching Carrefour's published behaviour scaled
+// to this simulation's load metrics.
+const (
+	// ctrlOverload triggers the interleave heuristic when any
 	// controller's utilization exceeds it.
-	CtrlOverload float64
-	// CtrlImbalance additionally requires the max/mean controller ratio
+	ctrlOverload = 0.25
+	// ctrlImbalance additionally requires the max/mean controller ratio
 	// to exceed this factor (a uniformly saturated machine gains nothing
 	// from interleaving).
-	CtrlImbalance float64
-	// LinkSaturation triggers the migration heuristic.
-	LinkSaturation float64
-	// DominantAccessor is the single-node access share above which a set
+	ctrlImbalance = 1.5
+	// linkSaturation triggers the migration heuristic.
+	linkSaturation = 0.30
+	// dominantAccessor is the single-node access share above which a set
 	// qualifies for locality migration.
-	DominantAccessor float64
-	// BudgetPages caps migrations per tick (hardware-counter-driven
+	dominantAccessor = 0.75
+	// budgetPages caps migrations per tick (hardware-counter-driven
 	// Carrefour moves only the hottest pages).
-	BudgetPages int
-}
+	budgetPages = 4096
+)
 
-// DefaultConfig returns thresholds matching Carrefour's published
-// behaviour scaled to this simulation's load metrics.
-func DefaultConfig() Config {
-	return Config{
-		CtrlOverload:     0.25,
-		CtrlImbalance:    1.5,
-		LinkSaturation:   0.30,
-		DominantAccessor: 0.75,
-		BudgetPages:      4096,
-	}
-}
-
-// Controller is the user component's decision loop state.
+// Controller is the user component's decision loop state. A zero
+// Controller runs ModeFull, the paper's port.
 type Controller struct {
-	Cfg Config
+	// mode restricts the controller to a subset of the heuristics
+	// (§7's replication-only / migration-only variants).
+	mode Mode
 
 	// Counters.
 	Ticks         uint64
@@ -176,19 +168,12 @@ type Controller struct {
 	ordered []Sample
 }
 
-// New returns a controller with cfg (see Reset).
-func New(cfg Config) *Controller {
-	c := new(Controller)
-	c.Reset(cfg)
-	return c
-}
-
-// Reset readies c for a new run with cfg. The counters and the
+// Reset readies c for a new run in mode. The counters and the
 // interleave cursor restart from zero; the scratch buffers keep their
 // storage, so a reset controller decides exactly as a new one does
 // without reallocating them.
-func (c *Controller) Reset(cfg Config) {
-	c.Cfg = cfg
+func (c *Controller) Reset(mode Mode) {
+	c.mode = mode
 	c.Ticks, c.Interleaved, c.LocalityMoved = 0, 0, 0
 	c.rr = 0
 }
@@ -200,16 +185,16 @@ func (c *Controller) Reset(cfg Config) {
 func (c *Controller) Step(t Tick) int {
 	c.Ticks++
 	migrated := 0
-	budget := c.Cfg.BudgetPages
+	budget := budgetPages
 
-	if c.Cfg.Mode.interleaves() && c.controllersOverloaded(t.CtrlUtil) {
+	if c.mode.interleaves() && controllersOverloaded(t.CtrlUtil) {
 		migrated += c.interleave(t, &budget)
 	}
-	if t.MaxLinkUtil > c.Cfg.LinkSaturation {
-		if c.Cfg.Mode.replicates() {
-			c.replicate(t)
+	if t.MaxLinkUtil > linkSaturation {
+		if c.mode.replicates() {
+			replicate(t)
 		}
-		if c.Cfg.Mode.migrates() {
+		if c.mode.migrates() {
 			migrated += c.localityMigrate(t, &budget)
 		}
 	}
@@ -221,12 +206,12 @@ func (c *Controller) Step(t Tick) int {
 // traffic entirely.
 //
 //xnuma:noalloc
-func (c *Controller) replicate(t Tick) {
+func replicate(t Tick) {
 	for _, s := range t.Samples {
 		if !s.Hot || !s.ReadOnly {
 			continue
 		}
-		if _, share := dominantNode(s.Accessors); share >= c.Cfg.DominantAccessor {
+		if _, share := dominantNode(s.Accessors); share >= dominantAccessor {
 			continue // single accessor: migration is cheaper
 		}
 		if rep, ok := s.Set.(Replicator); ok {
@@ -236,7 +221,7 @@ func (c *Controller) replicate(t Tick) {
 }
 
 //xnuma:noalloc
-func (c *Controller) controllersOverloaded(util []float64) bool {
+func controllersOverloaded(util []float64) bool {
 	if len(util) == 0 {
 		return false
 	}
@@ -251,7 +236,7 @@ func (c *Controller) controllersOverloaded(util []float64) bool {
 	if mean <= 0 {
 		return false
 	}
-	return max > c.Cfg.CtrlOverload && max/mean > c.Cfg.CtrlImbalance
+	return max > ctrlOverload && max/mean > ctrlImbalance
 }
 
 // interleave randomly migrates hot pages from overloaded nodes to
@@ -306,7 +291,7 @@ func (c *Controller) localityMigrate(t Tick, budget *int) int {
 			break
 		}
 		dom, share := dominantNode(s.Accessors)
-		if share < c.Cfg.DominantAccessor {
+		if share < dominantAccessor {
 			continue
 		}
 		for i := 0; i < s.Set.Len() && *budget > 0; i++ {

@@ -46,7 +46,7 @@ func uniform(n int) []float64 {
 }
 
 func TestInterleaveMovesFromOverloadedNode(t *testing.T) {
-	c := New(DefaultConfig())
+	c := new(Controller)
 	set := newFakeSet(0, 0, 0, 0, 0, 0, 0, 0)
 	tick := Tick{
 		CtrlUtil: []float64{0.9, 0.05, 0.05, 0.05},
@@ -75,7 +75,7 @@ func TestInterleaveMovesFromOverloadedNode(t *testing.T) {
 }
 
 func TestInterleaveNeedsImbalance(t *testing.T) {
-	c := New(DefaultConfig())
+	c := new(Controller)
 	set := newFakeSet(0, 1, 2, 3)
 	tick := Tick{
 		// Uniformly saturated: interleaving gains nothing.
@@ -88,7 +88,7 @@ func TestInterleaveNeedsImbalance(t *testing.T) {
 }
 
 func TestLocalityMigrationOnLinkSaturation(t *testing.T) {
-	c := New(DefaultConfig())
+	c := new(Controller)
 	set := newFakeSet(2, 2, 2, 2)
 	tick := Tick{
 		CtrlUtil:    []float64{0.1, 0.1, 0.1, 0.1},
@@ -106,7 +106,7 @@ func TestLocalityMigrationOnLinkSaturation(t *testing.T) {
 }
 
 func TestLocalityMigrationNeedsDominantAccessor(t *testing.T) {
-	c := New(DefaultConfig())
+	c := new(Controller)
 	set := newFakeSet(2, 2)
 	tick := Tick{
 		CtrlUtil:    []float64{0, 0, 0, 0},
@@ -119,7 +119,7 @@ func TestLocalityMigrationNeedsDominantAccessor(t *testing.T) {
 }
 
 func TestNoActionBelowThresholds(t *testing.T) {
-	c := New(DefaultConfig())
+	c := new(Controller)
 	set := newFakeSet(0, 1, 2, 3)
 	tick := Tick{
 		CtrlUtil:    []float64{0.1, 0.1, 0.1, 0.1},
@@ -132,26 +132,22 @@ func TestNoActionBelowThresholds(t *testing.T) {
 }
 
 func TestBudgetCapsMigrations(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BudgetPages = 3
-	c := New(cfg)
-	nodes := make([]numa.NodeID, 100)
+	c := new(Controller)
+	nodes := make([]numa.NodeID, budgetPages+100)
 	set := newFakeSet(nodes...) // all on node 0
 	tick := Tick{
 		CtrlUtil: []float64{0.9, 0.05, 0.05, 0.05},
 		Samples:  []Sample{{Set: set, AccessShare: 1, Accessors: uniform(4)}},
 	}
-	if n := c.Step(tick); n != 3 || set.moves != 3 {
-		t.Fatalf("migrated %d (set saw %d), want budget 3", n, set.moves)
+	if n := c.Step(tick); n != budgetPages || set.moves != budgetPages {
+		t.Fatalf("migrated %d (set saw %d), want budget %d", n, set.moves, budgetPages)
 	}
 }
 
 func TestHotSetsConsideredFirst(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BudgetPages = 2
-	c := New(cfg)
-	cold := newFakeSet(0, 0)
-	hot := newFakeSet(0, 0)
+	c := new(Controller)
+	cold := newFakeSet(make([]numa.NodeID, budgetPages)...)
+	hot := newFakeSet(make([]numa.NodeID, budgetPages)...)
 	tick := Tick{
 		CtrlUtil: []float64{0.9, 0.05, 0.05, 0.05},
 		Samples: []Sample{
@@ -160,7 +156,7 @@ func TestHotSetsConsideredFirst(t *testing.T) {
 		},
 	}
 	c.Step(tick)
-	if hot.moves != 2 || cold.moves != 0 {
+	if hot.moves != budgetPages || cold.moves != 0 {
 		t.Fatalf("hot moves = %d, cold moves = %d; hot set must go first", hot.moves, cold.moves)
 	}
 }
@@ -184,7 +180,7 @@ func TestDominantNode(t *testing.T) {
 }
 
 func TestCountersAccumulate(t *testing.T) {
-	c := New(DefaultConfig())
+	c := new(Controller)
 	set := newFakeSet(0, 0, 0, 0)
 	tick := Tick{
 		CtrlUtil: []float64{0.9, 0.05, 0.05, 0.05},
@@ -220,9 +216,8 @@ func TestModesGateHeuristics(t *testing.T) {
 		{ModeReplicationOnly, false, false, true},
 	}
 	for _, tc := range cases {
-		cfg := DefaultConfig()
-		cfg.Mode = tc.mode
-		c := New(cfg)
+		c := new(Controller)
+		c.Reset(tc.mode)
 		// Hot read-only multi-accessor set (replication target) plus a
 		// single-accessor remote set (migration target), pages on the
 		// overloaded node 0 (interleave target). Only interleaving moves
@@ -256,9 +251,8 @@ func TestModesGateHeuristics(t *testing.T) {
 }
 
 func TestReplicationHeuristic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Mode = ModeReplicationOnly
-	c := New(cfg)
+	c := new(Controller)
+	c.Reset(ModeReplicationOnly)
 	set := &replicaSet{fakeSet: newFakeSet(0, 0)}
 	tick := Tick{
 		CtrlUtil:    []float64{0.1, 0.1, 0.1, 0.1},
@@ -274,9 +268,8 @@ func TestReplicationHeuristic(t *testing.T) {
 }
 
 func TestReplicationRequiresReadOnlyAndMultiAccessor(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Mode = ModeReplicationOnly
-	c := New(cfg)
+	c := new(Controller)
+	c.Reset(ModeReplicationOnly)
 	step := func(readonly bool, acc []float64) bool {
 		set := &replicaSet{fakeSet: newFakeSet(3, 3)}
 		c.Step(Tick{
@@ -298,9 +291,9 @@ func TestReplicationRequiresReadOnlyAndMultiAccessor(t *testing.T) {
 }
 
 func TestReplicationOffByDefault(t *testing.T) {
-	// The paper discards the heuristic; the default configuration must
-	// not replicate.
-	c := New(DefaultConfig())
+	// The paper discards the heuristic; a zero controller must not
+	// replicate.
+	c := new(Controller)
 	set := &replicaSet{fakeSet: newFakeSet(0)}
 	tick := Tick{
 		CtrlUtil:    []float64{0, 0, 0, 0},
@@ -310,6 +303,6 @@ func TestReplicationOffByDefault(t *testing.T) {
 		}},
 	}
 	if c.Step(tick); set.replicated {
-		t.Fatal("default configuration replicated (§3.4 discards it)")
+		t.Fatal("zero controller replicated (§3.4 discards it)")
 	}
 }

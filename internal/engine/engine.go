@@ -2,17 +2,17 @@
 // hypervisor stack or a native Linux stack) over the simulated machine.
 //
 // Execution is epoch-based: at the top of each epoch every instance
-// rebuilds its access-stream table (streams.go) — the single
-// enumeration of who accesses what at which weight — and folds it into
-// one node row per thread; each runnable thread then issues memory
-// accesses along its row, and the resulting per-controller and
-// per-link loads feed the latency model, which in turn paces thread
-// progress. Four damped fixed-point iterations per epoch make rates
-// and latencies self-consistent; they walk threads × nodes only (the
-// stream dimension is folded out, placement being frozen within an
-// epoch). All placement happens
-// through real page-table and allocator operations in the backend, so
-// the policies' mechanisms (not just their statistics) are exercised.
+// folds its access streams — who accesses which region at which weight
+// — straight from the regions into one node row per thread
+// (streams.go); each runnable thread then issues memory accesses along
+// its row, and the resulting per-controller and per-link loads feed the
+// latency model, which in turn paces thread progress. Four damped
+// fixed-point iterations per epoch make rates and latencies
+// self-consistent; they walk threads × nodes only (the regions are
+// folded out, placement being frozen within an epoch). All placement
+// happens through real page-table and allocator operations in the
+// backend, so the policies' mechanisms (not just their statistics) are
+// exercised.
 // The loop's outputs are the measurements the paper's evaluation
 // reports (§5): completion time, memory-access imbalance and
 // interconnect load (Table 1).
@@ -67,8 +67,8 @@ type Region struct {
 
 	// gen counts placement mutations. refreshStreams sums the gens of
 	// an instance's regions to detect that nothing moved since the last
-	// fold and skip the table rebuild entirely (steady-state epochs
-	// between Carrefour ticks).
+	// fold and skip the fold entirely (steady-state epochs between
+	// Carrefour ticks).
 	gen uint64
 }
 
@@ -314,8 +314,8 @@ type Instance struct {
 	Carrefour bool
 	// CarrefourMode restricts the instance's Carrefour controller to a
 	// heuristic subset (§7's migration-only / replication-only knobs);
-	// the zero value defers to Config.Carrefour.Mode (itself ModeFull
-	// by default). Ignored when Carrefour is off.
+	// the zero value is ModeFull, the paper's port. Ignored when
+	// Carrefour is off.
 	CarrefourMode carrefour.Mode
 	// MCS enables the spin-lock mitigation for pthread-blocking apps
 	// (Xen+ and LinuxNUMA apply it to facesim and streamcluster).
@@ -363,14 +363,11 @@ type Instance struct {
 	ioTargets    []numa.NodeID
 	ioTargetBuf  [1]numa.NodeID
 
-	// streamTab is the epoch's access-stream table, rebuilt by
-	// refreshStreams at the top of every epoch; distAll is the scratch
-	// buffer backing its cross-slice combined distribution; rows is the
-	// table folded into one node row per thread (foldRows), the only
-	// view the fixed-point iterations read.
-	streamTab streamTable
-	distAll   []float64
-	rows      []float64
+	// distAll is the scratch buffer backing the cross-slice combined
+	// distribution; rows holds the streams folded into one node row per
+	// thread (foldRows), the only view the fixed-point iterations read.
+	distAll []float64
+	rows    []float64
 
 	// Row-dedup groups, rebuilt with the rows: live threads on the same
 	// node whose folded rows are bitwise identical collapse into one
@@ -384,8 +381,8 @@ type Instance struct {
 
 	// Fold-skip state: the region-gen sum and live-thread count the
 	// current rows were folded from. When neither moved, refreshStreams
-	// skips the rebuild — the fold's inputs (placement distributions,
-	// thread homes, profile weights) are all value-stable.
+	// skips the fold — its inputs (placement distributions, thread
+	// homes, profile weights) are all value-stable.
 	foldSum   uint64
 	foldLive  int
 	foldValid bool

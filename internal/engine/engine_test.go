@@ -178,92 +178,52 @@ func TestRegionDistCachingInvalidation(t *testing.T) {
 	}
 }
 
-// TestStreamTableRefresh checks the canonical stream enumeration: the
-// per-thread emission order, the weight split of the distributed
-// streams, and the replicated-hot local flag.
-func TestStreamTableRefresh(t *testing.T) {
-	topo := numa.AMD48Scaled(64)
-	in := &Instance{Prof: testProfile(), Backend: newStub(topo, false), NThreads: 4}
-	r := &Runner{}
-	if err := r.setup(testConfig(topo), in); err != nil {
-		t.Fatal(err)
-	}
-	in.refreshStreams()
-	tbl := &in.streamTab
-	kinds := []streamKind{streamHot, streamMaster, streamPrivate, streamDistOwn, streamDistCross}
-	if len(tbl.streams) != len(kinds) {
-		t.Fatalf("stream count = %d, want %d", len(tbl.streams), len(kinds))
-	}
-	for i, k := range kinds {
-		if tbl.streams[i].kind != k {
-			t.Fatalf("stream %d kind = %v, want %v", i, tbl.streams[i].kind, k)
-		}
-	}
-	wH, wM, wP, wD := in.weights()
-	cross := in.Prof.CrossShare
-	if tbl.streams[0].weight != wH || tbl.streams[1].weight != wM || tbl.streams[2].weight != wP {
-		t.Fatal("shared/private stream weights do not match the profile")
-	}
-	if tbl.streams[3].weight != wD*(1-cross) || tbl.streams[4].weight != wD*cross {
-		t.Fatal("distributed stream weight split does not match CrossShare")
-	}
-	// Per-thread streams resolve through the owning thread's region.
-	for _, th := range in.Threads {
-		if got := tbl.streams[2].distFor(th); &got[0] != &in.priv[th.ID].AccessDist()[0] {
-			t.Fatalf("private stream of thread %d resolves to the wrong region", th.ID)
-		}
-	}
-	if tbl.streams[0].local {
-		t.Fatal("hot stream local before replication")
-	}
-	in.hot.Replicate()
-	in.refreshStreams()
-	if !tbl.find(streamHot).local {
-		t.Fatal("hot stream not local after replication")
-	}
-	// The refresh reuses the table storage: no growth across epochs.
-	before := cap(tbl.streams)
-	in.refreshStreams()
-	if cap(tbl.streams) != before {
-		t.Fatal("refreshStreams reallocated the stream slice")
-	}
-}
-
 // TestFoldRowsMatchesStreams: the per-thread node rows the fixed-point
-// loop consumes must equal the brute-force fold of the stream table
-// (Σ_s weight·share per node, replicated streams landing on the
-// thread's own node), and the backing buffer must be reused.
+// loop consumes must equal a fold recomputed from the regions: the hot
+// page (or, once replicated, the thread's own node), the master region,
+// the thread's own private region and distributed slice, and the
+// cross-slice share spread over the combined placement of all slices.
+// Forty-eight threads spread over every node, so a fold that ignores
+// replication, swaps the two distributed weights or reads another
+// thread's region lands on the wrong nodes. The backing buffer must be
+// reused.
 func TestFoldRowsMatchesStreams(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
-	in := &Instance{Prof: testProfile(), Backend: newStub(topo, true), NThreads: 4}
+	in := &Instance{Prof: testProfile(), Backend: newStub(topo, true), NThreads: 48}
 	r := &Runner{}
 	if err := r.setup(testConfig(topo), in); err != nil {
 		t.Fatal(err)
+	}
+	wHot, wMaster, wPriv, wDist := in.weights()
+	cross := in.Prof.CrossShare
+	if wHot <= 0 || wMaster <= 0 || wPriv <= 0 || wDist <= 0 || cross <= 0 || cross >= 0.5 {
+		t.Fatalf("profile weights %v %v %v %v, cross %v: every stream must carry traffic, and the own slice more than the cross share",
+			wHot, wMaster, wPriv, wDist, cross)
 	}
 	check := func() {
 		t.Helper()
 		nn := topo.NumNodes()
+		combined := combinedDistInto(nil, in.dist)
 		for _, th := range in.Threads {
 			want := make([]float64, nn)
-			for si := range in.streamTab.streams {
-				s := &in.streamTab.streams[si]
-				if s.weight <= 0 {
-					continue
-				}
-				if s.local {
-					want[th.Node] += s.weight
-					continue
-				}
-				for n, share := range s.distFor(th) {
-					if share > 0 {
-						want[n] += s.weight * share
-					}
+			add := func(weight float64, dist []float64) {
+				for n, share := range dist {
+					want[n] += weight * share
 				}
 			}
+			if in.hot.Replicated {
+				want[th.Node] += wHot
+			} else {
+				add(wHot, in.hot.HotDist())
+			}
+			add(wMaster, in.master.AccessDist())
+			add(wPriv, in.priv[th.ID].AccessDist())
+			add(wDist*(1-cross), in.dist[th.ID].AccessDist())
+			add(wDist*cross, combined)
 			row := in.row(th.ID, nn)
 			for n := range want {
 				if d := row[n] - want[n]; d > 1e-12 || d < -1e-12 {
-					t.Fatalf("thread %d row[%d] = %v, want %v", th.ID, n, row[n], want[n])
+					t.Fatalf("thread %d (node %d) row[%d] = %v, want %v", th.ID, th.Node, n, row[n], want[n])
 				}
 			}
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkEpoch measures one steady-state iteration of the per-cell
-// engine loop (stream-table refresh, four fixed-point rate/latency
+// engine loop (row fold, four fixed-point rate/latency
 // couplings, progress and statistics) — the unit of work every
 // experiment cell repeats thousands of times. TestEpochAllocFree holds
 // the same epoch at zero allocations; this benchmark only times it.

@@ -37,8 +37,6 @@ type Config struct {
 	// Scale divides application footprints (the machine must be built
 	// with banks divided by the same factor).
 	Scale int
-	// Carrefour tunes the dynamic policy's thresholds.
-	Carrefour carrefour.Config
 	// TLB, when non-nil, charges address-translation overhead per
 	// access (the paper's §7 large-page extension). Nil preserves the
 	// paper's baseline, which does not model TLBs.
@@ -49,11 +47,10 @@ type Config struct {
 // by scale.
 func DefaultConfig(topo *numa.Topology, scale int) Config {
 	return Config{
-		Topo:      topo,
-		Seed:      1,
-		MaxTime:   300 * sim.Second,
-		Scale:     scale,
-		Carrefour: carrefour.DefaultConfig(),
+		Topo:    topo,
+		Seed:    1,
+		MaxTime: 300 * sim.Second,
+		Scale:   scale,
 	}
 }
 
@@ -123,8 +120,6 @@ type Runner struct {
 	noConverge      bool
 
 	// Scratch buffers, reused so steady-state epochs allocate nothing.
-	//xnuma:scratch
-	tickUtil   []float64 // controller-utilization copy for Carrefour ticks
 	cycles     []float64 // per-(src,dst) access cost, filled each iteration
 	linkUtil   []float64 // per-link utilization snapshot, one per iteration
 	ctrlPen    []float64 // per-destination controller penalty, one per iteration
@@ -132,7 +127,7 @@ type Runner struct {
 	groupCyc   []float64 // per-dedup-group access cycles, one per iteration
 
 	// Carrefour-tick scratch: the tick rebuilds the sampler view from
-	// the stream table every interval, so the backing stores are reused.
+	// the regions every interval, so the backing stores are reused.
 	shared   []float64          // running-thread node distribution
 	accArena []float64          // per-sample accessor rows, carved per tick
 	pageSets []pageSet          // sample adapter arena
@@ -193,16 +188,10 @@ func (r *Runner) setup(cfg Config, insts ...*Instance) error {
 		maxThreads = max(maxThreads, in.NThreads)
 		r.instLoads[i] = resetLoad(r.instLoads[i], cfg.Topo, epochSec)
 		r.stats = append(r.stats, metrics.NewRunStats(cfg.Topo))
-		ccfg := cfg.Carrefour
-		if in.CarrefourMode != carrefour.ModeFull {
-			// A per-instance variant overrides the run config's mode;
-			// the zero value defers to it.
-			ccfg.Mode = in.CarrefourMode
-		}
 		if r.ctrls[i] == nil {
 			r.ctrls[i] = new(carrefour.Controller)
 		}
-		r.ctrls[i].Reset(ccfg)
+		r.ctrls[i].Reset(in.CarrefourMode)
 		r.units[i] = zeroed(r.units[i], in.NThreads)
 		if err := r.buildInstance(in); err != nil {
 			return err
@@ -446,8 +435,8 @@ func (r *Runner) loop() {
 	}
 }
 
-// epoch advances the simulation by one quantum: refresh each live
-// instance's stream table, couple rates and latencies, apply progress,
+// epoch advances the simulation by one quantum: refold each live
+// instance's rows, couple rates and latencies, apply progress,
 // fold the epoch into the statistics, and run due Carrefour ticks.
 //
 // Once a full epoch proves itself a fixed point — no debt, bursts or
@@ -545,8 +534,8 @@ func (r *Runner) allDone() bool {
 }
 
 // fillLoads recomputes the epoch's traffic from current latency
-// estimates by walking each live thread's folded node row (the stream
-// table collapsed by foldRows — streams never appear here). When record
+// estimates by walking each live thread's folded node row (the streams
+// collapsed by foldRows — regions never appear here). When record
 // is true, per-thread work units are captured for the progress step and
 // per-instance loads are filled.
 //
@@ -856,9 +845,8 @@ func (r *Runner) carrefourTick(i int, in *Instance) {
 			in.burstLeft = CarrefourEvery + 1
 		}
 	}
-	r.tickUtil = append(r.tickUtil[:0], r.ctrlUtil...)
 	tick := carrefour.Tick{
-		CtrlUtil:    r.tickUtil,
+		CtrlUtil:    r.ctrlUtil,
 		MaxLinkUtil: r.load.MaxLinkUtil(),
 		Samples:     r.samples(in),
 	}
@@ -877,17 +865,19 @@ func (r *Runner) carrefourTick(i int, in *Instance) {
 	}
 }
 
-// samples builds the Carrefour view of the instance's regions from the
-// epoch's stream table. The emitted order (hot, master, dist slices,
-// private slices) is part of the deterministic contract: Carrefour's
-// hotness sort is stable, so ties keep this order. Everything the view
-// needs — the sample slice, the pageSet adapters, the accessor rows —
-// lives in runner scratch arenas, so a tick allocates nothing once the
-// arenas are warm; the view stays valid until the next tick rebuilds it.
+// samples builds the Carrefour view of the instance's regions, weighted
+// by the profile's stream weights. The emitted order (hot, master, dist
+// slices, private slices) is part of the deterministic contract:
+// Carrefour's hotness sort is stable, so ties keep this order.
+// Everything the view needs — the sample slice, the pageSet adapters,
+// the accessor rows — lives in runner scratch arenas, so a tick
+// allocates nothing once the arenas are warm; the view stays valid
+// until the next tick rebuilds it.
 //
 //xnuma:noalloc
 func (r *Runner) samples(in *Instance) []carrefour.Sample {
-	tbl := &in.streamTab
+	wHot, wMaster, wPriv, wDist := in.weights()
+	cross := in.Prof.CrossShare
 	nNodes := r.cfg.Topo.NumNodes()
 	// Accessor distribution of shared regions: the running threads.
 	if cap(r.shared) < nNodes {
@@ -910,9 +900,7 @@ func (r *Runner) samples(in *Instance) []carrefour.Sample {
 		}
 	}
 
-	dists := tbl.find(streamDistOwn).perThread
-	privs := tbl.find(streamPrivate).perThread
-	nSamples := 2 + len(dists) + len(privs)
+	nSamples := 2 + len(in.dist) + len(in.priv)
 	if cap(r.pageSets) < nSamples {
 		r.pageSets = make([]pageSet, nSamples)
 	}
@@ -927,29 +915,29 @@ func (r *Runner) samples(in *Instance) []carrefour.Sample {
 	out := r.sampBuf[:0] //xnuma:scratch
 
 	out = append(out,
-		r.mkSample(&sets[0], in, tbl.find(streamHot).reg, tbl.wHot, shared, true),
-		r.mkSample(&sets[1], in, tbl.find(streamMaster).reg, tbl.wMaster, shared, false),
+		r.mkSample(&sets[0], in, in.hot, wHot, shared, true),
+		r.mkSample(&sets[1], in, in.master, wMaster, shared, false),
 	)
 	k := 2
 	// One sample per dist slice; its accessors blend the owner with the
-	// cross-slice traffic of everyone else. (The dist-cross stream is
+	// cross-slice traffic of everyone else. (The cross-slice stream is
 	// not a separate page set: it is this blend.)
-	for _, reg := range dists {
+	for _, reg := range in.dist {
 		acc := arena[(k-2)*nNodes : (k-1)*nNodes]
 		owner := in.Threads[reg.Owner].Node
 		for n := range acc {
-			acc[n] = tbl.cross * shared[n]
+			acc[n] = cross * shared[n]
 		}
-		acc[owner] += 1 - tbl.cross
-		out = append(out, r.mkSample(&sets[k], in, reg, tbl.wDist/float64(in.NThreads), acc, false))
+		acc[owner] += 1 - cross
+		out = append(out, r.mkSample(&sets[k], in, reg, wDist/float64(in.NThreads), acc, false))
 		k++
 	}
-	for _, reg := range privs {
+	for _, reg := range in.priv {
 		acc := arena[(k-2)*nNodes : (k-1)*nNodes]
 		for n := range acc {
 			acc[n] = 0
 		}
-		share := tbl.wPriv / float64(in.NThreads)
+		share := wPriv / float64(in.NThreads)
 		if in.burstLeft > 0 && reg == in.burstRegion {
 			// The sampler currently sees mostly the burst's remote
 			// accesses against this region.

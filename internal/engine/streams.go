@@ -1,104 +1,25 @@
 package engine
 
-// The access-stream layer: one canonical enumeration of an instance's
-// memory-access streams, read by foldRows and by the Carrefour tick's
-// region view (Runner.samples). Adding a new stream kind means adding
-// one table entry here, not editing several loops in lockstep.
-//
-// Because placement only mutates between epochs, the table is also
-// folded once per epoch into per-thread node rows (foldRows): the
-// damped fixed-point iterations then walk nodes only, never streams.
+// The fold layer: each thread issues five memory-access streams — the
+// hot page, the master-touched region, its private region, its own
+// slice of the distributed-shared region, and the cross-slice fraction
+// of that traffic, spread over the combined placement of all slices —
+// and foldRows folds them into one node row per thread, so the damped
+// fixed-point iterations walk nodes only, never regions.
 
-// streamKind identifies one of the instance's access streams.
-type streamKind int
-
-const (
-	// streamHot is the hottest-page stream: every thread hits the hot
-	// region's single hottest page (or a local replica once replicated).
-	streamHot streamKind = iota
-	// streamMaster is every thread's traffic against the master-touched
-	// region.
-	streamMaster
-	// streamPrivate is each thread's traffic against its own private
-	// region.
-	streamPrivate
-	// streamDistOwn is each thread's traffic against its own slice of
-	// the distributed-shared region.
-	streamDistOwn
-	// streamDistCross is the cross-slice fraction of distributed-shared
-	// traffic, spread over the combined placement of all slices.
-	streamDistCross
-)
-
-// stream is one access stream for the current epoch: who issues it, at
-// what per-thread weight, and against which placement distribution.
-type stream struct {
-	kind streamKind
-	// weight is the fraction of each issuing thread's misses carried by
-	// this stream.
-	weight float64
-	// reg backs a shared stream (hot, master); nil for per-thread and
-	// combined streams.
-	reg *Region
-	// perThread maps thread ID to the region that thread issues against
-	// (private and dist-own streams); nil for shared streams.
-	perThread []*Region
-	// dist is the shared placement distribution (nil for per-thread
-	// streams, which resolve through perThread at emission time).
-	dist []float64
-	// local marks a replicated stream: every access lands on the
-	// issuing thread's own node.
-	local bool
-}
-
-// distFor resolves the placement distribution stream s presents to
-// thread t.
-//
-//xnuma:noalloc
-func (s *stream) distFor(t *Thread) []float64 {
-	if s.dist != nil {
-		return s.dist
-	}
-	return s.perThread[t.ID].AccessDist()
-}
-
-// streamTable is an instance's per-epoch stream enumeration, in
-// per-thread emission order. The raw profile weights ride along for
-// consumers (the Carrefour sampler) that need per-region shares rather
-// than per-thread emission weights.
-type streamTable struct {
-	streams []stream
-
-	wHot, wMaster, wPriv, wDist float64
-	cross                       float64
-}
-
-// find returns the table's stream of the given kind, or nil when the
-// table has none.
-//
-//xnuma:noalloc
-func (t *streamTable) find(k streamKind) *stream {
-	for i := range t.streams {
-		if t.streams[i].kind == k {
-			return &t.streams[i]
-		}
-	}
-	return nil
-}
-
-// refreshStreams rebuilds the instance's stream table for the coming
-// epoch. Placement only mutates between epochs (materialization before
-// the loop, Carrefour ticks after the fixed-point iterations), so the
-// table and the distribution slices it aliases stay valid for the whole
-// epoch. The streams slice and the combined-distribution scratch are
-// reused: steady-state epochs allocate nothing.
+// refreshStreams refolds the instance's rows for the coming epoch.
+// Placement only mutates between epochs (materialization before the
+// loop, Carrefour ticks after the fixed-point iterations), so the rows
+// stay valid for the whole epoch. The row buffer and the
+// combined-distribution scratch are reused: steady-state epochs
+// allocate nothing.
 //
 // When no region mutated (every gen counter unchanged) and no thread
-// finished since the last fold, the rebuild is skipped outright: every
+// finished since the last fold, the fold is skipped outright: every
 // fold input — cached distributions, thread homes, profile weights —
-// is value-stable, so the table and rows already hold exactly what the
-// rebuild would recompute. Steady-state epochs between Carrefour ticks
-// hit this path.
+// is value-stable, so the rows already hold exactly what the fold
+// would recompute. Steady-state epochs between Carrefour ticks hit
+// this path.
 //
 //xnuma:noalloc
 func (in *Instance) refreshStreams() {
@@ -119,28 +40,18 @@ func (in *Instance) refreshStreams() {
 		return
 	}
 	in.foldSum, in.foldLive, in.foldValid = sum, live, true
-	t := &in.streamTab
-	t.wHot, t.wMaster, t.wPriv, t.wDist = in.weights()
-	t.cross = in.Prof.CrossShare
 	in.distAll = combinedDistInto(in.distAll, in.dist)
-	t.streams = append(t.streams[:0],
-		stream{kind: streamHot, weight: t.wHot, reg: in.hot,
-			dist: in.hot.HotDist(), local: in.hot.Replicated}, //xnuma:aliasretain-ok table is rebuilt here every epoch, before placement mutates
-		stream{kind: streamMaster, weight: t.wMaster, reg: in.master,
-			dist: in.master.AccessDist()}, //xnuma:aliasretain-ok table is rebuilt here every epoch, before placement mutates
-		stream{kind: streamPrivate, weight: t.wPriv, perThread: in.priv},
-		stream{kind: streamDistOwn, weight: t.wDist * (1 - t.cross), perThread: in.dist},
-		stream{kind: streamDistCross, weight: t.wDist * t.cross, dist: in.distAll},
-	)
 	in.foldRows()
 }
 
-// foldRows collapses the stream table into one node row per thread:
+// foldRows adds each live thread's five stream terms into one node row:
 // row[n] is the fraction of the thread's misses that land on node n this
-// epoch (Σ_s weight_s · share_s[n], with replicated streams folding into
-// the thread's own node). The fixed-point iterations consume only these
-// rows — the stream dimension is gone from the hot loop. The backing
-// buffer is reused across epochs, so steady state allocates nothing.
+// epoch (Σ_s weight_s · share_s[n]). A replicated hot region lands on
+// the thread's own node. The terms are added in a fixed order — hot,
+// master, private, own slice, cross slice — so every row is bit-for-bit
+// reproducible. The fixed-point iterations consume only these rows. The
+// backing buffer is reused across epochs, so steady state allocates
+// nothing.
 //
 //xnuma:noalloc
 func (in *Instance) foldRows() {
@@ -149,7 +60,10 @@ func (in *Instance) foldRows() {
 		in.rows = make([]float64, in.NThreads*nn)
 	}
 	in.rows = in.rows[:in.NThreads*nn]
-	t := &in.streamTab
+	wHot, wMaster, wPriv, wDist := in.weights()
+	cross := in.Prof.CrossShare
+	wOwn, wCross := wDist*(1-cross), wDist*cross
+	hot, master := in.hot.HotDist(), in.master.AccessDist()
 	for _, th := range in.Threads {
 		if th.Done {
 			continue
@@ -158,23 +72,32 @@ func (in *Instance) foldRows() {
 		for n := range row {
 			row[n] = 0
 		}
-		for si := range t.streams {
-			s := &t.streams[si]
-			if s.weight <= 0 {
-				continue
-			}
-			if s.local {
-				row[th.Node] += s.weight
-				continue
-			}
-			for n, share := range s.distFor(th) {
-				if share > 0 {
-					row[n] += s.weight * share
-				}
-			}
+		if in.hot.Replicated && wHot > 0 {
+			row[th.Node] += wHot
+		} else {
+			addShares(row, wHot, hot)
 		}
+		addShares(row, wMaster, master)
+		addShares(row, wPriv, in.priv[th.ID].AccessDist())
+		addShares(row, wOwn, in.dist[th.ID].AccessDist())
+		addShares(row, wCross, in.distAll)
 	}
 	in.groupRows()
+}
+
+// addShares adds weight · share[n] into row[n] for every node with a
+// positive share; a stream of zero weight adds nothing.
+//
+//xnuma:noalloc
+func addShares(row []float64, weight float64, dist []float64) {
+	if weight <= 0 {
+		return
+	}
+	for n, share := range dist {
+		if share > 0 {
+			row[n] += weight * share
+		}
+	}
 }
 
 // groupRows collapses live threads with bitwise-identical folded rows

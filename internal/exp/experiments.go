@@ -34,23 +34,6 @@ func Abbrev(pol string) string {
 	return a
 }
 
-// RegisteredXenPolicies enumerates every registered policy as
-// suite-ready names (lowercase, parameterized kinds instantiated with
-// their default argument), each followed by its "/carrefour" variant
-// when Carrefour may stack and the kind is runtime-selectable. It is
-// the open-registry superset of XenPolicies for policy sweeps.
-func RegisteredXenPolicies() []string {
-	var out []string
-	for _, d := range policy.List() {
-		name := d.DefaultSpelling()
-		out = append(out, name)
-		if d.Carrefour && !d.BootOnly {
-			out = append(out, name+"/carrefour")
-		}
-	}
-	return out
-}
-
 // Fig1 reports the overhead of stock Xen (round-1G, dom0 I/O, no MCS)
 // relative to stock Linux (first-touch) for every application.
 func Fig1(s *Suite) *Table {

@@ -34,11 +34,10 @@ type sweepRow struct {
 	carrefour bool
 }
 
-// sweepRows enumerates the registry in registration order. Unlike
-// RegisteredXenPolicies it includes the Carrefour variant of boot-only
-// kinds: a sweep cell boots the domain with its row's policy, so
-// stacking Carrefour on round-1G is legal there (only a *runtime switch*
-// to a boot-only layout is not).
+// sweepRows enumerates the registry in registration order, with the
+// Carrefour variant of boot-only kinds too: a sweep cell boots the
+// domain with its row's policy, so stacking Carrefour on round-1G is
+// legal there (only a *runtime switch* to a boot-only layout is not).
 func sweepRows() []sweepRow {
 	var rows []sweepRow
 	for _, d := range policy.List() {
@@ -47,10 +46,10 @@ func sweepRows() []sweepRow {
 	return rows
 }
 
-// sweepPolicies flattens sweepRows into the cell list both sweeps run:
-// each policy's plain spelling plus its Carrefour variant where one
-// exists.
-func sweepPolicies() []string {
+// SweepPolicies flattens sweepRows into the cell list both sweeps run
+// (and `xnuma list` prints): each policy's plain spelling plus its
+// Carrefour variant where one exists.
+func SweepPolicies() []string {
 	var pols []string
 	for _, r := range sweepRows() {
 		pols = append(pols, r.name)
@@ -69,7 +68,7 @@ func sweepPolicies() []string {
 // input order.
 func PolicySweepApps(s *Suite, apps []string) []*Table {
 	rows := sweepRows()
-	pols := sweepPolicies()
+	pols := SweepPolicies()
 	sweeps := nameAll(apps, func(app string) sweep {
 		return nameSweep(pols, func(p string) *Cell { return s.Xen(app, p, true) })
 	})
@@ -154,7 +153,7 @@ func SeedSweepApps(s *Suite, apps []string, seeds int) []*Table {
 	if seeds < 1 {
 		seeds = 1
 	}
-	pols := sweepPolicies()
+	pols := SweepPolicies()
 	seedList := make([]uint64, seeds)
 	bySeed := make([][]sweep, seeds) // [seed][app]
 	for i, seed := 0, s.baseSeed(); i < seeds; i, seed = i+1, seed+1 {

@@ -116,7 +116,7 @@ func TestMultiAppSweepBatchesOnOnePool(t *testing.T) {
 	if len(tabs) != len(apps) {
 		t.Fatalf("got %d tables for %d apps", len(tabs), len(apps))
 	}
-	want := int64(len(apps) * len(sweepPolicies()))
+	want := int64(len(apps) * len(SweepPolicies()))
 	if got := s.CellsComputed(); got != want {
 		t.Fatalf("multi-app sweep computed %d cells, want %d", got, want)
 	}
@@ -132,7 +132,7 @@ func TestMultiAppSweepBatchesOnOnePool(t *testing.T) {
 	// additional seed's cells are new.
 	before := s.CellsComputed()
 	SeedSweepApps(s, apps, 2)
-	extra := int64(len(apps) * len(sweepPolicies()))
+	extra := int64(len(apps) * len(SweepPolicies()))
 	if got := s.CellsComputed(); got != before+extra {
 		t.Fatalf("seed sweep over the app batch computed %d new cells, want %d (one extra seed)",
 			got-before, extra)
@@ -173,7 +173,7 @@ func TestSeedSweepSharedScheduler(t *testing.T) {
 	s.Opt.Seed = 7
 	const seeds = 2
 	SeedSweepApps(s, []string{"swaptions"}, seeds)
-	want := int64(seeds * len(sweepPolicies()))
+	want := int64(seeds * len(SweepPolicies()))
 	if got := s.CellsComputed(); got != want {
 		t.Fatalf("shared suite computed %d cells, want %d (seeds × policies)", got, want)
 	}
@@ -193,7 +193,7 @@ func TestSeedSweepSharedScheduler(t *testing.T) {
 	var named []*Cell
 	for wave := 1; wave <= 2; wave++ {
 		for i := uint64(0); i < seeds; i++ {
-			for _, pol := range sweepPolicies() {
+			for _, pol := range SweepPolicies() {
 				named = append(named, s2.XenSeeded("swaptions", pol, true, 7+i))
 			}
 		}
@@ -218,7 +218,7 @@ func TestSeedSweepWrapsPastMaxSeed(t *testing.T) {
 		s := NewSuiteParallel(256, 0)
 		s.Opt.Seed = math.MaxUint64
 		tab := SeedSweepApps(s, []string{"swaptions"}, seeds)[0]
-		if got, want := s.CellsComputed(), int64(seeds*len(sweepPolicies())); got != want {
+		if got, want := s.CellsComputed(), int64(seeds*len(SweepPolicies())); got != want {
 			t.Errorf("%d-seed sweep from the largest seed computed %d cells, want %d", seeds, got, want)
 		}
 		if note := tab.Notes[1]; strings.Count(note, "seed 1 →") != 1 || strings.Contains(note, "seed 0") {
@@ -238,7 +238,7 @@ func TestSeedKeyedCellsMatchFreshSuites(t *testing.T) {
 	shared := NewSuiteParallel(256, 4)
 	shared.Opt.Seed = 7
 	SeedSweepApps(shared, []string{app}, seeds)
-	pols := sweepPolicies()
+	pols := SweepPolicies()
 	for i := 0; i < seeds; i++ {
 		seed := uint64(7 + i)
 		fresh := NewSuiteParallel(256, 1)

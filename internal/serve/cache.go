@@ -75,6 +75,7 @@ func cellSum(b []byte) string {
 // every error case the caller logs and serves (partially) cold; the
 // next SaveCache overwrites the damaged file.
 func (s *Server) LoadCache() (int, error) {
+	s.cacheClean = false
 	if s.cfg.CacheDir == "" {
 		return 0, nil
 	}
@@ -140,43 +141,50 @@ func (s *Server) LoadCache() (int, error) {
 		return n, fmt.Errorf("corrupt cache %s: %v; salvaged the %d-cell valid prefix, recomputing the rest",
 			path, corrupt, n)
 	}
+	s.cacheClean = n == len(cells)
 	return n, nil
 }
 
 // SaveCache snapshots the suite's computed cells to CacheDir, returning
-// how many were written. The write is atomic (temp file + rename), so
-// a crash mid-save leaves the previous cache intact; temp files a
-// crashed save left behind are swept before writing (LoadCache never
-// reads them — only the renamed cacheFileName is ever loaded).
-func (s *Server) SaveCache() (int, error) {
+// how many cells the cache file holds and whether it wrote the file.
+// After a clean LoadCache (see cacheClean) in a session that computed
+// no cell, the file already holds every cell, and SaveCache leaves it
+// as it is. Otherwise the write is atomic (temp file + rename), so a
+// crash mid-save leaves the previous cache intact; temp files a crashed
+// save left behind are swept before writing (LoadCache never reads
+// them — only the renamed cacheFileName is ever loaded).
+func (s *Server) SaveCache() (n int, wrote bool, err error) {
 	if s.cfg.CacheDir == "" {
-		return 0, nil
+		return 0, false, nil
+	}
+	if s.cacheClean && s.suite.CellsComputed() == 0 {
+		return s.suite.CachedCells(), false, nil
 	}
 	if err := fiCacheSave.Fire(); err != nil {
-		return 0, fmt.Errorf("cache save: %w", err)
+		return 0, false, fmt.Errorf("cache save: %w", err)
 	}
 	cells := s.suite.Snapshot()
 	var buf bytes.Buffer
 	hdr, err := json.Marshal(cacheHeader{Format: cacheFormat, Model: s.cfg.ModelVersion})
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	buf.Write(hdr)
 	buf.WriteByte('\n')
 	for _, c := range cells {
 		cb, err := json.Marshal(c)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		rec, err := json.Marshal(cacheRecord{Cell: cb, Sum: cellSum(cb)})
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		buf.Write(rec)
 		buf.WriteByte('\n')
 	}
 	if err := os.MkdirAll(s.cfg.CacheDir, 0o755); err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	if stale, _ := filepath.Glob(filepath.Join(s.cfg.CacheDir, cacheFileName+".tmp*")); len(stale) > 0 {
 		for _, p := range stale {
@@ -186,20 +194,20 @@ func (s *Server) SaveCache() (int, error) {
 	path := filepath.Join(s.cfg.CacheDir, cacheFileName)
 	tmp, err := os.CreateTemp(s.cfg.CacheDir, cacheFileName+".tmp*")
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	if _, err := tmp.Write(buf.Bytes()); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return 0, err
+		return 0, false, err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return 0, err
+		return 0, false, err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return 0, err
+		return 0, false, err
 	}
-	return len(cells), nil
+	return len(cells), true, nil
 }

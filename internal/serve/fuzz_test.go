@@ -155,7 +155,7 @@ func FuzzLoadCache(f *testing.F) {
 		if held := suite.CachedCells(); n != held {
 			t.Fatalf("LoadCache reported %d cells, the suite holds %d", n, held)
 		}
-		if written, err := srv.SaveCache(); err != nil || written != n {
+		if written, _, err := srv.SaveCache(); err != nil || written != n {
 			t.Fatalf("SaveCache = %d, %v; want %d", written, err, n)
 		}
 		srv2, suite2 := persistServer(t, dir, model)
@@ -173,7 +173,7 @@ func savedCache(tb testing.TB, model string, cells []exp.CellSnapshot) []byte {
 	if n := suite.Restore(cells); n != len(cells) {
 		tb.Fatalf("restored %d of %d hand-made cells", n, len(cells))
 	}
-	if _, err := srv.SaveCache(); err != nil {
+	if _, _, err := srv.SaveCache(); err != nil {
 		tb.Fatal(err)
 	}
 	b, err := os.ReadFile(filepath.Join(dir, cacheFileName))

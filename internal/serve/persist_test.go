@@ -36,7 +36,7 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 		t.Fatal("cold sweep computed no cells")
 	}
 	srvA.Drain()
-	if n, err := srvA.SaveCache(); err != nil || n != int(cells) {
+	if n, _, err := srvA.SaveCache(); err != nil || n != int(cells) {
 		t.Fatalf("SaveCache = %d, %v; want %d cells", n, err, cells)
 	}
 
@@ -73,7 +73,7 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 	}
 
 	// The next save overwrites the stale file under the new stamp.
-	if _, err := srvC.SaveCache(); err != nil {
+	if _, _, err := srvC.SaveCache(); err != nil {
 		t.Fatal(err)
 	}
 	srvD, suiteD := persistServer(t, dir, "model-2")
@@ -86,6 +86,63 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnchangedCacheNotRewritten: a session that loads the cache
+// cleanly and computes nothing leaves the file as it is, with no temp
+// file and no rename, while a session that computes a cell rewrites it.
+func TestUnchangedCacheNotRewritten(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, cacheFileName)
+	srvA, _ := persistServer(t, dir, "m")
+	srvA.HandleLine(context.Background(), []byte(sweepLine))
+	srvA.Drain()
+	cells, wrote, err := srvA.SaveCache()
+	if err != nil || !wrote || cells == 0 {
+		t.Fatalf("cold SaveCache = %d, %v, %v; want a written file", cells, wrote, err)
+	}
+	saved, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, _ := persistServer(t, dir, "m")
+	if n, err := srvB.LoadCache(); err != nil || n != cells {
+		t.Fatalf("LoadCache = %d, %v; want %d", n, err, cells)
+	}
+	if n, wrote, err := srvB.SaveCache(); err != nil || wrote || n != cells {
+		t.Fatalf("SaveCache after a clean load = %d, %v, %v; want %d cells, not written", n, wrote, err, cells)
+	}
+	kept, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(saved, kept) {
+		t.Fatal("a session that computed nothing rewrote the cache file")
+	}
+	if tmps, _ := filepath.Glob(path + ".tmp*"); len(tmps) != 0 {
+		t.Fatalf("unchanged save left temp files %v", tmps)
+	}
+
+	srvC, suiteC := persistServer(t, dir, "m")
+	if _, err := srvC.LoadCache(); err != nil {
+		t.Fatal(err)
+	}
+	srvC.HandleLine(context.Background(), []byte(adviseLine))
+	srvC.Drain()
+	if suiteC.CellsComputed() == 0 {
+		t.Fatal("the advise request computed no cell")
+	}
+	if n, wrote, err := srvC.SaveCache(); err != nil || !wrote || n <= cells {
+		t.Fatalf("SaveCache after computing = %d, %v, %v; want more than %d cells, written", n, wrote, err, cells)
+	}
+	rewritten, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(kept, rewritten) {
+		t.Fatal("a session that computed cells did not rewrite the cache file")
+	}
+}
+
 // TestCacheCornerCases: empty dir config is a no-op, a missing file is
 // a clean cold start, and a corrupt file is rejected without killing
 // the server.
@@ -94,7 +151,7 @@ func TestCacheCornerCases(t *testing.T) {
 	if n, err := srv.LoadCache(); n != 0 || err != nil {
 		t.Fatalf("no cache dir: LoadCache = %d, %v", n, err)
 	}
-	if n, err := srv.SaveCache(); n != 0 || err != nil {
+	if n, _, err := srv.SaveCache(); n != 0 || err != nil {
 		t.Fatalf("no cache dir: SaveCache = %d, %v", n, err)
 	}
 

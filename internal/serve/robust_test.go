@@ -273,7 +273,7 @@ func TestCacheSalvagePrefix(t *testing.T) {
 	srvA.HandleLine(context.Background(), []byte(sweepLine))
 	srvA.Drain()
 	cells := int(suiteA.CellsComputed())
-	if n, err := srvA.SaveCache(); err != nil || n != cells {
+	if n, _, err := srvA.SaveCache(); err != nil || n != cells {
 		t.Fatalf("SaveCache = %d, %v", n, err)
 	}
 
@@ -331,7 +331,7 @@ func TestStaleTempIgnoredAndSwept(t *testing.T) {
 	}
 	srv.HandleLine(context.Background(), []byte(sweepLine))
 	srv.Drain()
-	if _, err := srv.SaveCache(); err != nil {
+	if _, _, err := srv.SaveCache(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
@@ -354,11 +354,11 @@ func TestCacheFaultSites(t *testing.T) {
 	srv.Drain()
 
 	installPlan(t, "serve.cache.save:hit=1:action=error")
-	if n, err := srv.SaveCache(); err == nil || n != 0 {
+	if n, _, err := srv.SaveCache(); err == nil || n != 0 {
 		t.Fatalf("faulted SaveCache = %d, %v; want error", n, err)
 	}
 	faultinject.Install(nil)
-	if _, err := srv.SaveCache(); err != nil {
+	if _, _, err := srv.SaveCache(); err != nil {
 		t.Fatalf("retry SaveCache: %v", err)
 	}
 

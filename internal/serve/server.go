@@ -92,6 +92,11 @@ type Server struct {
 	evicted   atomic.Int64
 	shed      atomic.Int64
 	salvaged  atomic.Int64
+
+	// cacheClean records that the last LoadCache installed every cell
+	// of a well-formed file stamped with this model: until a cell is
+	// computed, the file holds every cell the suite does.
+	cacheClean bool
 }
 
 // flight is one coalesced request computation: the leader fills result

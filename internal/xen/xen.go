@@ -203,6 +203,25 @@ func (h *Hypervisor) CreateDomain(spec DomainSpec) (*Domain, error) {
 // CPULoad returns the number of vCPUs sharing physical CPU c.
 func (h *Hypervisor) CPULoad(c numa.CPUID) int { return h.cpuUse[c] }
 
+// HeldBytes returns the machine memory the domains hold: every frame of
+// each domain's block records plus every frame an Owned entry maps. A
+// frame of a block whose page was invalidated or migrated away stays
+// with its block until teardown, so it counts once.
+func (h *Hypervisor) HeldBytes() int64 {
+	var frames uint64
+	for _, d := range h.domains {
+		for _, f := range d.frames {
+			frames += mem.FramesOf(f.order)
+		}
+		d.table.Walk(func(_ mem.PFN, e pt.HypervisorEntry) {
+			if e.Owned {
+				frames++
+			}
+		})
+	}
+	return int64(frames) * mem.PageSize
+}
+
 // takeShell pops a recycled domain shell, or returns nil when none is
 // available (the cold-build case). Reset leaves the lowest domain ID's
 // shell on top.
