@@ -19,11 +19,13 @@ import (
 // check frame conservation: the allocator's free bytes plus the bytes
 // the layers above hold are the machine's memory. Under Xen the
 // hypervisor holds them, in its domains' block records and owned
-// entries (dom0's included); natively, one page per region page.
+// entries (dom0's included); natively, one page per region page. Each
+// guest domain must also have the passthrough driver exactly when its
+// run asked for it and its policy allows it (see wantPassthrough).
 type audit struct {
-	checks, free, migrated, failed int
-	frames                         map[mem.MFN]bool
-	failures                       []string // the first ten
+	checks, free, passthrough, migrated, failed int
+	frames                                      map[mem.MFN]bool
+	failures                                    []string // the first ten
 }
 
 func (a *audit) fail(format string, args ...any) {
@@ -33,13 +35,31 @@ func (a *audit) fail(format string, args ...any) {
 	}
 }
 
-// xen audits the machine the pool holds under key after a run of vms
-// guests, which it reports as what.
-func (a *audit) xen(p *Pool, key poolKey, vms int, what string) {
+// wantPassthrough reports whether the domain of a run under pol has the
+// passthrough driver: only a Xen+ run requests it, and the registry
+// says whether pol boots an eager layout and keeps every entry valid
+// (no page queue), as the IOMMU needs (§4.4.1).
+func wantPassthrough(pol Policy, xenPlus bool) bool {
+	boot, err := policy.BootKind(pol.Static)
+	if err != nil {
+		panic(err)
+	}
+	bootDesc, _, _ := policy.Describe(boot)
+	desc, _, _ := policy.Describe(pol.Static)
+	return xenPlus && bootDesc.Boot != nil && !desc.UsesPageQueue
+}
+
+// xen audits the machine the pool holds under key after a run with one
+// guest per policy of pols, Xen+ or not, which it reports as what.
+func (a *audit) xen(p *Pool, key poolKey, xenPlus bool, what string, pols ...Policy) {
 	m := p.free[key][len(p.free[key])-1]
 	clear(a.frames)
-	for slot := 0; slot < vms; slot++ {
+	for slot, pol := range pols {
 		dom := m.backs[slot].Dom
+		a.passthrough++
+		if got, want := dom.Passthrough(), wantPassthrough(pol, xenPlus); got != want {
+			a.fail("%s: VM %d passthrough %v, want %v", what, slot, got, want)
+		}
 		for _, r := range m.insts[slot].Regions() {
 			for i, pfn := range r.Pages {
 				a.checks++
@@ -97,12 +117,16 @@ func (a *audit) native(p *Pool, key poolKey, what string) {
 // TestCrossLayerAudit runs every registered policy, and its Carrefour
 // form where Carrefour stacks, under Xen+ and natively where the policy
 // runs natively, plus a colocated and a consolidated pair, all on one
-// warm pool so every lease but the first audits a reset machine. After
-// each run it audits the machine before the next lease (see audit).
+// warm pool so every lease but the first audits a reset machine. Each
+// policy's first app also runs under plain Xen, between Xen+ leases of
+// the same machine. After each run it audits the machine before the
+// next lease (see audit).
 func TestCrossLayerAudit(t *testing.T) {
 	const scale = 512
 	o := Options{Scale: scale, XenPlus: true, Pool: NewPool()}
-	xenKey := poolKey{scale: scale, xenplus: true}
+	plain := o
+	plain.XenPlus = false
+	xenKey := poolKey{scale: scale}
 	nativeKey := poolKey{scale: scale, native: true}
 	a := audit{frames: map[mem.MFN]bool{}}
 	for _, d := range policy.List() {
@@ -112,13 +136,20 @@ func TestCrossLayerAudit(t *testing.T) {
 		}
 		for _, spelling := range pols {
 			pol := MustPolicy(spelling)
-			for _, app := range []string{"cg.C", "streamcluster", "wc", "facesim"} {
+			for i, app := range []string{"cg.C", "streamcluster", "wc", "facesim"} {
 				r, err := RunXen(app, pol, o)
 				if err != nil {
 					t.Fatalf("xen %s %s: %v", app, spelling, err)
 				}
 				a.migrated += int(r.Migrated)
-				a.xen(o.Pool, xenKey, 1, "xen "+app+" "+spelling)
+				a.xen(o.Pool, xenKey, true, "xen+ "+app+" "+spelling, pol)
+				if i == 0 {
+					if r, err = RunXen(app, pol, plain); err != nil {
+						t.Fatalf("plain xen %s %s: %v", app, spelling, err)
+					}
+					a.migrated += int(r.Migrated)
+					a.xen(o.Pool, xenKey, false, "xen "+app+" "+spelling, pol)
+				}
 				if d.BootOnly {
 					continue // a boot layout has no native form
 				}
@@ -130,18 +161,19 @@ func TestCrossLayerAudit(t *testing.T) {
 			}
 		}
 	}
+	pol1, pol2 := MustPolicy("round-4k/carrefour"), MustPolicy("first-touch/carrefour")
 	for _, mode := range []PairMode{Colocated, Consolidated} {
-		r1, r2, err := RunXenPair("wc", MustPolicy("round-4k/carrefour"), "cg.C", MustPolicy("first-touch/carrefour"), mode, false, o)
+		r1, r2, err := RunXenPair("wc", pol1, "cg.C", pol2, mode, false, o)
 		if err != nil {
 			t.Fatalf("pair mode %d: %v", mode, err)
 		}
 		a.migrated += int(r1.Migrated + r2.Migrated)
-		a.xen(o.Pool, xenKey, 2, fmt.Sprintf("pair mode %d", mode))
+		a.xen(o.Pool, xenKey, true, fmt.Sprintf("pair mode %d", mode), pol1, pol2)
 	}
 	for _, f := range a.failures {
 		t.Error(f)
 	}
-	t.Logf("%d page checks (%d of free pages), %d failed, %d pages migrated", a.checks, a.free, a.failed, a.migrated)
+	t.Logf("%d page checks (%d of free pages), %d passthrough checks, %d failed, %d pages migrated", a.checks, a.free, a.passthrough, a.failed, a.migrated)
 	// Guard against a vacuous audit: it must see a large machine state
 	// that Carrefour has moved pages through, and free lists under a
 	// page-queue policy.

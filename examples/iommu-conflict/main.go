@@ -37,6 +37,7 @@ func main() {
 	}
 	dom, err := hv.CreateDomain(xen.DomainSpec{
 		Name: "demo", MemBytes: 64 << 20, PinCPUs: pins, Boot: policy.Round4K,
+		Passthrough: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -51,7 +51,7 @@ func TestCandidatesBoundedByRegistry(t *testing.T) {
 		if cfg.Carrefour && !d.Carrefour {
 			t.Errorf("candidate %q stacks carrefour on an unstackable policy", c)
 		}
-		if _, err := linux.New(numa.AMD48Scaled(1), cfg); err != nil {
+		if _, err := linux.Rebuild(nil, numa.AMD48Scaled(1), cfg); err != nil {
 			t.Errorf("linux: candidate %q does not run natively: %v", c, err)
 		}
 	}

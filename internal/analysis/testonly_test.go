@@ -27,12 +27,10 @@ var testOnlyAllowed = map[string]string{
 	"(*repro/internal/faultinject.Plan).Hits":          "hit counter the fault and chaos tests reconcile with the faults they injected",
 	"(*repro/internal/faultinject.Plan).TotalFired":    "hit counter the fault and chaos tests reconcile with the faults they injected",
 	"(*repro/internal/guest.PageQueue).Pending":        "the queue tests' count of queued, unflushed operations",
-	"repro/internal/linux.New":                         "cold-build constructor of the linux, advisor and root tests; runs lease through Rebuild",
 	"(*repro/internal/mem.Allocator).FreeBlocks":       "sorted free-list snapshot TestFreeBlocksDeterministic compares across identical runs",
 	"(*repro/internal/mem.Allocator).TotalFreeBytes":   "frame-conservation oracle of the leak tests and the cross-layer audit",
 	"(*repro/internal/metrics.EpochLoad).PathLinkUtil": "reference the engine's batched access-cost kernel is checked against",
 	"repro/internal/numa.SmallMachine":                 "builds the small topologies of the unit tests",
-	"repro/internal/policy.Bind":                       "builds bind:N kinds for the bind tests; runs parse them from policy strings",
 	"(*repro/internal/xen.Domain).NodeOfPFN":           "placement oracle of the xen tests and the cross-layer audit",
 	"(*repro/internal/xen.Hypervisor).HeldBytes":       "Xen frame-conservation oracle of the cross-layer audit",
 }

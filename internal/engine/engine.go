@@ -407,11 +407,6 @@ type regionSizes struct {
 	hot, master, priv, dist int
 }
 
-// DefaultCrossShare documents the default fraction of distributed-shared
-// accesses that cross slice boundaries; workload profiles override it
-// per application (Profile.CrossShare).
-const DefaultCrossShare = 0.25
-
 // weights returns the access-stream weights of the instance's profile.
 //
 //xnuma:noalloc

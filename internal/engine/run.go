@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/carrefour"
 	"repro/internal/iosim"
@@ -23,6 +22,12 @@ const (
 	// CtrlBWBps is the per-node memory controller bandwidth (13 GiB/s on
 	// AMD48).
 	CtrlBWBps = 13 * (1 << 30)
+	// costMigratePage is the CPU time of migrating one page, on either
+	// platform: native Linux's migrate_pages, or Xen's copy and remap
+	// through the internal interface (§4.1). Both write-protect the
+	// page, copy its 4 KiB and remap it with a TLB shootdown; the
+	// interconnect traffic of the copy is charged separately.
+	costMigratePage = 6 * sim.Microsecond
 )
 
 // Disk is the machine's disk.
@@ -84,8 +89,8 @@ type Runner struct {
 
 	load      *metrics.EpochLoad   // machine-wide, for contention
 	instLoads []*metrics.EpochLoad // per instance, for its statistics
-	// loadTopo is the topology the loads were built for; a run on
-	// another rebuilds them.
+	// loadTopo is the topology the loads and the cost model were built
+	// for; a run on another rebuilds them.
 	loadTopo  *numa.Topology
 	stats     []*metrics.RunStats
 	ctrls     []*carrefour.Controller
@@ -97,12 +102,12 @@ type Runner struct {
 	units [][]float64
 
 	// Run-constant node geometry, hoisted out of the fixed-point loop:
-	// nNodes is the node count and cost the shared pair cost model for
-	// cfg.Topo (hop counts, base cycles and contention coefficients),
-	// fetched from a process-wide cache so every runner on the same
-	// topology — the whole sweep batch — reuses one; freqGHz mirrors the
-	// latency model's frequency so the hot loop converts cycles to
-	// nanoseconds without copying the model.
+	// nNodes is the node count and cost the pair cost model of cfg.Topo
+	// (hop counts, base cycles and contention coefficients), which the
+	// runner builds once per topology, with the loads, so a warm
+	// machine's runner builds it once; freqGHz mirrors the latency
+	// model's frequency so the hot loop converts cycles to nanoseconds
+	// without copying the model.
 	nNodes  int
 	cost    *numa.AccessCostModel
 	freqGHz float64
@@ -164,6 +169,7 @@ func (r *Runner) setup(cfg Config, insts ...*Instance) error {
 		r.loadTopo = cfg.Topo
 		r.load = nil
 		clear(r.instLoads[:cap(r.instLoads)])
+		r.cost = numa.NewAccessCostModel(cfg.Topo)
 	}
 	r.load = resetLoad(r.load, cfg.Topo, epochSec)
 	r.instLoads = resized(r.instLoads, len(insts))
@@ -175,7 +181,6 @@ func (r *Runner) setup(cfg Config, insts ...*Instance) error {
 	r.cycles = zeroed(r.cycles, n*n)
 	r.linkUtil = zeroed(r.linkUtil, len(cfg.Topo.Links))
 	r.ctrlPen = zeroed(r.ctrlPen, n)
-	r.cost = costModelFor(cfg.Topo)
 	r.freqGHz = cfg.Topo.Latency.FreqGHz
 	maxThreads := 0
 	for i, in := range insts {
@@ -756,22 +761,6 @@ func (r *Runner) cycRow(src numa.NodeID) []float64 {
 	return r.cycles[int(src)*nn : (int(src)+1)*nn]
 }
 
-// costModels caches one AccessCostModel per topology pointer. Built
-// topologies are immutable for the life of a sweep and sweep cells on
-// the same scale share one *Topology, so every concurrent runner reuses
-// the same model instead of rebuilding two n² coefficient tables per
-// cell.
-var costModels sync.Map // *numa.Topology -> *numa.AccessCostModel
-
-// costModelFor returns the shared cost model for t, building it once.
-func costModelFor(t *numa.Topology) *numa.AccessCostModel {
-	if m, ok := costModels.Load(t); ok {
-		return m.(*numa.AccessCostModel)
-	}
-	m, _ := costModels.LoadOrStore(t, numa.NewAccessCostModel(t))
-	return m.(*numa.AccessCostModel)
-}
-
 // progress applies the recorded units, consumes debt, and detects
 // completion. It reports whether any thread finished this epoch (a
 // completion changes the next epoch's load picture, so it breaks the
@@ -857,7 +846,7 @@ func (r *Runner) carrefourTick(i int, in *Instance) {
 	// Each migration copies one page across the interconnect:
 	// pageSet.Migrate charged its bytes to the next epoch; the CPU cost
 	// is debt spread across the instance's threads.
-	costNs := float64(migrated) * 6000 / float64(in.NThreads)
+	costNs := float64(migrated) * float64(costMigratePage) / float64(in.NThreads)
 	for _, t := range in.Threads {
 		if !t.Done {
 			t.DebtNs += costNs

@@ -8,14 +8,19 @@ import (
 	"repro/internal/engine"
 )
 
-// poolApps and poolModes make up the pool test's cell mix: the full
-// native and Xen policy sweeps for each app plus one swaptions+ep.D
-// pair per mode. Every cell runs at scale 256 and every Xen cell under
-// Xen+, so the mix holds two machine identities: the native machine and
-// the XenPlus machine, which the pairs share with the single-VM cells.
+// poolApps, poolModes and poolIOPols make up the pool test's cell mix:
+// the full native and Xen+ policy sweeps for each app, one
+// swaptions+ep.D pair per mode, and the disk-heavy bfs under each eager
+// layout, first under plain Xen and then under Xen+. bfs's DMA path
+// depends on the passthrough driver its domain requests, so passthrough
+// state a shared machine carried from one lease to the next would change
+// a result. Every cell runs at scale 256, so the mix holds two machine
+// identities: the native machine and the Xen machine, which plain-Xen,
+// Xen+ and pair cells all share.
 var (
-	poolApps  = []string{"swaptions", "ep.D"}
-	poolModes = []xennuma.PairMode{xennuma.Colocated, xennuma.Consolidated}
+	poolApps   = []string{"swaptions", "ep.D"}
+	poolModes  = []xennuma.PairMode{xennuma.Colocated, xennuma.Consolidated}
+	poolIOPols = []string{"round-1g", "round-4k"}
 )
 
 // poolCells runs the pool test's cell mix through the suite's scheduler
@@ -33,6 +38,9 @@ func poolCells(t *testing.T, workers int, noPool bool) (res []engine.Result, hit
 	}
 	for _, mode := range poolModes {
 		named = append(named, s.XenPair("swaptions", "first-touch", "ep.D", "round-4k", mode, false))
+	}
+	for _, pol := range poolIOPols {
+		named = append(named, s.Xen("bfs", pol, false), s.Xen("bfs", pol, true))
 	}
 	for _, c := range named {
 		res = append(res, c.Results()...)
@@ -54,8 +62,8 @@ func poolCells(t *testing.T, workers int, noPool bool) (res []engine.Result, hit
 // once, so there only a hit is required.
 func TestPooledCellsMatchFreshSuites(t *testing.T) {
 	want, _, _, _ := poolCells(t, 1, true)
-	const machines = 2 // native and XenPlus, both at scale 256
-	leases := uint64(len(poolApps)*(len(LinuxPolicies)+len(XenPolicies)) + len(poolModes))
+	const machines = 2 // native and Xen, both at scale 256
+	leases := uint64(len(poolApps)*(len(LinuxPolicies)+len(XenPolicies)) + len(poolModes) + 2*len(poolIOPols))
 	for _, workers := range []int{1, 4} {
 		got, hits, misses, cells := poolCells(t, workers, false)
 		if hits+misses != uint64(cells) {

@@ -14,7 +14,7 @@ import (
 func testDomain(t *testing.T) (*xen.Hypervisor, *xen.Domain) {
 	t.Helper()
 	topo := numa.SmallMachine(4, 4, 64<<20)
-	hv, err := xen.New(topo, xen.Config{HugeOrder: 10, MidOrder: 3, IOMMU: true}, 4<<20)
+	hv, err := xen.New(topo, xen.Config{HugeOrder: 10, MidOrder: 3}, 4<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

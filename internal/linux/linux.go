@@ -35,19 +35,15 @@ type Backend struct {
 	rr     int
 }
 
-// New builds a native backend on a dedicated machine. The static policy
+// Rebuild builds a native backend for cfg on topo. The static policy
 // must not be a boot-only layout (round-1G exists only as a hypervisor
 // boot option) and any parameter must fit the machine (a bind node out
 // of range is rejected here), so an unsupported configuration fails at
-// construction rather than mid-run.
-func New(topo *numa.Topology, cfg policy.Config) (*Backend, error) {
-	return Rebuild(nil, topo, cfg)
-}
-
-// Rebuild is New with recycling: a non-nil prev, the backend of an
-// earlier lease of a pooled machine on topo whose allocator has since
-// been Reset, is rebound to cfg in place, keeping its allocator and
-// node list. The result behaves bit for bit like a newly built backend.
+// construction rather than mid-run. A nil prev builds a new backend; a
+// non-nil prev, the backend of an earlier lease of a pooled machine on
+// topo whose allocator has since been Reset, is rebound to cfg in place,
+// keeping its allocator and node list. The result behaves bit for bit
+// like a newly built backend.
 func Rebuild(prev *Backend, topo *numa.Topology, cfg policy.Config) (*Backend, error) {
 	if err := policy.CheckConfig(cfg); err != nil {
 		return nil, fmt.Errorf("linux: %w", err)

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRound1GRejected(t *testing.T) {
-	if _, err := New(numa.AMD48Scaled(1), policy.Config{Static: policy.Round1G}); err == nil {
+	if _, err := Rebuild(nil, numa.AMD48Scaled(1), policy.Config{Static: policy.Round1G}); err == nil {
 		t.Fatal("Linux accepted round-1G")
 	}
 }
@@ -21,18 +21,18 @@ func TestRound1GRejected(t *testing.T) {
 func TestUnsupportedConfigsFailAtConstruction(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 64<<20)
 	for _, kind := range []policy.Kind{"nosuch", "bind:9", "bind:x", ""} {
-		if _, err := New(topo, policy.Config{Static: kind}); err == nil {
+		if _, err := Rebuild(nil, topo, policy.Config{Static: kind}); err == nil {
 			t.Errorf("New accepted %q", kind)
 		}
 	}
-	if _, err := New(topo, policy.Config{Static: policy.Bind(1), Carrefour: true}); err == nil {
+	if _, err := Rebuild(nil, topo, policy.Config{Static: policy.Kind("bind:1"), Carrefour: true}); err == nil {
 		t.Error("New stacked carrefour on bind")
 	}
 }
 
 func TestInterleaveSpreads(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 64<<20)
-	b, err := New(topo, policy.Config{Static: policy.Interleave})
+	b, err := Rebuild(nil, topo, policy.Config{Static: policy.Interleave})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestInterleaveSpreads(t *testing.T) {
 
 func TestBindPlacesOnBoundNode(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 64<<20)
-	b, err := New(topo, policy.Config{Static: policy.Bind(2)})
+	b, err := Rebuild(nil, topo, policy.Config{Static: policy.Kind("bind:2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBindPlacesOnBoundNode(t *testing.T) {
 // lands elsewhere instead of failing (preferred-node semantics).
 func TestBindFallsBackWhenFull(t *testing.T) {
 	topo := numa.SmallMachine(2, 1, 1<<20) // 256 frames per node
-	b, err := New(topo, policy.Config{Static: policy.Bind(0)})
+	b, err := Rebuild(nil, topo, policy.Config{Static: policy.Kind("bind:0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBindFallsBackWhenFull(t *testing.T) {
 // first.
 func TestLeastLoadedBalancesFreeMemory(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 1<<20)
-	b, err := New(topo, policy.Config{Static: policy.LeastLoaded})
+	b, err := Rebuild(nil, topo, policy.Config{Static: policy.LeastLoaded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLeastLoadedBalancesFreeMemory(t *testing.T) {
 
 func TestFirstTouchPlacesOnToucher(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 64<<20)
-	b, err := New(topo, policy.Config{Static: policy.FirstTouch})
+	b, err := Rebuild(nil, topo, policy.Config{Static: policy.FirstTouch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFirstTouchPlacesOnToucher(t *testing.T) {
 
 func TestRound4KSpreads(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 64<<20)
-	b, _ := New(topo, policy.Config{Static: policy.Round4K})
+	b, _ := Rebuild(nil, topo, policy.Config{Static: policy.Round4K})
 	r := engine.NewRegion("r", 0, 4)
 	if _, err := b.Place(r, 400, 0); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestRound4KSpreads(t *testing.T) {
 
 func TestMigrateMovesFrame(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 64<<20)
-	b, _ := New(topo, policy.Config{Static: policy.FirstTouch})
+	b, _ := Rebuild(nil, topo, policy.Config{Static: policy.FirstTouch})
 	r := engine.NewRegion("r", 0, 4)
 	b.Place(r, 1, 0)
 	old := mem.MFN(r.Pages[0])
@@ -171,7 +171,7 @@ func TestMigrateMovesFrame(t *testing.T) {
 // visible in a previously read distribution's successor.
 func TestMigrateInvalidatesCachedDist(t *testing.T) {
 	topo := numa.SmallMachine(4, 2, 64<<20)
-	b, _ := New(topo, policy.Config{Static: policy.FirstTouch})
+	b, _ := Rebuild(nil, topo, policy.Config{Static: policy.FirstTouch})
 	r := engine.NewRegion("r", 0, 4)
 	b.Place(r, 10, 0)
 	if d := r.Dist(); d[0] != 1 {
@@ -187,7 +187,7 @@ func TestMigrateInvalidatesCachedDist(t *testing.T) {
 
 func TestFallbackWhenNodeFull(t *testing.T) {
 	topo := numa.SmallMachine(2, 1, 1<<20) // 256 frames per node
-	b, _ := New(topo, policy.Config{Static: policy.FirstTouch})
+	b, _ := Rebuild(nil, topo, policy.Config{Static: policy.FirstTouch})
 	r := engine.NewRegion("r", 0, 2)
 	// Ask for more than node 0 holds: the overflow must land on node 1
 	// rather than failing (§3.1).
@@ -202,7 +202,7 @@ func TestFallbackWhenNodeFull(t *testing.T) {
 
 func TestPlatformCharacteristics(t *testing.T) {
 	topo := numa.AMD48Scaled(1)
-	b, _ := New(topo, policy.Config{Static: policy.FirstTouch})
+	b, _ := Rebuild(nil, topo, policy.Config{Static: policy.FirstTouch})
 	if b.Virtualized() {
 		t.Fatal("native backend claims virtualization")
 	}

@@ -82,19 +82,14 @@ type adaptive struct {
 	handoff bool
 }
 
-// newAdaptive builds the placer for a machine with nodes nodes
-// (<= 0 when unknown: the histogram then grows to the highest node
-// actually chosen).
+// newAdaptive builds the placer for a machine with nodes nodes.
 func newAdaptive(nodes int) *adaptive {
-	p := &adaptive{
+	return &adaptive{
 		window:    adaptiveWindow,
 		delta:     adaptiveStableDelta,
 		minChecks: adaptiveMinChecks,
+		placed:    make([]float64, nodes),
 	}
-	if nodes > 0 {
-		p.placed = make([]float64, nodes)
-	}
-	return p
 }
 
 func (p *adaptive) PlaceNode(accessor numa.NodeID, homes []numa.NodeID, free FreeMemory) numa.NodeID {
@@ -102,9 +97,6 @@ func (p *adaptive) PlaceNode(accessor numa.NodeID, homes []numa.NodeID, free Fre
 		return accessor
 	}
 	n := p.probe.PlaceNode(accessor, homes, free)
-	for int(n) >= len(p.placed) {
-		p.placed = append(p.placed, 0)
-	}
 	p.placed[n]++
 	p.faults++
 	if p.stable() {

@@ -218,7 +218,7 @@ func newBind(arg string, nodes int) (Placer, error) {
 	if err != nil || n < 0 {
 		return nil, fmt.Errorf("policy: bad bind node %q", arg)
 	}
-	if nodes > 0 && n >= nodes {
+	if n >= nodes {
 		return nil, fmt.Errorf("policy: bind node %d out of range (machine has %d nodes)", n, nodes)
 	}
 	return bindTo{node: numa.NodeID(n)}, nil

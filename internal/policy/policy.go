@@ -33,7 +33,6 @@ package policy
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/mem"
 	"repro/internal/numa"
@@ -72,13 +71,6 @@ const (
 	// imbalance stabilizes.
 	Adaptive Kind = "adaptive"
 )
-
-// Bind returns the kind of the preferred-node policy for node: every
-// faulted page is allocated on that node, falling back like first-touch
-// when its bank is full.
-func Bind(node numa.NodeID) Kind {
-	return Kind("bind:" + strconv.Itoa(int(node)))
-}
 
 func (k Kind) String() string { return string(k) }
 
@@ -262,8 +254,7 @@ type Policy struct {
 
 // New builds the runtime policy for kind from the default registry.
 // nodes is the machine's node count, used to range-check parameterized
-// kinds ("bind:9" on an 8-node machine); pass nodes <= 0 when the
-// machine is not known yet (syntax checks only).
+// kinds ("bind:9" on an 8-node machine).
 func New(kind Kind, nodes int) (*Policy, error) {
 	desc, arg, canon, err := Resolve(kind)
 	if err != nil {

@@ -56,11 +56,11 @@ func (d *fakeDomain) AllocFrameOn(n numa.NodeID) (mem.MFN, error) {
 	return m, nil
 }
 
-// mustNew builds a policy through the registry, failing the test on a
-// bad kind.
+// mustNew builds a policy through the registry for a 4-node machine,
+// failing the test on a bad kind.
 func mustNew(t *testing.T, k Kind) *Policy {
 	t.Helper()
-	p, err := New(k, 0)
+	p, err := New(k, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +106,10 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestNewRejectsUnknownKind(t *testing.T) {
-	if _, err := New(Kind("numa-magic"), 0); err == nil {
+	if _, err := New(Kind("numa-magic"), 4); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := New(Kind(""), 0); err == nil {
+	if _, err := New(Kind(""), 4); err == nil {
 		t.Fatal("empty kind accepted")
 	}
 }
@@ -200,7 +200,7 @@ func TestPageQueueDuplicateReleases(t *testing.T) {
 
 func TestRoundStaticIgnoresPageQueue(t *testing.T) {
 	d := newFakeDomain(0)
-	for _, kind := range []Kind{Round4K, Round1G, Interleave, LeastLoaded, Bind(0)} {
+	for _, kind := range []Kind{Round4K, Round1G, Interleave, LeastLoaded, Kind("bind:0")} {
 		p := mustNew(t, kind)
 		m, _ := d.AllocFrameOn(0)
 		d.MapPage(9, m)

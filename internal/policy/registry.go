@@ -50,7 +50,7 @@ type Descriptor struct {
 	// New builds the placer: a fresh one each time a domain installs
 	// the policy, and one per native backend. arg is the text after ":"
 	// for parameterized kinds ("" otherwise); nodes is the machine's
-	// node count, <= 0 when unknown (syntax checks only).
+	// node count.
 	New func(arg string, nodes int) (Placer, error)
 	// NormalizeArg canonicalizes and syntax-checks arg for
 	// parameterized kinds (nil for plain kinds).

@@ -202,7 +202,7 @@ func TestInterleaveFaultsRoundRobin(t *testing.T) {
 
 func TestBindFaultsOnBoundNode(t *testing.T) {
 	d := newFakeDomain(0, 1, 2, 3)
-	p := mustNew(t, Bind(2))
+	p := mustNew(t, Kind("bind:2"))
 	for i := mem.PFN(0); i < 8; i++ {
 		p.HandleFault(d, i, 0) // accessor ignored
 		if n := d.NodeOfFrame(d.table.Lookup(i).MFN); n != 2 {

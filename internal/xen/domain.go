@@ -49,8 +49,8 @@ type Domain struct {
 	nextAllocNode int
 
 	// passthrough reports whether the PCI passthrough driver is active
-	// for this domain's I/O (requires the machine IOMMU and a policy
-	// other than first-touch, §4.4.1).
+	// for this domain's I/O: the domain requested it, booted eagerly
+	// and has selected no page-queue policy since (§4.4.1).
 	passthrough bool
 }
 
@@ -98,7 +98,7 @@ func newDomain(h *Hypervisor, id DomID, spec DomainSpec, boot policy.BootPlacer,
 	// A lazily booted domain starts with every entry invalid; the IOMMU
 	// cannot resolve invalid entries (§4.4.1), so passthrough is off
 	// from the start.
-	d.passthrough = h.Cfg.IOMMU && boot != nil
+	d.passthrough = spec.Passthrough && boot != nil
 	return d
 }
 
@@ -244,8 +244,8 @@ func (d *Domain) MigratePage(pfn mem.PFN, to numa.NodeID) bool {
 	if err != nil {
 		return false // target node full: leave the page where it is
 	}
-	// Copy happens here; the time cost is charged by the caller through
-	// CostMigratePage, the traffic through the load accumulator.
+	// Copy happens here; the engine charges the copy's CPU time and its
+	// interconnect traffic.
 	d.table.MapOwned(pfn, newMFN)
 	if e.Owned {
 		d.hv.Alloc.Free(e.MFN, mem.Order4K)
@@ -307,7 +307,7 @@ func (d *Domain) HypercallSetPolicy(cfg policy.Config) (sim.Time, error) {
 			return cost, fmt.Errorf("xen: %w", err)
 		}
 	}
-	if desc.UsesPageQueue && d.hv.Cfg.IOMMU && d.passthrough {
+	if desc.UsesPageQueue {
 		// §4.4.1: the IOMMU cannot resolve invalid entries, so the
 		// passthrough driver must be disabled for entry-invalidating
 		// policies.

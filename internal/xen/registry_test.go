@@ -10,13 +10,14 @@ import (
 
 // lazyDomain builds a domain booting the given (lazily placed) policy
 // on a 4-node test hypervisor. Pins span all four nodes so every node
-// is a home.
+// is a home. The domain requests passthrough, which a lazy boot must
+// refuse.
 func lazyDomain(t *testing.T, boot policy.Kind) (*Hypervisor, *Domain) {
 	t.Helper()
 	hv := testHV(t)
 	d, err := hv.CreateDomain(DomainSpec{
 		Name: "lazy", MemBytes: 4 << 20,
-		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: boot,
+		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: boot, Passthrough: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +38,8 @@ func touchDist(d *Domain, n int, accessor numa.NodeID) map[numa.NodeID]uint64 {
 
 // TestLazyBootFaultsIn: a registered policy without a boot placer boots
 // with every entry invalid, faults pages in on first touch, and — since
-// the IOMMU cannot resolve invalid entries — runs without passthrough.
+// the IOMMU cannot resolve invalid entries — runs without passthrough,
+// although the domain requested it.
 func TestLazyBootFaultsIn(t *testing.T) {
 	_, d := lazyDomain(t, policy.Interleave)
 	if d.Passthrough() {
@@ -74,12 +76,12 @@ func TestInterleaveDomainDistribution(t *testing.T) {
 // TestBindDomainDistribution pins bind:<node>: every page on the bound
 // node regardless of the accessor.
 func TestBindDomainDistribution(t *testing.T) {
-	_, d := lazyDomain(t, policy.Bind(3))
+	_, d := lazyDomain(t, policy.Kind("bind:3"))
 	dist := touchDist(d, 200, 1)
 	if dist[3] != 200 {
 		t.Fatalf("bind:3 distribution %v, want all on node 3", dist)
 	}
-	if d.Policy().Static != policy.Bind(3) {
+	if d.Policy().Static != policy.Kind("bind:3") {
 		t.Fatalf("policy = %v", d.Policy())
 	}
 }
@@ -90,7 +92,7 @@ func TestBindDomainRangeChecked(t *testing.T) {
 	hv := testHV(t)
 	_, err := hv.CreateDomain(DomainSpec{
 		Name: "oob", MemBytes: 1 << 20,
-		PinCPUs: []numa.CPUID{0}, Boot: policy.Bind(9),
+		PinCPUs: []numa.CPUID{0}, Boot: policy.Kind("bind:9"),
 	})
 	if err == nil {
 		t.Fatal("bind:9 accepted on a 4-node machine")
@@ -121,7 +123,7 @@ func TestRuntimeSwitchToRegisteredPolicy(t *testing.T) {
 	hv := testHV(t)
 	d, err := hv.CreateDomain(DomainSpec{
 		Name: "sw", MemBytes: 4 << 20,
-		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: policy.Round4K,
+		PinCPUs: []numa.CPUID{0, 4, 8, 12}, Boot: policy.Round4K, Passthrough: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,12 +137,12 @@ func TestRuntimeSwitchToRegisteredPolicy(t *testing.T) {
 	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.Kind("nosuch")}); err == nil {
 		t.Fatal("unknown runtime policy accepted")
 	}
-	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.Bind(9)}); err == nil {
+	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.Kind("bind:9")}); err == nil {
 		t.Fatal("out-of-range bind accepted at runtime")
 	}
 	// The descriptor declares bind Carrefour-unstackable; programmatic
 	// configs must be rejected like parsed ones.
-	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.Bind(1), Carrefour: true}); err == nil {
+	if _, err := d.HypercallSetPolicy(policy.Config{Static: policy.Kind("bind:1"), Carrefour: true}); err == nil {
 		t.Fatal("carrefour stacked on bind at runtime")
 	}
 }

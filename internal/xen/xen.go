@@ -26,7 +26,10 @@ var fiReplay = faultinject.Register("xen.replay")
 // DomID identifies a domain. Dom0 is always domain 0.
 type DomID int
 
-// Config tunes the hypervisor for a (possibly scaled-down) machine.
+// Config tunes the hypervisor for a (possibly scaled-down) machine: the
+// region orders of its boot layouts, which follow from the machine's
+// scale alone. What a domain gets, such as the passthrough driver, is
+// the domain's setting (DomainSpec).
 type Config struct {
 	// HugeOrder is the buddy order of the "1 GiB" allocation regions of
 	// the round-1G policy. On a full-size machine this is mem.Order1G;
@@ -35,16 +38,11 @@ type Config struct {
 	HugeOrder int
 	// MidOrder is the order of the "2 MiB" fallback regions.
 	MidOrder int
-	// IOMMU reports whether the machine's IOMMU is enabled. The PCI
-	// passthrough driver needs it; the first-touch policy is
-	// incompatible with it (§4.4.1), so selecting first-touch on a
-	// domain force-disables passthrough for that domain.
-	IOMMU bool
 }
 
 // DefaultConfig returns the configuration for the unscaled AMD48.
 func DefaultConfig() Config {
-	return Config{HugeOrder: mem.Order1G, MidOrder: mem.Order2M, IOMMU: true}
+	return Config{HugeOrder: mem.Order1G, MidOrder: mem.Order2M}
 }
 
 // ScaledConfig shrinks the region orders by log2(scale) to match a
@@ -91,10 +89,6 @@ const (
 	CostHVFault = 1500 * sim.Nanosecond
 	// CostFrameAlloc is one buddy allocation inside the hypervisor.
 	CostFrameAlloc = 300 * sim.Nanosecond
-	// CostMigratePage is the fixed cost of migrating one page
-	// (write-protect, 4 KiB copy, remap, TLB shootdown), excluding the
-	// interconnect traffic it induces (charged by the caller).
-	CostMigratePage = 6 * sim.Microsecond
 )
 
 // Hypervisor owns the machine.
@@ -153,6 +147,11 @@ type DomainSpec struct {
 	// without a boot placer (every entry starts invalid and faults into
 	// the policy). Runtime-only kinds such as FirstTouch are rejected.
 	Boot policy.Kind
+	// Passthrough requests the PCI passthrough driver for the domain's
+	// I/O (Xen+, §5.3). The IOMMU cannot resolve an invalid entry
+	// (§4.4.1), so a domain gets the driver only with an eager boot
+	// layout, and loses it when it selects a page-queue policy.
+	Passthrough bool
 }
 
 // CreateDomain builds a domain: pins its vCPUs, takes their nodes as

@@ -13,7 +13,7 @@ import (
 func testHV(t *testing.T) *Hypervisor {
 	t.Helper()
 	topo := numa.SmallMachine(4, 4, 64<<20)
-	cfg := Config{HugeOrder: 10, MidOrder: 3, IOMMU: true}
+	cfg := Config{HugeOrder: 10, MidOrder: 3}
 	hv, err := New(topo, cfg, 4<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -137,13 +137,13 @@ func TestSetPolicySwitchesAndDisablesPassthrough(t *testing.T) {
 	hv := testHV(t)
 	d, err := hv.CreateDomain(DomainSpec{
 		Name: "u1", MemBytes: 4 << 20,
-		PinCPUs: []numa.CPUID{0, 4}, Boot: policy.Round4K,
+		PinCPUs: []numa.CPUID{0, 4}, Boot: policy.Round4K, Passthrough: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.Passthrough() {
-		t.Fatal("passthrough off despite IOMMU")
+		t.Fatal("passthrough off although requested under an eager boot layout")
 	}
 	cost, err := d.HypercallSetPolicy(policy.Config{Static: policy.FirstTouch})
 	if err != nil {

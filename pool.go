@@ -19,23 +19,25 @@ import (
 // divergence.
 var fiPoolReset = faultinject.Register("pool.reset")
 
-// poolKey is a machine's identity: what newHypervisor builds a Xen
-// machine from — the scale and the IOMMU setting XenPlus selects — or,
-// for a native machine, the scale alone. The VMs a run creates are not
-// part of it: as on the paper's one evaluation machine, any VM count
-// and size fits, and a lease for VMs of another size resizes the reset
-// machine's storage in place.
+// poolKey is a machine's identity: its scale and whether it runs Xen or
+// native Linux. The VMs a run creates are not part of it: as on the
+// paper's one evaluation machine, any VM count and size fits, a lease
+// for VMs of another size resizes the reset machine's storage in place,
+// and Xen and Xen+ VMs differ only in the passthrough driver their
+// domain requests (xen.DomainSpec.Passthrough).
 type poolKey struct {
-	scale   int
-	native  bool
-	xenplus bool
+	scale  int
+	native bool
 }
 
-// machine is one poolable world: a hypervisor plus the per-VM guest
-// backends, engine instances and vCPU pin lists of its previous lease,
-// or a native backend plus its engine instance, and the engine runner
-// that ran them. The next lease rebuilds them in place.
+// machine is one poolable world: the topology it was built on, a
+// hypervisor plus the per-VM guest backends, engine instances and vCPU
+// pin lists of its previous lease, or a native backend plus its engine
+// instance, and the engine runner that ran them. The next lease
+// rebuilds them in place. Each machine builds its own topology once,
+// and its runner the cost model of that topology.
 type machine struct {
+	topo   *numa.Topology
 	hv     *xen.Hypervisor
 	native *linux.Backend
 	backs  [2]*guest.Backend
@@ -121,14 +123,14 @@ func (o Options) pool() *Pool {
 }
 
 // acquire produces the run's machine: a reset warm one when the pool
-// holds one with the key's identity, a cold-built one otherwise (a
-// native machine's backend is built by its run, which knows the
-// policy). A leased machine whose reset fails — a replay divergence, a
-// panic anywhere in the reset protocol, or an injected fault — is
-// dropped (counted in ResetDrops) and the run degrades to a cold build;
-// the divergence never reaches the caller, and results stay
-// bit-identical because a cold-built machine is the reference the
-// reset protocol reproduces.
+// holds one with the key's identity, a cold-built one on a topology of
+// its own otherwise (a native machine's backend is built by its run,
+// which knows the policy). A leased machine whose reset fails — a
+// replay divergence, a panic anywhere in the reset protocol, or an
+// injected fault — is dropped (counted in ResetDrops) and the run
+// degrades to a cold build; the divergence never reaches the caller,
+// and results stay bit-identical because a cold-built machine is the
+// reference the reset protocol reproduces.
 func acquire(o Options, key poolKey) (*machine, error) {
 	p := o.pool()
 	if p != nil {
@@ -140,9 +142,9 @@ func acquire(o Options, key poolKey) (*machine, error) {
 			p.count(&p.drops)
 		}
 	}
-	m := &machine{}
+	m := &machine{topo: numa.AMD48Scaled(key.scale)}
 	if !key.native {
-		hv, err := newHypervisor(scaledTopo(o.Scale), o)
+		hv, err := newHypervisor(m.topo, key.scale)
 		if err != nil {
 			return nil, err
 		}

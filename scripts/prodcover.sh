@@ -48,7 +48,8 @@ run -scale 256 advise all
 requests='{"id":"1","op":"sweep","apps":["wc","cg.C"]}
 {"id":"2","op":"advise","app":"wc"}
 {"id":"3","op":"policies"}
-{"id":"4","op":"stats"}'
+{"id":"4","op":"stats"}
+{"id":"5","op":"health"}'
 for session in cold warm; do
 	printf '%s\n' "$requests" | "$bin" -scale 256 serve -cache-dir "$tmp/cache" >/dev/null 2>"$tmp/serve-$session.log"
 done

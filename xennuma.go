@@ -16,7 +16,6 @@ package xennuma
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/carrefour"
 	"repro/internal/engine"
@@ -79,9 +78,11 @@ type Options struct {
 	Seed uint64
 	// Threads overrides the thread/vCPU count (default: all 48 CPUs).
 	Threads int
-	// XenPlus enables the paper's improved baseline: IOMMU + PCI
-	// passthrough for I/O and MCS spin locks for the pthread-blocking
-	// applications (§5.3). Ignored by native runs.
+	// XenPlus enables the paper's improved baseline: PCI passthrough
+	// for I/O and MCS spin locks for the pthread-blocking applications
+	// (§5.3). It is a setting of the VM, not of the machine: the run's
+	// domain requests the passthrough driver, and a warm machine hosts
+	// Xen and Xen+ VMs alike. Ignored by native runs.
 	XenPlus bool
 	// MCS forces the MCS-lock mitigation for pthread applications in
 	// native runs (the paper's LinuxNUMA baseline uses it).
@@ -103,22 +104,6 @@ type Options struct {
 	// platforms — the always-fresh reference path the pooled-vs-fresh
 	// equivalence tests pin against.
 	NoPool bool
-}
-
-// topoCache shares one immutable AMD48 topology per scale: every sweep
-// cell on the same scale then reuses one node/link graph and, further
-// down, one engine cost model, instead of rebuilding them per run.
-// Built topologies are never written after construction (the backends
-// only read them), so sharing is safe across concurrent runs.
-var topoCache sync.Map // int -> *numa.Topology
-
-// scaledTopo returns the shared AMD48 topology for scale.
-func scaledTopo(scale int) *numa.Topology {
-	if t, ok := topoCache.Load(scale); ok {
-		return t.(*numa.Topology)
-	}
-	t, _ := topoCache.LoadOrStore(scale, numa.AMD48Scaled(scale))
-	return t.(*numa.Topology)
 }
 
 // maxScale is the largest scale divisor: the hypervisor shrinks its
@@ -177,17 +162,16 @@ func RunXen(app string, pol Policy, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	topo := scaledTopo(o.Scale)
-	key := poolKey{scale: o.Scale, xenplus: o.XenPlus}
+	key := poolKey{scale: o.Scale}
 	m, err := acquire(o, key)
 	if err != nil {
 		return Result{}, err
 	}
-	inst, err := buildXenInstance(m, 0, prof, pol, o, nil, vmMemBytes(topo, prof, o, 1))
+	inst, err := buildXenInstance(m, 0, prof, pol, o, nil, vmMemBytes(m.topo, prof, o, 1))
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := m.runner.Run(engineConfig(topo, o), inst)
+	res, err := m.runner.Run(engineConfig(m.topo, o), inst)
 	if err != nil {
 		return Result{}, err
 	}
@@ -219,19 +203,18 @@ func RunLinux(app string, pol Policy, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	topo := scaledTopo(o.Scale)
 	key := poolKey{scale: o.Scale, native: true}
 	m, err := acquire(o, key)
 	if err != nil {
 		return Result{}, err
 	}
-	b, err := linux.Rebuild(m.native, topo, pol)
+	b, err := linux.Rebuild(m.native, m.topo, pol)
 	if err != nil {
 		return Result{}, err
 	}
 	m.native = b
 	inst := m.instance(0, prof, b, pol, o, o.MCS)
-	res, err := m.runner.Run(engineConfig(topo, o), inst)
+	res, err := m.runner.Run(engineConfig(m.topo, o), inst)
 	if err != nil {
 		return Result{}, err
 	}
@@ -280,12 +263,12 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	topo := scaledTopo(o.Scale)
-	key := poolKey{scale: o.Scale, xenplus: o.XenPlus}
+	key := poolKey{scale: o.Scale}
 	m, err := acquire(o, key)
 	if err != nil {
 		return Result{}, Result{}, err
 	}
+	topo := m.topo
 	pins1, pins2 := m.pins[0][:0], m.pins[1][:0]
 	threads := o.Threads
 	if mode == Colocated {
@@ -328,14 +311,12 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	return res[0], res[1], nil
 }
 
-func newHypervisor(topo *numa.Topology, o Options) (*xen.Hypervisor, error) {
-	cfg := xen.ScaledConfig(o.Scale)
-	cfg.IOMMU = o.XenPlus
-	dom0Mem := int64(2<<30) / int64(o.Scale)
+func newHypervisor(topo *numa.Topology, scale int) (*xen.Hypervisor, error) {
+	dom0Mem := int64(2<<30) / int64(scale)
 	if dom0Mem < 8<<20 {
 		dom0Mem = 8 << 20
 	}
-	return xen.New(topo, cfg, dom0Mem)
+	return xen.New(topo, xen.ScaledConfig(scale), dom0Mem)
 }
 
 // vmMemBytes sizes a VM: the scaled footprint plus headroom, clamped to
@@ -374,10 +355,11 @@ func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o
 		m.pins[slot] = pins
 	}
 	dom, err := m.hv.CreateDomain(xen.DomainSpec{
-		Name:     prof.Name,
-		MemBytes: memBytes,
-		PinCPUs:  pins,
-		Boot:     boot,
+		Name:        prof.Name,
+		MemBytes:    memBytes,
+		PinCPUs:     pins,
+		Boot:        boot,
+		Passthrough: o.XenPlus,
 	})
 	if err != nil {
 		return nil, err
