@@ -372,8 +372,9 @@ func runOne(s *exp.Suite, stdout io.Writer, app, pol string) error {
 		return err
 	}
 	// Name the cell by the canonical spelling every driver uses: the key
-	// seeds the cell's random stream, so "r4k/carrefour" must name the
-	// same cell as "round-4k/carrefour".
+	// names the cell, and seeds its random stream when the run reads
+	// one, so "r4k/carrefour" must name the same cell as
+	// "round-4k/carrefour".
 	r := s.Xen(app, strings.ToLower(cfg.String()), true).Result()
 	fmt.Fprintf(stdout, "app:          %s\n", r.App)
 	fmt.Fprintf(stdout, "backend:      %s\n", r.Backend)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/numa"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Facts of the modelled machine and its simulation, the same in every
@@ -814,13 +815,25 @@ func (r *Runner) progress() bool {
 	return completed
 }
 
+// ReadsSeed reports whether an instance of profile p, with Carrefour
+// on or off, reads the run's seed. The misleading burst a Carrefour
+// tick may start (§3.5.2) is the only draw from the run's random
+// stream, and carrefourTick draws only where ReadsSeed holds; a run
+// none of whose instances reads the seed computes the same result at
+// every seed.
+//
+//xnuma:noalloc
+func ReadsSeed(p workload.Profile, carrefour bool) bool {
+	return carrefour && p.Burstiness > 0
+}
+
 // carrefourTick runs one decision interval of the dynamic policy for
 // instance i, charges its costs and schedules its copy traffic.
 //
 //xnuma:noalloc
 func (r *Runner) carrefourTick(i int, in *Instance) {
 	// Maybe start a misleading burst (§3.5.2).
-	if in.burstLeft <= 0 && in.Prof.Burstiness > 0 && len(in.priv) > 0 {
+	if in.burstLeft <= 0 && ReadsSeed(in.Prof, in.Carrefour) && len(in.priv) > 0 {
 		if r.rand.Float64() < in.Prof.Burstiness {
 			in.burstRegion = in.priv[r.rand.Intn(len(in.priv))]
 			owner := in.burstRegion.Owner

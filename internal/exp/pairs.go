@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 
 	xennuma "repro"
@@ -37,19 +38,17 @@ var Fig9Pairs = []Pair{
 
 // XenPair names a two-VM configuration under Xen+: a single cell whose
 // two Results are VM A's and VM B's. polA and polB are spelled as for
-// Linux.
+// Linux. The cell reads its seed if either VM's run does.
 func (s *Suite) XenPair(a, polA, b, polB string, mode xennuma.PairMode, swap bool) *Cell {
 	key := fmt.Sprintf("pair/%s=%s/%s=%s/mode=%d/swap=%v", a, polA, b, polB, mode, swap)
-	return s.cell(s.baseSeed(), key, func(o xennuma.Options) ([]engine.Result, error) {
+	pa, errA := xennuma.ParsePolicy(polA)
+	pb, errB := xennuma.ParsePolicy(polB)
+	if err := cmp.Or(errA, errB); err != nil {
+		return s.cell(s.baseSeed(), true, key, failed(err))
+	}
+	reads := xennuma.ReadsSeed(a, pa) || xennuma.ReadsSeed(b, pb)
+	return s.cell(s.baseSeed(), reads, key, func(o xennuma.Options) ([]engine.Result, error) {
 		o.XenPlus = true
-		pa, err := xennuma.ParsePolicy(polA)
-		if err != nil {
-			return nil, err
-		}
-		pb, err := xennuma.ParsePolicy(polB)
-		if err != nil {
-			return nil, err
-		}
 		ra, rb, err := xennuma.RunXenPair(a, pa, b, pb, mode, swap, o)
 		if err != nil {
 			return nil, err

@@ -17,9 +17,10 @@ import (
 // consumed during the run to derive the exported fields and are dead
 // weight afterwards.
 //
-// Keys are the cache's own "seed=N/<key>" strings; callers pair a
-// snapshot with a model-version stamp (xennuma.ModelVersion) so a cache
-// written by a different engine is rejected rather than replayed.
+// Keys are the cache's own "seed=N/<key>" strings, N = 0 for a cell
+// that reads no seed; callers pair a snapshot with a model-version stamp
+// (xennuma.ModelVersion) so a cache written by a different engine is
+// rejected rather than replayed.
 
 // CellSnapshot is one computed cell: its cache key and one result per
 // instance (two for pair cells).

@@ -98,7 +98,7 @@ func (s *Scheduler) Stats() (submitted, completed int64) {
 // block on done for this cell alone. Computation never nests cells, so
 // a queued cell always runs and readers cannot deadlock.
 type Cell struct {
-	key  string // the cache key, "seed=N/<cell key>"
+	key  string // the cache key, "seed=N/<cell key>"; N is 0 for a cell that reads no seed
 	done chan struct{}
 	res  []engine.Result
 	err  error

@@ -132,20 +132,35 @@ func TestSingleflightDeduplicates(t *testing.T) {
 
 // TestFailedCellSurfacesOnRead: a cell that fails on a worker does not
 // crash the process; reading its handle panics on the reader's
-// goroutine with a message naming the cell.
+// goroutine with a message naming the cell. An unknown app or a policy
+// that does not parse keeps the cell's seed in its key, and both
+// executions of the cell count as cell errors.
 func TestFailedCellSurfacesOnRead(t *testing.T) {
-	s := NewSuiteParallel(256, 2)
-	c := s.Xen("no-such-app", "round-4k", true)
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("reading a failed cell did not panic")
+	for _, tc := range []struct{ app, pol, bad string }{
+		{"no-such-app", "round-4k", "no-such-app"},
+		{"swaptions", "no-such-policy", "no-such-policy"},
+	} {
+		s := NewSuiteParallel(256, 2)
+		c := s.Xen(tc.app, tc.pol, true)
+		if want := "seed=1/xen/" + tc.app + "/" + tc.pol + "/plus=true"; c.key != want {
+			t.Errorf("%s: cell key %q, want %q", tc.bad, c.key, want)
 		}
-		if msg, ok := p.(string); !ok || !strings.Contains(msg, "no-such-app") {
-			t.Fatalf("panic %v does not name the cell", p)
+		func() {
+			defer func() {
+				p := recover()
+				if p == nil {
+					t.Fatalf("%s: reading a failed cell did not panic", tc.bad)
+				}
+				if msg, ok := p.(string); !ok || !strings.Contains(msg, tc.bad) {
+					t.Fatalf("panic %v does not name the cell", p)
+				}
+			}()
+			c.Result()
+		}()
+		if n := s.CellErrors(); n != 2 {
+			t.Errorf("%s: %d cell errors, want 2 (the execution and its retry)", tc.bad, n)
 		}
-	}()
-	c.Result()
+	}
 }
 
 func TestCacheShardingCoversKeys(t *testing.T) {

@@ -32,7 +32,10 @@ var fiCell = faultinject.Register("exp.cell")
 // suite's own seed's cells, the …Seeded variants any other seed's. A
 // seeded cell's random stream depends only on (seed, cell key) — never
 // on the suite's base seed — so its results are bit-for-bit identical
-// to those of a fresh suite whose Opt.Seed is that seed.
+// to those of a fresh suite whose Opt.Seed is that seed. Only a cell
+// that reads its seed carries it (see xennuma.ReadsSeed): every other
+// cell is keyed under seed 0, which no suite uses, and is computed once
+// for all seeds.
 type Suite struct {
 	// Opt is the base options; policy/baseline fields are overridden per
 	// run. Configure it before the first run: cells read it when they
@@ -115,7 +118,8 @@ func (s *Suite) baseSeed() uint64 {
 	return s.Opt.Seed
 }
 
-// cacheKey is the memoization key of one (seed, cell) pair.
+// cacheKey is the memoization key of one (seed, cell) pair; seed is 0
+// for a cell that reads none.
 func cacheKey(seed uint64, key string) string {
 	return fmt.Sprintf("seed=%d/%s", seed, key)
 }
@@ -132,7 +136,13 @@ func (s *Suite) cellOpts(seed uint64, key string) xennuma.Options {
 
 // cell names a cell: the first naming claims the key and submits the
 // computation to the scheduler, later namings return the same handle.
-func (s *Suite) cell(seed uint64, key string, fn cellFn) *Cell {
+// A cell whose runs do not read the seed (reads false) is keyed under
+// seed 0, so every seed names the same cell. Seed 0 normalizes to 1
+// everywhere, so no seeded key is ever seed 0.
+func (s *Suite) cell(seed uint64, reads bool, key string, fn cellFn) *Cell {
+	if !reads {
+		seed = 0
+	}
 	cl, created := s.cache.claim(cacheKey(seed, key))
 	if created {
 		s.sched.Submit(func() { s.compute(cl, seed, key, fn) })
@@ -162,6 +172,13 @@ func (s *Suite) compute(cl *Cell, seed uint64, key string, fn cellFn) {
 	close(cl.done)
 }
 
+// failed is the computation of a cell whose policy does not parse: it
+// fails with err. Such a cell is keyed under its seed, as a run whose
+// inputs are unknown may read one.
+func failed(err error) cellFn {
+	return func(xennuma.Options) ([]engine.Result, error) { return nil, err }
+}
+
 // execute runs fn once, turning an injected fault or a panic into the
 // cell's error.
 func execute(fn cellFn, o xennuma.Options) (res []engine.Result, err error) {
@@ -179,16 +196,18 @@ func execute(fn cellFn, o xennuma.Options) (res []engine.Result, err error) {
 // Linux names the native run of app under pol; mcs selects the
 // MCS-lock variant (LinuxNUMA baseline). pol must be spelled
 // strings.ToLower(cfg.String()) of its parsed config, as every driver
-// spells it: the key seeds the cell's random stream, so another
-// spelling of the same policy would be another cell.
+// spells it: the key names the cell, and seeds its random stream when
+// the run reads one, so another spelling of the same policy would be
+// another cell. A policy that does not parse names a seeded cell whose
+// execution fails with the parse error.
 func (s *Suite) Linux(app, pol string, mcs bool) *Cell {
 	key := fmt.Sprintf("linux/%s/%s/mcs=%v", app, pol, mcs)
-	return s.cell(s.baseSeed(), key, func(o xennuma.Options) ([]engine.Result, error) {
+	p, err := xennuma.ParsePolicy(pol)
+	if err != nil {
+		return s.cell(s.baseSeed(), true, key, failed(err))
+	}
+	return s.cell(s.baseSeed(), xennuma.ReadsSeed(app, p), key, func(o xennuma.Options) ([]engine.Result, error) {
 		o.MCS = mcs
-		p, err := xennuma.ParsePolicy(pol)
-		if err != nil {
-			return nil, err
-		}
 		r, err := xennuma.RunLinux(app, p, o)
 		if err != nil {
 			return nil, err
@@ -212,12 +231,12 @@ func (s *Suite) XenSeeded(app, pol string, xenplus bool, seed uint64) *Cell {
 		seed = 1
 	}
 	key := fmt.Sprintf("xen/%s/%s/plus=%v", app, pol, xenplus)
-	return s.cell(seed, key, func(o xennuma.Options) ([]engine.Result, error) {
+	p, err := xennuma.ParsePolicy(pol)
+	if err != nil {
+		return s.cell(seed, true, key, failed(err))
+	}
+	return s.cell(seed, xennuma.ReadsSeed(app, p), key, func(o xennuma.Options) ([]engine.Result, error) {
 		o.XenPlus = xenplus
-		p, err := xennuma.ParsePolicy(pol)
-		if err != nil {
-			return nil, err
-		}
 		r, err := xennuma.RunXen(app, p, o)
 		if err != nil {
 			return nil, err

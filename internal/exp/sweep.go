@@ -22,10 +22,11 @@ import (
 // scheduler and are bit-for-bit deterministic for a fixed seed at any
 // worker count.
 //
-// Because the suite's cache keys carry the seed, one suite serves every
-// (app, seed) combination: the …Apps sweeps name several applications'
-// cells — and SeedSweepApps every seed's — on the shared pool before
-// any table is read.
+// Because the suite's cache keys carry the seed of every cell that
+// reads one, one suite serves every (app, seed) combination: the …Apps
+// sweeps name several applications' cells — and SeedSweepApps every
+// seed's — on the shared pool before any table is read, and a cell that
+// reads no seed is computed once for all seeds.
 
 // sweepRow is one registered policy as the sweeps run it: the plain
 // suite-ready spelling plus whether a Carrefour-stacked cell exists.
@@ -147,8 +148,9 @@ func BindSweep(s *Suite, app string) *Table {
 // how often it won. Cache keys carry the seed, so every seed's cells
 // run on s's own scheduler and cache — all seeds × apps × policies are
 // named before any cell is read, and the first seed's cells are pure
-// hits when a PolicySweepApps ran before. One table per app, in input
-// order.
+// hits when a PolicySweepApps ran before. Only the cells that read
+// their seed (Carrefour on an app whose accesses burst) are computed
+// again for each further seed. One table per app, in input order.
 func SeedSweepApps(s *Suite, apps []string, seeds int) []*Table {
 	if seeds < 1 {
 		seeds = 1

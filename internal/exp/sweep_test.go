@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/workload"
 )
 
 // checkNoneInFlight fails unless every cell named on s so far has been
@@ -105,11 +106,38 @@ func TestSeedSweepWinsSumToSeeds(t *testing.T) {
 	}
 }
 
+// seededCells is how many of one app's sweep cells read their seed: its
+// Carrefour cells if the app's accesses burst (fluidanimate), none if
+// they do not (swaptions).
+func seededCells(t *testing.T, app string) int {
+	prof, err := workload.Get(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof.Burstiness == 0 {
+		return 0
+	}
+	n := 0
+	for _, p := range SweepPolicies() {
+		if strings.HasSuffix(p, "/carrefour") {
+			n++
+		}
+	}
+	return n
+}
+
+// sweepCells is how many cells a seeds-seed sweep of app computes: one
+// sweep's worth for the first seed, and only the cells that read their
+// seed for each further one.
+func sweepCells(t *testing.T, app string, seeds int) int64 {
+	return int64(len(SweepPolicies()) + seededCells(t, app)*(seeds-1))
+}
+
 // TestMultiAppSweepBatchesOnOnePool: the …Apps variants must produce
 // one table per app (identical to the single-app sweeps) from a single
 // naming wave on the shared suite.
 func TestMultiAppSweepBatchesOnOnePool(t *testing.T) {
-	apps := []string{"swaptions", "ep.D"}
+	apps := []string{"swaptions", "fluidanimate"}
 	s := NewSuiteParallel(256, 4)
 	s.Opt.Seed = 7
 	tabs := PolicySweepApps(s, apps)
@@ -129,10 +157,11 @@ func TestMultiAppSweepBatchesOnOnePool(t *testing.T) {
 		}
 	}
 	// Seed sweeps compose with the app batch on the same pool: only the
-	// additional seed's cells are new.
+	// additional seed's cells that read it are new — fluidanimate's
+	// Carrefour cells, none of swaptions'.
 	before := s.CellsComputed()
 	SeedSweepApps(s, apps, 2)
-	extra := int64(len(apps) * len(SweepPolicies()))
+	extra := int64(seededCells(t, "swaptions") + seededCells(t, "fluidanimate"))
 	if got := s.CellsComputed(); got != before+extra {
 		t.Fatalf("seed sweep over the app batch computed %d new cells, want %d (one extra seed)",
 			got-before, extra)
@@ -163,26 +192,27 @@ func flatResult(r engine.Result) [8]float64 {
 	}
 }
 
-// TestSeedSweepSharedScheduler: a seed sweep must compute all
-// seeds × policies cells on the caller's own suite — one scheduler, one
-// cache — rather than spinning up fresh per-seed suites, and the
-// scheduler runs one task per distinct cell however often it is
-// named.
+// TestSeedSweepSharedScheduler: a seed sweep must compute every seed's
+// cells on the caller's own suite — one scheduler, one cache — rather
+// than spinning up fresh per-seed suites, and the scheduler runs one
+// task per distinct cell however often it is named. A cell that reads
+// no seed is one cell for every seed.
 func TestSeedSweepSharedScheduler(t *testing.T) {
+	const app = "fluidanimate"
 	s := NewSuiteParallel(256, 4)
 	s.Opt.Seed = 7
 	const seeds = 2
-	SeedSweepApps(s, []string{"swaptions"}, seeds)
-	want := int64(seeds * len(SweepPolicies()))
+	SeedSweepApps(s, []string{app}, seeds)
+	want := sweepCells(t, app, seeds)
 	if got := s.CellsComputed(); got != want {
-		t.Fatalf("shared suite computed %d cells, want %d (seeds × policies)", got, want)
+		t.Fatalf("shared suite computed %d cells, want %d (one sweep plus the seeded cells of each further seed)", got, want)
 	}
 	if submitted, _ := s.SchedulerStats(); submitted != want {
 		t.Fatalf("scheduler ran %d tasks, want %d: per-seed cells not batched on the shared pool",
 			submitted, want)
 	}
 	// Re-reading any seed's cells is pure cache hits.
-	SeedSweepApps(s, []string{"swaptions"}, seeds)
+	SeedSweepApps(s, []string{app}, seeds)
 	if got := s.CellsComputed(); got != want {
 		t.Fatalf("second sweep recomputed %d cells", got-want)
 	}
@@ -194,7 +224,7 @@ func TestSeedSweepSharedScheduler(t *testing.T) {
 	for wave := 1; wave <= 2; wave++ {
 		for i := uint64(0); i < seeds; i++ {
 			for _, pol := range SweepPolicies() {
-				named = append(named, s2.XenSeeded("swaptions", pol, true, 7+i))
+				named = append(named, s2.XenSeeded(app, pol, true, 7+i))
 			}
 		}
 		if submitted, _ := s2.SchedulerStats(); submitted != want {
@@ -211,14 +241,15 @@ func TestSeedSweepSharedScheduler(t *testing.T) {
 
 // TestSeedSweepWrapsPastMaxSeed: the seed range of a sweep that starts
 // at the largest seed wraps past 0, which means 1 as everywhere else,
-// so every seed must still read its own cells: one sweep's worth per
-// seed, and a table that names each seed once.
+// so every seed must still read its own cells: each seed's seeded
+// cells, and a table that names each seed once.
 func TestSeedSweepWrapsPastMaxSeed(t *testing.T) {
+	const app = "fluidanimate"
 	for _, seeds := range []int{2, 3} {
 		s := NewSuiteParallel(256, 0)
 		s.Opt.Seed = math.MaxUint64
-		tab := SeedSweepApps(s, []string{"swaptions"}, seeds)[0]
-		if got, want := s.CellsComputed(), int64(seeds*len(SweepPolicies())); got != want {
+		tab := SeedSweepApps(s, []string{app}, seeds)[0]
+		if got, want := s.CellsComputed(), sweepCells(t, app, seeds); got != want {
 			t.Errorf("%d-seed sweep from the largest seed computed %d cells, want %d", seeds, got, want)
 		}
 		if note := tab.Notes[1]; strings.Count(note, "seed 1 →") != 1 || strings.Contains(note, "seed 0") {
@@ -231,9 +262,12 @@ func TestSeedSweepWrapsPastMaxSeed(t *testing.T) {
 // check: every (seed, policy) result a shared multi-seed suite serves
 // must be bit-identical to the same cell computed by a fresh suite
 // dedicated to that seed — across worker counts (the shared suite runs
-// wide, the fresh suites serially).
+// wide, the fresh suites serially). The app's accesses burst, so its
+// Carrefour cells read their seed, and at least one of them must
+// differ between the two seeds: a suite that served one seed's cell for
+// another would fail here.
 func TestSeedKeyedCellsMatchFreshSuites(t *testing.T) {
-	const app = "swaptions"
+	const app = "fluidanimate"
 	const seeds = 2
 	shared := NewSuiteParallel(256, 4)
 	shared.Opt.Seed = 7
@@ -251,6 +285,15 @@ func TestSeedKeyedCellsMatchFreshSuites(t *testing.T) {
 				t.Errorf("seed %d %s: shared suite %v != fresh suite %v", seed, pol, got, want)
 			}
 		}
+	}
+	differ := 0
+	for _, pol := range pols {
+		if flatResult(shared.XenSeeded(app, pol, true, 7).Result()) != flatResult(shared.XenSeeded(app, pol, true, 8).Result()) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Errorf("no %s cell differs between seeds 7 and 8; its Carrefour cells read their seed", app)
 	}
 }
 

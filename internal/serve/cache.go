@@ -19,13 +19,15 @@ import (
 // snapshotted to one JSON-lines file under Config.CacheDir — a header
 // carrying the format and model-version stamp, then one checksummed
 // cell per line. Cells are keyed by the cache's own "seed=N/<key>"
-// strings, so a restart restores exactly the entries a fresh
-// computation would have produced. A stamp mismatch — the engine's
-// observable behaviour changed, by policy regenerating the golden
-// fixture — rejects the whole file rather than replaying results the
-// current model would not compute; a corrupt tail (torn write, bit
-// rot) salvages the valid prefix: every line whose checksum verifies
-// is restored, the rest recomputes.
+// strings (N is 0 for a cell that reads no seed), so a restart
+// restores exactly the entries a fresh computation would have
+// produced. A stamp mismatch — the engine's observable behaviour
+// changed, by policy regenerating the golden fixture — rejects the
+// whole file rather than replaying results the current model would not
+// compute, and so does an older format, whose keys the suite may never
+// name again; a corrupt tail (torn write, bit rot) salvages the valid
+// prefix: every line whose checksum verifies is restored, the rest
+// recomputes.
 
 // Fault sites at the persistence boundary: injected errors stand in
 // for I/O failures on load and save.
@@ -37,9 +39,10 @@ var (
 // cacheFileName is the single cache file inside CacheDir.
 const cacheFileName = "cells.json"
 
-// cacheFormat versions the on-disk layout (2 = checksummed
-// JSON-lines; 1 was a single all-or-nothing JSON object).
-const cacheFormat = 2
+// cacheFormat versions the on-disk layout (3 = checksummed JSON-lines
+// keying a cell that reads no seed under seed 0; 2 keyed every cell
+// under its suite's seed; 1 was a single all-or-nothing JSON object).
+const cacheFormat = 3
 
 // maxCacheLineBytes bounds one cache line; a cell snapshot is a few
 // hundred bytes, so the bound only guards against reading garbage.
@@ -68,12 +71,12 @@ func cellSum(b []byte) string {
 
 // LoadCache restores the persisted cell cache, returning how many cells
 // were installed. A missing file or empty CacheDir is a clean cold
-// start (0, nil). A bad header or a model-version mismatch installs
-// nothing; a corruption further in salvages the valid prefix — the
-// cells restored before the first bad line stay installed (counted in
-// Health.CacheSalvaged) and the error describes what was lost. In
-// every error case the caller logs and serves (partially) cold; the
-// next SaveCache overwrites the damaged file.
+// start (0, nil). A bad header, an older format or a model-version
+// mismatch installs nothing; a corruption further in salvages the
+// valid prefix — the cells restored before the first bad line stay
+// installed (counted in Health.CacheSalvaged) and the error describes
+// what was lost. In every error case the caller logs and serves
+// (partially) cold; the next SaveCache overwrites the damaged file.
 func (s *Server) LoadCache() (int, error) {
 	s.cacheClean = false
 	if s.cfg.CacheDir == "" {
@@ -98,8 +101,11 @@ func (s *Server) LoadCache() (int, error) {
 		return 0, fmt.Errorf("corrupt cache %s: empty file (%v)", path, sc.Err())
 	}
 	var hdr cacheHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Format != cacheFormat {
+	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Format < 1 || hdr.Format > cacheFormat {
 		return 0, fmt.Errorf("corrupt cache %s: unrecognized header", path)
+	}
+	if hdr.Format != cacheFormat {
+		return 0, fmt.Errorf("stale cache %s: written by cache format %d; recomputing", path, hdr.Format)
 	}
 	if hdr.Model != s.cfg.ModelVersion {
 		return 0, fmt.Errorf("stale cache %s: model %q, engine is %q; recomputing",

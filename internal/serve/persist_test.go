@@ -86,6 +86,52 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOlderCacheFormatIsStale: a format-2 file keyed every cell under
+// its suite's seed, names this format gives only to cells that read
+// their seed, so it installs nothing and is reported stale, not
+// corrupt. The next save writes the current format, which reloads
+// every cell.
+func TestOlderCacheFormatIsStale(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, cacheFileName)
+	srvA, _ := persistServer(t, dir, "m")
+	srvA.HandleLine(context.Background(), []byte(sweepLine))
+	srvA.Drain()
+	if _, _, err := srvA.SaveCache(); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cellLines, _ := bytes.Cut(saved, []byte("\n"))
+	if err := os.WriteFile(path, append([]byte(`{"format":2,"model":"m"}`+"\n"), cellLines...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, suiteB := persistServer(t, dir, "m")
+	n, err := srvB.LoadCache()
+	if n != 0 || err == nil || !strings.Contains(err.Error(), "stale cache") ||
+		!strings.Contains(err.Error(), "written by cache format 2; recomputing") {
+		t.Fatalf("format-2 LoadCache = %d, %v; want 0 cells and a stale-format error", n, err)
+	}
+	srvB.HandleLine(context.Background(), []byte(sweepLine))
+	srvB.Drain()
+	cells := suiteB.CellsComputed()
+	if n, wrote, err := srvB.SaveCache(); err != nil || !wrote || n != int(cells) {
+		t.Fatalf("SaveCache after a stale load = %d, %v, %v; want %d cells, written", n, wrote, err, cells)
+	}
+
+	srvC, suiteC := persistServer(t, dir, "m")
+	if n, err := srvC.LoadCache(); err != nil || n != int(cells) {
+		t.Fatalf("LoadCache of the rewritten file = %d, %v; want %d cells", n, err, cells)
+	}
+	srvC.HandleLine(context.Background(), []byte(sweepLine))
+	if got := suiteC.CellsComputed(); got != 0 {
+		t.Fatalf("warm start from the rewritten file recomputed %d cells", got)
+	}
+}
+
 // TestUnchangedCacheNotRewritten: a session that loads the cache
 // cleanly and computes nothing leaves the file as it is, with no temp
 // file and no rename, while a session that computes a cell rewrites it.

@@ -120,6 +120,19 @@ func TestFailedFlightNotRetained(t *testing.T) {
 	if keys := srv.flightKeys(); len(keys) != 0 {
 		t.Fatalf("failed flight retained: %v", keys)
 	}
+	// Drain waits for flights, not for the cells a failed flight named:
+	// one may still be running its faulted execution, and a retry that
+	// names its key would join that failure. Disarm only once every
+	// submitted cell has finished.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		submitted, completed := suite.SchedulerStats()
+		if submitted == completed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cells still running 10s after the drain: %d submitted, %d completed", submitted, completed)
+		}
+	}
 	faultinject.Install(nil)
 	got := srv.HandleLine(context.Background(), []byte(sweepLine))
 	if !bytes.Equal(got, want) {

@@ -74,7 +74,8 @@ type Options struct {
 	// (a power of two in [1, 512]; default 64). Scale 1 is the
 	// full-size machine.
 	Scale int
-	// Seed makes runs reproducible (default 1).
+	// Seed makes runs reproducible (default 1). Only a run for which
+	// ReadsSeed holds reads it.
 	Seed uint64
 	// Threads overrides the thread/vCPU count (default: all 48 CPUs).
 	Threads int
@@ -148,6 +149,19 @@ func (o Options) normalized() (Options, error) {
 		return o, fmt.Errorf("xennuma: %w", err)
 	}
 	return o, nil
+}
+
+// ReadsSeed reports whether a run of app under pol reads Options.Seed:
+// only Carrefour draws randomness, and only for an application whose
+// accesses burst (§3.5.2), so every other run computes the same result
+// at every seed. A pair run reads its seed if either VM's run does. An
+// unknown app reports true.
+func ReadsSeed(app string, pol Policy) bool {
+	prof, err := workload.Get(app)
+	if err != nil {
+		return true
+	}
+	return engine.ReadsSeed(prof, pol.Carrefour)
 }
 
 // RunXen runs one application alone in one virtual machine spanning the

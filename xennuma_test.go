@@ -140,16 +140,27 @@ func TestRunXenDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunXenSeedChangesCarrefourRuns: Carrefour on an application
+// whose accesses burst reads its seed (§3.5.2), and the seed changes
+// the run. TestSeedFreeRunsIgnoreSeed holds the other half: a run for
+// which ReadsSeed is false ignores its seed.
 func TestRunXenSeedChangesCarrefourRuns(t *testing.T) {
+	pol := MustPolicy("first-touch/carrefour")
+	if !ReadsSeed("fluidanimate", pol) {
+		t.Fatal("ReadsSeed(fluidanimate, first-touch/carrefour) = false, want true")
+	}
 	o1, o2 := fastOpts(), fastOpts()
 	o1.Seed, o2.Seed = 1, 2
-	// Burst-driven Carrefour behaviour depends on the seed; completions
-	// may or may not differ, but both runs must succeed.
-	if _, err := RunXen("fluidanimate", MustPolicy("first-touch/carrefour"), o1); err != nil {
+	a, err := RunXen("fluidanimate", pol, o1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunXen("fluidanimate", MustPolicy("first-touch/carrefour"), o2); err != nil {
+	b, err := RunXen("fluidanimate", pol, o2)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if a.Completion == b.Completion {
+		t.Fatalf("completion %v at seeds 1 and 2; the bursts Carrefour sees should differ", a.Completion)
 	}
 }
 
