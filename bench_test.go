@@ -198,32 +198,6 @@ func BenchmarkSingleVMRun(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionLargePages quantifies the paper's §7 extension: how
-// much would 2 MiB mappings gain once address translation is modeled?
-// Reported per application class: a big-footprint NPB code and a small
-// Parsec one.
-func BenchmarkExtensionLargePages(b *testing.B) {
-	for _, app := range []string{"mg.D", "bodytrack"} {
-		b.Run(app, func(b *testing.B) {
-			var gain float64
-			for i := 0; i < b.N; i++ {
-				base := xennuma.Options{Scale: 64, XenPlus: true, TLB: true}
-				small, err := xennuma.RunXen(app, xennuma.MustPolicy("round-4k"), base)
-				if err != nil {
-					b.Fatal(err)
-				}
-				base.LargePages = true
-				large, err := xennuma.RunXen(app, xennuma.MustPolicy("round-4k"), base)
-				if err != nil {
-					b.Fatal(err)
-				}
-				gain = float64(small.Completion)/float64(large.Completion) - 1
-			}
-			b.ReportMetric(100*gain, "improvement-%")
-		})
-	}
-}
-
 // BenchmarkExtensionReplication measures the replication heuristic the
 // paper discarded (§3.4): the /carrefour:replication variant against
 // the paper's Carrefour. In this model, replicating a heavily contended

@@ -50,20 +50,20 @@ func toGolden(r Result) goldenResult {
 // committed fixture: a multi-instance Xen pair and a native run, all
 // with Carrefour on and migrating (facesim is master-heavy, so both
 // heuristics fire), misleading bursts firing (psearchy and dc.B have
-// Burstiness > 0), disk I/O demand, and the TLB model enabled — every
-// stream the epoch loop emits. Any change to the epoch loop that is
+// Burstiness > 0) and disk I/O demand — every stream the epoch loop
+// emits. Any change to the epoch loop that is
 // meant to be a pure refactor must leave this fixture untouched; an
 // intentional behaviour change must regenerate it with
 // `go test -run TestGoldenEngineResults -update .` and justify the diff.
 func TestGoldenEngineResults(t *testing.T) {
-	o := Options{Scale: 64, Seed: 7, XenPlus: true, TLB: true, LargePages: true}
+	o := Options{Scale: 64, Seed: 7, XenPlus: true}
 	a, b, err := RunXenPair("facesim", MustPolicy("first-touch/carrefour"),
 		"psearchy", MustPolicy("round-4k/carrefour"), Consolidated, false, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	native, err := RunLinux("dc.B", MustPolicy("first-touch/carrefour"),
-		Options{Scale: 64, Seed: 7, TLB: true})
+		Options{Scale: 64, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +103,12 @@ func TestGoldenEngineResults(t *testing.T) {
 // table into per-thread node rows, then charging one summed row per
 // identical-row thread group ((Σ units)·share instead of
 // Σ(units·share)). Each moved sums at the last bit only. The fixture as
-// it stood before the first of them, the row fold, is frozen as the
-// origin, golden_engine_origin.json, and the live fixture must stay
-// within a 1e-6 relative drift of it. The next reordering re-bounds
-// against the same origin instead of freezing another snapshot.
+// the code before the first of them, the row fold, computes it is
+// frozen as the origin, golden_engine_origin.json, and the live fixture
+// must stay within a 1e-6 relative drift of it. A model change that
+// alters the scenario recomputes the origin on that old code (the TLB
+// model's removal did so), and the next reordering re-bounds against
+// the same origin instead of freezing another snapshot.
 func TestGoldenDriftVsPreRowFold(t *testing.T) {
 	load := func(name string) []goldenResult {
 		data, err := os.ReadFile(filepath.Join("testdata", name))

@@ -2,40 +2,6 @@ package xennuma
 
 import "testing"
 
-// TestTLBExtensionEndToEnd: enabling the translation model slows a
-// big-working-set application down, and large pages win most of it back
-// (the paper's §7 projection).
-func TestTLBExtensionEndToEnd(t *testing.T) {
-	base := Options{Scale: 64, XenPlus: true}
-	off, err := RunXen("mg.D", MustPolicy("first-touch"), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withTLB := base
-	withTLB.TLB = true
-	small, err := RunXen("mg.D", MustPolicy("first-touch"), withTLB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Completion <= off.Completion {
-		t.Fatalf("TLB model free: %v vs %v", small.Completion, off.Completion)
-	}
-	withTLB.LargePages = true
-	large, err := RunXen("mg.D", MustPolicy("first-touch"), withTLB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if large.Completion >= small.Completion {
-		t.Fatalf("large pages did not help: %v vs %v", large.Completion, small.Completion)
-	}
-	// A small-footprint application is unaffected by any of it.
-	s1, _ := RunXen("swaptions", MustPolicy("round-4k"), base)
-	s2, _ := RunXen("swaptions", MustPolicy("round-4k"), withTLB)
-	if s1.Completion != s2.Completion {
-		t.Fatalf("TLB model affected an in-reach working set: %v vs %v", s1.Completion, s2.Completion)
-	}
-}
-
 // TestReplicationExtensionEndToEnd: the replication variant, the
 // heuristic the paper's port leaves out, helps a read-mostly hot-page
 // application over the paper's Carrefour.

@@ -122,8 +122,8 @@ func (r *Runner) fillCyclesReference(out []float64) {
 
 // TestFillCyclesMatchesReference pins fillCycles' cost matrix bit for
 // bit against the per-pair reference at every fixed-point iteration of
-// a run with Carrefour migrations, misleading bursts, disk DMA and the
-// TLB model live. TestAccessCostModelMatchesAccessCycles (numa) pins the
+// a run with Carrefour migrations, misleading bursts and disk DMA
+// live. TestAccessCostModelMatchesAccessCycles (numa) pins the
 // pair arithmetic; this pins the link snapshot — FillLinkUtil plus the
 // max over RouteLinks — that feeds it. The test steps the full kernel
 // by hand, in epoch's order, so it can check between iterations, and
@@ -131,8 +131,6 @@ func (r *Runner) fillCyclesReference(out []float64) {
 func TestFillCyclesMatchesReference(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
 	cfg := testConfig(topo)
-	tlb := numa.DefaultTLB()
-	cfg.TLB = &tlb
 	prof, err := workload.Get("dc.B") // disk-bound, master-heavy
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +145,8 @@ func TestFillCyclesMatchesReference(t *testing.T) {
 	if err := r.setup(cfg, in); err != nil {
 		t.Fatal(err)
 	}
-	if in.ioPerTarget <= 0 || in.tlbCycles <= 0 {
-		t.Fatalf("disk DMA %v or TLB walk %v not live", in.ioPerTarget, in.tlbCycles)
+	if in.ioPerTarget <= 0 {
+		t.Fatalf("disk DMA %v not live", in.ioPerTarget)
 	}
 	want := make([]float64, len(r.cycles))
 	const iters = 4

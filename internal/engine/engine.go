@@ -320,9 +320,6 @@ type Instance struct {
 	// MCS enables the spin-lock mitigation for pthread-blocking apps
 	// (Xen+ and LinuxNUMA apply it to facesim and streamcluster).
 	MCS bool
-	// LargePages maps the instance's memory with 2 MiB pages when the
-	// run's TLB model is enabled (§7 extension).
-	LargePages bool
 
 	Threads []*Thread
 	// hot is the tiny set of hottest pages; its accesses concentrate on
@@ -345,19 +342,16 @@ type Instance struct {
 	pageBuf []mem.PFN
 	nodeBuf []numa.NodeID
 
-	workPerThread  float64
-	footprintBytes float64
-	ioStream       iosim.Stream
+	workPerThread float64
+	ioStream      iosim.Stream
 
 	// Per-instance run constants, hoisted out of the fixed-point
 	// iterations by setup: the profile's compute cost per work unit,
 	// the CPU-overhead fraction (IPIs, churn, sampling — all inputs are
-	// run-constant), the per-access TLB walk penalty (zero when the run
-	// has no TLB model), and the I/O stream's per-epoch DMA emission
+	// run-constant), and the I/O stream's per-epoch DMA emission
 	// (iosim.Stream.Delivered is pure, so its outputs never change).
 	cpuNsPerUnit float64
 	overhead     float64
-	tlbCycles    float64
 	ioProgress   float64
 	ioPerTarget  float64
 	ioTargets    []numa.NodeID

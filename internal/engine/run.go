@@ -43,10 +43,6 @@ type Config struct {
 	// Scale divides application footprints (the machine must be built
 	// with banks divided by the same factor).
 	Scale int
-	// TLB, when non-nil, charges address-translation overhead per
-	// access (the paper's §7 large-page extension). Nil preserves the
-	// paper's baseline, which does not model TLBs.
-	TLB *numa.TLBModel
 }
 
 // DefaultConfig returns the standard configuration for a machine scaled
@@ -245,10 +241,6 @@ func zeroed[T any](s []T, n int) []T {
 func (r *Runner) hoistRunConstants(in *Instance, epochSec float64) {
 	in.cpuNsPerUnit = in.Prof.CPUNsPerUnit()
 	in.overhead = r.overheadFrac(in)
-	if r.cfg.TLB != nil {
-		ws := in.footprintBytes * in.Prof.WorkingSet / float64(in.NThreads)
-		in.tlbCycles = r.cfg.TLB.WalkPenaltyCycles(ws, in.LargePages, in.Backend.Virtualized())
-	}
 	if in.ioStream.DemandBps > 0 {
 		path, _ := in.Backend.IO()
 		delivered, progress := in.ioStream.Delivered(path, Disk)
@@ -298,13 +290,11 @@ func (r *Runner) buildInstance(in *Instance) error {
 	in.burstLeft, in.burstNode, in.burstRegion = 0, 0, nil
 	in.done, in.Completion = false, 0
 	in.foldSum, in.foldLive, in.foldValid = 0, 0, false
-	in.tlbCycles = 0
 	in.ioProgress, in.ioPerTarget, in.ioTargets = 0, 0, nil
 	pages := int(in.Prof.FootprintMB * (1 << 20) / float64(r.cfg.Scale) / 4096)
 	if pages < 512 {
 		pages = 512
 	}
-	in.footprintBytes = float64(pages) * 4096
 	hotPages := pages / 5000
 	if hotPages < 8 {
 		hotPages = 8
@@ -704,7 +694,7 @@ func (r *Runner) updateLatencies() {
 					cyc += share * costs[n]
 				}
 			}
-			gc[g] = cyc + in.tlbCycles
+			gc[g] = cyc
 		}
 		for _, t := range in.Threads {
 			if t.Done {

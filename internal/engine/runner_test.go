@@ -27,7 +27,6 @@ type reuseRun struct {
 	name    string
 	topo    *numa.Topology
 	scale   int
-	tlb     bool
 	maxTime sim.Time // zero: 30 s
 	insts   []reuseInst
 }
@@ -37,10 +36,6 @@ func (s reuseRun) config() Config {
 	cfg.MaxTime = 30 * sim.Second
 	if s.maxTime > 0 {
 		cfg.MaxTime = s.maxTime
-	}
-	if s.tlb {
-		tlb := numa.DefaultTLB()
-		cfg.TLB = &tlb
 	}
 	return cfg
 }
@@ -70,8 +65,8 @@ func (s reuseRun) build(t *testing.T) []*Instance {
 // TestRunnerReuseMatchesFresh pins the Runner half of the warm-pool
 // protocol: one Runner, run through a sequence of differently shaped
 // runs — Carrefour off and on in every Mode, 48 and 24 threads, one and
-// two instances, the TLB model on and off, two topology scales and a
-// machine with another node count — must return for each exactly what
+// two instances, two topology scales and a machine with another node
+// count — must return for each exactly what
 // a zero Runner returns, statistics included. Reruns of the last shape
 // on the warm Runner, with its instances recycled, must allocate little
 // more than the results they return.
@@ -85,19 +80,19 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		return reuseInst{app: "streamcluster", threads: threads, carrefour: true, mode: mode, spread: true}
 	}
 	runs := []reuseRun{
-		{"carrefour off", amd64, 64, false, 0, []reuseInst{facesim(48, false, carrefour.ModeFull)}},
-		{"full, TLB", amd64, 64, true, 0, []reuseInst{facesim(48, true, carrefour.ModeFull)}},
+		{"carrefour off", amd64, 64, 0, []reuseInst{facesim(48, false, carrefour.ModeFull)}},
+		{"full", amd64, 64, 0, []reuseInst{facesim(48, true, carrefour.ModeFull)}},
 		// Cut mid-run in a converged span, so the next run starts from
 		// a runner whose fast path was live.
-		{"timed out", amd64, 64, false, 150 * sim.Millisecond, []reuseInst{{app: "cg.C", threads: 48}}},
-		{"migration-only, 24 threads", amd64, 64, false, 0, []reuseInst{stream(24, carrefour.ModeMigrationOnly)}},
-		{"two instances", amd64, 64, false, 0, []reuseInst{
+		{"timed out", amd64, 64, 150 * sim.Millisecond, []reuseInst{{app: "cg.C", threads: 48}}},
+		{"migration-only, 24 threads", amd64, 64, 0, []reuseInst{stream(24, carrefour.ModeMigrationOnly)}},
+		{"two instances", amd64, 64, 0, []reuseInst{
 			stream(24, carrefour.ModeReplicationOnly),
 			facesim(24, true, carrefour.ModeFull),
 		}},
-		{"scale 32, TLB", amd32, 32, true, 0, []reuseInst{facesim(48, true, carrefour.ModeFull)}},
-		{"four nodes", small, 64, false, 0, []reuseInst{facesim(24, true, carrefour.ModeFull)}},
-		{"back to AMD48 at 48 threads", amd64, 64, false, 0, []reuseInst{
+		{"scale 32", amd32, 32, 0, []reuseInst{facesim(48, true, carrefour.ModeFull)}},
+		{"four nodes", small, 64, 0, []reuseInst{facesim(24, true, carrefour.ModeFull)}},
+		{"back to AMD48 at 48 threads", amd64, 64, 0, []reuseInst{
 			facesim(48, true, carrefour.ModeFull),
 			stream(48, carrefour.ModeReplicationOnly),
 		}},

@@ -193,7 +193,6 @@ func (m *machine) instance(slot int, prof workload.Profile, b engine.Backend, po
 	in.Carrefour = pol.Carrefour
 	in.CarrefourMode = carrefourMode(pol)
 	in.MCS = mcs && prof.UsesPthreadSync
-	in.LargePages = o.LargePages
 	return in
 }
 

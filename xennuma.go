@@ -90,11 +90,6 @@ type Options struct {
 	MCS bool
 	// MaxTime bounds a run in virtual time (default 300 s).
 	MaxTime sim.Time
-	// TLB enables the address-translation cost model of the paper's §7
-	// large-page extension; LargePages then maps the workload with
-	// 2 MiB pages. Both default off (the paper's baseline).
-	TLB        bool
-	LargePages bool
 	// Pool, when non-nil, lends warm machines to Xen and native runs:
 	// the run leases a pre-built machine of its platform, resets it and
 	// rebuilds only the seed/app/policy-dependent state, returning it on
@@ -198,10 +193,6 @@ func engineConfig(topo *numa.Topology, o Options) engine.Config {
 	cfg := engine.DefaultConfig(topo, o.Scale)
 	cfg.Seed = o.Seed
 	cfg.MaxTime = o.MaxTime
-	if o.TLB {
-		tlb := numa.DefaultTLB()
-		cfg.TLB = &tlb
-	}
 	return cfg
 }
 
