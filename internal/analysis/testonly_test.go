@@ -39,11 +39,18 @@ var testOnlyAllowed = map[string]string{
 // but stay, each with the reason, which names the tests that read the
 // field. An entry that production code starts to read, that no longer
 // exists, whose reason names no test, or whose named test does not read
-// it, fails the test.
+// it, in its body or in a test-file function it calls, fails the test.
 var testOnlyFields = map[string]string{
 	"repro/internal/analysis.Package.Dir":          "TestNoTestOnlyCode finds each package's test files by it",
 	"repro/internal/engine.Runner.convergedEpochs": "TestConvergedFastPathMatchesFullKernel and TestEpochAllocFree count the epochs the fast path served",
 	"repro/internal/mem.FreeBlock.Order":           "part of the free-list snapshot TestFreeBlocksDeterministic compares across identical runs",
+}
+
+// testOnlyWrites lists the struct fields that no production code
+// writes but stay, each with the reason, which names the tests that
+// write the field. Its entries are checked as testOnlyFields' are.
+var testOnlyWrites = map[string]string{
+	"repro/internal/engine.Runner.noConverge": "the full-kernel reference TestConvergedFastPathMatchesFullKernel and TestEpochAllocFree hold the converged fast path to",
 }
 
 // stdCalled names the methods the standard library calls on the
@@ -53,9 +60,11 @@ var stdCalled = map[string]bool{"Error": true, "String": true, "Import": true}
 
 // TestNoTestOnlyCode fails on any function or method, in a non-test
 // file of the module, that no production code reaches, and on any
-// struct field that no production code reads: code that only tests call
-// is still code every reader must understand, and a field only tests
-// read is state every writer updates and every warm lease resets.
+// struct field that no production code reads or that no production
+// code writes: code that only tests call is still code every reader
+// must understand, a field only tests read is state every writer
+// updates and every warm lease resets, and a field only tests write is
+// a switch every production run leaves at its zero value.
 //
 // The roots are the main functions of cmd/* and examples/*, every
 // function the bench module references, init functions and
@@ -358,6 +367,78 @@ func (tf testFile) reads(n ast.Node, name string) bool {
 	return found
 }
 
+// writes reports whether the syntax under n, in tf, writes a field
+// named name: a selector of that name that is the target of an
+// assignment, ++ or --, or whose address is taken, or a composite-literal
+// key of that name. Test files are not type-checked, so any field of
+// that name matches.
+func (tf testFile) writes(n ast.Node, name string) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		targets := map[*ast.SelectorExpr]bool{}
+		markTargets(n, targets)
+		switch n := n.(type) {
+		case *ast.UnaryExpr:
+			if se, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+				targets[se] = true
+			}
+		case *ast.KeyValueExpr:
+			id, ok := n.Key.(*ast.Ident)
+			found = found || ok && id.Name == name
+		}
+		for se := range targets {
+			found = found || se.Sel.Name == name
+		}
+		return !found
+	})
+	return found
+}
+
+// testFunc is a function declared in a test file.
+type testFunc struct {
+	tf   testFile
+	decl *ast.FuncDecl
+}
+
+// testCallees returns the functions named name that test files declare
+// and, transitively, the functions of their test files' packages that
+// they call: a test and the helpers it uses.
+func testCallees(tests []testFile, name string) []testFunc {
+	var out, queue []testFunc
+	enqueue := func(dir, pkg, name string) {
+		for _, tf := range tests {
+			if dir != "" && (tf.dir != dir || tf.file.Name.Name != pkg) {
+				continue
+			}
+			for _, d := range tf.file.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == name {
+					queue = append(queue, testFunc{tf, fn})
+				}
+			}
+		}
+	}
+	enqueue("", "", name)
+	seen := map[*ast.FuncDecl]bool{}
+	for len(queue) > 0 {
+		fn := queue[0]
+		queue = queue[1:]
+		if seen[fn.decl] {
+			continue
+		}
+		seen[fn.decl] = true
+		out = append(out, fn)
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if id, ok := call.Fun.(*ast.Ident); ok {
+					enqueue(fn.tf.dir, fn.tf.file.Name.Name, id.Name)
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
 // scoped is a syntax tree and the type information that covers it.
 type scoped struct {
 	info *types.Info
@@ -365,15 +446,26 @@ type scoped struct {
 }
 
 // checkFields fails on any field of a named struct type declared in
-// pkgs that no syntax in prod reads, and on any stale testOnlyFields
-// entry. A read is a selector that is not the target of an assignment,
-// ++ or --, and a selector through an embedded field reads that field.
-// A JSON-tagged field counts as read by encoding/json, and every field
+// pkgs that no syntax in prod reads or that no syntax in prod writes,
+// and on any stale testOnlyFields or testOnlyWrites entry.
+//
+// A read is a selector that is not the target of an assignment, ++ or
+// --, and a selector through an embedded field reads that field. A
+// JSON-tagged field counts as read by encoding/json, and every field
 // of a struct that is a map key or an operand of == or != counts as
-// read by the comparison.
+// read by the comparison. JSON-tagged fields are not checked for reads.
+//
+// A write is the target of an assignment, ++ or --, a composite-literal
+// key (a positional literal writes every field), a taken address, a
+// pointer-method call on the field, clear or copy on the field, or
+// encoding/json decoding into the field's struct. Writing an element
+// of a field, or a field of a struct-valued field, writes the field.
 func checkFields(t *testing.T, pkgs []*Package, prod []scoped, tests []testFile) {
 	t.Helper()
 	declared := map[string]token.Position{}
+	// Every field is checked for writes; the fields encoding/json does
+	// not read are checked for reads.
+	checkRead, checkWrite := map[string]bool{}, map[string]bool{}
 	for _, pkg := range pkgs {
 		for _, obj := range pkg.Info.Defs {
 			tn, ok := obj.(*types.TypeName)
@@ -390,97 +482,96 @@ func checkFields(t *testing.T, pkgs []*Package, prod []scoped, tests []testFile)
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
-				if tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); f.Name() != "_" && (!ok || tag == "-") {
-					declared[fieldKey(named, f)] = pkg.Fset.Position(f.Pos())
+				if f.Name() == "_" {
+					continue
+				}
+				key := fieldKey(named, f)
+				declared[key] = pkg.Fset.Position(f.Pos())
+				checkWrite[key] = true
+				if tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); !ok || tag == "-" {
+					checkRead[key] = true
 				}
 			}
 		}
 	}
 
-	read := map[string]bool{}
-	var readAll func(types.Type)
-	readAll = func(t types.Type) {
-		switch u := t.Underlying().(type) {
-		case *types.Struct:
-			named, _ := types.Unalias(t).(*types.Named)
-			for i := 0; i < u.NumFields(); i++ {
-				if named != nil {
-					read[fieldKey(named, u.Field(i))] = true
-				}
-				readAll(u.Field(i).Type())
-			}
-		case *types.Array:
-			readAll(u.Elem())
-		}
-	}
+	read, written := map[string]bool{}, map[string]bool{}
 	for _, s := range prod {
-		written := map[*ast.SelectorExpr]bool{}
+		targets := map[*ast.SelectorExpr]bool{}
 		ast.Inspect(s.n, func(n ast.Node) bool {
-			markTargets(n, written)
+			markTargets(n, targets)
+			markWrites(s.info, n, written)
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				if sel, ok := s.info.Selections[n]; ok {
-					markRead(read, sel, written[n])
+					markFields(read, sel, !targets[n])
 				}
 			case *ast.BinaryExpr:
 				if n.Op == token.EQL || n.Op == token.NEQ {
-					readAll(s.info.TypeOf(n.X))
-					readAll(s.info.TypeOf(n.Y))
+					eachField(s.info.TypeOf(n.X), read)
+					eachField(s.info.TypeOf(n.Y), read)
 				}
 			case *ast.MapType:
-				readAll(s.info.TypeOf(n.Key))
+				eachField(s.info.TypeOf(n.Key), read)
 			}
 			return true
 		})
 	}
 
-	allowed := make([]string, 0, len(testOnlyFields))
-	for key := range testOnlyFields {
-		allowed = append(allowed, key)
-	}
-	sort.Strings(allowed)
-	for _, key := range allowed {
-		if _, ok := declared[key]; !ok || read[key] {
-			t.Errorf("field allowlist entry %s is stale: production code reads it, or it is gone", key)
-			continue
-		}
-		delete(declared, key)
-		name := key[strings.LastIndex(key, ".")+1:]
-		named := testName.FindAllString(testOnlyFields[key], -1)
-		if len(named) == 0 {
-			t.Errorf("field allowlist entry %s: its reason names no test that reads it", key)
-		}
-		for _, test := range named {
-			found, reads := false, false
-			for _, tf := range tests {
-				for _, fd := range tf.file.Decls {
-					if fn, ok := fd.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == test {
-						found = true
-						reads = reads || tf.reads(fn.Body, name)
-					}
-				}
-			}
-			if !found {
-				t.Errorf("field allowlist entry %s: its reason names %s, which no test file declares", key, test)
-			} else if !reads {
-				t.Errorf("field allowlist entry %s: its reason names %s, whose body does not read it", key, test)
-			}
-		}
-	}
-
-	var unread []string
-	for key := range declared {
-		if !read[key] {
-			unread = append(unread, key)
-		}
-	}
-	sort.Strings(unread)
+	unread := allowFields(t, "read", testOnlyFields, checkRead, read, tests, testFile.reads)
+	unwritten := allowFields(t, "write", testOnlyWrites, checkWrite, written, tests, testFile.writes)
 	for _, key := range unread {
 		t.Errorf("field %s (%s) is read only by tests, or by nothing: delete it, or allowlist it with the tests that read it", key, declared[key])
 	}
-	if len(read) < 300 {
-		t.Errorf("only %d fields read on production paths; the scan looks broken", len(read))
+	for _, key := range unwritten {
+		t.Errorf("field %s (%s) is written only by tests, or by nothing: delete it, or allowlist it with the tests that write it", key, declared[key])
 	}
+	if len(read) < 300 || len(written) < 300 {
+		t.Errorf("only %d fields read and %d written on production paths; the scan looks broken", len(read), len(written))
+	}
+}
+
+// allowFields checks the allowlist of the fields in checked that prod
+// does not use (read or write, per kind) and returns, sorted, the
+// fields of checked that prod does not use and the list does not
+// allow. An entry is stale when prod uses its field or the field is
+// gone; its reason must name tests, and each named test must use the
+// field, in its body or in a test-file function it calls.
+func allowFields(t *testing.T, kind string, list map[string]string, checked, used map[string]bool, tests []testFile, uses func(testFile, ast.Node, string) bool) []string {
+	t.Helper()
+	allowed := map[string]bool{}
+	for key, reason := range list {
+		allowed[key] = true
+		if !checked[key] || used[key] {
+			t.Errorf("field %s allowlist entry %s is stale: production code does it, or the field is gone", kind, key)
+			continue
+		}
+		name := key[strings.LastIndex(key, ".")+1:]
+		named := testName.FindAllString(reason, -1)
+		if len(named) == 0 {
+			t.Errorf("field %s allowlist entry %s: its reason names no test", kind, key)
+		}
+		for _, test := range named {
+			found, does := false, false
+			for _, fn := range testCallees(tests, test) {
+				found = true
+				does = does || uses(fn.tf, fn.decl.Body, name)
+			}
+			if !found {
+				t.Errorf("field %s allowlist entry %s: its reason names %s, which no test file declares", kind, key, test)
+			} else if !does {
+				t.Errorf("field %s allowlist entry %s: its reason names %s, which does not %s it", kind, key, test, kind)
+			}
+		}
+	}
+	var out []string
+	for key := range checked {
+		if !used[key] && !allowed[key] {
+			out = append(out, key)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // markTargets adds to written the selectors that n, when it is an
@@ -500,14 +591,14 @@ func markTargets(n ast.Node, written map[*ast.SelectorExpr]bool) {
 	}
 }
 
-// markRead marks read the fields sel goes through: each embedded field
-// on its path and, for a field selection that is not assigned to, the
-// field itself. Fields of unnamed structs have no key and are skipped.
-func markRead(read map[string]bool, sel *types.Selection, assigned bool) {
+// markFields adds to set the fields sel goes through: each embedded
+// field on its path and, when last is set and sel selects a field, that
+// field. Fields of unnamed structs have no key and are skipped.
+func markFields(set map[string]bool, sel *types.Selection, last bool) {
 	t := sel.Recv()
 	for i, idx := range sel.Index() {
-		last := i == len(sel.Index())-1
-		if last && sel.Kind() != types.FieldVal {
+		final := i == len(sel.Index())-1
+		if final && sel.Kind() != types.FieldVal {
 			return // the method a method selection ends in
 		}
 		if p, ok := t.Underlying().(*types.Pointer); ok {
@@ -518,10 +609,155 @@ func markRead(read map[string]bool, sel *types.Selection, assigned bool) {
 			return
 		}
 		f := st.Field(idx)
-		if named, ok := types.Unalias(t).(*types.Named); ok && !(last && assigned) {
-			read[fieldKey(named, f)] = true
+		if named, ok := types.Unalias(t).(*types.Named); ok && (last || !final) {
+			set[fieldKey(named, f)] = true
 		}
 		t = f.Type()
+	}
+}
+
+// markWrites adds to written the fields n writes (see checkFields).
+func markWrites(info *types.Info, n ast.Node, written map[string]bool) {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for _, e := range n.Lhs {
+			markWritten(info, e, written)
+		}
+	case *ast.IncDecStmt:
+		markWritten(info, n.X, written)
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			markWritten(info, n.X, written)
+		}
+	case *ast.CompositeLit:
+		t := info.TypeOf(n)
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		named, ok := types.Unalias(t).(*types.Named)
+		st, isStruct := t.Underlying().(*types.Struct)
+		if !ok || !isStruct {
+			return
+		}
+		for i, e := range n.Elts {
+			f := st.Field(i)
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				id, _ := kv.Key.(*ast.Ident)
+				if f, ok = info.Uses[id].(*types.Var); !ok {
+					continue
+				}
+			}
+			written[fieldKey(named, f)] = true
+		}
+	case *ast.SelectorExpr:
+		// A pointer method called on an addressable value takes its
+		// address: the receiver field, and the embedded fields the
+		// method is promoted through, are written.
+		sel, ok := info.Selections[n]
+		if !ok || sel.Kind() != types.MethodVal {
+			return
+		}
+		if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); !ptr {
+			return
+		}
+		markFields(written, sel, false)
+		if _, ptr := sel.Recv().Underlying().(*types.Pointer); !ptr {
+			markWritten(info, n.X, written)
+		}
+	case *ast.CallExpr:
+		var id *ast.Ident
+		switch fun := ast.Unparen(n.Fun).(type) {
+		case *ast.Ident:
+			id = fun
+		case *ast.SelectorExpr:
+			id = fun.Sel
+		}
+		switch obj := info.Uses[id].(type) {
+		case *types.Builtin:
+			if obj.Name() == "clear" || obj.Name() == "copy" {
+				markWritten(info, n.Args[0], written)
+			}
+		case *types.Func:
+			switch obj.FullName() {
+			case "encoding/json.Unmarshal":
+				jsonWrites(info.TypeOf(n.Args[1]), written, map[types.Type]bool{})
+			case "(*encoding/json.Decoder).Decode":
+				jsonWrites(info.TypeOf(n.Args[0]), written, map[types.Type]bool{})
+			}
+		}
+	}
+}
+
+// markWritten adds to written the field e denotes, when e is a field
+// selector. Writing an element of a field, or a field of a field held
+// by value, writes that field too.
+func markWritten(info *types.Info, e ast.Expr, written map[string]bool) {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			sel, ok := info.Selections[x]
+			if !ok || sel.Kind() != types.FieldVal {
+				return
+			}
+			markFields(written, sel, true)
+			if _, ptr := sel.Recv().Underlying().(*types.Pointer); ptr {
+				return
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// eachField adds to set every field of t's struct type and of the
+// structs and arrays it holds by value.
+func eachField(t types.Type, set map[string]bool) {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		named, _ := types.Unalias(t).(*types.Named)
+		for i := 0; i < u.NumFields(); i++ {
+			if named != nil {
+				set[fieldKey(named, u.Field(i))] = true
+			}
+			eachField(u.Field(i).Type(), set)
+		}
+	case *types.Array:
+		eachField(u.Elem(), set)
+	}
+}
+
+// jsonWrites adds to set every field encoding/json fills when it
+// decodes into a value of type t: the exported fields not tagged "-",
+// through pointers, slices, arrays, maps and nested structs.
+func jsonWrites(t types.Type, set map[string]bool, seen map[types.Type]bool) {
+	if seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		jsonWrites(u.Elem(), set, seen)
+	case *types.Slice:
+		jsonWrites(u.Elem(), set, seen)
+	case *types.Array:
+		jsonWrites(u.Elem(), set, seen)
+	case *types.Map:
+		jsonWrites(u.Elem(), set, seen)
+	case *types.Struct:
+		named, _ := types.Unalias(t).(*types.Named)
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			if !f.Exported() || reflect.StructTag(u.Tag(i)).Get("json") == "-" {
+				continue
+			}
+			if named != nil {
+				set[fieldKey(named, f)] = true
+			}
+			jsonWrites(f.Type(), set, seen)
+		}
 	}
 }
 

@@ -59,12 +59,6 @@ func registerAdaptive() {
 // hypercall. Natively, or when the domain rejects the hypercall, the
 // switch stays inside the placer.
 type adaptive struct {
-	probe leastLoaded
-
-	window    int
-	delta     float64
-	minChecks int
-
 	// placed histograms the *current window's* placements only: the
 	// stability test must compare windows against each other, not a
 	// cumulative histogram (whose imbalance converges by construction
@@ -84,19 +78,14 @@ type adaptive struct {
 
 // newAdaptive builds the placer for a machine with nodes nodes.
 func newAdaptive(nodes int) *adaptive {
-	return &adaptive{
-		window:    adaptiveWindow,
-		delta:     adaptiveStableDelta,
-		minChecks: adaptiveMinChecks,
-		placed:    make([]float64, nodes),
-	}
+	return &adaptive{placed: make([]float64, nodes)}
 }
 
 func (p *adaptive) PlaceNode(accessor numa.NodeID, homes []numa.NodeID, free FreeMemory) numa.NodeID {
 	if p.switched {
 		return accessor
 	}
-	n := p.probe.PlaceNode(accessor, homes, free)
+	n := leastLoaded{}.PlaceNode(accessor, homes, free)
 	p.placed[n]++
 	p.faults++
 	if p.stable() {
@@ -114,10 +103,11 @@ func (p *adaptive) successor() (Kind, bool) {
 }
 
 // stable reports whether the probe phase just completed a window whose
-// placement imbalance moved less than delta percentage points since
-// the previous window's. Each window is measured on its own histogram.
+// placement imbalance moved at most adaptiveStableDelta percentage
+// points since the previous window's. Each window is measured on its
+// own histogram.
 func (p *adaptive) stable() bool {
-	if p.faults%p.window != 0 {
+	if p.faults%adaptiveWindow != 0 {
 		return false
 	}
 	imb := metrics.RelStdDev(p.placed)
@@ -125,7 +115,7 @@ func (p *adaptive) stable() bool {
 		p.placed[i] = 0
 	}
 	p.checks++
-	ok := p.checks >= p.minChecks && math.Abs(imb-p.prevImb) <= p.delta
+	ok := p.checks >= adaptiveMinChecks && math.Abs(imb-p.prevImb) <= adaptiveStableDelta
 	p.prevImb = imb
 	return ok
 }

@@ -8,11 +8,11 @@ import (
 	"repro/internal/numa"
 )
 
-// newAdaptiveWindow8 builds the adaptive runtime policy for a 4-node
-// machine with an 8-fault window, returning it and its placer.
-func newAdaptiveWindow8() (*Policy, *adaptive) {
+// newAdaptive4 builds the adaptive runtime policy for a 4-node machine,
+// returning it and its placer. Its windows are adaptiveWindow faults
+// long, as in every run.
+func newAdaptive4() (*Policy, *adaptive) {
 	a := newAdaptive(4)
-	a.window = 8
 	return &Policy{kind: Adaptive, placer: a, pageQueue: true}, a
 }
 
@@ -31,16 +31,16 @@ func fault(p *Policy, d DomainOps, start, n int, accessor numa.NodeID) {
 func TestAdaptiveSwitchesAfterStableWindows(t *testing.T) {
 	d := newFakeDomain(0, 1, 2, 3)
 	d.cfg = Config{Static: Adaptive, Carrefour: true, CarrefourVariant: CarrefourMigrationOnly}
-	p, a := newAdaptiveWindow8()
+	p, _ := newAdaptive4()
 
 	// One window: stable-looking (least-loaded spreads evenly) but below
 	// the minimum number of checks.
-	fault(p, d, 0, a.window, 2)
+	fault(p, d, 0, adaptiveWindow, 2)
 	if len(d.switches) != 0 {
-		t.Fatalf("switched after one window (min is %d)", a.minChecks)
+		t.Fatalf("switched after one window (min is %d)", adaptiveMinChecks)
 	}
 	// Second window: imbalance unchanged → switch.
-	fault(p, d, a.window, a.window, 2)
+	fault(p, d, adaptiveWindow, adaptiveWindow, 2)
 	if len(d.switches) != 1 {
 		t.Fatalf("switches = %d, want 1", len(d.switches))
 	}
@@ -49,7 +49,7 @@ func TestAdaptiveSwitchesAfterStableWindows(t *testing.T) {
 		t.Fatalf("switched to %+v, want %+v", d.switches[0], want)
 	}
 	// Further faults must not switch again.
-	fault(p, d, 2*a.window, 2*a.window, 2)
+	fault(p, d, 2*adaptiveWindow, 2*adaptiveWindow, 2)
 	if len(d.switches) != 1 {
 		t.Fatalf("switched again: %d switches", len(d.switches))
 	}
@@ -62,8 +62,8 @@ func TestAdaptiveDegradesWithoutSwitcher(t *testing.T) {
 	d := newFakeDomain(0, 1, 2, 3)
 	d.cfg = Config{Static: Adaptive}
 	d.switchErr = errors.New("switch rejected")
-	p, a := newAdaptiveWindow8()
-	fault(p, d, 0, 2*a.window, 0)
+	p, a := newAdaptive4()
+	fault(p, d, 0, 2*adaptiveWindow, 0)
 	if !a.switched || len(d.switches) != 1 || d.cfg.Static != Adaptive {
 		t.Fatalf("probe stabilized %v, switch requests %v, config %+v; want one rejected request", a.switched, d.switches, d.cfg)
 	}
@@ -82,7 +82,7 @@ func TestAdaptiveDegradesWithoutSwitcher(t *testing.T) {
 func TestAdaptiveProbePlacesLeastLoaded(t *testing.T) {
 	d := newFakeDomain(0, 1)
 	d.free[1] = 1 << 20 // node 1 has the most free memory
-	p, _ := newAdaptiveWindow8()
+	p, _ := newAdaptive4()
 	p.HandleFault(d, 5, 0)
 	e := d.table.Lookup(5)
 	if !e.Valid || d.NodeOfFrame(e.MFN) != 1 {
@@ -98,19 +98,19 @@ func TestAdaptiveProbePlacesLeastLoaded(t *testing.T) {
 func TestAdaptiveComparesWindowsNotCumulative(t *testing.T) {
 	d := newFakeDomain(0, 1, 2, 3)
 	d.cfg = Config{Static: Adaptive}
-	p, a := newAdaptiveWindow8()
+	p, _ := newAdaptive4()
 	// Window 1: balanced free memory → even spread, imbalance ~0.
-	fault(p, d, 0, a.window, 0)
+	fault(p, d, 0, adaptiveWindow, 0)
 	// Window 2: node 2 overwhelmingly free → every placement lands
 	// there, imbalance ~173. The jump must block the switch.
 	d.free[2] = 1 << 40
-	fault(p, d, a.window, a.window, 0)
+	fault(p, d, adaptiveWindow, adaptiveWindow, 0)
 	if len(d.switches) != 0 {
 		t.Fatal("switched across a window whose placement swung")
 	}
 	// Window 3: node 2 still dominates → same imbalance as window 2 →
 	// consecutive windows agree → switch.
-	fault(p, d, 2*a.window, a.window, 0)
+	fault(p, d, 2*adaptiveWindow, adaptiveWindow, 0)
 	if len(d.switches) != 1 {
 		t.Fatalf("switches = %d, want 1 after two agreeing windows", len(d.switches))
 	}
@@ -124,14 +124,14 @@ func TestAdaptiveComparesWindowsNotCumulative(t *testing.T) {
 func TestAdaptiveHistogramPresized(t *testing.T) {
 	d := newFakeDomain(0, 1, 2, 3)
 	d.cfg = Config{Static: Adaptive}
-	p, a := newAdaptiveWindow8()
+	p, _ := newAdaptive4()
 	// Window 1: node 0 overwhelmingly free → all placements on node 0.
 	d.free[0] = 1 << 40
-	fault(p, d, 0, a.window, 1)
+	fault(p, d, 0, adaptiveWindow, 1)
 	// Window 2: free memory balanced again → even spread. The imbalance
 	// swing (265% → 0%) must block the switch.
 	d.free[0] = 0
-	fault(p, d, a.window, a.window, 1)
+	fault(p, d, adaptiveWindow, adaptiveWindow, 1)
 	if len(d.switches) != 0 {
 		t.Fatal("single-node window compared as balanced: histogram not presized")
 	}
