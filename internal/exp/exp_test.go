@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	xennuma "repro"
 )
 
 func TestTableRender(t *testing.T) {
@@ -110,6 +112,36 @@ func TestSuiteCaching(t *testing.T) {
 	s.Xen("swaptions", "round-4k", false).Result()
 	if len(s.CacheKeys()) != 2 {
 		t.Fatal("miss did not populate the cache")
+	}
+}
+
+// TestWarmNamingAllocatesOnlyItsKey: naming a cell that is already
+// cached builds its cache key once and nothing else — no second key
+// and no computation for a cell that exists — whichever accessor names
+// it and whether or not it reads its seed.
+func TestWarmNamingAllocatesOnlyItsKey(t *testing.T) {
+	s := NewSuite(256)
+	namings := []struct {
+		name string
+		cell func() *Cell
+	}{
+		{"Xen", func() *Cell { return s.Xen("swaptions", "round-4k", true) }},
+		{"Xen, seeded", func() *Cell { return s.Xen("fluidanimate", "first-touch/carrefour", true) }},
+		{"Linux", func() *Cell { return s.Linux("swaptions", "first-touch", true) }},
+		{"XenPair", func() *Cell {
+			return s.XenPair("swaptions", "round-4k", "x264", "first-touch", xennuma.Consolidated, false)
+		}},
+	}
+	for _, n := range namings {
+		n.cell().Results()
+	}
+	for _, n := range namings {
+		if allocs := testing.AllocsPerRun(100, func() { n.cell() }); allocs > 1 {
+			t.Errorf("%s: %v allocations per warm naming, want at most 1 (its cache key)", n.name, allocs)
+		}
+	}
+	if len(s.CacheKeys()) != len(namings) {
+		t.Fatalf("cache keys = %v, want %d", s.CacheKeys(), len(namings))
 	}
 }
 

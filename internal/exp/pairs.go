@@ -3,6 +3,7 @@ package exp
 import (
 	"cmp"
 	"fmt"
+	"strconv"
 
 	xennuma "repro"
 	"repro/internal/engine"
@@ -40,21 +41,23 @@ var Fig9Pairs = []Pair{
 // two Results are VM A's and VM B's. polA and polB are spelled as for
 // Linux. The cell reads its seed if either VM's run does.
 func (s *Suite) XenPair(a, polA, b, polB string, mode xennuma.PairMode, swap bool) *Cell {
-	key := fmt.Sprintf("pair/%s=%s/%s=%s/mode=%d/swap=%v", a, polA, b, polB, mode, swap)
 	pa, errA := xennuma.ParsePolicy(polA)
 	pb, errB := xennuma.ParsePolicy(polB)
-	if err := cmp.Or(errA, errB); err != nil {
-		return s.cell(s.baseSeed(), true, key, failed(err))
+	err := cmp.Or(errA, errB)
+	reads := err != nil || xennuma.ReadsSeed(a, pa) || xennuma.ReadsSeed(b, pb)
+	cl, created := s.claim(s.baseSeed(), reads, "pair/", a, "=", polA, "/", b, "=", polB,
+		"/mode=", strconv.Itoa(int(mode)), "/swap=", strconv.FormatBool(swap))
+	if created {
+		s.submit(cl, err, func(o xennuma.Options) ([]engine.Result, error) {
+			o.XenPlus = true
+			ra, rb, err := xennuma.RunXenPair(a, pa, b, pb, mode, swap, o)
+			if err != nil {
+				return nil, err
+			}
+			return []engine.Result{ra, rb}, nil
+		})
 	}
-	reads := xennuma.ReadsSeed(a, pa) || xennuma.ReadsSeed(b, pb)
-	return s.cell(s.baseSeed(), reads, key, func(o xennuma.Options) ([]engine.Result, error) {
-		o.XenPlus = true
-		ra, rb, err := xennuma.RunXenPair(a, pa, b, pb, mode, swap, o)
-		if err != nil {
-			return nil, err
-		}
-		return []engine.Result{ra, rb}, nil
-	})
+	return cl
 }
 
 // pairSwaps returns the node-assignment variants one pair configuration

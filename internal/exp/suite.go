@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	xennuma "repro"
@@ -118,36 +120,48 @@ func (s *Suite) baseSeed() uint64 {
 	return s.Opt.Seed
 }
 
-// cacheKey is the memoization key of one (seed, cell) pair; seed is 0
-// for a cell that reads none.
-func cacheKey(seed uint64, key string) string {
-	return fmt.Sprintf("seed=%d/%s", seed, key)
-}
-
-// cellOpts returns the per-cell options: the suite's base options with
-// the seed replaced by the cell's own key-derived stream. The stream
-// depends only on (seed, key) — a seeded cell computes exactly what a
-// fresh suite based on that seed would.
-func (s *Suite) cellOpts(seed uint64, key string) xennuma.Options {
+// cellOpts returns the options cl runs with: the suite's base options
+// with the seed replaced by the cell's own stream, derived from its
+// cache key "seed=N/<cell key>". The stream depends only on (N, cell
+// key) — a seeded cell computes exactly what a fresh suite based on
+// that seed would.
+func (s *Suite) cellOpts(cl *Cell) xennuma.Options {
+	seed, key, _ := strings.Cut(strings.TrimPrefix(cl.key, "seed="), "/")
+	n, _ := strconv.ParseUint(seed, 10, 64)
 	o := s.Opt
-	o.Seed = cellSeed(seed, key)
+	o.Seed = cellSeed(n, key)
 	return o
 }
 
-// cell names a cell: the first naming claims the key and submits the
-// computation to the scheduler, later namings return the same handle.
-// A cell whose runs do not read the seed (reads false) is keyed under
-// seed 0, so every seed names the same cell. Seed 0 normalizes to 1
-// everywhere, so no seeded key is ever seed 0.
-func (s *Suite) cell(seed uint64, reads bool, key string, fn cellFn) *Cell {
+// claim names a cell: the first naming claims the key and must submit
+// the cell (created), later namings return the same handle. The cache
+// key is "seed=N/" followed by the cell key, the concatenation of
+// parts, and is built once. A cell whose runs do not read the seed
+// (reads false) is keyed under seed 0, so every seed names the same
+// cell. Seed 0 normalizes to 1 everywhere, so no seeded key is ever
+// seed 0.
+func (s *Suite) claim(seed uint64, reads bool, parts ...string) (cl *Cell, created bool) {
 	if !reads {
 		seed = 0
 	}
-	cl, created := s.cache.claim(cacheKey(seed, key))
-	if created {
-		s.sched.Submit(func() { s.compute(cl, seed, key, fn) })
+	var buf [128]byte
+	key := strconv.AppendUint(append(buf[:0], "seed="...), seed, 10)
+	key = append(key, '/')
+	for _, p := range parts {
+		key = append(key, p...)
 	}
-	return cl
+	return s.cache.claim(string(key))
+}
+
+// submit schedules the computation of a cell that claim created: fn,
+// or a failure with err when the cell's policy does not parse. Only the
+// naming that creates a cell builds its computation, so naming a cached
+// cell allocates nothing but its key.
+func (s *Suite) submit(cl *Cell, err error, fn cellFn) {
+	if err != nil {
+		fn = failed(err)
+	}
+	s.sched.Submit(func() { s.compute(cl, fn) })
 }
 
 // compute runs a claimed cell on a scheduler worker. A failed execution
@@ -156,8 +170,8 @@ func (s *Suite) cell(seed uint64, reads bool, key string, fn cellFn) *Cell {
 // error but the next naming of the key recomputes — one bad execution
 // never poisons the cache. The counters and the eviction settle before
 // done closes, so a reader returning from Result observes them.
-func (s *Suite) compute(cl *Cell, seed uint64, key string, fn cellFn) {
-	o := s.cellOpts(seed, key)
+func (s *Suite) compute(cl *Cell, fn cellFn) {
+	o := s.cellOpts(cl)
 	for try := 0; try < 2; try++ {
 		cl.res, cl.err = execute(fn, o)
 		s.computed.Add(1)
@@ -201,19 +215,20 @@ func execute(fn cellFn, o xennuma.Options) (res []engine.Result, err error) {
 // another cell. A policy that does not parse names a seeded cell whose
 // execution fails with the parse error.
 func (s *Suite) Linux(app, pol string, mcs bool) *Cell {
-	key := fmt.Sprintf("linux/%s/%s/mcs=%v", app, pol, mcs)
 	p, err := xennuma.ParsePolicy(pol)
-	if err != nil {
-		return s.cell(s.baseSeed(), true, key, failed(err))
+	cl, created := s.claim(s.baseSeed(), err != nil || xennuma.ReadsSeed(app, p),
+		"linux/", app, "/", pol, "/mcs=", strconv.FormatBool(mcs))
+	if created {
+		s.submit(cl, err, func(o xennuma.Options) ([]engine.Result, error) {
+			o.MCS = mcs
+			r, err := xennuma.RunLinux(app, p, o)
+			if err != nil {
+				return nil, err
+			}
+			return []engine.Result{r}, nil
+		})
 	}
-	return s.cell(s.baseSeed(), xennuma.ReadsSeed(app, p), key, func(o xennuma.Options) ([]engine.Result, error) {
-		o.MCS = mcs
-		r, err := xennuma.RunLinux(app, p, o)
-		if err != nil {
-			return nil, err
-		}
-		return []engine.Result{r}, nil
-	})
+	return cl
 }
 
 // Xen names the run of app in a single 48-vCPU VM under pol; xenplus
@@ -230,19 +245,20 @@ func (s *Suite) XenSeeded(app, pol string, xenplus bool, seed uint64) *Cell {
 	if seed == 0 {
 		seed = 1
 	}
-	key := fmt.Sprintf("xen/%s/%s/plus=%v", app, pol, xenplus)
 	p, err := xennuma.ParsePolicy(pol)
-	if err != nil {
-		return s.cell(seed, true, key, failed(err))
+	cl, created := s.claim(seed, err != nil || xennuma.ReadsSeed(app, p),
+		"xen/", app, "/", pol, "/plus=", strconv.FormatBool(xenplus))
+	if created {
+		s.submit(cl, err, func(o xennuma.Options) ([]engine.Result, error) {
+			o.XenPlus = xenplus
+			r, err := xennuma.RunXen(app, p, o)
+			if err != nil {
+				return nil, err
+			}
+			return []engine.Result{r}, nil
+		})
 	}
-	return s.cell(seed, xennuma.ReadsSeed(app, p), key, func(o xennuma.Options) ([]engine.Result, error) {
-		o.XenPlus = xenplus
-		r, err := xennuma.RunXen(app, p, o)
-		if err != nil {
-			return nil, err
-		}
-		return []engine.Result{r}, nil
-	})
+	return cl
 }
 
 // nameAll names every key's cells through name, in key order, so a
