@@ -64,14 +64,14 @@ func runAliasretain(pass *Pass) error {
 					}
 					if where := retainingLValue(pass, lhs); where != "" {
 						pass.Reportf(r.Pos(),
-							"result of %s stored in %s outlives the epoch that produced it (the accessor returns an internal buffer the next refresh repacks); copy the values or annotate //xnuma:aliasretain-ok <reason>",
+							"result of %s stored in %s outlives the epoch that produced it (the accessor returns an internal buffer the next refresh repacks); copy the values",
 							name, where)
 					}
 				}
 			case *ast.KeyValueExpr:
 				if name, ok := accessorCall(pass, n.Value); ok {
 					pass.Reportf(n.Value.Pos(),
-						"result of %s stored in composite-literal field %s outlives the epoch that produced it (the accessor returns an internal buffer the next refresh repacks); copy the values or annotate //xnuma:aliasretain-ok <reason>",
+						"result of %s stored in composite-literal field %s outlives the epoch that produced it (the accessor returns an internal buffer the next refresh repacks); copy the values",
 						name, types.ExprString(n.Key))
 				}
 			case *ast.ValueSpec:
@@ -84,7 +84,7 @@ func runAliasretain(pass *Pass) error {
 					if len(n.Names) > 0 {
 						if obj := pass.TypesInfo.ObjectOf(n.Names[0]); obj != nil && obj.Parent() == pass.Pkg.Scope() {
 							pass.Reportf(v.Pos(),
-								"result of %s stored in package-level variable %s (the accessor returns an internal buffer the next refresh repacks); copy the values or annotate //xnuma:aliasretain-ok <reason>",
+								"result of %s stored in package-level variable %s (the accessor returns an internal buffer the next refresh repacks); copy the values",
 								name, n.Names[0].Name)
 						}
 					}

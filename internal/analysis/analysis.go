@@ -24,10 +24,7 @@
 //
 // The suite runs via cmd/xnuma-vet over package patterns loaded through
 // go list (driver.go, loader.go); scripts/vet.sh is the CI entry point.
-// Findings are suppressed line-by-line with `//xnuma:<analyzer>-ok
-// <reason>` comments; a suppression without a reason, or one that no
-// longer matches a diagnostic, is itself a diagnostic, so suppressions
-// cannot silently accumulate (suppress.go).
+// A finding has no escape hatch: the code it names is fixed.
 package analysis
 
 import (
@@ -42,8 +39,7 @@ import (
 // golang.org/x/tools/go/analysis.Analyzer so the checks could migrate to
 // the real framework if the dependency ever becomes available.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and suppression
-	// comments (//xnuma:<name>-ok).
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is the one-paragraph description shown by `xnuma-vet -help`.
 	Doc string
@@ -90,27 +86,12 @@ func (p *Pass) isTestFile(pos token.Pos) bool {
 	return len(name) >= len("_test.go") && name[len(name)-len("_test.go"):] == "_test.go"
 }
 
-// RunResult is what running the suite over one package yields.
-type RunResult struct {
-	// Diagnostics are the surviving findings, position-sorted. This
-	// includes the meta-diagnostics from suppression hygiene (missing
-	// reason, unused suppression).
-	Diagnostics []Diagnostic
-	// Suppressed are findings silenced by a valid suppression comment.
-	Suppressed []Diagnostic
-	// Suppressions is every valid suppression found in the package,
-	// whether or not it fired, for the -suppressions inventory.
-	Suppressions []Suppression
-}
-
 // RunAnalyzers runs the given analyzers over one loaded package,
-// honoring each analyzer's Scope. It applies the //xnuma:<name>-ok
-// suppression protocol to the raw findings.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) (RunResult, error) {
-	var raw []Diagnostic
-	var active []string
+// honoring each analyzer's Scope, and returns their findings sorted by
+// position.
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var diags []Diagnostic
 	for _, a := range analyzers {
-		active = append(active, a.Name)
 		if a.Scope != nil && !a.Scope(pkg.Path) {
 			continue
 		}
@@ -122,13 +103,10 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) (RunResult, error) {
 			TypesInfo: pkg.Info,
 		}
 		if err := a.Run(pass); err != nil {
-			return RunResult{}, fmt.Errorf("%s: %w", a.Name, err)
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
-		raw = append(raw, pass.diags...)
+		diags = append(diags, pass.diags...)
 	}
-	res := applySuppressions(pkg, active, raw)
-	sort.Slice(res.Diagnostics, func(i, j int) bool {
-		return res.Diagnostics[i].Pos < res.Diagnostics[j].Pos
-	})
-	return res, nil
+	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+	return diags, nil
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Two marker annotations complement the suppression grammar:
+// Two marker annotations steer the analyzers:
 //
 //   //xnuma:noalloc   — on a function's doc comment: the function is on
 //     the epoch hot path and must not contain allocation forms. Checked

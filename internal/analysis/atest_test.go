@@ -16,8 +16,7 @@ import (
 // flagged with `// want "regex" ["regex" ...]` comments; the harness
 // runs scope-free copies of the full suite (the testdata paths lie
 // outside maporder's scope) and diffs diagnostics against expectations
-// both ways. The `// want` marker may ride inside a suppression comment,
-// because suppression reasons stop at an embedded `//`.
+// both ways.
 
 // expectation is one `// want` pattern, anchored to a file:line.
 type expectation struct {
@@ -28,7 +27,7 @@ type expectation struct {
 	matched bool
 }
 
-func loadGolden(t *testing.T, name string) (*Package, RunResult) {
+func loadGolden(t *testing.T, name string) (*Package, []Diagnostic) {
 	t.Helper()
 	root, err := ModuleRoot(".")
 	if err != nil {
@@ -47,16 +46,16 @@ func loadGolden(t *testing.T, name string) (*Package, RunResult) {
 		c.Scope = nil
 		unscoped = append(unscoped, &c)
 	}
-	res, err := RunAnalyzers(pkgs[0], unscoped)
+	diags, err := RunAnalyzers(pkgs[0], unscoped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkgs[0], res
+	return pkgs[0], diags
 }
 
-func checkGolden(t *testing.T, name string) (*Package, RunResult) {
+func checkGolden(t *testing.T, name string) {
 	t.Helper()
-	pkg, res := loadGolden(t, name)
+	pkg, diags := loadGolden(t, name)
 
 	var wants []*expectation
 	for _, f := range pkg.Files {
@@ -67,7 +66,7 @@ func checkGolden(t *testing.T, name string) (*Package, RunResult) {
 		}
 	}
 
-	for _, d := range res.Diagnostics {
+	for _, d := range diags {
 		pos := pkg.Fset.Position(d.Pos)
 		var hit *expectation
 		for _, w := range wants {
@@ -92,7 +91,6 @@ func checkGolden(t *testing.T, name string) (*Package, RunResult) {
 				filepath.Base(w.file), w.line, w.raw)
 		}
 	}
-	return pkg, res
 }
 
 // parseWants extracts the quoted regexes following a `// want ` marker
@@ -139,52 +137,13 @@ func parseWants(t *testing.T, fset *token.FileSet, pos token.Pos, text string) [
 	return out
 }
 
-func TestMaporderGolden(t *testing.T) {
-	_, res := checkGolden(t, "maporder")
-	// Suppression accounting: the two reasoned suppressions silence one
-	// finding each; the stale and unknown ones are diagnostics, not
-	// suppressions.
-	if len(res.Suppressed) != 2 {
-		t.Errorf("suppressed = %d, want 2: %s", len(res.Suppressed), fmtDiags(res.Suppressed))
-	}
-	if len(res.Suppressions) != 3 { // two used + one stale (valid but unused)
-		t.Errorf("suppressions = %d, want 3: %+v", len(res.Suppressions), res.Suppressions)
-	}
-	for _, s := range res.Suppressions {
-		if s.Reason == "" {
-			t.Errorf("suppression at %s:%d recorded without a reason", s.File, s.Line)
-		}
-	}
-}
+func TestMaporderGolden(t *testing.T) { checkGolden(t, "maporder") }
 
-func TestDetrandGolden(t *testing.T) {
-	_, res := checkGolden(t, "detrand")
-	if len(res.Suppressed) != 1 {
-		t.Errorf("suppressed = %d, want 1: %s", len(res.Suppressed), fmtDiags(res.Suppressed))
-	}
-}
+func TestDetrandGolden(t *testing.T) { checkGolden(t, "detrand") }
 
-func TestNoallocGolden(t *testing.T) {
-	_, res := checkGolden(t, "noalloc")
-	if len(res.Suppressed) != 1 {
-		t.Errorf("suppressed = %d, want 1: %s", len(res.Suppressed), fmtDiags(res.Suppressed))
-	}
-}
+func TestNoallocGolden(t *testing.T) { checkGolden(t, "noalloc") }
 
-func TestAliasretainGolden(t *testing.T) {
-	_, res := checkGolden(t, "aliasretain")
-	if len(res.Suppressed) != 1 {
-		t.Errorf("suppressed = %d, want 1: %s", len(res.Suppressed), fmtDiags(res.Suppressed))
-	}
-}
-
-func fmtDiags(ds []Diagnostic) string {
-	var parts []string
-	for _, d := range ds {
-		parts = append(parts, fmt.Sprintf("%s: %s", d.Analyzer, d.Message))
-	}
-	return strings.Join(parts, "; ")
-}
+func TestAliasretainGolden(t *testing.T) { checkGolden(t, "aliasretain") }
 
 // ModuleRoot walks up from dir to the directory containing go.mod.
 func ModuleRoot(dir string) (string, error) {

@@ -48,7 +48,7 @@ func runMaporder(pass *Pass) error {
 			}
 			if reason := orderDependentWork(pass, rs); reason != "" {
 				pass.Reportf(rs.For,
-					"iteration over map %s %s; iterate sorted keys instead, or annotate //xnuma:maporder-ok <reason>",
+					"iteration over map %s %s; iterate sorted keys instead",
 					types.ExprString(rs.X), reason)
 			}
 			return true

@@ -60,7 +60,3 @@ func sum(r *Region) float64 {
 func snapshot(h *holder, r *Region) {
 	h.cached = append(h.cached[:0], r.Dist()...)
 }
-
-func suppressed(h *holder, r *Region) {
-	h.cached = r.Dist() //xnuma:aliasretain-ok rebuilt in the same pass that refreshes the cache
-}

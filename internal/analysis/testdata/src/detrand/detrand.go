@@ -35,9 +35,3 @@ func knobSet() bool {
 func scale(d time.Duration, n int) time.Duration {
 	return d * time.Duration(n)
 }
-
-// Suppressed: wall-clock reads are legal when they only feed
-// diagnostics outside the simulated machine.
-func progressStamp() time.Time {
-	return time.Now() //xnuma:detrand-ok feeds the progress logger, not the simulation
-}

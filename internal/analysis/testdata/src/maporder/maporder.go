@@ -78,48 +78,14 @@ func anyNegative(m map[string]int) {
 	}
 }
 
-// Suppressed: the reason rides on the flagged line.
+// An order-independent reduction is flagged too: a finding has no
+// escape hatch, so real code iterates sorted keys.
 func maxValue(m map[int]int) int {
 	best := 0
-	for _, v := range m { //xnuma:maporder-ok max is order-independent
+	for _, v := range m { // want `writes best in iteration order`
 		if v > best {
 			best = v
 		}
 	}
 	return best
-}
-
-// Suppressed from the line above.
-func minValue(m map[int]int) int {
-	best := 1 << 30
-	//xnuma:maporder-ok min is order-independent
-	for _, v := range m {
-		if v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// A reasonless suppression does not suppress and is itself flagged, so
-// both diagnostics land on this line.
-func sumInts(m map[int]int) int {
-	n := 0
-	for _, v := range m { //xnuma:maporder-ok // want `updates n in iteration order` `needs a reason`
-		n += v
-	}
-	return n
-}
-
-// An unused suppression (nothing to silence here) is flagged.
-func lookupOnly(m map[int]int, k int) int {
-	//xnuma:maporder-ok stale excuse // want `unused //xnuma:maporder-ok suppression`
-	return m[k]
-}
-
-// A suppression naming an analyzer that does not exist is flagged.
-func alsoLookup(m map[int]int, k int) bool {
-	//xnuma:frobnicate-ok whatever // want `suppression names unknown analyzer frobnicate`
-	_, ok := m[k]
-	return ok
 }

@@ -5,8 +5,6 @@
 # builds, and exits non-zero on findings.
 #
 #   scripts/vet.sh                  # analyze ./...; exit non-zero on findings
-#   scripts/vet.sh -suppressions    # inventory of //xnuma:*-ok suppressions
-#                                   # instead of checking
 set -eu
 cd "$(dirname "$0")/.."
 
