@@ -154,12 +154,13 @@ func (s *Suite) claim(seed uint64, reads bool, parts ...string) (cl *Cell, creat
 }
 
 // submit schedules the computation of a cell that claim created: fn,
-// or a failure with err when the cell's policy does not parse. Only the
-// naming that creates a cell builds its computation, so naming a cached
-// cell allocates nothing but its key.
+// or a failure with err when the cell's policy does not parse (such a
+// cell is keyed under its seed, as a run whose inputs are unknown may
+// read one). Only the naming that creates a cell builds its
+// computation, so naming a cached cell allocates nothing but its key.
 func (s *Suite) submit(cl *Cell, err error, fn cellFn) {
 	if err != nil {
-		fn = failed(err)
+		fn = func(xennuma.Options) ([]engine.Result, error) { return nil, err }
 	}
 	s.sched.Submit(func() { s.compute(cl, fn) })
 }
@@ -184,13 +185,6 @@ func (s *Suite) compute(cl *Cell, fn cellFn) {
 		s.cache.evict(cl)
 	}
 	close(cl.done)
-}
-
-// failed is the computation of a cell whose policy does not parse: it
-// fails with err. Such a cell is keyed under its seed, as a run whose
-// inputs are unknown may read one.
-func failed(err error) cellFn {
-	return func(xennuma.Options) ([]engine.Result, error) { return nil, err }
 }
 
 // execute runs fn once, turning an injected fault or a panic into the
