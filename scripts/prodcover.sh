@@ -38,18 +38,22 @@ run -scale 32 sweep -apps wc,belief,bfs,sssp,pagerank
 run list
 run policies
 run topo
-run -scale 256 run swaptions round-4k
+run -scale 256 -memprofile "$tmp/mem.pprof" run swaptions round-4k
 run -scale 256 -md fig8
 run -scale 256 sweep -bind wc
 run -scale 256 sweep -seeds 3 wc
 run -scale 256 advise all
 # Two serve sessions on one cache dir: the first computes and saves the
-# cache on EOF, the second restores it (a warm start) and replays.
+# cache on EOF, the second restores it (a warm start). Each session asks
+# for native-Linux advice and repeats its first request, which replays
+# the completed answer.
 requests='{"id":"1","op":"sweep","apps":["wc","cg.C"]}
 {"id":"2","op":"advise","app":"wc"}
 {"id":"3","op":"policies"}
 {"id":"4","op":"stats"}
-{"id":"5","op":"health"}'
+{"id":"5","op":"health"}
+{"id":"6","op":"advise","app":"wc","target":"linux"}
+{"id":"1","op":"sweep","apps":["wc","cg.C"]}'
 for session in cold warm; do
 	printf '%s\n' "$requests" | "$bin" -scale 256 serve -cache-dir "$tmp/cache" >/dev/null 2>"$tmp/serve-$session.log"
 done
