@@ -539,15 +539,18 @@ func checkFields(t *testing.T, pkgs []*Package, prod []scoped, tests []testFile)
 // field, in its body or in a test-file function it calls.
 func allowFields(t *testing.T, kind string, list map[string]string, checked, used map[string]bool, tests []testFile, uses func(testFile, ast.Node, string) bool) []string {
 	t.Helper()
-	allowed := map[string]bool{}
-	for key, reason := range list {
-		allowed[key] = true
+	allowed := make([]string, 0, len(list))
+	for key := range list {
+		allowed = append(allowed, key)
+	}
+	sort.Strings(allowed)
+	for _, key := range allowed {
 		if !checked[key] || used[key] {
-			t.Errorf("field %s allowlist entry %s is stale: production code does it, or the field is gone", kind, key)
+			t.Errorf("field %s allowlist entry %s is stale: production code %ss it, or the field is gone", kind, key, kind)
 			continue
 		}
 		name := key[strings.LastIndex(key, ".")+1:]
-		named := testName.FindAllString(reason, -1)
+		named := testName.FindAllString(list[key], -1)
 		if len(named) == 0 {
 			t.Errorf("field %s allowlist entry %s: its reason names no test", kind, key)
 		}
@@ -566,7 +569,7 @@ func allowFields(t *testing.T, kind string, list map[string]string, checked, use
 	}
 	var out []string
 	for key := range checked {
-		if !used[key] && !allowed[key] {
+		if _, ok := list[key]; !used[key] && !ok {
 			out = append(out, key)
 		}
 	}
