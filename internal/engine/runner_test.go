@@ -66,10 +66,10 @@ func (s reuseRun) build(t *testing.T) []*Instance {
 // protocol: one Runner, run through a sequence of differently shaped
 // runs — Carrefour off and on in every Mode, 48 and 24 threads, one and
 // two instances, two topology scales and a machine with another node
-// count — must return for each exactly what
-// a zero Runner returns, statistics included. Reruns of the last shape
-// on the warm Runner, with its instances recycled, must allocate little
-// more than the results they return.
+// count — must return for each exactly what a zero Runner returns,
+// statistics included. Reruns of the last shape on the warm Runner,
+// with its instances recycled, must allocate little more than the
+// results they return.
 func TestRunnerReuseMatchesFresh(t *testing.T) {
 	amd64, amd32 := numa.AMD48Scaled(64), numa.AMD48Scaled(32)
 	small := numa.SmallMachine(4, 6, 1<<30)

@@ -144,7 +144,7 @@ func (s *Suite) claim(seed uint64, reads bool, parts ...string) (cl *Cell, creat
 	if !reads {
 		seed = 0
 	}
-	var buf [128]byte
+	var buf [128]byte // room for the usual key; a longer one grows onto the heap
 	key := strconv.AppendUint(append(buf[:0], "seed="...), seed, 10)
 	key = append(key, '/')
 	for _, p := range parts {
