@@ -53,22 +53,10 @@ type Region struct {
 	// become local.
 	Replicated bool
 
-	// Distribution caches. Placement mutations (AddPage, SetNode,
-	// SetAccessHead, Replicate) mark them dirty; the accessors recompute
-	// lazily and hand out the internal slice, so steady-state epochs
-	// (no migrations) never allocate. One flag per cache: reading one
-	// distribution must not mark the others clean.
-	distCache   []float64
-	accessCache []float64
-	hotCache    []float64
-	distDirty   bool
-	accessDirty bool
-	hotDirty    bool
-
-	// gen counts placement mutations. refreshStreams sums the gens of
-	// an instance's regions to detect that nothing moved since the last
-	// fold and skip the fold entirely (steady-state epochs between
-	// Carrefour ticks).
+	// gen counts placement mutations (AddPage, SetNode, SetAccessHead,
+	// Replicate). refreshStreams sums the gens of an instance's regions
+	// to detect that nothing moved since the last fold and skip the fold
+	// entirely (steady-state epochs between Carrefour ticks).
 	gen uint64
 }
 
@@ -77,14 +65,11 @@ func NewRegion(name string, owner, nNodes int) *Region {
 	return &Region{
 		Name: name, Owner: owner,
 		hist: make([]float64, nNodes), nNodes: nNodes,
-		distDirty: true, accessDirty: true, hotDirty: true,
 	}
 }
 
-// invalidate marks every cached distribution stale after a placement
-// mutation.
+// invalidate records a placement mutation.
 func (r *Region) invalidate() {
-	r.distDirty, r.accessDirty, r.hotDirty = true, true, true
 	r.gen++
 }
 
@@ -178,86 +163,23 @@ func (r *Region) Len() int { return len(r.Pages) }
 // NodeOf returns page i's node.
 func (r *Region) NodeOf(i int) numa.NodeID { return r.nodes[i] }
 
-// Dist returns the placement distribution (shares per node summing to 1;
-// uniform-zero when empty). The returned slice is owned by the region
-// and stays valid until the next placement mutation; callers must not
-// modify it.
+// addAccessShares adds weight · (c / total) into dst[n] for every node
+// n holding c > 0 of the region's accessed pages: its first headLimit
+// pages when SetAccessHead limited the accesses to fewer pages than the
+// region holds, every page otherwise. An empty region adds nothing.
 //
 //xnuma:noalloc
-func (r *Region) Dist() []float64 {
-	if r.distCache == nil {
-		r.distCache = make([]float64, r.nNodes)
-		r.distDirty = true
+func (r *Region) addAccessShares(dst []float64, weight float64) {
+	counts, total := r.hist, float64(len(r.Pages))
+	if r.headLimit > 0 && r.headLimit < len(r.Pages) {
+		// The head's counts then sum to exactly headLimit.
+		counts, total = r.histHead, float64(r.headLimit)
 	}
-	if r.distDirty {
-		out := r.distCache
-		for n := range out {
-			out[n] = 0
+	for n, c := range counts {
+		if c > 0 {
+			dst[n] += weight * (c / total)
 		}
-		if total := float64(len(r.Pages)); total > 0 {
-			for n, c := range r.hist {
-				out[n] = c / total
-			}
-		}
-		r.distDirty = false
 	}
-	return r.distCache
-}
-
-// AccessDist returns the access-weighted placement distribution: the
-// working-set head when SetAccessHead was called, the whole region
-// otherwise. Like Dist, the returned slice is owned by the region and
-// valid until the next placement mutation.
-//
-//xnuma:noalloc
-func (r *Region) AccessDist() []float64 {
-	if r.headLimit <= 0 || r.headLimit >= len(r.Pages) {
-		return r.Dist()
-	}
-	if r.accessCache == nil {
-		r.accessCache = make([]float64, r.nNodes)
-		r.accessDirty = true
-	}
-	if r.accessDirty {
-		total := 0.0
-		for _, c := range r.histHead {
-			total += c
-		}
-		if total == 0 {
-			// An unmaterialized head carries no information; keep the
-			// cache dirty so the head is picked up once pages land.
-			return r.Dist()
-		}
-		for n, c := range r.histHead {
-			r.accessCache[n] = c / total
-		}
-		r.accessDirty = false
-	}
-	return r.accessCache
-}
-
-// HotDist returns the access-weighted distribution for a hot region: all
-// accesses hit the single hottest page (page 0). Like Dist, the returned
-// slice is owned by the region and valid until the next placement
-// mutation.
-//
-//xnuma:noalloc
-func (r *Region) HotDist() []float64 {
-	if r.hotCache == nil {
-		r.hotCache = make([]float64, r.nNodes)
-		r.hotDirty = true
-	}
-	if r.hotDirty {
-		out := r.hotCache
-		for n := range out {
-			out[n] = 0
-		}
-		if len(r.Pages) > 0 {
-			out[r.nodes[0]] = 1
-		}
-		r.hotDirty = false
-	}
-	return r.hotCache
 }
 
 // Backend materializes and migrates region pages on a concrete

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,28 +86,54 @@ func testConfig(topo *numa.Topology) Config {
 	return cfg
 }
 
+// placement returns the share of r's first n pages on each node, read
+// page by page through NodeOf: the oracle the region tests hold
+// addAccessShares to. No pages give all zeros.
+func placement(r *Region, n int) []float64 {
+	d := make([]float64, r.nNodes)
+	for i := 0; i < n; i++ {
+		d[r.NodeOf(i)]++
+	}
+	for k := range d {
+		d[k] /= float64(max(n, 1))
+	}
+	return d
+}
+
+// accessShares is placement over the pages r's accesses fall on: its
+// first headLimit pages when the working-set head is smaller than the
+// region, all its pages otherwise.
+func accessShares(r *Region) []float64 {
+	n := r.Len()
+	if r.headLimit > 0 && r.headLimit < n {
+		n = r.headLimit
+	}
+	return placement(r, n)
+}
+
+// wantAccess fails unless the placement of r's first n pages and the
+// shares addAccessShares adds at weight 1 both equal want.
+func wantAccess(t *testing.T, r *Region, n int, want ...float64) {
+	t.Helper()
+	if got := placement(r, n); !slices.Equal(got, want) {
+		t.Fatalf("placement of the first %d pages = %v, want %v", n, got, want)
+	}
+	row := make([]float64, len(want))
+	r.addAccessShares(row, 1)
+	if !slices.Equal(row, want) {
+		t.Fatalf("access shares = %v, want %v", row, want)
+	}
+}
+
 func TestRegionHistogramInvariant(t *testing.T) {
 	r := NewRegion("r", 0, 4)
 	r.AddPage(0, 1)
 	r.AddPage(1, 1)
 	r.AddPage(2, 3)
 	r.AddPage(3, 3)
-	d := r.Dist()
-	if d[1] != 0.5 || d[3] != 0.5 {
-		t.Fatalf("dist = %v", d)
-	}
+	wantAccess(t, r, 4, 0, 0.5, 0, 0.5)
 	r.SetNode(0, 2)
-	d = r.Dist()
-	if d[1] != 0.25 || d[2] != 0.25 || d[3] != 0.5 {
-		t.Fatalf("dist after move = %v", d)
-	}
-	sum := 0.0
-	for _, x := range d {
-		sum += x
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("dist sums to %v", sum)
-	}
+	wantAccess(t, r, 4, 0, 0.25, 0.25, 0.5)
 }
 
 func TestRegionAccessHead(t *testing.T) {
@@ -117,128 +144,133 @@ func TestRegionAccessHead(t *testing.T) {
 	r.AddPage(2, 3)
 	r.AddPage(3, 3)
 	// Accesses concentrate on the first two pages (node 0).
-	ad := r.AccessDist()
-	if ad[0] != 1 || ad[3] != 0 {
-		t.Fatalf("access dist = %v", ad)
-	}
-	// Migrating a head page updates the head histogram.
+	wantAccess(t, r, 2, 1, 0, 0, 0)
+	// Migrating a head page moves the accesses.
 	r.SetNode(0, 2)
-	ad = r.AccessDist()
-	if ad[0] != 0.5 || ad[2] != 0.5 {
-		t.Fatalf("access dist after head move = %v", ad)
-	}
+	wantAccess(t, r, 2, 0.5, 0, 0.5, 0)
 	// Migrating a tail page does not.
 	r.SetNode(3, 1)
-	if got := r.AccessDist(); got[1] != 0 {
-		t.Fatalf("tail move leaked into access dist: %v", got)
-	}
+	wantAccess(t, r, 2, 0.5, 0, 0.5, 0)
 }
 
+// TestRegionDistCachingInvalidation: every placement mutator bumps the
+// region's gen, which the fold-skip compares, and the region's access
+// shares follow the mutation at once. A move to the page's own node and
+// a second Replicate change nothing.
 func TestRegionDistCachingInvalidation(t *testing.T) {
 	r := NewRegion("r", -1, 4)
-	r.AddPage(0, 1)
-	d1 := r.Dist()
-	if d1[1] != 1 {
-		t.Fatalf("dist = %v", d1)
+	bumps := func(what string, mutate func(), want bool) {
+		t.Helper()
+		gen := r.gen
+		mutate()
+		if got := r.gen != gen; got != want {
+			t.Fatalf("%s: gen bumped = %v, want %v", what, got, want)
+		}
 	}
-	// A clean region hands out its cache, not a fresh slice.
-	if d2 := r.Dist(); &d1[0] != &d2[0] {
-		t.Fatal("Dist reallocated without a placement mutation")
+	bumps("AddPage", func() { r.AddPage(0, 1) }, true)
+	wantAccess(t, r, 1, 0, 1, 0, 0)
+	bumps("AddPage", func() { r.AddPage(1, 2) }, true)
+	wantAccess(t, r, 2, 0, 0.5, 0.5, 0)
+	bumps("SetNode", func() { r.SetNode(0, 3) }, true)
+	wantAccess(t, r, 2, 0, 0, 0.5, 0.5)
+	bumps("SetNode to the page's node", func() { r.SetNode(0, 3) }, false)
+	bumps("SetAccessHead", func() { r.SetAccessHead(1) }, true)
+	wantAccess(t, r, 1, 0, 0, 0, 1)
+	bumps("Replicate", r.Replicate, true)
+	if !r.Replicated {
+		t.Fatal("Replicate did not mark the region")
 	}
-	// Every mutator invalidates.
-	r.AddPage(1, 2)
-	if d := r.Dist(); d[1] != 0.5 || d[2] != 0.5 {
-		t.Fatalf("stale dist after AddPage: %v", d)
-	}
-	r.SetNode(0, 3)
-	if d := r.Dist(); d[1] != 0 || d[3] != 0.5 {
-		t.Fatalf("stale dist after SetNode: %v", d)
-	}
-	r.SetAccessHead(1)
-	if ad := r.AccessDist(); ad[3] != 1 {
-		t.Fatalf("stale access dist after SetAccessHead: %v", ad)
-	}
-	hot := NewRegion("hot", -1, 4)
-	hot.AddPage(0, 2)
-	if hd := hot.HotDist(); hd[2] != 1 {
-		t.Fatalf("hot dist = %v", hd)
-	}
-	hot.SetNode(0, 1)
-	if hd := hot.HotDist(); hd[1] != 1 || hd[2] != 0 {
-		t.Fatalf("stale hot dist after SetNode: %v", hd)
-	}
-	gen := hot.gen
-	hot.Replicate()
-	if !hot.Replicated || hot.gen == gen {
-		t.Fatal("Replicate did not mark the region and its caches")
-	}
-	gen = hot.gen
-	if hot.Replicate(); hot.gen != gen {
-		t.Fatal("replicating a replicated region invalidated its caches")
-	}
+	bumps("a second Replicate", r.Replicate, false)
 }
 
 // TestFoldRowsMatchesStreams: the per-thread node rows the fixed-point
-// loop consumes must equal a fold recomputed from the regions: the hot
-// page (or, once replicated, the thread's own node), the master region,
-// the thread's own private region and distributed slice, and the
-// cross-slice share spread over the combined placement of all slices.
-// Forty-eight threads spread over every node, so a fold that ignores
+// loop consumes must equal a fold recomputed from the regions' pages,
+// read one by one through NodeOf: the hot region's first page (or, once
+// replicated, the thread's own node), the master region, the thread's
+// own private region and distributed slice, and the cross-slice share
+// spread over the page-weighted placement of all slices. A region's
+// accesses fall on its first headLimit pages when the profile limits
+// its working set (pca), on all its pages otherwise (cg.C). Forty-eight
+// threads spread over every node, so a fold that ignores the head or
 // replication, swaps the two distributed weights or reads another
 // thread's region lands on the wrong nodes. The backing buffer must be
 // reused.
 func TestFoldRowsMatchesStreams(t *testing.T) {
 	topo := numa.AMD48Scaled(64)
-	in := &Instance{Prof: testProfile(), Backend: newStub(topo, true), NThreads: 48}
-	r := &Runner{}
-	if err := r.setup(testConfig(topo), in); err != nil {
-		t.Fatal(err)
-	}
-	wHot, wMaster, wPriv, wDist := in.weights()
-	cross := in.Prof.CrossShare
-	if wHot <= 0 || wMaster <= 0 || wPriv <= 0 || wDist <= 0 || cross <= 0 || cross >= 0.5 {
-		t.Fatalf("profile weights %v %v %v %v, cross %v: every stream must carry traffic, and the own slice more than the cross share",
-			wHot, wMaster, wPriv, wDist, cross)
-	}
-	check := func() {
-		t.Helper()
-		nn := topo.NumNodes()
-		combined := combinedDistInto(nil, in.dist)
-		for _, th := range in.Threads {
-			want := make([]float64, nn)
-			add := func(weight float64, dist []float64) {
-				for n, share := range dist {
-					want[n] += weight * share
+	nn := topo.NumNodes()
+	for _, tc := range []struct {
+		app    string
+		headed bool
+	}{{"cg.C", false}, {"pca", true}} {
+		prof, err := workload.Get(tc.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := &Instance{Prof: prof, Backend: newStub(topo, true), NThreads: 48}
+		r := &Runner{}
+		if err := r.setup(testConfig(topo), in); err != nil {
+			t.Fatal(err)
+		}
+		wHot, wMaster, wPriv, wDist := in.weights()
+		cross := in.Prof.CrossShare
+		if wHot <= 0 || wMaster <= 0 || wPriv <= 0 || wDist <= 0 || cross <= 0 || cross >= 0.5 {
+			t.Fatalf("%s: profile weights %v %v %v %v, cross %v: every stream must carry traffic, and the own slice more than the cross share",
+				tc.app, wHot, wMaster, wPriv, wDist, cross)
+		}
+		headed := 0
+		for _, reg := range in.Regions() {
+			if reg.headLimit > 0 && reg.headLimit < reg.Len() {
+				headed++
+			}
+		}
+		if (headed > 0) != tc.headed {
+			t.Fatalf("%s: %d regions have a working-set head", tc.app, headed)
+		}
+		check := func() {
+			t.Helper()
+			combined, pages := make([]float64, nn), 0
+			for _, reg := range in.dist {
+				for n, share := range accessShares(reg) {
+					combined[n] += share * float64(reg.Len())
 				}
+				pages += reg.Len()
 			}
-			if in.hot.Replicated {
-				want[th.Node] += wHot
-			} else {
-				add(wHot, in.hot.HotDist())
-			}
-			add(wMaster, in.master.AccessDist())
-			add(wPriv, in.priv[th.ID].AccessDist())
-			add(wDist*(1-cross), in.dist[th.ID].AccessDist())
-			add(wDist*cross, combined)
-			row := in.row(th.ID, nn)
-			for n := range want {
-				if d := row[n] - want[n]; d > 1e-12 || d < -1e-12 {
-					t.Fatalf("thread %d (node %d) row[%d] = %v, want %v", th.ID, th.Node, n, row[n], want[n])
+			for _, th := range in.Threads {
+				want := make([]float64, nn)
+				add := func(weight float64, shares []float64) {
+					for n, share := range shares {
+						want[n] += weight * share
+					}
+				}
+				if in.hot.Replicated {
+					want[th.Node] += wHot
+				} else {
+					want[in.hot.NodeOf(0)] += wHot
+				}
+				add(wMaster, accessShares(in.master))
+				add(wPriv, accessShares(in.priv[th.ID]))
+				add(wDist*(1-cross), accessShares(in.dist[th.ID]))
+				add(wDist*cross/float64(pages), combined)
+				row := in.rows[th.ID*nn : (th.ID+1)*nn]
+				for n := range want {
+					if d := row[n] - want[n]; d > 1e-12 || d < -1e-12 {
+						t.Fatalf("%s: thread %d (node %d) row[%d] = %v, want %v", tc.app, th.ID, th.Node, n, row[n], want[n])
+					}
 				}
 			}
 		}
-	}
-	in.refreshStreams()
-	check()
-	// Replication redirects the hot stream into the thread's own node.
-	in.hot.Replicate()
-	in.refreshStreams()
-	check()
-	// The fold reuses its buffer: no growth across epochs.
-	before := cap(in.rows)
-	in.refreshStreams()
-	if cap(in.rows) != before {
-		t.Fatal("foldRows reallocated the row buffer")
+		in.refreshStreams()
+		check()
+		// Replication redirects the hot stream into the thread's own node.
+		in.hot.Replicate()
+		in.refreshStreams()
+		check()
+		// The fold reuses its buffer: no growth across epochs.
+		before := cap(in.rows)
+		in.refreshStreams()
+		if cap(in.rows) != before {
+			t.Fatalf("%s: foldRows reallocated the row buffer", tc.app)
+		}
 	}
 }
 
@@ -273,14 +305,36 @@ func TestCombinedDistWeightsByPageCount(t *testing.T) {
 	}
 }
 
+// TestRegionHotDist: the hot stream hits the hot region's first page
+// only. With every access on the hot stream, each folded row is 1 on
+// page 0's node and 0 elsewhere, and it follows page 0, not page 1, when
+// either migrates.
 func TestRegionHotDist(t *testing.T) {
-	r := NewRegion("hot", -1, 4)
-	r.AddPage(0, 2)
-	r.AddPage(1, 3)
-	hd := r.HotDist()
-	if hd[2] != 1 || hd[3] != 0 {
-		t.Fatalf("hot dist = %v (all accesses hit page 0)", hd)
+	topo := numa.AMD48Scaled(64)
+	nn := topo.NumNodes()
+	prof := testProfile()
+	prof.HotShare, prof.MasterShare, prof.PrivateShare, prof.DistShare = 1, 0, 0, 0
+	in := &Instance{Prof: prof, Backend: newStub(topo, true), NThreads: 4}
+	if err := new(Runner).setup(testConfig(topo), in); err != nil {
+		t.Fatal(err)
 	}
+	check := func(hot numa.NodeID) {
+		t.Helper()
+		in.refreshStreams()
+		want := make([]float64, nn)
+		want[hot] = 1
+		for _, th := range in.Threads {
+			if row := in.rows[th.ID*nn : (th.ID+1)*nn]; !slices.Equal(row, want) {
+				t.Fatalf("thread %d row = %v, want all accesses on node %d", th.ID, row, hot)
+			}
+		}
+	}
+	first := in.hot.NodeOf(0)
+	check(first)
+	in.hot.SetNode(1, (first+2)%numa.NodeID(nn))
+	check(first)
+	in.hot.SetNode(0, (first+1)%numa.NodeID(nn))
+	check((first + 1) % numa.NodeID(nn))
 }
 
 func TestRunCompletes(t *testing.T) {

@@ -580,7 +580,7 @@ func (r *Runner) fillLoads(record bool) {
 				continue
 			}
 			src := in.Threads[rep].Node
-			for n, share := range in.row(int(rep), nn) {
+			for n, share := range in.rows[int(rep)*nn : (int(rep)+1)*nn] {
 				if share <= 0 {
 					continue
 				}
@@ -595,11 +595,13 @@ func (r *Runner) fillLoads(record bool) {
 		// misleads Carrefour (§3.5.2).
 		if in.burstLeft > 0 && in.burstRegion != nil {
 			burst := 0.3 * totalMisses
-			for n, share := range in.burstRegion.Dist() {
-				if share > 0 {
-					r.load.AddAccesses(in.burstNode, numa.NodeID(n), burst*share)
+			pages := float64(len(in.burstRegion.Pages))
+			for n, c := range in.burstRegion.hist {
+				if c > 0 {
+					cnt := burst * (c / pages)
+					r.load.AddAccesses(in.burstNode, numa.NodeID(n), cnt)
 					if record {
-						il.AddAccesses(in.burstNode, numa.NodeID(n), burst*share)
+						il.AddAccesses(in.burstNode, numa.NodeID(n), cnt)
 					}
 				}
 			}
@@ -687,9 +689,10 @@ func (r *Runner) updateLatencies() {
 		// between threads that only later converged onto the same row.
 		gc := r.groupCyc[:len(in.groupRep)]
 		for g, rep := range in.groupRep {
-			costs := r.cycRow(in.Threads[rep].Node)
+			src := int(in.Threads[rep].Node)
+			costs := r.cycles[src*nn : (src+1)*nn]
 			var cyc float64
-			for n, share := range in.row(int(rep), nn) {
+			for n, share := range in.rows[int(rep)*nn : (int(rep)+1)*nn] {
 				if share > 0 {
 					cyc += share * costs[n]
 				}
@@ -739,17 +742,6 @@ func (r *Runner) fillCycles() {
 			row[dst] = r.cost.PairCycles(numa.NodeID(src), numa.NodeID(dst), r.ctrlPen[dst], link)
 		}
 	}
-}
-
-// cycRow returns source node src's row of the current iteration's cost
-// matrix. Like Instance.row, the slice aliases runner scratch
-// (r.cycles) that the next fillCycles pass overwrites: callers may
-// reduce against it within the iteration, never retain it.
-//
-//xnuma:noalloc
-func (r *Runner) cycRow(src numa.NodeID) []float64 {
-	nn := r.nNodes
-	return r.cycles[int(src)*nn : (int(src)+1)*nn]
 }
 
 // progress applies the recorded units, consumes debt, and detects

@@ -16,10 +16,10 @@ package engine
 //
 // When no region mutated (every gen counter unchanged) and no thread
 // finished since the last fold, the fold is skipped outright: every
-// fold input — cached distributions, thread homes, profile weights —
-// is value-stable, so the rows already hold exactly what the fold
-// would recompute. Steady-state epochs between Carrefour ticks hit
-// this path.
+// fold input — the regions' per-node page counts, thread homes,
+// profile weights — is value-stable, so the rows already hold exactly
+// what the fold would recompute. Steady-state epochs between Carrefour
+// ticks hit this path.
 //
 //xnuma:noalloc
 func (in *Instance) refreshStreams() {
@@ -46,9 +46,10 @@ func (in *Instance) refreshStreams() {
 
 // foldRows adds each live thread's five stream terms into one node row:
 // row[n] is the fraction of the thread's misses that land on node n this
-// epoch (Σ_s weight_s · share_s[n]). A replicated hot region lands on
-// the thread's own node. The terms are added in a fixed order — hot,
-// master, private, own slice, cross slice — so every row is bit-for-bit
+// epoch (Σ_s weight_s · share_s[n]). The hot stream hits the hot
+// region's first page, or the thread's own node once the region is
+// replicated. The terms are added in a fixed order — hot, master,
+// private, own slice, cross slice — so every row is bit-for-bit
 // reproducible. The fixed-point iterations consume only these rows. The
 // backing buffer is reused across epochs, so steady state allocates
 // nothing.
@@ -63,7 +64,6 @@ func (in *Instance) foldRows() {
 	wHot, wMaster, wPriv, wDist := in.weights()
 	cross := in.Prof.CrossShare
 	wOwn, wCross := wDist*(1-cross), wDist*cross
-	hot, master := in.hot.HotDist(), in.master.AccessDist()
 	for _, th := range in.Threads {
 		if th.Done {
 			continue
@@ -72,32 +72,21 @@ func (in *Instance) foldRows() {
 		for n := range row {
 			row[n] = 0
 		}
-		if in.hot.Replicated && wHot > 0 {
+		if in.hot.Replicated {
 			row[th.Node] += wHot
 		} else {
-			addShares(row, wHot, hot)
+			row[in.hot.nodes[0]] += wHot
 		}
-		addShares(row, wMaster, master)
-		addShares(row, wPriv, in.priv[th.ID].AccessDist())
-		addShares(row, wOwn, in.dist[th.ID].AccessDist())
-		addShares(row, wCross, in.distAll)
+		in.master.addAccessShares(row, wMaster)
+		in.priv[th.ID].addAccessShares(row, wPriv)
+		in.dist[th.ID].addAccessShares(row, wOwn)
+		for n, share := range in.distAll {
+			if share > 0 {
+				row[n] += wCross * share
+			}
+		}
 	}
 	in.groupRows()
-}
-
-// addShares adds weight · share[n] into row[n] for every node with a
-// positive share; a stream of zero weight adds nothing.
-//
-//xnuma:noalloc
-func addShares(row []float64, weight float64, dist []float64) {
-	if weight <= 0 {
-		return
-	}
-	for n, share := range dist {
-		if share > 0 {
-			row[n] += weight * share
-		}
-	}
 }
 
 // groupRows collapses live threads with bitwise-identical folded rows
@@ -155,17 +144,10 @@ func rowsEqual(a, b []float64) bool {
 	return true
 }
 
-// row returns thread id's folded node row for the current epoch.
-//
-//xnuma:noalloc
-func (in *Instance) row(id, nNodes int) []float64 {
-	return in.rows[id*nNodes : (id+1)*nNodes]
-}
-
-// combinedDistInto averages the placement distributions of a region
-// group, weighting by page count: a thread crossing slice boundaries is
-// more likely to hit a larger slice. It writes into dst (grown if
-// needed) so per-epoch callers can reuse one scratch buffer.
+// combinedDistInto averages the access distributions of a region group,
+// weighting by page count: a thread crossing slice boundaries is more
+// likely to hit a larger slice. It writes into dst (grown if needed) so
+// per-epoch callers can reuse one scratch buffer.
 //
 //xnuma:noalloc
 func combinedDistInto(dst []float64, regs []*Region) []float64 {
@@ -183,13 +165,8 @@ func combinedDistInto(dst []float64, regs []*Region) []float64 {
 	var totalPages float64
 	for _, r := range regs {
 		pages := float64(len(r.Pages))
-		if pages == 0 {
-			continue
-		}
 		totalPages += pages
-		for n, share := range r.AccessDist() {
-			dst[n] += share * pages
-		}
+		r.addAccessShares(dst, pages)
 	}
 	if totalPages > 0 {
 		for n := range dst {
