@@ -1,6 +1,6 @@
 // Command xnuma-vet runs the repo's invariant analyzers (maporder,
-// detrand, noalloc, aliasretain — see internal/analysis) over package
-// patterns, ./... by default, and exits 2 on findings:
+// detrand, noalloc — see internal/analysis) over package patterns,
+// ./... by default, and exits 2 on findings:
 //
 //	go run ./cmd/xnuma-vet ./...
 //

@@ -1,6 +1,6 @@
 // Package analysis is the repo's invariant-analyzer suite: a small,
 // dependency-free analogue of golang.org/x/tools/go/analysis (which this
-// module deliberately does not depend on) plus four repo-specific
+// module deliberately does not depend on) plus three repo-specific
 // analyzers that turn conventions the code base holds by discipline into
 // machine-checked invariants:
 //
@@ -12,9 +12,6 @@
 //   - noalloc: functions annotated //xnuma:noalloc (the epoch hot path)
 //     contain no AST-level allocation forms, giving source-level
 //     attribution that complements TestEpochAllocFree's count.
-//   - aliasretain: results of the documented internal-slice accessors
-//     (Region.Dist/AccessDist/HotDist, Instance.row, Runner.cycRow) are
-//     not stored into struct fields or globals.
 //
 // The invariants exist because the repo's claim to reproduce the
 // paper's result tables (Tables 2-3, Figures 5-8) rests on runs being a
@@ -56,7 +53,6 @@ type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 
 	diags []Diagnostic
@@ -99,7 +95,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
-			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 		}
 		if err := a.Run(pass); err != nil {

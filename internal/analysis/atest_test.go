@@ -143,8 +143,6 @@ func TestDetrandGolden(t *testing.T) { checkGolden(t, "detrand") }
 
 func TestNoallocGolden(t *testing.T) { checkGolden(t, "noalloc") }
 
-func TestAliasretainGolden(t *testing.T) { checkGolden(t, "aliasretain") }
-
 // ModuleRoot walks up from dir to the directory containing go.mod.
 func ModuleRoot(dir string) (string, error) {
 	d, err := filepath.Abs(dir)

@@ -23,7 +23,6 @@ type Package struct {
 
 	Fset  *token.FileSet
 	Files []*ast.File
-	Types *types.Package
 	Info  *types.Info
 }
 
@@ -130,13 +129,12 @@ func typeCheck(fset *token.FileSet, imp types.Importer, path, dir string, files 
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, syntax, info)
-	if err != nil {
+	if _, err := conf.Check(path, fset, syntax, info); err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
 	return &Package{
 		Path: path, Dir: dir,
-		Fset: fset, Files: syntax, Types: tpkg, Info: info,
+		Fset: fset, Files: syntax, Info: info,
 	}, nil
 }
 

@@ -19,8 +19,7 @@ import (
 // amortizes them:
 //
 //   - allocation under an if whose condition tests cap/len or nil —
-//     scratch growth and lazy cache warm-up (foldRows, combinedDistInto,
-//     Region.Dist);
+//     scratch growth (foldRows, combinedDistInto, Runner.samples);
 //   - append onto a `buf[:0]`-style slice expression or onto a
 //     declaration marked //xnuma:scratch — reuse of capacity, not
 //     growth.

@@ -174,7 +174,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 				case *ast.FuncDecl:
 					// A package may hold several init functions under one
 					// FullName, so roots are walked here, not queued.
-					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Types.Name() == "main") {
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && f.Name.Name == "main") {
 						reached[pkg.Info.Defs[d.Name].(*types.Func).FullName()] = true
 						refer(pkg.Info, d.Body)
 					}
@@ -309,11 +309,12 @@ func parseTestFiles(t *testing.T, dir string) []testFile {
 // name in a file of its own package, or through an import of pkg.
 func (tf testFile) references(n ast.Node, pkg *Package, fn *ast.FuncDecl) bool {
 	name, method := fn.Name.Name, fn.Recv != nil
-	inPkg := tf.dir == pkg.Dir && tf.file.Name.Name == pkg.Types.Name()
+	pkgName := pkg.Files[0].Name.Name // from the package clause
+	inPkg := tf.dir == pkg.Dir && tf.file.Name.Name == pkgName
 	qual := "" // the file's name for pkg, when it imports it
 	for _, imp := range tf.file.Imports {
 		if path, _ := strconv.Unquote(imp.Path.Value); path == pkg.Path {
-			qual = pkg.Types.Name()
+			qual = pkgName
 			if imp.Name != nil {
 				qual = imp.Name.Name
 			}

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # vet.sh — build xnuma-vet and run the invariant analyzers (maporder,
-# detrand, noalloc, aliasretain) over the whole module. xnuma-vet loads
-# each package through `go list`, so it checks the file set the compiler
-# builds, and exits non-zero on findings.
+# detrand, noalloc) over the whole module. xnuma-vet loads each package
+# through `go list`, so it checks the file set the compiler builds, and
+# exits non-zero on findings.
 #
 #   scripts/vet.sh                  # analyze ./...; exit non-zero on findings
 set -eu
