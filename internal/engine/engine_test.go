@@ -81,9 +81,7 @@ func testProfile() workload.Profile {
 }
 
 func testConfig(topo *numa.Topology) Config {
-	cfg := DefaultConfig(topo, 64)
-	cfg.MaxTime = 30 * sim.Second
-	return cfg
+	return Config{Topo: topo, Seed: 1, MaxTime: 30 * sim.Second, Scale: 64}
 }
 
 // placement returns the share of r's first n pages on each node, read

@@ -45,17 +45,6 @@ type Config struct {
 	Scale int
 }
 
-// DefaultConfig returns the standard configuration for a machine scaled
-// by scale.
-func DefaultConfig(topo *numa.Topology, scale int) Config {
-	return Config{
-		Topo:    topo,
-		Seed:    1,
-		MaxTime: 300 * sim.Second,
-		Scale:   scale,
-	}
-}
-
 // Result is one instance's outcome.
 type Result struct {
 	App        string

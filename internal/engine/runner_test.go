@@ -32,8 +32,7 @@ type reuseRun struct {
 }
 
 func (s reuseRun) config() Config {
-	cfg := DefaultConfig(s.topo, s.scale)
-	cfg.MaxTime = 30 * sim.Second
+	cfg := Config{Topo: s.topo, Seed: 1, MaxTime: 30 * sim.Second, Scale: s.scale}
 	if s.maxTime > 0 {
 		cfg.MaxTime = s.maxTime
 	}

@@ -40,14 +40,9 @@ type Config struct {
 	MidOrder int
 }
 
-// DefaultConfig returns the configuration for the unscaled AMD48.
-func DefaultConfig() Config {
-	return Config{HugeOrder: mem.Order1G, MidOrder: mem.Order2M}
-}
-
-// ScaledConfig shrinks the region orders by log2(scale) to match a
-// machine whose node banks were divided by scale. Scale must be a power
-// of two between 1 and 512.
+// ScaledConfig returns the region orders of the AMD48 (1 GiB and 2 MiB)
+// shrunk by log2(scale), to match a machine whose node banks were
+// divided by scale. Scale must be a power of two between 1 and 512.
 func ScaledConfig(scale int) Config {
 	shift := 0
 	for s := scale; s > 1; s >>= 1 {
@@ -59,9 +54,7 @@ func ScaledConfig(scale int) Config {
 	if shift > 9 {
 		panic(fmt.Sprintf("xen: scale %d too large", scale))
 	}
-	cfg := DefaultConfig()
-	cfg.HugeOrder -= shift
-	cfg.MidOrder -= shift
+	cfg := Config{HugeOrder: mem.Order1G - shift, MidOrder: mem.Order2M - shift}
 	if cfg.MidOrder < 0 {
 		cfg.MidOrder = 0
 	}

@@ -188,12 +188,9 @@ func RunXen(app string, pol Policy, o Options) (Result, error) {
 	return res[0], nil
 }
 
-// engineConfig builds the run configuration from the options.
+// engineConfig builds the run configuration from normalized options.
 func engineConfig(topo *numa.Topology, o Options) engine.Config {
-	cfg := engine.DefaultConfig(topo, o.Scale)
-	cfg.Seed = o.Seed
-	cfg.MaxTime = o.MaxTime
-	return cfg
+	return engine.Config{Topo: topo, Seed: o.Seed, MaxTime: o.MaxTime, Scale: o.Scale}
 }
 
 // RunLinux runs one application natively under a Linux NUMA policy
