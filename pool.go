@@ -175,13 +175,13 @@ func (m *machine) reset() (err error) {
 	return nil
 }
 
-// instance readies the engine instance in slot for a run of prof on b:
-// the slot's instance from the previous lease, which the machine's
-// runner rebuilds in place, or a new one. mcs selects the MCS-lock
-// mitigation, which applies to the profile's pthread-blocking apps only.
-// Every entry point fills its instances here, so a warm and a cold run
-// start from the same fields.
-func (m *machine) instance(slot int, prof workload.Profile, b engine.Backend, pol Policy, o Options, mcs bool) *engine.Instance {
+// instance readies the engine instance in slot for a run of prof on b
+// with the given number of threads: the slot's instance from the
+// previous lease, which the machine's runner rebuilds in place, or a
+// new one. mcs selects the MCS-lock mitigation, which applies to the
+// profile's pthread-blocking apps only. Every entry point fills its
+// instances here, so a warm and a cold run start from the same fields.
+func (m *machine) instance(slot int, prof workload.Profile, b engine.Backend, pol Policy, threads int, mcs bool) *engine.Instance {
 	in := m.insts[slot]
 	if in == nil {
 		in = &engine.Instance{}
@@ -189,7 +189,7 @@ func (m *machine) instance(slot int, prof workload.Profile, b engine.Backend, po
 	}
 	in.Prof = prof
 	in.Backend = b
-	in.NThreads = o.Threads
+	in.NThreads = threads
 	in.Carrefour = pol.Carrefour
 	in.CarrefourMode = carrefourMode(pol)
 	in.MCS = mcs && prof.UsesPthreadSync

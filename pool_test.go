@@ -11,15 +11,16 @@ import (
 // left behind. A bfs machine at scale 32 is cold-built under round-1G,
 // which maps the guest's memory in blocks; a round-4K run on the same
 // machine then maps every page individually on the reset machine and
-// must allocate under 1 MB in total. A 24-thread round-4K lease that
-// follows on the same pool must match a cold-built run and, with the
-// engine instance's thread and region storage shrunk in place, allocate
-// under 256 KB. A second same-shape round-4K/Carrefour lease, its
-// engine scratch kept on the machine's runner, must match a cold-built
-// run and allocate under 8 KB, and so must a second same-shape colocated
-// pair lease, its domains refilling their own shells, under 16 KB.
-// Natively, a second round-4K bfs run on the scale's native machine must
-// match a cold-built run and allocate under 256 KB.
+// must allocate under 1 MB in total. A second same-shape
+// round-4K/Carrefour lease, its engine scratch kept on the machine's
+// runner, must match a cold-built run and allocate under 8 KB, and so
+// must a second same-shape colocated pair lease, its domains refilling
+// their own shells, under 16 KB. After a single 48-thread VM on the
+// same pool, a third colocated pair lease, whose first engine instance
+// shrinks in place from 48 threads to 24, must match a cold-built run
+// and allocate under 256 KB. Natively, a second round-4K bfs run on the
+// scale's native machine must match a cold-built run and allocate under
+// 256 KB.
 func TestWarmLeaseAllocatesLittle(t *testing.T) {
 	o := Options{Scale: 32, Pool: NewPool()}
 	if _, err := RunXen("bfs", MustPolicy("round-1g"), o); err != nil {
@@ -36,30 +37,6 @@ func TestWarmLeaseAllocatesLittle(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("warm round-4K lease allocated %d bytes, want under 1 MB", got)
-	}
-
-	pol := MustPolicy("round-4k")
-	// Reshaped: 24 threads on the machine last leased with 48.
-	half := o
-	half.Threads = 24
-	halfRef, err := RunXen("bfs", pol, Options{Scale: 32, Threads: 24, NoPool: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&before)
-	reshaped, err := RunXen("bfs", pol, half)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := o.Pool.Stats(); hits != 2 || misses != 1 {
-		t.Fatalf("pool hits/misses = %d/%d, want 2/1", hits, misses)
-	}
-	if !reflect.DeepEqual(reshaped, halfRef) {
-		t.Fatalf("24-thread lease after a 48-thread one diverges from a cold-built run:\nwarm: %+v\ncold: %+v", reshaped, halfRef)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
-		t.Fatalf("24-thread lease after a 48-thread one allocated %d bytes, want under 256 KB", got)
 	}
 
 	// Same shape twice with Carrefour: the second lease's engine scratch
@@ -90,6 +67,7 @@ func TestWarmLeaseAllocatesLittle(t *testing.T) {
 	// the second lease gets the shell of the first lease's domain n,
 	// whose page table already has its size, and the vCPU pins refill
 	// the machine's buffers.
+	pol := MustPolicy("round-4k")
 	pair := func(o Options) ([2]Result, error) {
 		a, b, err := RunXenPair("wc", pol, "bfs", carr, Colocated, false, o)
 		return [2]Result{a, b}, err
@@ -107,14 +85,35 @@ func TestWarmLeaseAllocatesLittle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := o.Pool.Stats(); hits != 6 || misses != 1 {
-		t.Fatalf("pool hits/misses = %d/%d, want 6/1", hits, misses)
+	if hits, misses := o.Pool.Stats(); hits != 5 || misses != 1 {
+		t.Fatalf("pool hits/misses = %d/%d, want 5/1", hits, misses)
 	}
 	if !reflect.DeepEqual(warmPair, pairRef) {
 		t.Fatalf("warm colocated pair lease diverges from a cold-built run:\nwarm: %+v\ncold: %+v", warmPair, pairRef)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
 		t.Fatalf("same-shape warm colocated pair lease allocated %d bytes, want under 16 KB", got)
+	}
+
+	// Reshaped: the first VM of a colocated pair has 24 threads on the
+	// machine last leased with a single 48-thread VM.
+	if _, err := RunXen("bfs", pol, o); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&before)
+	reshaped, err := pair(o)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := o.Pool.Stats(); hits != 7 || misses != 1 {
+		t.Fatalf("pool hits/misses = %d/%d, want 7/1", hits, misses)
+	}
+	if !reflect.DeepEqual(reshaped, pairRef) {
+		t.Fatalf("colocated pair lease after a 48-thread VM diverges from a cold-built run:\nwarm: %+v\ncold: %+v", reshaped, pairRef)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Fatalf("colocated pair lease after a 48-thread VM allocated %d bytes, want under 256 KB", got)
 	}
 
 	ref, err := RunLinux("bfs", pol, Options{Scale: 32, NoPool: true})

@@ -77,8 +77,6 @@ type Options struct {
 	// Seed makes runs reproducible (default 1). Only a run for which
 	// ReadsSeed holds reads it.
 	Seed uint64
-	// Threads overrides the thread/vCPU count (default: all 48 CPUs).
-	Threads int
 	// XenPlus enables the paper's improved baseline: PCI passthrough
 	// for I/O and MCS spin locks for the pthread-blocking applications
 	// (§5.3). It is a setting of the VM, not of the machine: the run's
@@ -133,9 +131,6 @@ func (o Options) normalized() (Options, error) {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Threads == 0 {
-		o.Threads = 48
 	}
 	if o.MaxTime == 0 {
 		o.MaxTime = 300 * sim.Second
@@ -215,7 +210,7 @@ func RunLinux(app string, pol Policy, o Options) (Result, error) {
 		return Result{}, err
 	}
 	m.native = b
-	inst := m.instance(0, prof, b, pol, o, o.MCS)
+	inst := m.instance(0, prof, b, pol, m.topo.NumCPUs(), o.MCS)
 	res, err := m.runner.Run(engineConfig(m.topo, o), inst)
 	if err != nil {
 		return Result{}, err
@@ -272,9 +267,7 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	}
 	topo := m.topo
 	pins1, pins2 := m.pins[0][:0], m.pins[1][:0]
-	threads := o.Threads
 	if mode == Colocated {
-		threads = 24
 		half := topo.NumNodes() / 2
 		for n, node := range topo.Nodes {
 			for _, c := range node.CPUs {
@@ -295,13 +288,11 @@ func RunXenPair(app1 string, pol1 Policy, app2 string, pol2 Policy, mode PairMod
 	if swap {
 		pins1, pins2 = pins2, pins1
 	}
-	o1, o2 := o, o
-	o1.Threads, o2.Threads = threads, threads
-	inst1, err := buildXenInstance(m, 0, prof1, pol1, o1, pins1, vmMemBytes(topo, prof1, o, memVMs))
+	inst1, err := buildXenInstance(m, 0, prof1, pol1, o, pins1, vmMemBytes(topo, prof1, o, memVMs))
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	inst2, err := buildXenInstance(m, 1, prof2, pol2, o2, pins2, vmMemBytes(topo, prof2, o, memVMs))
+	inst2, err := buildXenInstance(m, 1, prof2, pol2, o, pins2, vmMemBytes(topo, prof2, o, memVMs))
 	if err != nil {
 		return Result{}, Result{}, err
 	}
@@ -337,21 +328,22 @@ func vmMemBytes(topo *numa.Topology, prof workload.Profile, o Options, vms int) 
 	return memBytes
 }
 
-// buildXenInstance creates the VM for one instance slot of m's machine
-// and (re)builds its guest backend and engine instance. On a warm lease
-// the slot's previous backend and instance are rebuilt in place; the
-// result is bit-for-bit identical to a cold build either way.
+// buildXenInstance creates the VM for one instance slot of m's machine,
+// one vCPU and one application thread per CPU of pins (every CPU when
+// pins is empty), and (re)builds its guest backend and engine instance.
+// On a warm lease the slot's previous backend and instance are rebuilt
+// in place; the result is bit-for-bit identical to a cold build either
+// way.
 func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o Options, pins []numa.CPUID, memBytes int64) (*engine.Instance, error) {
 	boot, err := policy.BootKind(pol.Static)
 	if err != nil {
 		return nil, err
 	}
-	topo := m.hv.Topo
 	if len(pins) == 0 {
 		// The identity pins go into the slot's buffer: CreateDomain
 		// copies them into the domain's vCPUs and keeps nothing.
 		pins = m.pins[slot][:0]
-		for c := 0; c < o.Threads && c < topo.NumCPUs(); c++ {
+		for c := 0; c < m.topo.NumCPUs(); c++ {
 			pins = append(pins, numa.CPUID(c))
 		}
 		m.pins[slot] = pins
@@ -371,7 +363,7 @@ func buildXenInstance(m *machine, slot int, prof workload.Profile, pol Policy, o
 		return nil, err
 	}
 	m.backs[slot] = b
-	return m.instance(slot, prof, b, pol, o, o.XenPlus), nil
+	return m.instance(slot, prof, b, pol, len(pins), o.XenPlus), nil
 }
 
 // Apps returns the 29 application names of the paper's evaluation.

@@ -253,7 +253,7 @@ func TestRunXenPairConsolidatedSlower(t *testing.T) {
 
 func TestOptionsNormalization(t *testing.T) {
 	o, err := Options{}.normalized()
-	if err != nil || o.Scale != 64 || o.Seed != 1 || o.Threads != 48 {
+	if err != nil || o.Scale != 64 || o.Seed != 1 {
 		t.Fatalf("defaults wrong: %+v, %v", o, err)
 	}
 }
