@@ -46,7 +46,10 @@ run -scale 256 advise all
 # Two serve sessions on one cache dir: the first computes and saves the
 # cache on EOF, the second restores it (a warm start). Each session asks
 # for native-Linux advice and repeats its first request, which replays
-# the completed answer.
+# the completed answer. A third session, without a cache dir, runs the
+# same requests under a fault plan: the first cell panics and is
+# recovered and retried, and the second warm-pool reset fails, so that
+# machine is dropped and built again cold.
 requests='{"id":"1","op":"sweep","apps":["wc","cg.C"]}
 {"id":"2","op":"advise","app":"wc"}
 {"id":"3","op":"policies"}
@@ -57,6 +60,7 @@ requests='{"id":"1","op":"sweep","apps":["wc","cg.C"]}
 for session in cold warm; do
 	printf '%s\n' "$requests" | "$bin" -scale 256 serve -cache-dir "$tmp/cache" >/dev/null 2>"$tmp/serve-$session.log"
 done
+printf '%s\n' "$requests" | "$bin" -scale 256 serve -faults 'exp.cell:hit=1:action=panic,pool.reset:hit=2:action=error' >/dev/null 2>"$tmp/serve-faults.log"
 
 profile="$tmp/cover.out"
 go tool covdata textfmt -i="$GOCOVERDIR" -o "$profile"
