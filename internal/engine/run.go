@@ -818,10 +818,11 @@ func (r *Runner) carrefourTick(i int, in *Instance) {
 			in.burstLeft = CarrefourEvery + 1
 		}
 	}
+	r.samples(in)
 	tick := carrefour.Tick{
 		CtrlUtil:    r.ctrlUtil,
 		MaxLinkUtil: r.load.MaxLinkUtil(),
-		Samples:     r.samples(in),
+		Samples:     r.sampBuf,
 	}
 	migrated := r.ctrls[i].Step(tick)
 	if migrated == 0 {
@@ -838,17 +839,18 @@ func (r *Runner) carrefourTick(i int, in *Instance) {
 	}
 }
 
-// samples builds the Carrefour view of the instance's regions, weighted
-// by the profile's stream weights. The emitted order (hot, master, dist
-// slices, private slices) is part of the deterministic contract:
-// Carrefour's hotness sort is stable, so ties keep this order.
+// samples rebuilds r.sampBuf, the Carrefour view of the instance's
+// regions, weighted by the profile's stream weights. The emitted order
+// (hot, master, dist slices, private slices) is part of the
+// deterministic contract: Carrefour's hotness sort is stable, so ties
+// keep this order.
 // Everything the view needs — the sample slice, the pageSet adapters,
 // the accessor rows — lives in runner scratch arenas, so a tick
 // allocates nothing once the arenas are warm; the view stays valid
 // until the next tick rebuilds it.
 //
 //xnuma:noalloc
-func (r *Runner) samples(in *Instance) []carrefour.Sample {
+func (r *Runner) samples(in *Instance) {
 	wHot, wMaster, wPriv, wDist := in.weights()
 	cross := in.Prof.CrossShare
 	nNodes := r.cfg.Topo.NumNodes()
@@ -923,7 +925,6 @@ func (r *Runner) samples(in *Instance) []carrefour.Sample {
 		k++
 	}
 	r.sampBuf = out
-	return out
 }
 
 // mkSample initializes one scratch pageSet adapter and wraps it in a
