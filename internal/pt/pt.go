@@ -13,9 +13,13 @@
 // The table is frame-indexed, as hardware page tables are: entry i
 // describes physical page i, so a lookup is an index and nothing is
 // hashed. A domain's physical space is dense and fixed at creation,
-// which sizes the table once. The table holds entries only: it has no
-// fault hook and no write-protect bit. The domain that owns it resolves
-// a fault on an invalid entry through its policy (package xen).
+// which sizes the table once. Each entry is one 64-bit word, the width
+// of an EPT/NPT entry and of a Xen p2m entry: the machine frame number
+// in bits 0–61, the Owned software bit in bit 62 and the Valid bit in
+// bit 63. The zero word is the invalid entry. The table holds entries
+// only: it has no fault hook and no write-protect bit. The domain that
+// owns it resolves a fault on an invalid entry through its policy
+// (package xen).
 package pt
 
 import (
@@ -24,7 +28,8 @@ import (
 	"repro/internal/mem"
 )
 
-// HypervisorEntry is one hypervisor page-table entry for a physical page.
+// HypervisorEntry is one hypervisor page-table entry for a physical
+// page, as Lookup and Walk unpack it from the table's word.
 type HypervisorEntry struct {
 	MFN   mem.MFN
 	Valid bool
@@ -35,17 +40,31 @@ type HypervisorEntry struct {
 	Owned bool
 }
 
+// The bits of a table word above its machine frame number.
+const (
+	ownedBit = 1 << 62
+	validBit = 1 << 63
+	mfnMask  = ownedBit - 1
+)
+
+// entry unpacks a table word.
+//
+//xnuma:noalloc
+func entry(w uint64) HypervisorEntry {
+	return HypervisorEntry{MFN: mem.MFN(w & mfnMask), Valid: w&validBit != 0, Owned: w&ownedBit != 0}
+}
+
 // HypervisorTable maps one domain's physical pages to machine frames.
 type HypervisorTable struct {
-	// entries[pfn] is pfn's entry; the slice spans the domain's whole
-	// physical space.
-	entries []HypervisorEntry
+	// entries[pfn] is pfn's entry word; the slice spans the domain's
+	// whole physical space.
+	entries []uint64
 }
 
 // NewHypervisorTable returns a table for a physical space of pages
 // pages; every entry is invalid until mapped.
 func NewHypervisorTable(pages uint64) *HypervisorTable {
-	return &HypervisorTable{entries: make([]HypervisorEntry, pages)}
+	return &HypervisorTable{entries: make([]uint64, pages)}
 }
 
 // Lookup returns the entry for pfn: the zero (invalid) entry when absent
@@ -57,18 +76,23 @@ func (h *HypervisorTable) Lookup(pfn mem.PFN) HypervisorEntry {
 	if uint64(pfn) >= uint64(len(h.entries)) {
 		return HypervisorEntry{}
 	}
-	return h.entries[pfn]
+	return entry(h.entries[pfn])
 }
 
 // Map installs pfn→mfn, overwriting any previous entry. The entry becomes
-// valid and not owned. Mapping beyond the physical space panics.
+// valid and not owned. Mapping beyond the physical space, or an MFN
+// that does not fit the entry's 62 frame bits (NoMFN among them),
+// panics.
 //
 //xnuma:noalloc
 func (h *HypervisorTable) Map(pfn mem.PFN, mfn mem.MFN) {
 	if uint64(pfn) >= uint64(len(h.entries)) {
 		panic(fmt.Sprintf("pt: mapping PFN %d beyond the %d-page physical space", pfn, len(h.entries)))
 	}
-	h.entries[pfn] = HypervisorEntry{MFN: mfn, Valid: true}
+	if uint64(mfn) > mfnMask {
+		panic(fmt.Sprintf("pt: MFN %#x does not fit an entry's 62 frame bits", uint64(mfn)))
+	}
+	h.entries[pfn] = uint64(mfn) | validBit
 }
 
 // MapOwned is Map for a frame allocated for pfn alone: the entry is
@@ -77,7 +101,7 @@ func (h *HypervisorTable) Map(pfn mem.PFN, mfn mem.MFN) {
 //xnuma:noalloc
 func (h *HypervisorTable) MapOwned(pfn mem.PFN, mfn mem.MFN) {
 	h.Map(pfn, mfn)
-	h.entries[pfn].Owned = true
+	h.entries[pfn] |= ownedBit
 }
 
 // Invalidate clears the entry for pfn and returns the machine frame it
@@ -89,7 +113,7 @@ func (h *HypervisorTable) Invalidate(pfn mem.PFN) mem.MFN {
 	if !e.Valid {
 		return mem.NoMFN
 	}
-	h.entries[pfn] = HypervisorEntry{}
+	h.entries[pfn] = 0
 	return e.MFN
 }
 
@@ -112,7 +136,7 @@ func (h *HypervisorTable) TranslateNoFault(pfn mem.PFN) (mem.MFN, bool) {
 // refills without allocating.
 func (h *HypervisorTable) Reset(pages uint64) {
 	if pages > uint64(cap(h.entries)) {
-		h.entries = make([]HypervisorEntry, pages)
+		h.entries = make([]uint64, pages)
 	} else {
 		h.entries = h.entries[:pages]
 		clear(h.entries)
@@ -121,9 +145,9 @@ func (h *HypervisorTable) Reset(pages uint64) {
 
 // Walk calls fn for every valid entry, in ascending PFN order.
 func (h *HypervisorTable) Walk(fn func(mem.PFN, HypervisorEntry)) {
-	for p, e := range h.entries {
-		if e.Valid {
-			fn(mem.PFN(p), e)
+	for p, w := range h.entries {
+		if w&validBit != 0 {
+			fn(mem.PFN(p), entry(w))
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestTranslateNoFaultNeverCallsHandler(t *testing.T) {
 	if _, ok := h.TranslateNoFault(42); ok {
 		t.Fatal("invalid entry translated")
 	}
-	h.entries[42] = HypervisorEntry{MFN: 420, Valid: true}
+	h.Map(42, 420)
 	mfn, ok := h.TranslateNoFault(42)
 	if !ok || mfn != 420 {
 		t.Fatalf("TranslateNoFault = %d,%v", mfn, ok)
@@ -53,23 +53,61 @@ func TestWalkVisitsAll(t *testing.T) {
 	}
 }
 
+// TestMapPanicsOnFlagBits: an MFN with bit 62 or 63 set, NoMFN among
+// them, would overwrite the entry's Owned or Valid bit, so Map and
+// MapOwned refuse it; the largest 62-bit frame still maps.
+func TestMapPanicsOnFlagBits(t *testing.T) {
+	h := NewHypervisorTable(4)
+	for _, mfn := range []mem.MFN{1 << 62, 1 << 63, mem.NoMFN} {
+		for i, mapFn := range []func(mem.PFN, mem.MFN){h.Map, h.MapOwned} {
+			name := [...]string{"Map", "MapOwned"}[i]
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(1, %#x) did not panic", name, uint64(mfn))
+					}
+				}()
+				mapFn(1, mfn)
+			}()
+			if h.Lookup(1).Valid {
+				t.Fatalf("%s(1, %#x) left a valid entry", name, uint64(mfn))
+			}
+		}
+	}
+	h.MapOwned(1, 1<<62-1)
+	if e := h.Lookup(1); e != (HypervisorEntry{MFN: 1<<62 - 1, Valid: true, Owned: true}) {
+		t.Fatalf("largest frame reads back as %+v", e)
+	}
+}
+
 // TestQuickMapInvalidate property-tests the table against a map model.
 // Random map / owned-map / invalidate sequences over a 64-page table,
 // plus lookups and invalidations of frames past its end, must leave
 // every frame reading as the model says: an entry translates iff it was
-// mapped after its last invalidation, carries the owned bit of its last
-// mapping, and frames beyond the physical space read as invalid without
-// panicking. Walk must visit exactly the valid entries in ascending PFN
+// mapped after its last invalidation, carries the frame and the owned
+// bit of its last mapping, and frames beyond the physical space read as
+// invalid without panicking. Mapped frames are drawn across all 62
+// frame bits, and every sequence starts by mapping frame 0 and frame
+// 2^62-1, so an entry that drops a frame bit or mixes one with a flag
+// fails. Walk must visit exactly the valid entries in ascending PFN
 // order.
 func TestQuickMapInvalidate(t *testing.T) {
 	const pages, span = 64, 80 // frames 64..79 lie beyond the table
-	check := func(ops []uint16) bool {
+	// op is one drawn operation: Kind%4 selects invalidate (0), owned
+	// map (1) or map (2, 3) of PFN%span, mapping MFN's low 62 bits.
+	type op struct {
+		Kind uint8
+		PFN  uint16
+		MFN  uint64
+	}
+	check := func(ops []op) bool {
+		ops = append([]op{{Kind: 2, PFN: 0, MFN: 0}, {Kind: 1, PFN: pages - 1, MFN: 1<<62 - 1}}, ops...)
 		h := NewHypervisorTable(pages)
 		expect := make(map[mem.PFN]HypervisorEntry)
-		for i, op := range ops {
-			pfn := mem.PFN(op % span)
+		for _, o := range ops {
+			pfn, mfn := mem.PFN(o.PFN%span), mem.MFN(o.MFN&(1<<62-1))
 			valid := expect[pfn].Valid
-			switch op % 4 {
+			switch o.Kind % 4 {
 			case 0:
 				want := mem.NoMFN
 				if valid {
@@ -81,13 +119,13 @@ func TestQuickMapInvalidate(t *testing.T) {
 				delete(expect, pfn)
 			case 1:
 				if pfn < pages {
-					h.MapOwned(pfn, mem.MFN(i))
-					expect[pfn] = HypervisorEntry{MFN: mem.MFN(i), Valid: true, Owned: true}
+					h.MapOwned(pfn, mfn)
+					expect[pfn] = HypervisorEntry{MFN: mfn, Valid: true, Owned: true}
 				}
 			default:
 				if pfn < pages {
-					h.Map(pfn, mem.MFN(i))
-					expect[pfn] = HypervisorEntry{MFN: mem.MFN(i), Valid: true}
+					h.Map(pfn, mfn)
+					expect[pfn] = HypervisorEntry{MFN: mfn, Valid: true}
 				}
 			}
 		}
