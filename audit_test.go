@@ -61,8 +61,9 @@ func (a *audit) xen(p *Pool, key poolKey, xenPlus bool, what string, pols ...Pol
 			a.fail("%s: VM %d passthrough %v, want %v", what, slot, got, want)
 		}
 		for _, r := range m.insts[slot].Regions() {
-			for i, pfn := range r.Pages {
+			for i := range r.Len() {
 				a.checks++
+				pfn := r.Page(i)
 				node, ok := dom.NodeOfPFN(pfn)
 				if !ok || node != r.NodeOf(i) {
 					a.fail("%s: VM %d %s page %d (PFN %d): engine node %d, hypervisor node %d (valid %v)", what, slot, r.Name, i, pfn, r.NodeOf(i), node, ok)
@@ -96,9 +97,9 @@ func (a *audit) native(p *Pool, key poolKey, what string) {
 	alloc := m.native.Alloc
 	clear(a.frames)
 	for _, r := range m.insts[0].Regions() {
-		for i, pfn := range r.Pages {
+		for i := range r.Len() {
 			a.checks++
-			mfn := mem.MFN(pfn)
+			mfn := mem.MFN(r.Page(i))
 			if node := alloc.NodeOf(mfn); node != r.NodeOf(i) {
 				a.fail("%s: %s page %d (frame %d): engine node %d, allocator node %d", what, r.Name, i, mfn, r.NodeOf(i), node)
 			}

@@ -19,6 +19,8 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/carrefour"
@@ -31,14 +33,17 @@ import (
 
 // Region is a set of pages with a uniform access pattern. Backends
 // append pages as they materialize and update placement on migration.
+// Each page is stored in 5 bytes: its frame in 4 (a frame below 2^32;
+// the machine at scale 1 has 2^25) and its node in 1 (a machine of at
+// most 256 nodes; the modelled one has 8).
 type Region struct {
 	Name string
 	// Owner is the owning thread of a per-thread region (a dist or
 	// private slice), or -1 for a shared one (hot, master).
 	Owner int
 
-	Pages  []mem.PFN
-	nodes  []numa.NodeID
+	pages  []uint32
+	nodes  []uint8
 	hist   []float64 // page count per node
 	nNodes int
 
@@ -60,8 +65,12 @@ type Region struct {
 	gen uint64
 }
 
-// NewRegion returns an empty region for a machine with nNodes nodes.
+// NewRegion returns an empty region for a machine with nNodes nodes,
+// at most 256.
 func NewRegion(name string, owner, nNodes int) *Region {
+	if nNodes > 256 {
+		panic(fmt.Sprintf("engine: region %s: %d nodes do not fit a page's node byte", name, nNodes))
+	}
 	return &Region{
 		Name: name, Owner: owner,
 		hist: make([]float64, nNodes), nNodes: nNodes,
@@ -84,7 +93,7 @@ func (r *Region) SetAccessHead(limit int) {
 			r.histHead[i] = 0
 		}
 	}
-	for i := 0; i < len(r.Pages) && i < limit; i++ {
+	for i := 0; i < len(r.pages) && i < limit; i++ {
 		r.histHead[r.nodes[i]]++
 	}
 	r.invalidate()
@@ -94,7 +103,7 @@ func (r *Region) SetAccessHead(limit int) {
 // Owner) and every backing buffer, so a rerun instance's regions
 // refill without allocating.
 func (r *Region) reset() {
-	r.Pages = r.Pages[:0]
+	r.pages = r.pages[:0]
 	r.nodes = r.nodes[:0]
 	for i := range r.hist {
 		r.hist[i] = 0
@@ -121,20 +130,35 @@ func resetRegion(reg *Region, name string, owner, nNodes int) *Region {
 	return NewRegion(name, owner, nNodes)
 }
 
-// AddPage records a materialized page and its placement.
+// AddPage records a materialized page and its placement. A frame of
+// 2^32 or above panics.
 func (r *Region) AddPage(p mem.PFN, node numa.NodeID) {
-	r.Pages = append(r.Pages, p)
-	r.nodes = append(r.nodes, node)
+	r.pages = append(r.pages, frame32(p))
+	r.nodes = append(r.nodes, uint8(node))
 	r.hist[node]++
-	if r.headLimit > 0 && len(r.Pages) <= r.headLimit {
+	if r.headLimit > 0 && len(r.pages) <= r.headLimit {
 		r.histHead[node]++
 	}
 	r.invalidate()
 }
 
+// SetPage records that page i is now frame p, as after a native
+// migration. A frame of 2^32 or above panics.
+func (r *Region) SetPage(i int, p mem.PFN) {
+	r.pages[i] = frame32(p)
+}
+
+// frame32 narrows a frame to a region's 4-byte page entry.
+func frame32(p mem.PFN) uint32 {
+	if p > math.MaxUint32 {
+		panic(fmt.Sprintf("engine: frame %#x does not fit a region's 4-byte page entry", uint64(p)))
+	}
+	return uint32(p)
+}
+
 // SetNode updates page i's placement after a migration.
 func (r *Region) SetNode(i int, node numa.NodeID) {
-	old := r.nodes[i]
+	old := numa.NodeID(r.nodes[i])
 	if old == node {
 		return
 	}
@@ -144,7 +168,7 @@ func (r *Region) SetNode(i int, node numa.NodeID) {
 		r.histHead[old]--
 		r.histHead[node]++
 	}
-	r.nodes[i] = node
+	r.nodes[i] = uint8(node)
 	r.invalidate()
 }
 
@@ -158,10 +182,13 @@ func (r *Region) Replicate() {
 }
 
 // Len returns the number of materialized pages.
-func (r *Region) Len() int { return len(r.Pages) }
+func (r *Region) Len() int { return len(r.pages) }
+
+// Page returns page i's frame.
+func (r *Region) Page(i int) mem.PFN { return mem.PFN(r.pages[i]) }
 
 // NodeOf returns page i's node.
-func (r *Region) NodeOf(i int) numa.NodeID { return r.nodes[i] }
+func (r *Region) NodeOf(i int) numa.NodeID { return numa.NodeID(r.nodes[i]) }
 
 // addAccessShares adds weight · (c / total) into dst[n] for every node
 // n holding c > 0 of the region's accessed pages: its first headLimit
@@ -170,8 +197,8 @@ func (r *Region) NodeOf(i int) numa.NodeID { return r.nodes[i] }
 //
 //xnuma:noalloc
 func (r *Region) addAccessShares(dst []float64, weight float64) {
-	counts, total := r.hist, float64(len(r.Pages))
-	if r.headLimit > 0 && r.headLimit < len(r.Pages) {
+	counts, total := r.hist, float64(len(r.pages))
+	if r.headLimit > 0 && r.headLimit < len(r.pages) {
 		// The head's counts then sum to exactly headLimit.
 		counts, total = r.histHead, float64(r.headLimit)
 	}
@@ -257,12 +284,12 @@ type Instance struct {
 	// priv holds each thread's private memory.
 	priv  []*Region
 	sizes regionSizes
-	// pageBuf and nodeBuf back every region's Pages and nodes:
+	// pageBuf and nodeBuf back every region's pages and nodes:
 	// materialize hands each region a capacity-capped window of them, so
 	// however the thread count splits the footprint, a rerun refills the
 	// same two buffers.
-	pageBuf []mem.PFN
-	nodeBuf []numa.NodeID
+	pageBuf []uint32
+	nodeBuf []uint8
 
 	workPerThread float64
 	ioStream      iosim.Stream

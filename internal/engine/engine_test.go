@@ -151,6 +151,52 @@ func TestRegionAccessHead(t *testing.T) {
 	wantAccess(t, r, 2, 0.5, 0, 0.5, 0)
 }
 
+// TestRegionFrameWidth: a region stores each frame in 4 bytes, so
+// AddPage and SetPage refuse a frame of 2^32 or above instead of
+// keeping a truncated one; frame 2^32-1 is stored whole.
+func TestRegionFrameWidth(t *testing.T) {
+	r := NewRegion("r", -1, 4)
+	r.AddPage(1<<32-1, 2)
+	if r.Page(0) != 1<<32-1 || r.NodeOf(0) != 2 {
+		t.Fatalf("page 0 = frame %#x on node %d", uint64(r.Page(0)), r.NodeOf(0))
+	}
+	for _, tc := range []struct {
+		what string
+		call func()
+	}{
+		{"AddPage", func() { r.AddPage(1<<32, 1) }},
+		{"SetPage", func() { r.SetPage(0, 1<<32) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted frame 2^32", tc.what)
+				}
+			}()
+			tc.call()
+		}()
+	}
+	if r.Len() != 1 || r.Page(0) != 1<<32-1 {
+		t.Fatalf("refused frames changed the region: %d pages, page 0 = frame %#x", r.Len(), uint64(r.Page(0)))
+	}
+}
+
+// TestNewRegionNodeLimit: a region stores each page's node in one
+// byte, so it spans at most 256 nodes.
+func TestNewRegionNodeLimit(t *testing.T) {
+	r := NewRegion("r", -1, 256)
+	r.AddPage(7, 255)
+	if r.NodeOf(0) != 255 {
+		t.Fatalf("page 0 on node %d, want 255", r.NodeOf(0))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewRegion accepted 257 nodes")
+		}
+	}()
+	NewRegion("r", -1, 257)
+}
+
 // TestRegionDistCachingInvalidation: every placement mutator bumps the
 // region's gen, which the fold-skip compares, and the region's access
 // shares follow the mutation at once. A move to the page's own node and

@@ -360,7 +360,7 @@ func (r *Runner) materialize(in *Instance) (sim.Time, error) {
 	in.nodeBuf = slices.Grow(in.nodeBuf[:0], size)
 	off := 0
 	place := func(reg *Region, n int, toucher numa.NodeID) (sim.Time, error) {
-		reg.Pages, reg.nodes = in.pageBuf[off:off:off+n], in.nodeBuf[off:off:off+n]
+		reg.pages, reg.nodes = in.pageBuf[off:off:off+n], in.nodeBuf[off:off:off+n]
 		off += n
 		return in.Backend.Place(reg, n, toucher)
 	}
@@ -584,7 +584,7 @@ func (r *Runner) fillLoads(record bool) {
 		// misleads Carrefour (§3.5.2).
 		if in.burstLeft > 0 && in.burstRegion != nil {
 			burst := 0.3 * totalMisses
-			pages := float64(len(in.burstRegion.Pages))
+			pages := float64(len(in.burstRegion.pages))
 			for n, c := range in.burstRegion.hist {
 				if c > 0 {
 					cnt := burst * (c / pages)

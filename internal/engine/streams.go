@@ -164,7 +164,7 @@ func combinedDistInto(dst []float64, regs []*Region) []float64 {
 	}
 	var totalPages float64
 	for _, r := range regs {
-		pages := float64(len(r.Pages))
+		pages := float64(len(r.pages))
 		totalPages += pages
 		r.addAccessShares(dst, pages)
 	}

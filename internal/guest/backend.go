@@ -95,7 +95,7 @@ func (b *Backend) Place(r *engine.Region, n int, toucher numa.NodeID) (sim.Time,
 
 // Migrate moves page i of r through the hypervisor's migration mechanism.
 func (b *Backend) Migrate(r *engine.Region, i int, to numa.NodeID) bool {
-	if !b.Dom.MigratePage(r.Pages[i], to) {
+	if !b.Dom.MigratePage(r.Page(i), to) {
 		return false
 	}
 	r.SetNode(i, to)

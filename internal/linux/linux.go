@@ -114,7 +114,7 @@ func (b *Backend) allocNear(node numa.NodeID) (mem.MFN, error) {
 // Migrate moves one page's frame to another node (Linux's migrate_pages
 // path, used by Carrefour's system component).
 func (b *Backend) Migrate(r *engine.Region, i int, to numa.NodeID) bool {
-	old := mem.MFN(r.Pages[i])
+	old := mem.MFN(r.Page(i))
 	if b.Alloc.NodeOf(old) == to {
 		return false
 	}
@@ -123,7 +123,7 @@ func (b *Backend) Migrate(r *engine.Region, i int, to numa.NodeID) bool {
 		return false
 	}
 	b.Alloc.Free(old, mem.Order4K)
-	r.Pages[i] = mem.PFN(mfn)
+	r.SetPage(i, mem.PFN(mfn))
 	r.SetNode(i, to)
 	return true
 }

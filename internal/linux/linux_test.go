@@ -161,17 +161,17 @@ func TestMigrateMovesFrame(t *testing.T) {
 	b, _ := Rebuild(nil, topo, policy.Config{Static: policy.FirstTouch})
 	r := engine.NewRegion("r", 0, 4)
 	b.Place(r, 1, 0)
-	old := mem.MFN(r.Pages[0])
+	old := mem.MFN(r.Page(0))
 	if !b.Migrate(r, 0, 3) {
 		t.Fatal("migration refused")
 	}
 	if r.NodeOf(0) != 3 {
 		t.Fatal("region placement not updated")
 	}
-	if b.Alloc.NodeOf(mem.MFN(r.Pages[0])) != 3 {
+	if b.Alloc.NodeOf(mem.MFN(r.Page(0))) != 3 {
 		t.Fatal("frame not on target node")
 	}
-	if mem.MFN(r.Pages[0]) == old {
+	if mem.MFN(r.Page(0)) == old {
 		t.Fatal("page kept its old frame")
 	}
 	if b.Migrate(r, 0, 3) {
