@@ -54,11 +54,7 @@ func ScaledConfig(scale int) Config {
 	if shift > 9 {
 		panic(fmt.Sprintf("xen: scale %d too large", scale))
 	}
-	cfg := Config{HugeOrder: mem.Order1G - shift, MidOrder: mem.Order2M - shift}
-	if cfg.MidOrder < 0 {
-		cfg.MidOrder = 0
-	}
-	return cfg
+	return Config{HugeOrder: mem.Order1G - shift, MidOrder: mem.Order2M - shift}
 }
 
 // Cost model of hypervisor operations, in virtual time. The page-queue
