@@ -20,9 +20,9 @@ import (
 // shrinks in place from 48 threads to 24, must match a cold-built run
 // and allocate under 16 KB. Natively, a second round-4K bfs run on the
 // scale's native machine must match a cold-built run and allocate under
-// 32 KB. The cold builds it compares against pin the per-page storage a
-// machine is built with: the Xen round-4K/Carrefour build must allocate
-// under 3 MB and the native round-4K build under 1.5 MB.
+// 32 KB. The two NoPool reference runs bound what a cold build pays
+// for its per-page state: the Xen round-4K/Carrefour run must allocate
+// under 3 MB in total and the native round-4K run under 1.5 MB.
 func TestWarmLeaseAllocatesLittle(t *testing.T) {
 	o := Options{Scale: 32, Pool: NewPool()}
 	if _, err := RunXen("bfs", MustPolicy("round-1g"), o); err != nil {
